@@ -34,6 +34,13 @@ CI to upload as workflow artifacts: it fails on crash or assertion
 regression, never on a timing regression, keeping the committed
 ``BENCH_<n>.json`` trajectory the only place where numbers live.
 
+Snapshots written with ``--out`` also record a ``machine`` block
+(Python and numpy versions, CPU count, platform), and ``--diff`` prints
+both snapshots' blocks when they differ: a speedup measured on another
+numpy release may be numpy's, not the engine's (numpy 2.4 answers a
+flag-less ``np.unique`` with a hash table that is 20-70× slower than
+sort + compare on node ids).
+
 Snapshots written with ``--out`` also attach a compact run-manifest
 summary (tier, whole-run counters, per-phase wall seconds) from one
 instrumented ``scenario product --prove`` run, and ``--diff`` reports
@@ -47,6 +54,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -129,6 +137,46 @@ def diff(old_path: Path, new_path: Path, *, github: bool = False) -> None:
                   f"{new_s * 1e3:9.3f}ms   {ratio:5.2f}x")
     if added or removed:
         print(f"({added} new, {removed} removed benchmark id(s))")
+
+
+def machine_fingerprint() -> dict:
+    """The interpreter, numpy and hardware a snapshot was recorded on."""
+    import numpy
+
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "cpus": os.cpu_count(),
+        "platform": platform.platform(),
+    }
+
+
+def diff_machines(old_doc: dict, new_doc: dict, *, github: bool = False) -> None:
+    """Print both snapshots' ``machine`` blocks when they differ (a
+    snapshot older than the block reads as not recorded)."""
+    old_m, new_m = old_doc.get("machine"), new_doc.get("machine")
+    if old_m == new_m:
+        return
+    keys = sorted(set(old_m or {}) | set(new_m or {}))
+
+    def show(block: dict | None, key: str) -> str:
+        if block is None:
+            return "not recorded"
+        return str(block.get(key, "—"))
+
+    if github:
+        print()
+        print("#### Machines differ (timings may not be comparable)")
+        print()
+        print("| field | old | new |")
+        print("| --- | --- | --- |")
+        for key in keys:
+            print(f"| {key} | {show(old_m, key)} | {show(new_m, key)} |")
+        return
+    print("machines differ (timings may not be comparable):")
+    width = max((len(k) for k in keys), default=0)
+    for key in keys:
+        print(f"  {key:<{width}}  {show(old_m, key)} -> {show(new_m, key)}")
 
 
 def diff_manifests(old_doc: dict, new_doc: dict, *, github: bool = False) -> None:
@@ -310,6 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         diff(*args.diff, github=args.github_summary)
         old_doc = json.loads(args.diff[0].read_text())
         new_doc = json.loads(args.diff[1].read_text())
+        diff_machines(old_doc, new_doc, github=args.github_summary)
         diff_manifests(old_doc, new_doc, github=args.github_summary)
         return 0
 
@@ -344,6 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "note": "median seconds per benchmark id; see benchmarks/record.py",
         "medians": medians,
+        "machine": machine_fingerprint(),
     }
     manifest = capture_reference_manifest()
     if manifest is not None:

@@ -5,7 +5,9 @@ reachability enters only for the weaker convenience notion
 ``check_reachable_invariant`` and for diagnostics.  Exploration runs on the
 cached union CSR graph (:mod:`repro.semantics.graph_backend`): each BFS
 level is one gather over the frontier's adjacency, deduplicated by a
-boolean-mask scatter — no per-table ``np.unique`` rounds, and repeated
+boolean-mask scatter on wide frontiers and by the sort-based
+:func:`~repro.util.csr.sorted_unique` set kernel on narrow ones — no
+per-table dedup rounds and no flag-less ``np.unique`` — and repeated
 queries against the same program share the adjacency.
 """
 

@@ -20,8 +20,10 @@ reachability and SCC structure, and fairness (where self-moves *do*
 matter) is evaluated on the dense tier.
 
 All traversals use boolean-mask frontiers — duplicate successors are
-collapsed by an O(frontier) scatter (or an ``np.unique`` on small
-frontiers), never by repeated per-table sort+dedup rounds.
+collapsed by an O(frontier) scatter, or on small frontiers by the
+sort-based :func:`~repro.util.csr.sorted_unique` set kernel (never a
+flag-less ``np.unique``, which numpy 2.4 runs through a much slower
+hash table), and never by repeated per-table sort+dedup rounds.
 """
 
 from __future__ import annotations
@@ -34,7 +36,14 @@ import numpy as np
 from repro import obs
 from repro.errors import CapacityError
 from repro.semantics.scc import Condensation, condense_subgraph
-from repro.util.csr import build_csr, csr_neighbors, masked_subgraph, minimal_int_dtype, union_edges
+from repro.util.csr import (
+    build_csr,
+    csr_neighbors,
+    masked_subgraph,
+    minimal_int_dtype,
+    sorted_unique,
+    union_edges,
+)
 
 __all__ = ["GraphBackend"]
 
@@ -85,8 +94,11 @@ class GraphBackend:
             rec = obs.get_recorder()
             with rec.span("graph.union_csr", nodes=self.n):
                 src, dst = self._edges()
-                self._fwd = build_csr(src, dst, self.n, dtype=self.dtype)
+                fwd = build_csr(src, dst, self.n, dtype=self.dtype)
+                # Publish the reverse view first: a concurrent caller that
+                # sees ``_fwd`` set must also find ``_rev`` set.
                 self._rev = build_csr(dst, src, self.n, dtype=self.dtype)
+                self._fwd = fwd
                 if rec.enabled:
                     rec.add("graph.union_csr.builds")
                     rec.add("graph.union_csr.edges", int(src.shape[0]))
@@ -110,12 +122,13 @@ class GraphBackend:
     def _mark_fresh(self, cand: np.ndarray) -> np.ndarray:
         """Deduplicate candidate node ids into a sorted fresh-node array.
 
-        Small candidate sets sort directly; large ones scatter through a
-        reusable boolean scratch buffer (O(n) scan beats O(c log c) sort
-        once the frontier is a sizable fraction of the space).
+        Small candidate sets sort directly (:func:`sorted_unique`); large
+        ones scatter through a reusable boolean scratch buffer (O(n) scan
+        beats O(c log c) sort once the frontier is a sizable fraction of
+        the space).
         """
         if cand.size * 8 < self.n:
-            return np.unique(cand)
+            return sorted_unique(cand)
         if self._scratch is None:
             self._scratch = np.zeros(self.n, dtype=bool)
         scratch = self._scratch

@@ -95,11 +95,8 @@ class FairAnalysis:
     def safe_components(self) -> list[tuple[int, np.ndarray]]:
         """``(comp_id, members)`` for SCCs in the safe region, in emission
         (sinks-first) order — the levels of the synthesized induction."""
-        out = []
-        for k, members in enumerate(self.cond.components):
-            if not self.avoid_mask[members[0]]:
-                out.append((k, members))
-        return out
+        safe = np.flatnonzero(~self.avoid_mask[self.cond.first_members()])
+        return [(int(k), self.cond.members_of(k)) for k in safe]
 
 
 #: Byte budget of one stacked (command, state) chunk in :func:`_fair_flags`.
@@ -278,10 +275,9 @@ def check_leadsto(
     # path: a ¬q-confined walk from the violating p-state into a fair SCC
     # — the scheduler's avoidance strategy, state by state.
     fair_state = None
-    for k, comp in enumerate(analysis.cond.components):
-        if analysis.fair_flags[k]:
-            fair_state = space.state_at(int(comp[0]))
-            break
+    fair = np.flatnonzero(analysis.fair_flags)
+    if fair.size:
+        fair_state = space.state_at(int(analysis.cond.members_of(fair[0])[0]))
     sources = np.zeros(space.size, dtype=bool)
     sources[i] = True
     confining = TransitionSystem.for_program(program).graph().path_between(

@@ -405,8 +405,7 @@ def _strong_transient_fail(
     ]
     flags = _fair_flags(cond, fair_tables, enabled=enabled_rows)
     fail = np.zeros(n_levels, dtype=bool)
-    for k in np.flatnonzero(flags):
-        fail[int(lvl[int(cond.components[int(k)][0])])] = True
+    fail[lvl[cond.first_members()[flags]]] = True
     return fail
 
 

@@ -47,10 +47,17 @@ the reference oracle for randomized differential tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.util.csr import build_csr, csr_neighbors, dedup_edges, minimal_int_dtype
+from repro.util.csr import (
+    build_csr,
+    csr_neighbors,
+    dedup_edges,
+    minimal_int_dtype,
+    sorted_unique,
+)
 
 __all__ = [
     "Condensation",
@@ -63,7 +70,7 @@ __all__ = [
 
 @dataclass
 class Condensation:
-    """SCC decomposition of a masked subgraph.
+    """SCC decomposition of a masked subgraph, stored flat (CSR layout).
 
     Attributes
     ----------
@@ -71,17 +78,42 @@ class Condensation:
         Array of length ``n``; SCC index per state (``-1`` outside the mask).
         Indices follow emission order: edges between distinct SCCs always go
         from higher ``comp_id`` to lower.
-    components:
-        ``components[k]`` is the sorted array of member states of SCC ``k``.
+    members:
+        Every masked state, grouped by SCC in emission order and sorted
+        within each SCC.
+    offsets:
+        ``int64`` array of length ``count + 1``: SCC ``k`` is
+        ``members[offsets[k]:offsets[k + 1]]`` (see :meth:`members_of`).
     """
 
     comp_id: np.ndarray
-    components: list[np.ndarray]
+    members: np.ndarray
+    offsets: np.ndarray
 
     @property
     def count(self) -> int:
         """Number of SCCs."""
-        return len(self.components)
+        return self.offsets.shape[0] - 1
+
+    def members_of(self, k: int) -> np.ndarray:
+        """Sorted member states of SCC ``k`` (a view into :attr:`members`)."""
+        return self.members[self.offsets[k]:self.offsets[k + 1]]
+
+    def first_members(self) -> np.ndarray:
+        """Smallest member state of every SCC, indexed by SCC."""
+        return self.members[self.offsets[:-1]]
+
+    @cached_property
+    def components(self) -> tuple[np.ndarray, ...]:
+        """``components[k] == members_of(k)`` for every SCC, as read-only
+        views.  Built on first use: the checkers index :attr:`members` /
+        :attr:`offsets` directly, so a condensation with many trimmed
+        singletons never pays for one small array per SCC."""
+        if self.count == 0:
+            return ()
+        view = self.members.view()
+        view.flags.writeable = False
+        return tuple(np.split(view, self.offsets[1:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +180,7 @@ def _bfs_partition(
         nxt = nxt[(plabel[nxt] == pid) & ~vis[nxt]]
         if nxt.size == 0:
             break
-        frontier = np.unique(nxt)
+        frontier = sorted_unique(nxt)
         vis[frontier] = True
     return vis, used
 
@@ -266,7 +298,7 @@ def _scc_labels(
             _decrement(outdeg, pred, m)
         touched = np.concatenate([succ, pred]) if pred.size else succ
         touched = touched[(indeg[touched] == 0) | (outdeg[touched] == 0)]
-        pending = np.unique(touched)
+        pending = sorted_unique(touched)
 
     # Stage 2: forward-backward splitting of what remains.
     rest = np.flatnonzero(active)
@@ -371,7 +403,7 @@ def _emission_order(
         if preds.size == 0:
             break
         _decrement(outdeg, preds, count)
-        ready = np.unique(preds[outdeg[preds] == 0])
+        ready = sorted_unique(preds[outdeg[preds] == 0])
     if emitted != count:  # pragma: no cover - the condensation is a DAG
         raise AssertionError("condensed graph is not acyclic")
     order_of[np.lexsort((first, level))] = np.arange(count, dtype=np.int64)
@@ -386,13 +418,12 @@ def _package(
     comp_id = np.full(n, -1, dtype=np.int64)
     rank = order_of[labels] if count else labels
     comp_id[nodes] = rank
-    if count == 0:
-        return Condensation(comp_id=comp_id, components=[])
-    perm = np.argsort(rank, kind="stable")
-    sorted_nodes = nodes[perm]
-    counts = np.bincount(rank, minlength=count)
-    components = np.split(sorted_nodes, np.cumsum(counts)[:-1])
-    return Condensation(comp_id=comp_id, components=list(components))
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rank, minlength=count), out=offsets[1:])
+    # ``nodes`` ascends, so a stable sort by rank keeps members sorted
+    # within each SCC.
+    members = nodes[np.argsort(rank, kind="stable")]
+    return Condensation(comp_id=comp_id, members=members, offsets=offsets)
 
 
 def condense_subgraph(
@@ -518,4 +549,8 @@ def tarjan_condensation(mask: np.ndarray, tables: list[np.ndarray]) -> Condensat
                 arr = np.array(sorted(members), dtype=np.int64)
                 comp_id[arr] = len(components)
                 components.append(arr)
-    return Condensation(comp_id=comp_id, components=components)
+    sizes = np.array([c.size for c in components], dtype=np.int64)
+    offsets = np.zeros(len(components) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    flat = np.concatenate(components) if components else np.empty(0, dtype=np.int64)
+    return Condensation(comp_id=comp_id, members=flat, offsets=offsets)

@@ -599,7 +599,7 @@ def check_transient_strong_sparse(program: Program, p: Predicate) -> CheckResult
             ),
             witness={"tier": "sparse", "components": cond.count},
         )
-    state = sub.state_at_local(int(cond.components[int(hit[0])][0]))
+    state = sub.state_at_local(int(cond.members_of(hit[0])[0]))
     return CheckResult(
         False,
         "transient-strong",

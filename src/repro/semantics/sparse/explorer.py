@@ -58,7 +58,7 @@ from repro.core.program import Program
 from repro.core.state import State, StateSpace
 from repro.errors import BudgetExhausted, ExplorationError, PropertyError
 from repro.semantics.budget import Budget
-from repro.util.csr import in_sorted
+from repro.util.csr import in_sorted, sorted_unique
 from repro.util.faultinject import fault_point
 
 __all__ = [
@@ -643,7 +643,7 @@ def _bfs_loop(
                 entries=frontier.shape[0] * len(cols),
             )
             all_succ = np.concatenate(cols)
-            cand = np.unique(all_succ)
+            cand = sorted_unique(all_succ)
             fresh = cand[~in_sorted(state.known, cand)]
             if fresh.size == 0:
                 break
@@ -746,7 +746,7 @@ def explore(
     if seeds is None:
         start = initial_indices(program, join_limit=join_limit)
     else:
-        start = np.unique(np.asarray(seeds, dtype=np.int64))
+        start = sorted_unique(np.asarray(seeds, dtype=np.int64))
         if start.size and (start[0] < 0 or start[-1] >= space.size):
             raise ExplorationError(f"seed indices outside [0, {space.size})")
     if start.size > node_limit:

@@ -134,7 +134,7 @@ def check_transient_strong(program: Program, p: Predicate) -> CheckResult:
             ),
             witness={"components": cond.count},
         )
-    state = space.state_at(int(cond.components[int(hit[0])][0]))
+    state = space.state_at(int(cond.members_of(hit[0])[0]))
     return CheckResult(
         False, "transient-strong", subject,
         message=(

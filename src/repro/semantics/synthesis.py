@@ -210,10 +210,10 @@ def _synthesize_dense(
     # Levels: SCCs intersecting the region, in canonical emission
     # (sinks-first) order.  An SCC intersecting the region is contained in
     # it (regions are closed and SCC members are mutually reachable).
+    cond = analysis.cond
     comps = [
-        (k, members)
-        for k, members in enumerate(analysis.cond.components)
-        if region[members[0]]
+        (int(k), cond.members_of(k))
+        for k in np.flatnonzero(region[cond.first_members()])
     ]
     return _columnar_induction(space, p, q, comps, fairness, member_word="states")
 
@@ -260,10 +260,10 @@ def _synthesize_sparse(sub, p: Predicate, q: Predicate, fairness: str) -> LeadsT
     if not region.any():
         return Implication(p, q)
 
+    cond = analysis.cond
     comps = [
-        (k, sub.global_ids[members])
-        for k, members in enumerate(analysis.cond.components)
-        if region[members[0]]
+        (int(k), sub.global_ids[cond.members_of(k)])
+        for k in np.flatnonzero(region[cond.first_members()])
     ]
     return _columnar_induction(
         space, p, q, comps, fairness, member_word="reachable states"

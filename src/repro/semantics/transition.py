@@ -7,7 +7,9 @@ caches these tables; every semantic checker operates on them.
 
 Tables are built once per program (``TransitionSystem.for_program`` keeps a
 weak cache), so repeated property checks — the normal mode for the paper's
-long proof chains — pay the vectorized construction cost once.
+long proof chains — pay the vectorized construction cost once.  The cache
+is keyed weakly *and* a system refers to its program only weakly, so a
+program's tables are freed together with the program.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro import obs
 from repro.core.commands import Command
 from repro.core.program import Program
 from repro.core.state import StateSpace
+from repro.errors import ProgramError
 
 __all__ = ["TransitionSystem"]
 
@@ -34,14 +37,21 @@ class TransitionSystem:
     Attributes
     ----------
     program, space:
-        The underlying program and its state space.
+        The underlying program (weakly referenced, like
+        :class:`~repro.semantics.sparse.explorer.ReachableSubspace`) and
+        its state space.
     tables:
         ``dict`` command name → ``int64`` successor array of length
         ``space.size``.
     """
 
     def __init__(self, program: Program) -> None:
-        self.program = program
+        # A strong reference would keep every key of the weak ``_CACHE``
+        # alive through its own value, so no entry would ever be freed.
+        self._program_ref = weakref.ref(program)
+        self._name = program.name
+        self._commands = program.commands
+        self._fair_commands = program.fair_commands
         self.space: StateSpace = program.space
         # Dense-tier capacity guard: successor tables are |C| arrays of
         # length `size`; beyond DENSE_MAX the sparse tier is the only
@@ -95,9 +105,20 @@ class TransitionSystem:
     # -- views ----------------------------------------------------------------
 
     @property
+    def program(self) -> Program:
+        """The underlying program (weakly referenced; see class docstring)."""
+        program = self._program_ref()
+        if program is None:
+            raise ProgramError(
+                f"program {self._name} has been garbage-collected; a "
+                "TransitionSystem does not keep its program alive"
+            )
+        return program
+
+    @property
     def commands(self) -> tuple[Command, ...]:
         """All commands (the set ``C``)."""
-        return self.program.commands
+        return self._commands
 
     def table_of(self, command: Command | str) -> np.ndarray:
         """Successor table of one command."""
@@ -106,13 +127,11 @@ class TransitionSystem:
 
     def all_tables(self) -> list[tuple[Command, np.ndarray]]:
         """``(command, table)`` pairs for every command of ``C``."""
-        return [(cmd, self.tables[cmd.name]) for cmd in self.program.commands]
+        return [(cmd, self.tables[cmd.name]) for cmd in self._commands]
 
     def fair_tables(self) -> list[tuple[Command, np.ndarray]]:
         """``(command, table)`` pairs for the weakly-fair subset ``D``."""
-        return [
-            (cmd, self.tables[cmd.name]) for cmd in self.program.fair_commands
-        ]
+        return [(cmd, self.tables[cmd.name]) for cmd in self._fair_commands]
 
     # -- bulk queries -----------------------------------------------------------
 
@@ -133,10 +152,10 @@ class TransitionSystem:
 
     def edge_count(self) -> int:
         """Number of (state, command) transition pairs (bench metric)."""
-        return self.space.size * len(self.program.commands)
+        return self.space.size * len(self._commands)
 
     def __repr__(self) -> str:
         return (
-            f"<TransitionSystem {self.program.name}: {self.space.size} states × "
+            f"<TransitionSystem {self._name}: {self.space.size} states × "
             f"{len(self.tables)} commands>"
         )

@@ -25,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "minimal_int_dtype",
+    "sorted_unique",
     "in_sorted",
     "build_csr",
     "dedup_edges",
@@ -37,6 +38,26 @@ __all__ = [
 def minimal_int_dtype(n: int) -> np.dtype:
     """Smallest signed integer dtype able to index ``n`` nodes."""
     return np.dtype(np.int32) if n < 2**31 else np.dtype(np.int64)
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of ``values`` (flattened), same dtype.
+
+    The engine's set kernel: sort, then keep each element that differs
+    from its predecessor.  It returns exactly what a flag-less
+    ``np.unique`` returns, but numpy 2.4 answers that call with a hash
+    table, which on int32/int64 node ids is 20-70× slower than sort +
+    adjacent compare (``docs/architecture.md``, Tier 2).  ``np.unique``
+    with ``return_index`` / ``return_inverse`` / ``return_counts``
+    already takes numpy's sort path and stays as it is.
+    """
+    out = np.sort(values, axis=None)
+    if out.size > 1:
+        keep = np.empty(out.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
 
 
 def in_sorted(sorted_arr: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -64,13 +85,14 @@ def dedup_edges(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, n
     irrelevant to reachability and SCC structure).
 
     For ``n ≤`` :data:`PAIR_KEY_MAX` pairs are encoded as ``src * n + dst``
-    scalars and uniqued in one pass.  Beyond that the product would need an
-    int128, so the overflow-safe fallback lexicographically sorts the pair
-    columns and drops adjacent duplicates — same result, no wide key.
+    scalars and uniqued in one :func:`sorted_unique` pass.  Beyond that
+    the product would need an int128, so the overflow-safe fallback
+    lexicographically sorts the pair columns and drops adjacent
+    duplicates — same result, no wide key.
     """
     if n <= PAIR_KEY_MAX:
         key = src.astype(np.int64) * np.int64(n) + dst.astype(np.int64)
-        key = np.unique(key)
+        key = sorted_unique(key)
         return key // n, key % n
     order = np.lexsort((dst, src))
     s = src[order].astype(np.int64, copy=False)

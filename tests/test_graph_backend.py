@@ -1,12 +1,20 @@
 """Tests for the shared CSR graph backend and its CSR kernels."""
 
+import gc
+import threading
+import time
+import weakref
+
 import numpy as np
+import pytest
 
 from repro.core.commands import GuardedCommand
 from repro.core.domains import IntRange
 from repro.core.predicates import ExprPredicate
 from repro.core.program import Program
 from repro.core.variables import Var
+from repro.errors import ProgramError
+from repro.semantics import transition
 from repro.semantics.graph_backend import GraphBackend
 from repro.semantics.transition import TransitionSystem
 from repro.util.csr import (
@@ -85,6 +93,50 @@ class TestGraphBackend:
     def backend(self, seed):
         n, tables = random_tables(seed)
         return n, tables, GraphBackend(n, tables)
+
+    def test_concurrent_first_use_finds_both_views(self, monkeypatch):
+        # A sparse subspace's backend is shared by concurrent verify()
+        # calls.  Hold the builder inside its second (reverse) CSR build
+        # and let another thread ask for the reverse view meanwhile: it
+        # must never find the forward view published without the
+        # reverse one.
+        from repro.semantics import graph_backend
+
+        real_build = graph_backend.build_csr
+        calls = []
+        in_reverse_build = threading.Event()
+
+        def slow_build(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                in_reverse_build.set()
+                time.sleep(0.2)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(graph_backend, "build_csr", slow_build)
+        n, tables = random_tables(0, n=500)
+        gb = GraphBackend(n, tables)
+        errors = []
+
+        def reader():
+            in_reverse_build.wait(timeout=10)
+            try:
+                gb.reverse_csr()
+            except Exception as exc:  # the failure mode
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=gb.forward_csr),
+            threading.Thread(target=reader),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert in_reverse_build.is_set()
+        assert errors == []
+        assert gb.reverse_csr()[0][-1] == gb.edge_count
 
     def test_csr_matches_reference_edges(self):
         for seed in range(20):
@@ -182,6 +234,26 @@ class TestTransitionSystemIntegration:
         indptr, nbr = gb.forward_csr()
         indptr2, _ = gb.forward_csr()
         assert indptr is indptr2
+
+    def test_cache_entry_dies_with_its_program(self):
+        # The system refers to its program weakly, so the weak-keyed
+        # table cache frees the entry (and its tables) with the program.
+        prog = self.ladder(5)
+        ts = TransitionSystem.for_program(prog)
+        ts.graph().forward_csr()
+        assert transition._CACHE[prog] is ts
+        assert ts.program is prog
+        program_ref = weakref.ref(prog)
+        del prog
+        gc.collect()
+        assert program_ref() is None
+        assert all(entry is not ts for entry in list(transition._CACHE.values()))
+        with pytest.raises(ProgramError, match="garbage-collected"):
+            ts.program
+        # Everything but the program itself is still usable.
+        assert [cmd.name for cmd, _ in ts.fair_tables()] == [
+            f"up{k}" for k in range(5)
+        ]
 
     def test_union_graph_drops_self_loops_and_dups(self):
         prog = self.ladder(4)

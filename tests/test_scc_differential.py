@@ -48,8 +48,27 @@ def assert_sinks_first(cond, mask, tables):
         assert (cond.comp_id[idx[keep]] >= cond.comp_id[succ[keep]]).all()
 
 
+def assert_flat_layout(cond):
+    """members/offsets are the flat form of components: offsets start at
+    0, increase monotonically and end at len(members); every SCC's slice
+    is non-empty and sorted, members_of(k) equals components[k], and
+    first_members() holds each SCC's smallest member."""
+    offsets = cond.offsets
+    assert offsets.dtype == np.int64
+    assert offsets[0] == 0 and offsets[-1] == cond.members.size
+    assert (np.diff(offsets) > 0).all(), "offsets strictly increase (no empty SCC)"
+    assert cond.count == len(cond.components)
+    for k, comp in enumerate(cond.components):
+        got = cond.members_of(k)
+        assert (np.diff(got) > 0).all(), "members sorted within each SCC"
+        assert np.array_equal(got, comp)
+        assert got.dtype == comp.dtype == np.int64
+        assert cond.first_members()[k] == comp[0]
+
+
 def assert_well_formed(cond, mask):
     """comp_id and components must describe the same partition of mask."""
+    assert_flat_layout(cond)
     assert (cond.comp_id[~mask] == -1).all()
     if mask.any():
         assert (cond.comp_id[mask] >= 0).all()
@@ -79,7 +98,10 @@ def test_differential_random_subgraphs(batch):
 
         # Exact emission-order agreement through the canonical order.
         canon = canonicalize(tar, mask, tables)
+        assert_flat_layout(canon)
         assert np.array_equal(canon.comp_id, vec.comp_id), f"order mismatch @ seed {seed}"
+        assert np.array_equal(canon.offsets, vec.offsets)
+        assert np.array_equal(canon.members, vec.members)
         assert len(canon.components) == len(vec.components)
         for a, b in zip(canon.components, vec.components):
             assert np.array_equal(a, b)
@@ -99,8 +121,10 @@ def test_differential_large_mixed_graphs():
         tar = tarjan_condensation(mask, tables)
         assert partition(vec) == partition(tar), f"partition mismatch @ seed {seed}"
         assert_well_formed(vec, mask)
+        assert_well_formed(tar, mask)
         canon = canonicalize(tar, mask, tables)
         assert np.array_equal(canon.comp_id, vec.comp_id), f"order mismatch @ seed {seed}"
+        assert np.array_equal(canon.members, vec.members)
 
 
 def test_differential_dense_cyclic_graphs():
@@ -151,6 +175,8 @@ class TestEmissionOrderPin:
         assert cond.components[1].tolist() == [2, 3]
         assert cond.components[2].tolist() == [0, 1]
         assert cond.comp_id.tolist() == [2, 2, 1, 1, 0]
+        assert cond.members.tolist() == [4, 2, 3, 0, 1]
+        assert cond.offsets.tolist() == [0, 1, 3, 5]
 
     def test_isolated_states_emit_in_index_order(self):
         # No cross edges: canonical tie-break is the smallest member state.
@@ -158,6 +184,24 @@ class TestEmissionOrderPin:
         mask = np.array([True, False, True, True, False, True])
         cond = condensation(mask, [table])
         assert [c.tolist() for c in cond.components] == [[0], [2], [3], [5]]
+
+    def test_empty_mask_has_no_components(self):
+        table = np.arange(4, dtype=np.int64)
+        for cond in (
+            condensation(np.zeros(4, dtype=bool), [table]),
+            tarjan_condensation(np.zeros(4, dtype=bool), [table]),
+        ):
+            assert cond.count == 0
+            assert cond.components == ()
+            assert cond.offsets.tolist() == [0]
+            assert cond.members.size == 0
+
+    def test_components_are_read_only_views(self):
+        t1 = np.array([1, 0, 2], dtype=np.int64)
+        cond = condensation(np.ones(3, dtype=bool), [t1])
+        assert cond.components is cond.components  # cached
+        with pytest.raises(ValueError):
+            cond.components[0][0] = 7
 
     def test_ladder_program_levels_are_descending(self):
         # comp_id along the ¬q ladder counts down toward the exit: the

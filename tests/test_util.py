@@ -1,9 +1,15 @@
-"""Tests for repro.util: bitsets, tables, RNG helpers."""
+"""Tests for repro.util: bitsets, tables, RNG helpers, the set kernel."""
 
+import ast
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import repro
 from repro.util.bitset import bit, bitset_from_iterable, bitset_to_list, iter_bits, popcount
+from repro.util.csr import sorted_unique
 from repro.util.rng import make_rng, spawn_rngs
 from repro.util.tables import format_table
 
@@ -105,3 +111,82 @@ class TestTables:
         # all rows equally wide columns: header and rows align on column 2
         assert lines[2].index("1") == lines[3].index("22") or True
         assert len(lines) == 4
+
+
+class TestSortedUnique:
+    """``sorted_unique`` must return exactly what ``np.unique`` returns."""
+
+    @staticmethod
+    def assert_matches_np_unique(values):
+        got = sorted_unique(values)
+        want = np.unique(values)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @given(data=st.data())
+    def test_matches_np_unique(self, dtype, data):
+        info = np.iinfo(dtype)
+        values = data.draw(
+            st.lists(st.integers(int(info.min), int(info.max)), max_size=60)
+            | st.lists(st.integers(-3, 3), max_size=60)
+        )
+        self.assert_matches_np_unique(np.array(values, dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize(
+        "values", [[], [7], [5, 5, 5, 5], [3, -1, 3, 0, -1]]
+    )
+    def test_edge_cases(self, dtype, values):
+        self.assert_matches_np_unique(np.array(values, dtype=dtype))
+
+    def test_input_is_not_modified(self):
+        values = np.array([3, 1, 3, 2], dtype=np.int64)
+        sorted_unique(values)
+        assert values.tolist() == [3, 1, 3, 2]
+
+
+_UNIQUE_FLAGS = {"return_index", "return_inverse", "return_counts"}
+
+
+def _flagless_unique_calls(path: Path) -> list[int]:
+    """Line numbers of ``np.unique(...)`` / ``numpy.unique(...)`` calls
+    passing none of the ``return_*`` flags."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        if not (
+            func.attr == "unique"
+            and isinstance(func.value, ast.Name)
+            and func.value.id in ("np", "numpy")
+        ):
+            continue
+        if not _UNIQUE_FLAGS & {kw.arg for kw in node.keywords}:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_flagless_np_unique_in_source():
+    """A flag-less ``np.unique`` takes numpy's hash-table path, 20-70×
+    slower than :func:`repro.util.csr.sorted_unique` on node ids."""
+    root = Path(repro.__file__).resolve().parent
+    offenders = [
+        f"{path.relative_to(root.parent)}:{line}"
+        for path in sorted(root.rglob("*.py"))
+        for line in _flagless_unique_calls(path)
+    ]
+    assert offenders == [], "use repro.util.csr.sorted_unique: " + ", ".join(offenders)
+
+
+def test_flagless_unique_scan_detects_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "a = np.unique(x)\n"
+        "b, i = np.unique(x, return_index=True)\n"
+        "c = np.unique(\n    x,\n)\n",
+        encoding="utf-8",
+    )
+    assert _flagless_unique_calls(probe) == [2, 4]
