@@ -2,7 +2,9 @@
 committed per-PR snapshot.
 
 Runs the benchmark suite with ``--benchmark-json`` and reduces the result
-to ``{benchmark id: median seconds}``, written as a sorted JSON file
+to ``{benchmark id: median seconds}`` plus, per id, the spread of the
+rounds behind that median (``stats``: ``rounds``, ``min`` and ``iqr``
+seconds, from pytest-benchmark's stats), written as a sorted JSON file
 (``BENCH_<n>.json`` at the repo root by convention).  Committing one
 snapshot per PR gives future sessions an at-a-glance perf trajectory::
 
@@ -64,8 +66,26 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = Path(__file__).resolve().parent
 
 
-def run_benchmarks(targets: list[str], extra: list[str]) -> dict[str, float]:
-    """Run pytest-benchmark on ``targets``; return {bench id: median s}."""
+#: Per-id spread fields copied from pytest-benchmark's stats.
+SPREAD_FIELDS = ("rounds", "min", "iqr")
+
+
+def distill(payload: dict) -> tuple[dict[str, float], dict[str, dict]]:
+    """Reduce a ``--benchmark-json`` payload to ``(medians, stats)``: the
+    median seconds per benchmark id, and per id the :data:`SPREAD_FIELDS`
+    of the rounds behind it.  Both are sorted by id."""
+    medians, stats = {}, {}
+    for bench in sorted(payload["benchmarks"], key=lambda b: b["fullname"]):
+        key = bench["fullname"]
+        medians[key] = bench["stats"]["median"]
+        stats[key] = {f: bench["stats"][f] for f in SPREAD_FIELDS}
+    return medians, stats
+
+
+def run_benchmarks(
+    targets: list[str], extra: list[str]
+) -> tuple[dict[str, float], dict[str, dict]]:
+    """Run pytest-benchmark on ``targets``; return :func:`distill` of it."""
     with tempfile.TemporaryDirectory() as tmp:
         json_path = Path(tmp) / "bench.json"
         cmd = [
@@ -77,14 +97,11 @@ def run_benchmarks(targets: list[str], extra: list[str]) -> dict[str, float]:
         if proc.returncode != 0:
             raise SystemExit(f"benchmark run failed (exit {proc.returncode})")
         payload = json.loads(json_path.read_text())
-    medians = {
-        bench["fullname"]: bench["stats"]["median"]
-        for bench in payload["benchmarks"]
-    }
-    return dict(sorted(medians.items()))
+    return distill(payload)
 
 
 def diff(old_path: Path, new_path: Path, *, github: bool = False) -> None:
+    # Medians only: ``stats`` is absent from snapshots up to BENCH_9.
     old = json.loads(old_path.read_text())["medians"]
     new = json.loads(new_path.read_text())["medians"]
     # One comparison pass over the UNION of ids, two renderers: rows are
@@ -389,10 +406,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.quick
         else [str(BENCH_DIR)]
     )
-    medians = run_benchmarks(targets, args.extra)
+    medians, stats = run_benchmarks(targets, args.extra)
     doc = {
-        "note": "median seconds per benchmark id; see benchmarks/record.py",
+        "note": "median seconds per benchmark id, with rounds, min and "
+                "iqr seconds under stats; see benchmarks/record.py",
         "medians": medians,
+        "stats": stats,
         "machine": machine_fingerprint(),
     }
     manifest = capture_reference_manifest()

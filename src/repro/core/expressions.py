@@ -20,6 +20,17 @@ Operator sugar: ``+ - * // %`` build arithmetic nodes; ``< <= > >= == !=``
 build comparisons; ``& | ~`` build boolean connectives.  Because ``==`` is
 overloaded, :class:`Expr` objects are deliberately **unhashable** and raise
 on ``bool()`` — use :meth:`Expr.same_as` for structural comparison.
+
+Nodes are **immutable**: no field of a node (or of the
+:class:`~repro.core.variables.Var` it names) changes after construction,
+and transformations such as :meth:`Expr.substitute` build new nodes.  Each
+node therefore computes its derived data at most once, on first use, and
+keeps it in a slot: :meth:`Expr.variables` (``_vars``) and the printed text
+(``_text``, returned by ``str()``; a parent prints its children by reading
+their cached text).  The printed text is the one structural identity —
+``Predicate.describe()``, ``program_digest`` and the footprint kernel's
+memo keys are all built from it — so there is deliberately no intern
+table and no second digest.
 """
 
 from __future__ import annotations
@@ -73,10 +84,11 @@ class Expr:
 
     Subclasses set :attr:`typ` at construction and implement
     :meth:`eval`, :meth:`eval_vec`, :meth:`substitute`, :meth:`children`
-    and :meth:`_fmt`.
+    and :meth:`_fmt`, and set the ``_vars`` and ``_text`` slots to
+    ``None``; :meth:`variables` and ``str()`` fill them on first use.
     """
 
-    __slots__ = ("typ",)
+    __slots__ = ("typ", "_vars", "_text")
 
     typ: TypeTag
 
@@ -107,7 +119,9 @@ class Expr:
         raise NotImplementedError
 
     def variables(self) -> frozenset[Var]:
-        """All variables named anywhere in the tree."""
+        """All variables named anywhere in the tree (computed once)."""
+        if self._vars is not None:
+            return self._vars
         out: set[Var] = set()
         stack: list[Expr] = [self]
         while stack:
@@ -116,7 +130,8 @@ class Expr:
                 out.add(node.var)
             else:
                 stack.extend(node.children())
-        return frozenset(out)
+        self._vars = frozenset(out)
+        return self._vars
 
     def count_nodes(self) -> int:
         """Total number of nodes in the tree (bench/diagnostic metric)."""
@@ -144,16 +159,20 @@ class Expr:
         raise NotImplementedError
 
     def _fmt_child(self, child: "Expr", *, strict: bool = False) -> str:
-        text = child._fmt()
+        text = child._text  # ``str(child)``, inlined: this runs per node
+        if text is None:
+            text = child._text = child._fmt()
         if child._prec < self._prec or (strict and child._prec == self._prec):
             return f"({text})"
         return text
 
     def __str__(self) -> str:
-        return self._fmt()
+        if self._text is None:
+            self._text = self._fmt()
+        return self._text
 
     def __repr__(self) -> str:
-        return f"<Expr {self._fmt()}>"
+        return f"<Expr {self}>"
 
     # -- operator sugar ----------------------------------------------------
 
@@ -258,6 +277,7 @@ class Const(Expr):
     def __init__(self, value: Any, typ: TypeTag) -> None:
         self.value = value
         self.typ = typ
+        self._vars = self._text = None
 
     def eval(self, env: Mapping[Var, Any]) -> Any:
         return self.value
@@ -304,6 +324,7 @@ class VarRef(Expr):
         if not isinstance(var, Var):
             raise ExpressionError(f"VarRef expects a Var, got {var!r}")
         self.var = var
+        self._vars = self._text = None
         dom = var.domain
         if isinstance(dom, EnumDomain):
             self.typ = dom
@@ -391,6 +412,7 @@ class _BinArith(Expr):
                     f"{_type_name(side.typ)} in {side}"
                 )
         self.typ = "int"
+        self._vars = self._text = None
 
     def eval(self, env: Mapping[Var, Any]) -> int:
         return type(self)._scalar(self.left.eval(env), self.right.eval(env))
@@ -513,6 +535,7 @@ class Neg(Expr):
                 f"-: operand must be int, got {_type_name(self.operand.typ)}"
             )
         self.typ = "int"
+        self._vars = self._text = None
 
     def eval(self, env: Mapping[Var, Any]) -> int:
         return -self.operand.eval(env)
@@ -557,6 +580,7 @@ class _Cmp(Expr):
                     f"{_type_name(side.typ)} in {side}"
                 )
         self.typ = "bool"
+        self._vars = self._text = None
 
     def eval(self, env: Mapping[Var, Any]) -> bool:
         return type(self)._scalar(self.left.eval(env), self.right.eval(env))
@@ -652,6 +676,7 @@ class _EqBase(Expr):
         right = _as_label_or_expr(right, left.typ) if not isinstance(right, Expr) else right
         self.left, self.right = _check_eq_types(left, right, self._symbol)
         self.typ = "bool"
+        self._vars = self._text = None
 
     def eval(self, env: Mapping[Var, Any]) -> bool:
         result = self.left.eval(env) == self.right.eval(env)
@@ -724,6 +749,7 @@ class _NaryBool(Expr):
         if not self.operands:
             raise ExpressionError(f"{self._symbol}: needs at least one operand")
         self.typ = "bool"
+        self._vars = self._text = None
 
     def children(self) -> tuple[Expr, ...]:
         return self.operands
@@ -781,6 +807,7 @@ class Not(Expr):
     def __init__(self, operand: ExprLike) -> None:
         self.operand = _require_bool([_as_expr(operand)], "~")[0]
         self.typ = "bool"
+        self._vars = self._text = None
 
     def eval(self, env: Mapping[Var, Any]) -> bool:
         return not self.operand.eval(env)
@@ -812,6 +839,7 @@ class Implies(Expr):
             [_as_expr(left), _as_expr(right)], "=>"
         )
         self.typ = "bool"
+        self._vars = self._text = None
 
     def eval(self, env: Mapping[Var, Any]) -> bool:
         return (not self.left.eval(env)) or bool(self.right.eval(env))
@@ -846,6 +874,7 @@ class Iff(Expr):
             [_as_expr(left), _as_expr(right)], "<=>"
         )
         self.typ = "bool"
+        self._vars = self._text = None
 
     def eval(self, env: Mapping[Var, Any]) -> bool:
         return bool(self.left.eval(env)) == bool(self.right.eval(env))
@@ -904,6 +933,7 @@ class Ite(Expr):
         self.then = then_e
         self.orelse = else_e
         self.typ = arm_typ
+        self._vars = self._text = None
 
     def eval(self, env: Mapping[Var, Any]) -> Any:
         return self.then.eval(env) if self.cond.eval(env) else self.orelse.eval(env)

@@ -51,9 +51,14 @@ class Var:
     ``Var`` equality is structural (name, domain, locality), so identical
     re-declarations of a shared variable in two components compare equal and
     merge silently under composition.
+
+    A ``Var`` is immutable, so its hash is computed once, in ``__init__``.
+    Hashes of strings differ between processes (``PYTHONHASHSEED``), so
+    :meth:`__reduce__` rebuilds a pickled or copied ``Var`` from its fields
+    rather than carrying the stored hash along.
     """
 
-    __slots__ = ("name", "domain", "locality")
+    __slots__ = ("name", "domain", "locality", "_hash")
 
     def __init__(
         self,
@@ -70,6 +75,7 @@ class Var:
         self.name = name
         self.domain = domain
         self.locality = locality
+        self._hash = hash((Var, name, domain, locality))
 
     # -- constructors -------------------------------------------------------
 
@@ -139,4 +145,7 @@ class Var:
         )
 
     def __hash__(self) -> int:
-        return hash((Var, self.name, self.domain, self.locality))
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return (Var, (self.name, self.domain, self.locality))

@@ -90,13 +90,6 @@ class CompositionalCheckResult(ProofCheckResult):
         )
 
 
-def _writes(cmd: "Command") -> frozenset:
-    try:
-        return cmd.writes()
-    except Exception:
-        return frozenset()
-
-
 class _Walker:
     """One memoized walk of a certificate's rule tree."""
 
@@ -110,6 +103,12 @@ class _Walker:
         self.kernel = kernel
         self.result = result
         self._seen: set[int] = set()
+        # Each command with its write set, computed once.  ``Program``
+        # already computed every write set at construction, so none of
+        # these calls can fail here.
+        self.commands: list[tuple["Command", frozenset]] = [
+            (cmd, cmd.writes()) for cmd in system.commands
+        ]
 
     # -- plumbing ----------------------------------------------------------
 
@@ -134,8 +133,8 @@ class _Walker:
         and ``pre ⇒ post`` holds by construction.
         """
         relevant = set(pre.variables()) | set(post.variables())
-        for cmd in self.system.commands:
-            if not (_writes(cmd) & relevant):
+        for cmd, writes in self.commands:
+            if not (writes & relevant):
                 self.result.frame_skips += 1
                 self.result.obligations_checked += 1
                 continue
@@ -265,12 +264,12 @@ class _Walker:
         self.result.obligations_checked += 1
         region_vars = set(region.variables())
         candidates = sorted(
-            (c for c in self.system.commands if c.name in self.system.fair_names),
-            key=lambda c: (not (_writes(c) & region_vars), c.name),
+            (cw for cw in self.commands if cw[0].name in self.system.fair_names),
+            key=lambda cw: (not (cw[1] & region_vars), cw[0].name),
         )
         last = "the program has no fair commands (D = ∅)"
         exit_pred = ~region
-        for cmd in candidates:
+        for cmd, _ in candidates:
             res = self.kernel.check_wp(region, cmd, exit_pred)
             if res.ok:
                 return

@@ -1,5 +1,13 @@
 """Tests for repro.core.expressions: typing, evaluation, substitution,
-operator sugar, printing, and scalar/vector agreement."""
+operator sugar, printing, scalar/vector agreement, the per-node caches
+and pickle safety of variables."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -11,10 +19,20 @@ from repro.core.expressions import (
     BoolConst,
     Const,
     EqE,
+    Expr,
+    Iff,
+    Implies,
     IntConst,
     Ite,
+    MaxE,
+    MinE,
     Neg,
     Not,
+    VarRef,
+    _BinArith,
+    _Cmp,
+    _EqBase,
+    _NaryBool,
     esum,
     iff,
     implies,
@@ -271,3 +289,211 @@ def test_random_exprs_scalar_vector_agree(x, y, b):
     scalar = expr.eval(s)
     vec = expr.eval_vec({X: np.array([x]), Y: np.array([y]), B: np.array([b])})
     assert np.asarray(vec)[0] == scalar
+
+
+# ---------------------------------------------------------------------------
+# Per-node caches: invisible except for speed
+# ---------------------------------------------------------------------------
+
+
+def _ref_fmt(e: Expr) -> str:
+    """The printer without caches: every call re-formats the whole
+    subtree, with the precedence rules the node classes implement."""
+
+    def child(c: Expr, strict: bool = False) -> str:
+        text = _ref_fmt(c)
+        if c._prec < e._prec or (strict and c._prec == e._prec):
+            return f"({text})"
+        return text
+
+    if isinstance(e, Const):
+        if e.typ == "bool":
+            return "true" if e.value else "false"
+        return str(e.value)
+    if isinstance(e, VarRef):
+        return e.var.name
+    if isinstance(e, (MinE, MaxE)):
+        return f"{e._symbol}({_ref_fmt(e.left)}, {_ref_fmt(e.right)})"
+    if isinstance(e, _BinArith):
+        return f"{child(e.left)} {e._symbol} {child(e.right, strict=True)}"
+    if isinstance(e, Neg):
+        return f"-{child(e.operand)}"
+    if isinstance(e, (_Cmp, _EqBase)):
+        return f"{child(e.left)} {e._symbol} {child(e.right)}"
+    if isinstance(e, _NaryBool):
+        return f" {e._symbol} ".join(child(op, strict=True) for op in e.operands)
+    if isinstance(e, Not):
+        return f"~{child(e.operand)}"
+    if isinstance(e, Implies):
+        return f"{child(e.left, strict=True)} => {child(e.right)}"
+    if isinstance(e, Iff):
+        return f"{child(e.left, strict=True)} <=> {child(e.right)}"
+    if isinstance(e, Ite):
+        return (
+            f"(if {_ref_fmt(e.cond)} then {_ref_fmt(e.then)} "
+            f"else {_ref_fmt(e.orelse)})"
+        )
+    raise AssertionError(f"no reference printer for {type(e).__name__}")
+
+
+def _ref_variables(e: Expr) -> frozenset:
+    """The uncached stack walk ``Expr.variables`` used to run every call."""
+    out = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, VarRef):
+            out.add(node.var)
+        else:
+            stack.extend(node.children())
+    return frozenset(out)
+
+
+def _subtrees(roots):
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children())
+
+
+def _fuzz_roots(seed: int) -> list:
+    """Every expression of a fuzz-generated program and its ``wp`` results:
+    init, guards, right-hand sides, the case predicates, and ``wp`` of
+    both predicates through every command."""
+    from repro.gen.fuzz import fuzz_case
+
+    case = fuzz_case(seed)
+    program = case.program
+    roots = [program.init.as_expr(), case.p.as_expr(), case.q.as_expr()]
+    for cmd in program.commands:
+        branches = getattr(cmd, "branches", None)
+        if branches is None and hasattr(cmd, "guard"):
+            branches = [(cmd.guard, cmd.assignments)]
+        for guard, assigns in branches or ():
+            roots.append(guard)
+            roots.extend(a.expr for a in assigns)
+        for pred in (case.p, case.q):
+            try:
+                roots.append(cmd.wp(pred).as_expr())
+            except ExpressionError:
+                pass  # a refused symbolic wp (two bare labels compared)
+    return roots
+
+
+class TestCaches:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_fuzz_text_and_variables_match_uncached(self, seed):
+        roots = _fuzz_roots(seed)
+        # Roots first, so subtrees are checked after a parent filled them.
+        for node in list(roots) + list(_subtrees(roots)):
+            assert str(node) == _ref_fmt(node)
+            assert node.variables() == _ref_variables(node)
+
+    def test_fuzz_subtrees_first(self):
+        """Filling the caches bottom-up yields the same text as top-down."""
+        roots = _fuzz_roots(3)
+        for node in reversed(list(_subtrees(roots))):
+            assert str(node) == _ref_fmt(node)
+        for root in roots:
+            assert str(root) == _ref_fmt(root)
+
+    def test_every_node_class_starts_with_empty_caches(self):
+        """Each concrete node class sets both cache slots in ``__init__``
+        (an unset slot would make ``str()`` raise)."""
+        x, b = X.ref(), B.ref()
+        nodes = [
+            x + 1, x - 1, x * 2, x // 2, x % 2, -x, minimum(x, 1),
+            maximum(x, 1), x < 1, x <= 1, x > 1, x >= 1, x == 1, x != 1,
+            land(b, b), lor(b, b), ~b, implies(b, b), iff(b, b),
+            ite(b, x, 1), IntConst(3),
+        ]
+
+        def concrete(cls):
+            for sub in cls.__subclasses__():
+                if not sub.__name__.startswith("_"):
+                    yield sub
+                yield from concrete(sub)
+
+        assert {type(n) for n in nodes} | {VarRef} == set(concrete(Expr))
+        assert all(n._text is None and n._vars is None for n in nodes + [x])
+        for n in nodes + [x]:
+            assert str(n) == _ref_fmt(n)
+            assert n.variables() == _ref_variables(n)
+
+    def test_second_call_returns_the_identical_object(self):
+        e = ite(land(B.ref(), X.ref() > 2), X.ref() + Y.ref(), 0) == 1
+        assert str(e) is str(e)
+        assert e.variables() is e.variables()
+        assert repr(e) == f"<Expr {e}>"
+
+
+# ---------------------------------------------------------------------------
+# Var hashes are per process: pickling and copying rebuild them
+# ---------------------------------------------------------------------------
+
+
+_VARS = (X, B, PH, Var.local("lc[2]", IntRange(0, 3)))
+
+
+def _pickled_payload() -> bytes:
+    expr = land(*(EqE(v.ref(), v.ref()) for v in _VARS))
+    # Fill the caches first, so the pickle carries the cached frozenset.
+    assert expr.variables() == frozenset(_VARS)
+    str(expr)
+    return pickle.dumps((_VARS, expr))
+
+
+_LOADER = textwrap.dedent("""
+    import pickle, sys
+    from repro.core.domains import EnumDomain, IntRange
+    from repro.core.variables import Var
+
+    parent_hash = int(sys.argv[1])
+    assert hash("x") != parent_hash, "child must hash strings differently"
+    vars_, expr = pickle.loads(sys.stdin.buffer.read())
+    fresh = (
+        Var.shared("x", IntRange(0, 5)),
+        Var.boolean("b"),
+        Var("ph", EnumDomain("ph", ("idle", "busy"))),
+        Var.local("lc[2]", IntRange(0, 3)),
+    )
+    for loaded, new in zip(vars_, fresh):
+        assert loaded == new and hash(loaded) == hash(new), loaded
+        assert {new: "hit"}[loaded] == "hit"
+        assert {loaded: "hit"}[new] == "hit"
+        assert new in expr.variables()
+    assert expr.variables() == frozenset(fresh)
+    print("ok")
+""")
+
+
+class TestVarPickle:
+    def test_loads_under_a_different_hash_seed(self):
+        seed = os.environ.get("PYTHONHASHSEED")
+        env = dict(os.environ, PYTHONHASHSEED="2" if seed == "1" else "1")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src)] + sys.path
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADER, str(hash("x"))],
+            input=_pickled_payload(),
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().strip() == "ok"
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
+    def test_copy(self, copier):
+        for v in _VARS:
+            c = copier(v)
+            assert c == v and hash(c) == hash(v)
+            assert {v: 1}[c] == 1
+        e = X.ref() + Y.ref() > 1
+        e.variables()
+        c = copier(e)
+        assert str(c) == str(e)
+        assert c.variables() == {X, Y}
