@@ -14,7 +14,8 @@ from repro.core.predicates import ExprPredicate, TRUE
 from repro.core.program import Program
 from repro.core.variables import Var
 from repro.graph.generators import ring_graph
-from repro.semantics.leadsto import check_leadsto, fair_scc_analysis
+from repro.semantics.domain import FullSpace
+from repro.semantics.leadsto import check_leadsto, fair_analysis
 from repro.semantics.synthesis import synthesize_leadsto_proof
 from repro.systems.priority import build_priority_system
 from repro.systems.priority_proof import (
@@ -93,5 +94,5 @@ def test_E9_fair_scc_analysis(benchmark, n):
     """Raw analysis cost on the larger §4 instances (2^n orientations)."""
     psys = build_priority_system(ring_graph(n))
     q = psys.priority_predicate(0)
-    analysis = benchmark(lambda: fair_scc_analysis(psys.system, q))
+    analysis = benchmark(lambda: fair_analysis(FullSpace(psys.system), q))
     assert analysis.cond.count > 0

@@ -47,7 +47,6 @@ Migration from the dict-shaped results of earlier revisions: see
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -91,16 +90,6 @@ class Witness(Mapping):
         return self._data.get("state")
 
 
-def _shim_warning(key: str) -> None:
-    warnings.warn(
-        f"Verdict[{key!r}] is deprecated; use the Verdict attributes "
-        "(verdict.holds, verdict.tier, ...) or verdict.witness[...] for "
-        "engine facts",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 @dataclass(frozen=True)
 class Verdict:
     """The uniform result of :func:`verify`.
@@ -125,31 +114,6 @@ class Verdict:
                 "inspect .partial / .metrics['message']"
             )
         return self.holds
-
-    # -- dict-shaped shims (deprecated) ---------------------------------
-    # Earlier revisions returned the checker's witness dict directly;
-    # these keep `result["state"]`-style call sites working, loudly.
-
-    def __getitem__(self, key: str) -> Any:
-        _shim_warning(key)
-        if key in ("holds", "tier", "certificate", "metrics", "partial"):
-            return getattr(self, key)
-        return self.witness[key]
-
-    def __contains__(self, key: str) -> bool:
-        _shim_warning(key)
-        if key in ("holds", "tier", "certificate", "metrics", "partial"):
-            return True
-        return key in self.witness
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Deprecated dict-shim; use attributes or ``witness.get``."""
-        _shim_warning(key)
-        if key in ("holds", "tier", "certificate", "metrics", "partial"):
-            return getattr(self, key)
-        return self.witness._data.get(key, default)
-
-    # -------------------------------------------------------------------
 
     def explain(self) -> str:
         """One-line human rendering, mirroring ``CheckResult.explain``."""

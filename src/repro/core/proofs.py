@@ -65,31 +65,17 @@ __all__ = [
 ]
 
 
-#: Lazily-bound :func:`repro.semantics.sparse.routed_subspace` — resolved
-#: once; :func:`masks_equal`/:func:`pred_entails` run once per rule side
-#: condition, where per-call imports would dominate small instances.
-#: Lazy because the semantics package imports this one.
-_ROUTED_SUBSPACE = None
+def _side_condition_domain(program: "Program"):
+    """The domain rule side conditions are discharged over: the one
+    :func:`~repro.semantics.domain.domain_for` resolves for the leaf
+    checkers (lazy import: the semantics package imports this one)."""
+    from repro.semantics.domain import domain_for
 
-
-def _sparse_subspace(program: "Program"):
-    """The reachable subspace when the program's space routes sparse.
-
-    Side conditions on routed spaces are discharged over the subspace
-    (reachable-restricted); ``None`` means discharge densely.  The
-    fallback policy lives in
-    :func:`repro.semantics.sparse.routed_subspace`.
-    """
-    global _ROUTED_SUBSPACE
-    if _ROUTED_SUBSPACE is None:
-        from repro.semantics.sparse import routed_subspace
-
-        _ROUTED_SUBSPACE = routed_subspace
-    return _ROUTED_SUBSPACE(program, "a proof side condition")
+    return domain_for(program, "a proof side condition")
 
 
 def masks_equal(p: Predicate, q: Predicate, program: "Program") -> bool:
-    """Semantic predicate equality over the program's space.
+    """Semantic predicate equality over the program's domain.
 
     Rule side conditions ("the intermediate predicates agree") are checked
     semantically rather than syntactically, which keeps proofs robust to
@@ -98,27 +84,22 @@ def masks_equal(p: Predicate, q: Predicate, program: "Program") -> bool:
 
     On sparse-routed spaces the comparison is **reachable-restricted**
     (frontier masks over the reachable subspace), matching the judgment
-    the tier-routed obligation checkers decide — certificates for
-    10¹²-state compositions never materialize a full-space mask.
+    the obligation checkers decide there — certificates for 10¹²-state
+    compositions never materialize a full-space mask.
     """
-    sub = _sparse_subspace(program)
-    if sub is not None:
-        return bool(np.array_equal(sub.pred_mask(p), sub.pred_mask(q)))
-    return p.equivalent(q, program.space)
+    d = _side_condition_domain(program)
+    return bool(np.array_equal(d.pred_mask(p), d.pred_mask(q)))
 
 
 def pred_entails(p: Predicate, q: Predicate, program: "Program") -> bool:
-    """Semantic entailment ``p ⇒ q`` over the program's space.
+    """Semantic entailment ``p ⇒ q`` over the program's domain.
 
-    The entailment twin of :func:`masks_equal`, with the same tier
-    routing (reachable-restricted on sparse-routed spaces); rule side
-    conditions should use this instead of
+    The entailment twin of :func:`masks_equal`, over the same domain;
+    rule side conditions should use this instead of
     :meth:`Predicate.entails`, which always materializes full masks.
     """
-    sub = _sparse_subspace(program)
-    if sub is not None:
-        return bool(np.all(~sub.pred_mask(p) | sub.pred_mask(q)))
-    return p.entails(q, program.space)
+    d = _side_condition_domain(program)
+    return bool(np.all(~d.pred_mask(p) | d.pred_mask(q)))
 
 
 @dataclass

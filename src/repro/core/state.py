@@ -124,12 +124,6 @@ class StateSpace:
     #: up to its ``node_limit`` on *discovered* states.
     DENSE_MAX = 64_000_000
 
-    #: Legacy alias of :data:`DENSE_MAX` (the pre-capacity-tier constructor
-    #: cap).  :meth:`require_dense` honours whichever of the two is larger,
-    #: so external code that raised ``MAX_SIZE`` to run big dense checks
-    #: keeps working; new code should tune :data:`DENSE_MAX`.
-    MAX_SIZE = DENSE_MAX
-
     #: Largest encoded size whose state indices fit the vectorized ``int64``
     #: frontier kernels (``succ_of`` / ``mask_at`` / ``frontier_env``).
     #: Spaces beyond it can still be built and used through the scalar
@@ -168,27 +162,15 @@ class StateSpace:
 
     # -- capacity policy ----------------------------------------------------
 
-    @classmethod
-    def dense_cap(cls) -> int:
-        """The effective dense-tier capacity.
-
-        The larger of :data:`DENSE_MAX` and the legacy :data:`MAX_SIZE`
-        knob (pre-capacity-tier code raised the latter to permit
-        large-but-feasible dense spaces); the single source of truth for
-        every dense guard, including the node-count check of
-        :class:`~repro.semantics.graph_backend.GraphBackend`.
-        """
-        return max(cls.DENSE_MAX, cls.MAX_SIZE)
-
     def require_dense(self, operation: str = "this operation") -> None:
-        """Refuse dense full-space materialization above :meth:`dense_cap`.
+        """Refuse dense full-space materialization above :data:`DENSE_MAX`.
 
         Every dense-tier entry point (decoded value arrays, successor
         tables, union CSR, full-space masks) calls this before allocating
         anything of length ``size``.  Raises :class:`CapacityError` (a
         :class:`StateError`) whose message points at the sparse tier.
         """
-        cap = self.dense_cap()
+        cap = self.DENSE_MAX
         if self.size > cap:
             raise CapacityError(
                 f"{operation} materializes full-space arrays over "

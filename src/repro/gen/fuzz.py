@@ -424,8 +424,9 @@ def run_differential(
 
     - ``leadsto-weak`` / ``leadsto-strong`` — the dense SCC analysis
       restricted to reachable ``p``-states (the sparse tier's documented
-      judgment) vs. the sparse checkers;
-    - ``invariant`` — dense vs. sparse reachable-invariant verdicts;
+      judgment) vs. the public checkers over the reachable subspace;
+    - ``invariant`` — full-space vs. reachable-subspace reachable-invariant
+      verdicts;
     - ``certificate`` — per-level proof walk vs. the batched columnar
       kernel on a synthesized weak leads-to certificate (skipped when
       synthesis declines, e.g. the property fails).
@@ -433,14 +434,11 @@ def run_differential(
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; known: {sorted(FAULTS)}")
     from repro.semantics.checker import check_reachable_invariant
+    from repro.semantics.domain import FullSpace
     from repro.semantics.explorer import reachable_mask
-    from repro.semantics.leadsto import fair_scc_analysis
-    from repro.semantics.sparse.checkers import (
-        check_leadsto_sparse,
-        check_leadsto_strong_sparse,
-        check_reachable_invariant_sparse,
-    )
-    from repro.semantics.strong_fairness import strong_fair_scc_analysis
+    from repro.semantics.leadsto import check_leadsto, fair_analysis
+    from repro.semantics.sparse import reachable_subspace
+    from repro.semantics.strong_fairness import check_leadsto_strong
     from repro.semantics.synthesis import (
         check_certificate_batched,
         synthesize_leadsto_proof,
@@ -450,9 +448,11 @@ def run_differential(
     reach = reachable_mask(program)
     pm = p.mask(program.space)
     sparse_subject = _defair(program) if fault == "sparse-unfair" else program
+    sub = reachable_subspace(sparse_subject)
+    full = FullSpace(program)
 
-    expect_weak = not (pm & fair_scc_analysis(program, q).avoid_mask & reach).any()
-    got_weak = bool(check_leadsto_sparse(sparse_subject, p, q).holds)
+    expect_weak = not (pm & fair_analysis(full, q).avoid_mask & reach).any()
+    got_weak = bool(check_leadsto(sparse_subject, p, q, subspace=sub).holds)
     if fault == "sparse-flip-weak":
         got_weak = not got_weak
     report.checks.append(
@@ -460,9 +460,10 @@ def run_differential(
     )
 
     expect_strong = not (
-        pm & strong_fair_scc_analysis(program, q).avoid_mask & reach
+        pm & fair_analysis(full, q, strong=True).avoid_mask & reach
     ).any()
-    got_strong = bool(check_leadsto_strong_sparse(sparse_subject, p, q).holds)
+    got_strong = check_leadsto_strong(sparse_subject, p, q, subspace=sub).holds
+    got_strong = bool(got_strong)
     report.checks.append(
         CheckOutcome(
             "leadsto-strong", got_strong == expect_strong, expect_strong, got_strong
@@ -473,7 +474,8 @@ def run_differential(
         dense_inv = bool(pm.all())
     else:
         dense_inv = bool(check_reachable_invariant(program, p).holds)
-    sparse_inv = bool(check_reachable_invariant_sparse(program, p).holds)
+    inv_sub = reachable_subspace(program)
+    sparse_inv = bool(check_reachable_invariant(program, p, subspace=inv_sub).holds)
     report.checks.append(
         CheckOutcome("invariant", dense_inv == sparse_inv, dense_inv, sparse_inv)
     )

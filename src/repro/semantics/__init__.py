@@ -3,7 +3,10 @@
 The engine turns a :class:`~repro.core.program.Program` into NumPy successor
 tables (:mod:`repro.semantics.transition`) and checks properties over the
 **whole encoded state space** (the paper's inductive semantics — no
-substitution axiom, no implicit restriction to reachable states):
+substitution axiom, no implicit restriction to reachable states).  Each
+judgment is written once against an evaluation domain — the full space
+or a reachable subspace (:mod:`repro.semantics.domain`, whose
+``domain_for`` is the single routing rule):
 
 - ``init / next / stable / transient / invariant`` —
   :mod:`repro.semantics.checker`;
@@ -16,7 +19,7 @@ substitution axiom, no implicit restriction to reachable states):
 - **sparse tier** — :mod:`repro.semantics.sparse`: frontier exploration,
   reachable subspaces, and sub-CSR checking for composition stacks whose
   encoded space exceeds :data:`repro.semantics.sparse.SPARSE_THRESHOLD`
-  (the dense checkers route there automatically);
+  (the checkers route there automatically);
 - **proof synthesis** — :mod:`repro.semantics.synthesis` reconstructs a
   kernel-checkable certificate (using only the paper's proof rules) for any
   finite-state leads-to validated by the model checker;
@@ -40,6 +43,7 @@ from repro.semantics.checker import (
     check_transient,
     check_validity,
 )
+from repro.semantics.domain import FullSpace, domain_for
 from repro.semantics.explorer import reachable_mask, reachable_states
 from repro.semantics.graph_backend import GraphBackend
 from repro.semantics.invariants import (
@@ -47,7 +51,7 @@ from repro.semantics.invariants import (
     inductive_strengthening,
     strongest_invariant,
 )
-from repro.semantics.leadsto import check_leadsto, fair_scc_analysis
+from repro.semantics.leadsto import FairAnalysis, check_leadsto, fair_analysis
 from repro.semantics.scc import condensation, tarjan_condensation
 from repro.semantics.scheduler import (
     RandomFairScheduler,
@@ -60,7 +64,6 @@ from repro.semantics.strong_fairness import (
     check_leadsto_strong,
     check_transient_strong,
     fairness_gap,
-    strong_fair_scc_analysis,
 )
 from repro.semantics.sparse import (
     CheckpointPolicy,
@@ -87,7 +90,10 @@ __all__ = [
     "check_transient",
     "check_validity",
     "check_leadsto",
-    "fair_scc_analysis",
+    "FairAnalysis",
+    "fair_analysis",
+    "FullSpace",
+    "domain_for",
     "condensation",
     "tarjan_condensation",
     "GraphBackend",
@@ -116,7 +122,6 @@ __all__ = [
     "check_leadsto_strong",
     "check_transient_strong",
     "fairness_gap",
-    "strong_fair_scc_analysis",
     "semantic_wp",
     "wp_agreement",
 ]

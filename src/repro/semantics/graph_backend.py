@@ -47,13 +47,13 @@ from repro.util.csr import (
 
 __all__ = ["GraphBackend"]
 
-#: Node-count capacity of a dense union CSR; delegates to the single
-#: policy source ``StateSpace.dense_cap`` (imported lazily to keep this
-#: module free of core imports at definition time).
+#: Node-count capacity of a dense union CSR; reads the single policy
+#: source ``StateSpace.DENSE_MAX`` at call time (imported lazily to keep
+#: this module free of core imports at definition time).
 def _dense_max() -> int:
     from repro.core.state import StateSpace
 
-    return StateSpace.dense_cap()
+    return StateSpace.DENSE_MAX
 
 
 class GraphBackend:

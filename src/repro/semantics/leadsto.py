@@ -20,56 +20,70 @@ whose ``d``-successor is also in the limit set (``d`` fires infinitely often
 from finitely many states); hence the limit set lies inside a fair SCC,
 which the start state therefore reaches.
 
-The analysis returned by :func:`fair_scc_analysis` also drives the proof
+The analysis returned by :func:`fair_analysis` also drives the proof
 synthesizer (:mod:`repro.semantics.synthesis`): in the complement region
 every SCC misses some ``d ∈ D`` entirely, which is exactly a
 ``transient``/``ensures`` step of the paper's proof system.
 
-Implementation.  All graph work (SCC condensation, reverse closure) runs on
-the cached CSR backend (:mod:`repro.semantics.graph_backend`); the fair-SCC
-criterion is evaluated **batched** over a stacked ``(command, state)`` edge
-matrix — an edge ``s → d(s)`` is internal to its SCC iff
-``comp_id[d(s)] == comp_id[s]`` — with a single segmented scatter into the
-``(command, SCC)`` flag plane (:func:`_fair_flags`), instead of one
-scatter round per command.  The same helper evaluates the strong-fairness
-criterion (:mod:`repro.semantics.strong_fairness`) when handed enabledness
-rows, and the sparse tier (:mod:`repro.semantics.sparse.checkers`) reuses
-it verbatim over local successor columns.
+Implementation.  :func:`fair_analysis` is written once against an
+evaluation domain (:mod:`repro.semantics.domain`): the full space, whose
+verdicts are the paper's inductive judgment, or a reachable subspace,
+whose verdicts are reachable-restricted.  All graph work (SCC
+condensation, reverse closure) runs on the domain's CSR backend
+(:mod:`repro.semantics.graph_backend`); the fair-SCC criterion is
+evaluated **batched** over a stacked ``(command, state)`` edge matrix —
+an edge ``s → d(s)`` is internal to its SCC iff
+``comp_id[d(s)] == comp_id[s]`` — with a single segmented scatter into
+the ``(command, SCC)`` flag plane (:func:`_fair_flags`), instead of one
+scatter round per command.  The same helper evaluates the
+strong-fairness criterion (:mod:`repro.semantics.strong_fairness`) when
+handed enabledness rows.
 
-Spaces above :data:`repro.semantics.sparse.SPARSE_THRESHOLD` route through
-the sparse tier, which decides the reachable-restricted judgment without
-allocating full-space arrays (see the :mod:`repro.semantics.sparse`
+Spaces above :data:`repro.semantics.sparse.SPARSE_THRESHOLD` resolve to
+the reachable subspace, which decides the reachable-restricted judgment
+without allocating full-space arrays (see the :mod:`repro.semantics.sparse`
 package docstring for the exact semantics).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.core.predicates import Predicate
 from repro.core.program import Program
+from repro.errors import BudgetExhausted
+from repro.semantics.budget import PartialResult
 from repro.semantics.checker import CheckResult
+from repro.semantics.domain import domain_for
 from repro.semantics.scc import Condensation
-from repro.semantics.transition import TransitionSystem
 
-__all__ = ["FairAnalysis", "fair_scc_analysis", "check_leadsto"]
+__all__ = ["FairAnalysis", "fair_analysis", "check_leadsto"]
 
 
 @dataclass
 class FairAnalysis:
-    """Full fairness analysis of the ``¬q`` subgraph.
+    """Fairness analysis of the ``¬q`` subgraph of a domain.
+
+    Every array is indexed by the domain's local ids (global indices on
+    the full space).
 
     Attributes
     ----------
+    domain:
+        The analysed domain (:mod:`repro.semantics.domain`).
     q_mask, notq_mask:
         Satisfaction masks of the target predicate and its complement.
     cond:
         SCC condensation of the ``¬q`` subgraph (emission order = sinks
-        first; see :mod:`repro.semantics.scc`).
+        first; see :mod:`repro.semantics.scc`).  On a reachable subspace
+        it equals the full-space condensation restricted to reachable
+        states, because local ids preserve global order.
     fair_flags:
-        ``fair_flags[k]`` — SCC ``k`` satisfies the fair-SCC criterion.
+        ``fair_flags[k]`` — SCC ``k`` satisfies the fair-SCC criterion
+        (weak or strong, depending on how the analysis was built).
     avoid_mask:
         States that can reach a fair SCC inside ``¬q`` — exactly the states
         from which the scheduler can avoid ``q`` forever.
@@ -78,6 +92,7 @@ class FairAnalysis:
         (``notq_mask & ~avoid_mask``).
     """
 
+    domain: Any
     q_mask: np.ndarray
     notq_mask: np.ndarray
     cond: Condensation
@@ -97,6 +112,20 @@ class FairAnalysis:
         (sinks-first) order — the levels of the synthesized induction."""
         safe = np.flatnonzero(~self.avoid_mask[self.cond.first_members()])
         return [(int(k), self.cond.members_of(k)) for k in safe]
+
+    def fair_seed_mask(self) -> np.ndarray:
+        """Mask of all states lying inside a fair SCC."""
+        return _fair_seed_mask(self.cond, self.fair_flags)
+
+    def confining_path(self, k: int) -> np.ndarray | None:
+        """Local ids of a shortest ``¬q``-confined walk from state ``k``
+        into a fair SCC — the scheduler's avoidance strategy, state by
+        state (``None`` when ``k`` reaches no fair SCC)."""
+        sources = np.zeros(self.domain.size, dtype=bool)
+        sources[k] = True
+        return self.domain.graph().path_between(
+            sources, self.fair_seed_mask(), allowed=self.notq_mask
+        )
 
 
 #: Byte budget of one stacked (command, state) chunk in :func:`_fair_flags`.
@@ -179,20 +208,128 @@ def _fair_flags(
     return flags
 
 
-def fair_scc_analysis(program: Program, q: Predicate) -> FairAnalysis:
-    """Analyse the ``¬q`` subgraph of ``program`` for fair avoidance."""
-    ts = TransitionSystem.for_program(program)
-    space = ts.space
-    graph = ts.graph()
-    qm = q.mask(space)
-    notq = ~qm
+
+
+def fair_analysis(domain, q: Predicate, *, strong: bool = False) -> FairAnalysis:
+    """Analyse the ``¬q`` subgraph of ``domain`` for fair avoidance.
+
+    With ``strong=True`` the per-SCC criterion is the strong-fairness one
+    (:mod:`repro.semantics.strong_fairness`): an SCC stays fair iff for
+    every ``d`` it either never enables ``d`` or contains an enabled
+    ``d``-move staying inside it.  Shared by both leads-to checkers and
+    the proof synthesizer (:mod:`repro.semantics.synthesis`), which turns
+    ``cond``'s canonical sinks-first emission order directly into the
+    variant metric of its induction certificates.
+    """
+    graph = domain.graph()
+    q_mask = domain.pred_mask(q)
+    notq = ~q_mask
     cond = graph.condensation(notq)
-    fair_flags = _fair_flags(cond, [t for _, t in ts.fair_tables()])
-    seeds = _fair_seed_mask(cond, fair_flags)
-    avoid = graph.reverse_closure(seeds, allowed=notq)
-    return FairAnalysis(
-        q_mask=qm, notq_mask=notq, cond=cond, fair_flags=fair_flags,
-        avoid_mask=avoid,
+    fair_cmds = domain.program.fair_commands
+    # Enabledness rows stream lazily: each column is built only when its
+    # chunk is reached, and not at all once the flags die.
+    enabled = (
+        [(lambda c=cmd: domain.enabled_local(c)) for cmd in fair_cmds]
+        if strong
+        else None
+    )
+    flags = _fair_flags(
+        cond, [domain.succ_local(cmd) for cmd in fair_cmds], enabled=enabled
+    )
+    avoid = graph.reverse_closure(_fair_seed_mask(cond, flags), allowed=notq)
+    return FairAnalysis(domain, q_mask, notq, cond, flags, avoid)
+
+
+def leadsto_judgment(
+    program: Program,
+    p: Predicate,
+    q: Predicate,
+    *,
+    strong: bool,
+    budget=None,
+    subspace=None,
+    checkpoint=None,
+) -> CheckResult | PartialResult:
+    """``p ↝ q`` under weak or strong fairness, over the resolved domain.
+
+    The shared body of :func:`check_leadsto` and
+    :func:`repro.semantics.strong_fairness.check_leadsto_strong`.
+    """
+    fairness = "strong" if strong else "weak"
+    kind = "leadsto-strong" if strong else "leadsto"
+    arrow = "~>[strong]" if strong else "~>"
+    subject = f"{p.describe()} {arrow} {q.describe()}"
+    try:
+        d = domain_for(
+            program,
+            "check_leadsto_strong" if strong else "check_leadsto",
+            budget=budget,
+            subspace=subspace,
+            checkpoint=checkpoint,
+        )
+    except BudgetExhausted as exc:
+        # The budget ran out before the reachable closure was complete,
+        # so no verdict is sound: return the structured UNKNOWN (with the
+        # resume path) instead of letting the exception unwind.
+        return PartialResult.from_exhaustion(exc, kind=kind, subject=subject)
+    if d.size == 0:
+        return CheckResult(
+            True,
+            kind,
+            subject,
+            message=f"no {d.where}states (vacuous over the {d.label})",
+            witness=d.annotate({}, reachable=True, metrics=True),
+        )
+    analysis = fair_analysis(d, q, strong=strong)
+    idx = np.flatnonzero(d.pred_mask(p) & analysis.avoid_mask)
+    scope = f"{d.label}: {d.size} {d.where}states"
+    if idx.size == 0:
+        return CheckResult(
+            True,
+            kind,
+            subject,
+            message=(
+                f"holds from every {d.where}p-state under {fairness} fairness: "
+                f"{int(analysis.safe_mask.sum())} ¬q-states safe, "
+                f"{int(analysis.avoid_mask.sum())} avoidable ({scope})"
+            ),
+            witness=d.annotate({}, reachable=True, metrics=True),
+        )
+    k = int(idx[0])
+    state = d.state_at_local(k)
+    # Locate some fair SCC for the diagnostic, plus two concrete walks:
+    # how the counterexample is reached (when the domain keeps BFS
+    # parents), and how the scheduler confines the run away from q.
+    fair = np.flatnonzero(analysis.fair_flags)
+    fair_state = (
+        d.state_at_local(int(analysis.cond.members_of(fair[0])[0]))
+        if fair.size
+        else None
+    )
+    confining = analysis.confining_path(k)
+    confining_states = (
+        [d.state_at_local(s) for s in confining] if confining is not None else [state]
+    )
+    witness = {
+        "state": state,
+        "fair_scc_state": fair_state,
+        "violations": int(idx.size),
+    }
+    path = d.witness_path(k)
+    if path is not None:
+        witness["path"], witness["path_commands"] = path
+    witness["confining_path"] = confining_states
+    return CheckResult(
+        False,
+        kind,
+        subject,
+        message=(
+            f"from {d.where}p-state {state!r} the scheduler can avoid q forever "
+            f"under {fairness} fairness (e.g. settling near {fair_state!r}; "
+            f"{scope}; confining path of {len(confining_states)} ¬q-states "
+            "into a fair SCC in the witness)"
+        ),
+        witness=d.annotate(witness, reachable=True, metrics=True),
     )
 
 
@@ -218,90 +355,42 @@ def check_leadsto(
     scheduler can confine the execution to ``¬q`` forever, a state of the
     fair SCC it settles in, and ``witness["confining_path"]`` — a
     concrete shortest ``¬q``-confined walk from that ``p``-state into the
-    fair SCC (on the sparse tier the witness additionally carries
-    ``witness["path"]``, the BFS-parent command path showing the
+    fair SCC (over the reachable subspace the witness additionally
+    carries ``witness["path"]``, the BFS-parent command path showing the
     ``p``-state is reachable).
 
-    Spaces above the sparse threshold are decided by the sparse tier over
-    the reachable subspace (see :mod:`repro.semantics.sparse`); if the
-    sparse tier cannot decide (non-expression ``initially``, reachable
-    set above its ``node_limit``) the check falls back to the dense tier,
-    which handles anything up to ``StateSpace.DENSE_MAX`` at dense memory
-    cost — exactly the pre-sparse behaviour.  Beyond ``DENSE_MAX`` the
-    fallback refuses with a :class:`~repro.errors.CapacityError` whose
-    ``__cause__`` is the sparse failure.
+    The domain comes from :func:`~repro.semantics.domain.domain_for`:
+    spaces above the sparse threshold are decided over the reachable
+    subspace (see :mod:`repro.semantics.sparse`); if the exploration
+    cannot decide (non-expression ``initially``, reachable set above its
+    ``node_limit``) the check falls back to the full space, which handles
+    anything up to ``StateSpace.DENSE_MAX`` at dense memory cost.  Beyond
+    ``DENSE_MAX`` the fallback refuses with a
+    :class:`~repro.errors.CapacityError` whose ``__cause__`` is the
+    exploration failure.
 
-    With a ``budget``, sparse-tier exhaustion degrades to a resumable
-    ``status="unknown"`` :class:`~repro.semantics.budget.PartialResult`
-    instead of raising (see ``docs/robustness.md``).
+    With a ``budget``, exhaustion of the exploration degrades to a
+    resumable ``status="unknown"`` :class:`~repro.semantics.budget.
+    PartialResult` instead of raising (see ``docs/robustness.md``).
     """
     if recorder is not None:
         from repro import obs
 
         with obs.use_recorder(recorder):
             return check_leadsto(
-                program, p, q, budget=budget, subspace=subspace,
+                program,
+                p,
+                q,
+                budget=budget,
+                subspace=subspace,
                 checkpoint=checkpoint,
             )
-    space = program.space
-    from repro.errors import ExplorationError
-    from repro.semantics.sparse import dense_fallback, sparse_enabled
-
-    if subspace is not None or sparse_enabled(space):
-        from repro.semantics.sparse.checkers import check_leadsto_sparse
-
-        try:
-            return check_leadsto_sparse(
-                program, p, q, budget=budget, subspace=subspace,
-                checkpoint=checkpoint,
-            )
-        except ExplorationError as exc:
-            dense_fallback(space, "check_leadsto", exc)
-    subject = f"{p.describe()} ~> {q.describe()}"
-    analysis = fair_scc_analysis(program, q)
-    bad = p.mask(space) & analysis.avoid_mask
-    idx = np.flatnonzero(bad)
-    if idx.size == 0:
-        return CheckResult(
-            True, "leadsto", subject,
-            message=(
-                f"{int(analysis.safe_mask.sum())} ¬q-states are safe, "
-                f"{int(analysis.avoid_mask.sum())} avoidable, none satisfy p"
-            ),
-        )
-    i = int(idx[0])
-    state = space.state_at(i)
-    # Locate some fair SCC for the diagnostic, plus a concrete confining
-    # path: a ¬q-confined walk from the violating p-state into a fair SCC
-    # — the scheduler's avoidance strategy, state by state.
-    fair_state = None
-    fair = np.flatnonzero(analysis.fair_flags)
-    if fair.size:
-        fair_state = space.state_at(int(analysis.cond.members_of(fair[0])[0]))
-    sources = np.zeros(space.size, dtype=bool)
-    sources[i] = True
-    confining = TransitionSystem.for_program(program).graph().path_between(
-        sources,
-        _fair_seed_mask(analysis.cond, analysis.fair_flags),
-        allowed=analysis.notq_mask,
-    )
-    confining_states = (
-        [space.state_at(int(s)) for s in confining]
-        if confining is not None
-        else [state]
-    )
-    return CheckResult(
-        False,
-        "leadsto",
-        subject,
-        message=(
-            f"from p-state {state!r} the scheduler can avoid q forever "
-            f"(e.g. settling near {fair_state!r})"
-        ),
-        witness={
-            "state": state,
-            "fair_scc_state": fair_state,
-            "violations": int(idx.size),
-            "confining_path": confining_states,
-        },
+    return leadsto_judgment(
+        program,
+        p,
+        q,
+        strong=False,
+        budget=budget,
+        subspace=subspace,
+        checkpoint=checkpoint,
     )

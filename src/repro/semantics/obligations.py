@@ -43,16 +43,14 @@ exactly the same obligation set as the per-level oracle and counts it
 identically; ``tests/test_batched_check.py`` pins verdict equality on
 both tiers, including injected-fault certificates.
 
-The kernel is tier-agnostic: it works over a compact id universe
-(global indices on the dense tier, local ids on the sparse tier) through
-a handful of array-valued callables, so nothing here ever allocates an
-array of length ``space.size`` unless the adapter's universe *is* the
-space.
+The kernel is written once against an evaluation domain
+(:mod:`repro.semantics.domain`): global indices on the full space, local
+ids on a reachable subspace, so nothing here ever allocates an array of
+length ``space.size`` unless the domain *is* the space.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +75,7 @@ class CertificateLayout:
     Extracted (and structurally verified) from a
     :class:`~repro.core.rules.MetricInduction` tree by
     :func:`repro.semantics.synthesis.check_certificate_batched`; consumed
-    by the tier adapters (:func:`repro.semantics.checker.
-    check_obligations_batched` and :func:`repro.semantics.sparse.checkers.
-    check_obligations_batched_sparse`).
+    by :func:`check_columnar_obligations`.
 
     ``level_members[n]`` is level ``n``'s sorted global-index array (the
     backing array of its :class:`~repro.core.predicates.SupportPredicate`);
@@ -127,34 +123,32 @@ def _seg_any(level_ids: np.ndarray, flags: np.ndarray, n_levels: int) -> np.ndar
 _MAX_REPORTED = 5
 
 
-def check_columnar_obligations(
-    *,
-    n: int,
-    p_mask: np.ndarray,
-    q_mask: np.ndarray,
-    level_members: list[np.ndarray],
-    prefix_members: np.ndarray,
-    prefix_ranks: np.ndarray,
-    commands: list[tuple[str, Callable[[np.ndarray], np.ndarray]]],
-    fair: list[tuple[str, Callable[[np.ndarray], np.ndarray]]],
-    strong: bool,
-    enabled_at: Callable[[str, np.ndarray], np.ndarray] | None,
-    decode: Callable[[int], object],
-    tier: str,
-) -> ProofCheckResult:
+def check_columnar_obligations(domain, layout: CertificateLayout) -> ProofCheckResult:
     """Discharge every obligation of a columnar certificate, batched.
 
-    All ids live in the adapter's compact universe ``[0, n)``:
-    ``level_members``/``prefix_members`` are the layout's arrays already
-    mapped into it (entries outside the universe dropped — they are
-    invisible to every mask the per-level oracle computes over it).
-    ``commands`` maps **all** commands to successor gathers; ``fair``
-    the fair subset; ``enabled_at`` is required exactly when ``strong``.
+    All ids live in the domain's local universe ``[0, domain.size)``
+    (:mod:`repro.semantics.domain`): the layout's member arrays are
+    mapped into it first, dropping entries outside the domain — they are
+    invisible to every mask the per-level oracle computes over it.
+    Successors come from the domain's ``succ_local`` columns (the cached
+    tables on the full space), and enabledness (strong certificates
+    only) is evaluated at the member rows alone.
 
     Returns a :class:`~repro.core.proofs.ProofCheckResult` whose verdict,
     node count and obligation count equal the per-level oracle's on the
     same certificate.
     """
+    n = domain.size
+    p_mask = domain.pred_mask(layout.p)
+    q_mask = domain.pred_mask(layout.q)
+    level_members = [domain.restrict(m)[0] for m in layout.level_members]
+    prefix_members, kept = domain.restrict(layout.prefix_members)
+    prefix_ranks = layout.prefix_ranks[kept]
+    commands = domain.program.commands
+    fair = domain.program.fair_commands
+    strong = layout.fairness == "strong"
+    decode = domain.state_at_local
+    tier = domain.label
     n_levels = len(level_members)
     sizes = np.array([m.shape[0] for m in level_members], dtype=np.int64)
     mem = (
@@ -276,10 +270,11 @@ def check_columnar_obligations(
     next_fail = np.zeros(n_levels, dtype=bool)
     next_example: dict[int, tuple[str, int, int]] = {}
     trans_ok = np.zeros(n_levels, dtype=bool)
-    fair_names = {name for name, _ in fair}
+    fair_names = {cmd.name for cmd in fair}
     in_level_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for name, succ_at in commands:
-        succ = succ_at(mem)
+    for cmd in commands:
+        name = cmd.name
+        succ = domain.succ_local(cmd)[mem]
         hit, pos = same_level_pos(succ)
         in_level_cache[name] = (hit, pos)
         q_succ = q_mask[succ]
@@ -325,7 +320,7 @@ def check_columnar_obligations(
     act_count = np.bincount(lvl[active], minlength=n_levels)
     if strong:
         trans_fail = _strong_transient_fail(
-            n_levels, lvl, active, fair, enabled_at, mem, in_level_cache, commands
+            domain, n_levels, lvl, active, mem, in_level_cache
         )
         kind = "transient-strong"
         why = "a strongly-fair execution can stay inside the level forever"
@@ -361,14 +356,12 @@ def check_columnar_obligations(
 
 
 def _strong_transient_fail(
+    domain,
     n_levels: int,
     lvl: np.ndarray,
     active: np.ndarray,
-    fair: list[tuple[str, Callable[[np.ndarray], np.ndarray]]],
-    enabled_at: Callable[[str, np.ndarray], np.ndarray] | None,
     mem: np.ndarray,
     in_level_cache: dict[str, tuple[np.ndarray, np.ndarray]],
-    commands: list[tuple[str, Callable[[np.ndarray], np.ndarray]]],
 ) -> np.ndarray:
     """Per-level strong-transient refusals, via one SCC pass.
 
@@ -389,20 +382,14 @@ def _strong_transient_fail(
     # Position tables over t + 1 nodes (the last is the "outside" sink,
     # excluded from the mask, so exits become cross-mask edges).
     mask = np.append(active, False)
-    tables = []
-    by_name = {}
-    for name, _ in commands:
-        hit, pos = in_level_cache[name]
-        table = np.append(pos, t)  # sentinel self-entry (self-loop, dropped)
-        tables.append(table)
-        by_name[name] = table
-    cond = condensation(mask, tables)
+    # Sentinel self-entry per table (a self-loop, dropped).
+    by_name = {name: np.append(pos, t) for name, (_, pos) in in_level_cache.items()}
+    cond = condensation(mask, list(by_name.values()))
     if cond.count == 0:
         return np.zeros(n_levels, dtype=bool)
-    fair_tables = [by_name[name] for name, _ in fair]
-    enabled_rows = [
-        np.append(enabled_at(name, mem), False) for name, _ in fair
-    ]
+    fair = domain.program.fair_commands
+    fair_tables = [by_name[cmd.name] for cmd in fair]
+    enabled_rows = [np.append(domain.enabled_at(cmd, mem), False) for cmd in fair]
     flags = _fair_flags(cond, fair_tables, enabled=enabled_rows)
     fail = np.zeros(n_levels, dtype=bool)
     fail[lvl[cond.first_members()[flags]]] = True

@@ -22,18 +22,26 @@ Layout
   union sub-CSR on **local** ids, feeding the existing
   :mod:`repro.util.csr` kernels and :mod:`repro.semantics.scc`
   condensation unchanged.
-- :mod:`repro.semantics.sparse.checkers` — leads-to (weak and strong
-  fairness) and reachable-invariant checks over local ids, plus the
-  reachable-restricted obligation checkers (validity / init / next /
-  stable / transient / strong transient) that discharge the leaves of
-  synthesized proof certificates through the frontier kernels.
+- :mod:`repro.semantics.sparse.checkpoint` — atomic, digest-keyed BFS
+  checkpoints and resume.
+
+The judgments themselves live outside this package: a
+:class:`ReachableSubspace` is an evaluation *domain*
+(:mod:`repro.semantics.domain`), and every judgment of the engine —
+validity, ``init``, ``next``, ``stable``, weak and strong ``transient``,
+the reachable invariant, leads-to, synthesis and the batched
+certificate check — is written once and runs over it unchanged
+(``pred_mask`` / ``succ_local`` / ``enabled_local`` / ``graph`` on local
+ids, through the frontier kernels).
 
 Routing
 -------
-The dense checkers consult :func:`sparse_enabled` and hand off to this
-tier when ``space.size > SPARSE_THRESHOLD``; callers of ``check_leadsto``
-/ ``check_leadsto_strong`` / ``check_reachable_invariant`` /
-``reachable_states`` never need to know which tier ran.
+:func:`repro.semantics.domain.domain_for` is the single routing rule: it
+consults :func:`sparse_enabled` and resolves the reachable subspace when
+``space.size > SPARSE_THRESHOLD`` (the full space otherwise, or when the
+exploration fails and :func:`dense_fallback` admits it); an explicit
+``subspace=`` always wins.  Callers of the checkers never need to know
+which domain ran.
 
 Semantics note.  The paper's property semantics is *inductive* — it
 quantifies over **all** states, reachable or not.  A sparse check can
@@ -51,9 +59,9 @@ Certification.  Since the sparse tier decides judgments, it also
 builds reachable-restricted induction certificates directly on a
 :class:`ReachableSubspace`, with levels that are
 :class:`~repro.core.predicates.SupportPredicate` sets of reachable global
-indices and leaf obligations discharged by this package's obligation
-checkers.  The variant metric of those certificates is the **canonical
-sinks-first SCC emission order** of :mod:`repro.semantics.scc`, which the
+indices and leaf obligations discharged over the same subspace.  The
+variant metric of those certificates is the **canonical sinks-first SCC
+emission order** of :mod:`repro.semantics.scc`, which the
 local-id sub-CSR reproduces exactly (``global_ids`` is sorted, so local
 ids preserve the global order and every canonical tie-break) — see
 ``docs/proofs.md`` for the full invariant and its paper cross-references
@@ -63,7 +71,7 @@ ids preserve the global order and every canonical tie-break) — see
 from __future__ import annotations
 
 from repro.core.state import StateSpace
-from repro.errors import CapacityError, ExplorationError
+from repro.errors import CapacityError
 
 from repro.semantics.sparse.explorer import (
     ReachableSubspace,
@@ -81,25 +89,10 @@ from repro.semantics.sparse.checkpoint import (
     save_subspace,
 )
 from repro.semantics.sparse.subgraph import assemble_backend
-from repro.semantics.sparse.checkers import (
-    LocalFairAnalysis,
-    check_init_sparse,
-    check_leadsto_sparse,
-    check_leadsto_strong_sparse,
-    check_next_sparse,
-    check_obligations_batched_sparse,
-    check_reachable_invariant_sparse,
-    check_stable_sparse,
-    check_transient_sparse,
-    check_transient_strong_sparse,
-    check_validity_sparse,
-    sparse_fair_analysis,
-)
 
 __all__ = [
     "SPARSE_THRESHOLD",
     "sparse_enabled",
-    "routed_subspace",
     "dense_fallback",
     "ReachableSubspace",
     "explore",
@@ -113,30 +106,18 @@ __all__ = [
     "resume_exploration",
     "save_subspace",
     "assemble_backend",
-    "LocalFairAnalysis",
-    "sparse_fair_analysis",
-    "check_leadsto_sparse",
-    "check_leadsto_strong_sparse",
-    "check_reachable_invariant_sparse",
-    "check_validity_sparse",
-    "check_init_sparse",
-    "check_next_sparse",
-    "check_stable_sparse",
-    "check_transient_sparse",
-    "check_transient_strong_sparse",
-    "check_obligations_batched_sparse",
 ]
 
-#: Spaces larger than this are routed to the sparse tier by the dense
-#: checkers (dense masks/tables above it cost tens of MB per array and
-#: minutes of table construction).  This is the **public tier knob**:
+#: Spaces larger than this are routed to the sparse tier by
+#: :func:`repro.semantics.domain.domain_for` (dense masks/tables above it
+#: cost tens of MB per array and minutes of table construction).  This is
+#: the **public tier knob**:
 #: because routing also switches the leads-to judgment to the
 #: reachable-restricted one (see above), callers that need the inductive
 #: all-states verdict on a large space can set it to ``float("inf")``
 #: (force dense, at dense memory cost), and tests set it to ``0``/``1``
-#: to force the sparse tier on small spaces.  The explicit
-#: ``check_*_sparse`` functions in :mod:`repro.semantics.sparse.checkers`
-#: are always available regardless of the threshold.
+#: to force the sparse tier on small spaces.  Passing ``subspace=`` to a
+#: checker decides over an explicit subspace regardless of the threshold.
 SPARSE_THRESHOLD: float = 1_000_000
 
 
@@ -162,29 +143,3 @@ def dense_fallback(space: StateSpace, dense_op: str, exc: Exception) -> None:
         )
     except CapacityError as cap:
         raise cap from exc
-
-
-def routed_subspace(program, dense_op: str, *, budget=None, checkpoint=None):
-    """The cached reachable subspace when ``program`` routes sparse.
-
-    The single source of the tier-routing fallback policy for callers
-    that work on the subspace directly (proof side conditions, the proof
-    synthesizer; the routed checkers in :mod:`repro.semantics.checker`
-    wrap their sparse twins the same way).  Returns ``None`` when the
-    caller should run densely — either the space is below the threshold,
-    or the sparse tier failed *and* the space fits the dense tier (beyond
-    ``DENSE_MAX`` the fallback refuses with a
-    :class:`~repro.errors.CapacityError` chaining the sparse failure).
-
-    ``budget`` / ``checkpoint`` are forwarded to the exploration;
-    :class:`~repro.errors.BudgetExhausted` propagates to the caller
-    (budget exhaustion is resumable, never grounds for a dense restart).
-    """
-    space = program.space
-    if not sparse_enabled(space):
-        return None
-    try:
-        return reachable_subspace(program, budget=budget, checkpoint=checkpoint)
-    except ExplorationError as exc:
-        dense_fallback(space, dense_op, exc)
-        return None

@@ -19,10 +19,10 @@ Two pieces live here:
    of a state is its rank), per-command **local** successor columns, BFS
    distances, **BFS parents** (first-discovery edges, so every reachable
    state carries a concrete command path back to the initial set — the raw
-   material of the witness paths attached by the sparse checkers and the
-   proof synthesizer's refusal diagnostics), and the local initial set —
-   everything the sub-CSR assembly (:mod:`repro.semantics.sparse.subgraph`)
-   and the sparse checkers need.
+   material of the witness paths attached by the checkers), and the local
+   initial set — everything the sub-CSR assembly
+   (:mod:`repro.semantics.sparse.subgraph`) and the judgments over the
+   subspace (:mod:`repro.semantics.domain`) need.
 
 Canonical-order invariant (documented; relied on by
 :mod:`repro.semantics.synthesis`): ``global_ids`` is sorted ascending, so
@@ -63,7 +63,6 @@ from repro.util.faultinject import fault_point
 
 __all__ = [
     "DEFAULT_NODE_LIMIT",
-    "DEFAULT_MAX_STATES",
     "DEFAULT_JOIN_LIMIT",
     "initial_indices",
     "explore",
@@ -75,12 +74,9 @@ __all__ = [
 
 #: Default cap on the number of **discovered** reachable states.  This is
 #: the sparse tier's protective wall — the per-tier replacement of the old
-#: ``StateSpace.MAX_SIZE`` constructor cap: encoded size is unbounded, the
-#: interned node count is what costs memory.
+#: ``StateSpace`` constructor cap: encoded size is unbounded, the interned
+#: node count is what costs memory.
 DEFAULT_NODE_LIMIT = 2_000_000
-
-#: Legacy alias of :data:`DEFAULT_NODE_LIMIT` (pre-capacity-tier name).
-DEFAULT_MAX_STATES = DEFAULT_NODE_LIMIT
 
 #: Default cap on the intermediate width of the initial-state join.
 DEFAULT_JOIN_LIMIT = 2_000_000
@@ -283,14 +279,20 @@ class ReachableSubspace:
     def local_of(self, global_idx: np.ndarray) -> np.ndarray:
         """Map global state indices to local ids (must all be members)."""
         global_idx = np.asarray(global_idx, dtype=np.int64)
-        pos = np.searchsorted(self.global_ids, global_idx)
-        ok = in_sorted(self.global_ids, global_idx)
-        if not ok.all():
-            missing = global_idx[~ok][:3].tolist()
+        local, kept = self.restrict(global_idx)
+        if not kept.all():
+            missing = global_idx[~kept][:3].tolist()
             raise ExplorationError(
                 f"global indices {missing} are not in the reachable subspace"
             )
-        return pos
+        return local
+
+    def restrict(self, global_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(local ids, kept)`` for the members among ``global_idx``:
+        entries outside the subspace are dropped, and ``kept`` marks the
+        positions of ``global_idx`` that survive."""
+        kept = in_sorted(self.global_ids, global_idx)
+        return np.searchsorted(self.global_ids, global_idx[kept]), kept
 
     def state_at_local(self, k: int) -> State:
         """Decode local id ``k`` into a :class:`State`."""
@@ -360,11 +362,44 @@ class ReachableSubspace:
             self._enabled[cmd.name] = col
         return col
 
+    def enabled_at(self, command: Command | str, ids: np.ndarray) -> np.ndarray:
+        """Enabledness of one command at the local ids ``ids``."""
+        return self.enabled_local(command)[ids]
+
     # -- predicates ------------------------------------------------------------
 
     def pred_mask(self, pred: Predicate) -> np.ndarray:
         """Satisfaction mask of ``pred`` over the local ids."""
         return pred.mask_at(self.space, self.global_ids)
+
+    # -- the rest of the domain protocol (see repro.semantics.domain) ----------
+
+    label = "sparse tier"
+    where = "reachable "
+
+    def reachable_mask(self) -> np.ndarray:
+        """Every local state is reachable."""
+        return np.ones(self.size, dtype=bool)
+
+    def to_global(self, local_ids: np.ndarray) -> np.ndarray:
+        """Global indices of some local ids."""
+        return self.global_ids[local_ids]
+
+    def annotate(self, witness: dict, *, reachable=False, metrics=False) -> dict:
+        """A verdict witness with this domain's extras.
+
+        ``tier`` always; the reachable-state count on request; and the
+        exploration stats only when a recorder is installed — with the
+        null recorder the witness is byte-identical to the
+        uninstrumented engine's, which the telemetry neutrality suite
+        pins.
+        """
+        out = {"tier": "sparse", **witness}
+        if reachable:
+            out["reachable"] = self.size
+        if metrics and obs.get_recorder().enabled and self.stats:
+            out["metrics"] = dict(self.stats)
+        return out
 
     # -- graph ----------------------------------------------------------------
 
@@ -706,8 +741,7 @@ def explore(
     program: Program,
     *,
     seeds: np.ndarray | None = None,
-    node_limit: int | None = None,
-    max_states: int | None = None,
+    node_limit: int = DEFAULT_NODE_LIMIT,
     join_limit: int = DEFAULT_JOIN_LIMIT,
     budget: Budget | None = None,
     checkpoint=None,
@@ -717,7 +751,7 @@ def explore(
     ``seeds`` overrides the start set (global indices; default: the sparse
     enumeration of ``initially``).  Raises :class:`ExplorationError` when
     the discovered set exceeds ``node_limit`` (default
-    :data:`DEFAULT_NODE_LIMIT`; ``max_states`` is the deprecated alias) —
+    :data:`DEFAULT_NODE_LIMIT`) —
     the sparse tier's only **hard** size wall: the *encoded* space is
     unbounded up to the ``int64`` index range.
 
@@ -731,16 +765,6 @@ def explore(
     :func:`~repro.semantics.sparse.checkpoint.resume_exploration`
     round-trips bit-identically with an uninterrupted run.
     """
-    if max_states is not None:
-        import warnings
-
-        warnings.warn(
-            "explore(max_states=...) is deprecated; use node_limit=",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    if node_limit is None:
-        node_limit = max_states if max_states is not None else DEFAULT_NODE_LIMIT
     space = program.space
     space.require_vector_indexable("sparse exploration")
     if seeds is None:

@@ -48,17 +48,18 @@ reachable states *component for component*.  Dense and sparse synthesis
 therefore produce certificates with identical level structure wherever
 both tiers can run (pinned by ``tests/test_sparse_synthesis.py``).
 
-Tier routing.  Spaces above the sparse threshold synthesize on the
+Domains.  Synthesis is written once against an evaluation domain
+(:mod:`repro.semantics.domain`), resolved by the same routing rule as
+the checkers.  Spaces above the sparse threshold synthesize on the
 reachable subspace: levels are
 :class:`~repro.core.predicates.SupportPredicate` sets of reachable global
-indices, obligations are discharged by the reachable-restricted checkers
-of :mod:`repro.semantics.sparse.checkers` through the frontier kernels
-(``Command.succ_of`` / ``Predicate.mask_at``), and nothing of length
-``space.size`` is ever allocated — certificates for 2⁴⁰-state
-compositions in working memory proportional to the *reachable* set.  The
-resulting proof certifies the **reachable-restricted** judgment (the one
-the sparse checkers decide; see the :mod:`repro.semantics.sparse` package
-docstring).
+indices, obligations are discharged over the same subspace through the
+frontier kernels (``Command.succ_of`` / ``Predicate.mask_at``), and
+nothing of length ``space.size`` is ever allocated — certificates for
+2⁴⁰-state compositions in working memory proportional to the
+*reachable* set.  The resulting proof certifies the
+**reachable-restricted** judgment (see the :mod:`repro.semantics.sparse`
+package docstring).
 
 Fairness.  ``fairness="strong"`` certifies the strong-fairness judgment
 instead, swapping the per-level basis for
@@ -81,9 +82,10 @@ from repro.core.predicates import (
 )
 from repro.core.program import Program
 from repro.core.rules import Ensures, Implication, LeadsToProof, MetricInduction
-from repro.errors import ProofError
-from repro.semantics.leadsto import fair_scc_analysis
-from repro.semantics.transition import TransitionSystem
+from repro.errors import BudgetExhausted, ProofError
+from repro.semantics.budget import PartialResult
+from repro.semantics.domain import domain_for
+from repro.semantics.leadsto import fair_analysis
 
 __all__ = ["synthesize_leadsto_proof", "check_certificate_batched"]
 
@@ -92,7 +94,6 @@ def synthesize_leadsto_proof(
     program: Program,
     p: Predicate,
     q: Predicate,
-    _positional_fairness: str | None = None,
     *,
     fairness: str = "weak",
     budget=None,
@@ -104,8 +105,6 @@ def synthesize_leadsto_proof(
 
     ``budget`` / ``subspace`` / ``recorder`` form the normalized keyword
     set shared by every public checker (see ``docs/composition.md``).
-    Passing the fairness notion positionally is deprecated — use
-    ``fairness=``.
 
     Raises :class:`ProofError` if the property does not hold (no proof
     exists), quoting the model checker's counterexample.
@@ -115,11 +114,11 @@ def synthesize_leadsto_proof(
     ``"strong"`` (certificates additionally use
     :class:`~repro.core.rules.StrongTransientBasis`).
 
-    ``subspace`` forces synthesis on an explicit
+    The domain comes from :func:`~repro.semantics.domain.domain_for`,
+    like the checkers': ``subspace`` forces synthesis on an explicit
     :class:`~repro.semantics.sparse.explorer.ReachableSubspace`; by
     default spaces above the sparse threshold use the cached reachable
-    subspace and smaller spaces synthesize densely, mirroring the
-    checkers' tier routing.
+    subspace and smaller spaces synthesize over the full space.
 
     ``budget`` / ``checkpoint`` bound the sparse exploration feeding the
     synthesis; on exhaustion this returns a resumable
@@ -127,16 +126,6 @@ def synthesize_leadsto_proof(
     instead of a proof (callers must check for it — it is not a
     :class:`LeadsToProof` and refuses ``bool()``).
     """
-    if _positional_fairness is not None:
-        import warnings
-
-        warnings.warn(
-            "passing the fairness notion positionally is deprecated; "
-            "use synthesize_leadsto_proof(..., fairness=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        fairness = _positional_fairness
     if recorder is not None:
         with obs.use_recorder(recorder):
             return synthesize_leadsto_proof(
@@ -152,15 +141,13 @@ def synthesize_leadsto_proof(
         raise ProofError(f"unknown fairness notion {fairness!r}")
     rec = obs.get_recorder()
     with rec.span("synthesis.leadsto", program=program.name, fairness=fairness):
-        if subspace is not None:
-            return _synthesize_sparse(subspace, p, q, fairness)
-        from repro.errors import BudgetExhausted
-        from repro.semantics.budget import PartialResult
-        from repro.semantics.sparse import routed_subspace
-
         try:
-            sub = routed_subspace(
-                program, "proof synthesis", budget=budget, checkpoint=checkpoint
+            domain = domain_for(
+                program,
+                "proof synthesis",
+                budget=budget,
+                subspace=subspace,
+                checkpoint=checkpoint,
             )
         except BudgetExhausted as exc:
             arrow = "~>[strong]" if fairness == "strong" else "~>"
@@ -169,39 +156,40 @@ def synthesize_leadsto_proof(
                 kind="proof-synthesis",
                 subject=f"{p.describe()} {arrow} {q.describe()}",
             )
-        if sub is not None:
-            return _synthesize_sparse(sub, p, q, fairness)
-        return _synthesize_dense(program, p, q, fairness)
+        return _synthesize(domain, p, q, fairness)
 
 
-def _synthesize_dense(
-    program: Program, p: Predicate, q: Predicate, fairness: str
-) -> LeadsToProof:
-    """Dense-tier synthesis over full-space masks and successor tables."""
-    ts = TransitionSystem.for_program(program)
-    space = ts.space
-    if fairness == "strong":
-        from repro.semantics.strong_fairness import strong_fair_scc_analysis
+def _synthesize(domain, p: Predicate, q: Predicate, fairness: str) -> LeadsToProof:
+    """Synthesis over one domain (:mod:`repro.semantics.domain`).
 
-        analysis = strong_fair_scc_analysis(program, q)
-    else:
-        analysis = fair_scc_analysis(program, q)
-    pm = p.mask(space)
+    On a reachable subspace nothing of length ``space.size`` is
+    allocated: the levels are
+    :class:`~repro.core.predicates.SupportPredicate` sets of reachable
+    global indices, and each ``exit`` predicate is ``q ∨ support(lower
+    levels)`` — a combinator, not a mask.  The certificate then concludes
+    the reachable-restricted judgment.
+    """
+    analysis = fair_analysis(domain, q, strong=(fairness == "strong"))
+    pm = domain.pred_mask(p)
 
     bad = pm & analysis.avoid_mask
     if bad.any():
-        state = space.state_at(int(np.flatnonzero(bad)[0]))
+        k = int(np.flatnonzero(bad)[0])
+        state = domain.state_at_local(k)
+        confining = analysis.confining_path(k)
+        steps = 0 if confining is None else confining.shape[0] - 1
         raise ProofError(
             f"cannot synthesize a proof of {p.describe()} ~> {q.describe()}: "
-            f"the property fails under {fairness} fairness (scheduler can "
-            f"avoid q from {state!r})"
+            f"the property fails under {fairness} fairness on the "
+            f"{domain.label} (scheduler can avoid q from {domain.where}"
+            f"{state!r}, reaching a fair SCC in {steps} ¬q-confined step(s))"
         )
 
     # Restrict to the part of the safe region the obligation actually
     # touches: the forward closure of p ∧ ¬q (successors leaving ¬q are
     # dropped — exits to q end the obligation).
     seeds = pm & analysis.notq_mask
-    region = ts.graph().forward_closure(seeds, allowed=analysis.notq_mask)
+    region = domain.graph().forward_closure(seeds, allowed=analysis.notq_mask)
 
     if not region.any():
         # p ⇒ q: a single Implication suffices.
@@ -212,61 +200,11 @@ def _synthesize_dense(
     # it (regions are closed and SCC members are mutually reachable).
     cond = analysis.cond
     comps = [
-        (int(k), cond.members_of(k))
-        for k in np.flatnonzero(region[cond.first_members()])
-    ]
-    return _columnar_induction(space, p, q, comps, fairness, member_word="states")
-
-
-def _synthesize_sparse(sub, p: Predicate, q: Predicate, fairness: str) -> LeadsToProof:
-    """Sparse-tier synthesis over a reachable subspace (local ids only).
-
-    The same construction as :func:`_synthesize_dense`, with every
-    full-space artifact replaced by its local-id twin: the fair analysis
-    runs on the sub-CSR (:func:`~repro.semantics.sparse.checkers.
-    sparse_fair_analysis`), the levels become
-    :class:`~repro.core.predicates.SupportPredicate` sets of reachable
-    global indices, and each ``exit`` predicate is ``q ∨ support(lower
-    levels)`` — a combinator, not a mask.  The certificate concludes the
-    reachable-restricted judgment and is re-checked end to end through
-    the tier-routed obligation checkers.
-    """
-    from repro.semantics.sparse.checkers import sparse_fair_analysis
-
-    space = sub.space
-    analysis = sparse_fair_analysis(sub, q, strong=(fairness == "strong"))
-    pm = sub.pred_mask(p)
-
-    bad = pm & analysis.avoid
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        state = sub.state_at_local(k)
-        sources = np.zeros(sub.size, dtype=bool)
-        sources[k] = True
-        confining = sub.graph().path_between(
-            sources, analysis.fair_seed_mask(), allowed=analysis.notq
-        )
-        steps = 0 if confining is None else confining.shape[0] - 1
-        raise ProofError(
-            f"cannot synthesize a proof of {p.describe()} ~> {q.describe()}: "
-            f"the property fails under {fairness} fairness on the sparse "
-            f"tier (scheduler can avoid q from reachable {state!r}, "
-            f"reaching a fair SCC in {steps} ¬q-confined step(s))"
-        )
-
-    seeds = pm & analysis.notq
-    region = sub.graph().forward_closure(seeds, allowed=analysis.notq)
-
-    if not region.any():
-        return Implication(p, q)
-
-    cond = analysis.cond
-    comps = [
-        (int(k), sub.global_ids[cond.members_of(k)])
+        (int(k), domain.to_global(cond.members_of(k)))
         for k in np.flatnonzero(region[cond.first_members()])
     ]
     return _columnar_induction(
-        space, p, q, comps, fairness, member_word="reachable states"
+        domain.space, p, q, comps, fairness, member_word=f"{domain.where}states"
     )
 
 
@@ -283,8 +221,7 @@ def _columnar_induction(
     — synthesis stays linear in total member count, and the batched
     kernel (:func:`check_certificate_batched`) checks the whole ladder
     with searchsorted rank lookups instead of per-level mask unions.
-    Shared by both tiers (dense synthesis passes full-space component
-    arrays, sparse synthesis the reachable global ids).
+    ``comps`` carries global indices on every domain.
     """
     rec = obs.get_recorder()
     if rec.enabled:
@@ -384,9 +321,9 @@ def check_certificate_batched(proof: LeadsToProof, program: Program, *, subspace
     (ten obligations per level — the entire cost of checking 10⁴–10⁵-level
     certificates), each obligation family runs as **one vectorized pass
     per command over all levels** through
-    :mod:`repro.semantics.obligations`, routed by tier exactly like the
-    per-level leaf checkers (reachable subspace above the sparse
-    threshold, full space otherwise; ``subspace`` forces an explicit
+    :mod:`repro.semantics.obligations`, over the domain the per-level leaf
+    checkers would use (reachable subspace above the sparse threshold,
+    full space otherwise; ``subspace`` forces an explicit
     :class:`~repro.semantics.sparse.explorer.ReachableSubspace`, matching
     :func:`synthesize_leadsto_proof`).
 
@@ -409,21 +346,11 @@ def check_certificate_batched(proof: LeadsToProof, program: Program, *, subspace
         program=program.name,
         levels=len(layout.level_members),
     ):
-        if subspace is None:
-            from repro.semantics.sparse import routed_subspace
+        from repro.semantics.obligations import check_columnar_obligations
 
-            subspace = routed_subspace(program, "the batched certificate check")
-        # int64 headroom for the kernel's (level, member) search keys over the
-        # routed universe (never binding under the default sparse node limit).
-        universe = subspace.size if subspace is not None else space.size
-        if universe and len(layout.level_members) > (2**62) // universe:
+        domain = domain_for(program, "the batched certificate check", subspace=subspace)
+        # int64 headroom for the kernel's (level, member) search keys over
+        # the domain (never binding under the default sparse node limit).
+        if domain.size and len(layout.level_members) > (2**62) // domain.size:
             return proof.check(program)
-        if subspace is not None:
-            from repro.semantics.sparse.checkers import (
-                check_obligations_batched_sparse,
-            )
-
-            return check_obligations_batched_sparse(subspace, layout)
-        from repro.semantics.checker import check_obligations_batched
-
-        return check_obligations_batched(program, layout)
+        return check_columnar_obligations(domain, layout)

@@ -177,10 +177,12 @@ def request_key(program_digest: str, request: dict[str, Any]) -> str:
     """Content-addressed identity of a request's *answer*.
 
     ``program_digest`` is the engine's program digest; the key folds in
-    the property text, fairness, and prove flag.  Budgets and deadlines
-    are excluded on purpose (they bound effort, not truth), as is the
-    requested tier — the engine's tiers agree wherever they overlap,
-    and the response records which tier actually decided.
+    the property text, fairness, prove flag, and requested tier.  The
+    tier is part of the answer: the full space decides the paper's
+    inductive judgment and the reachable subspace the
+    reachable-restricted one, and the two disagree on properties whose
+    counterexamples are unreachable.  Budgets and deadlines are excluded
+    on purpose (they bound effort, not truth).
     """
     h = hashlib.sha256()
     h.update(program_digest.encode("ascii"))
@@ -190,4 +192,6 @@ def request_key(program_digest: str, request: dict[str, Any]) -> str:
     h.update(request["fairness"].encode("ascii"))
     h.update(b"\x00")
     h.update(b"prove" if request["prove"] else b"check")
+    h.update(b"\x00")
+    h.update(request["tier"].encode("ascii"))
     return h.hexdigest()

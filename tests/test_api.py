@@ -1,8 +1,8 @@
 """The unified ``verify()`` facade and the :class:`Verdict` contract.
 
 Covers tier routing (auto/dense/sparse/compositional), the three-valued
-``holds``, budget degradation to ``partial``, the deprecated dict-shims,
-and the normalized keyword set (``budget= / subspace= / recorder=``)
+``holds``, budget degradation to ``partial``, the :class:`Verdict`
+contract, and the normalized keyword set (``budget= / subspace= / recorder=``)
 shared by the public checkers.
 """
 
@@ -168,22 +168,6 @@ class TestVerdictShims:
             metrics={"kind": "leadsto", "subject": "p ~> q"},
         )
 
-    def test_getitem_warns_and_delegates(self):
-        v = self._verdict()
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            assert v["holds"] is True
-        with pytest.warns(DeprecationWarning):
-            assert v["state"] == "s0"
-
-    def test_get_and_contains_warn(self):
-        v = self._verdict()
-        with pytest.warns(DeprecationWarning):
-            assert v.get("tier") == "dense"
-        with pytest.warns(DeprecationWarning):
-            assert "state" in v
-        with pytest.warns(DeprecationWarning):
-            assert v.get("missing", "d") == "d"
-
     def test_witness_is_a_clean_mapping(self):
         import warnings
 
@@ -229,16 +213,6 @@ class TestSignatureNormalization:
                 params.index("recorder"),
             )
             assert i_b < i_s < i_r, f"{fn.__name__} orders {params}"
-
-    def test_positional_fairness_deprecated(self, alloc):
-        from repro.semantics.synthesis import synthesize_leadsto_proof
-
-        prop = alloc.token_available()
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            proof = synthesize_leadsto_proof(
-                alloc.system, prop.p, prop.q, "weak"
-            )
-        assert proof.check(alloc.system).ok
 
     def test_recorder_keyword_routes_through_obs(self, alloc):
         from repro import obs

@@ -37,7 +37,8 @@ from repro.core.program import Program
 from repro.core.rules import Ensures, MetricInduction, TransientBasis
 from repro.core.variables import Var
 from repro.errors import PropertyError
-from repro.semantics.sparse.explorer import explore
+from repro.semantics.leadsto import check_leadsto
+from repro.semantics.sparse.explorer import explore, reachable_subspace
 from repro.semantics.synthesis import (
     check_certificate_batched,
     synthesize_leadsto_proof,
@@ -109,9 +110,8 @@ class TestHealthyCertificates:
             sub = explore(program)
             if sub.size == 0:
                 continue
-            from repro.semantics.sparse.checkers import check_leadsto_sparse
-
-            if not check_leadsto_sparse(program, p, q).holds:
+            reach = reachable_subspace(program)
+            if not check_leadsto(program, p, q, subspace=reach).holds:
                 continue
             proof = synthesize_leadsto_proof(program, p, q, subspace=sub)
             if not isinstance(proof, MetricInduction):

@@ -60,9 +60,6 @@ class TestConstructionUnbounded:
         state = space.state_at(123_456_789_012)
         assert space.index_of(state) == 123_456_789_012
 
-    def test_legacy_alias_points_at_dense_max(self):
-        assert StateSpace.MAX_SIZE == StateSpace.DENSE_MAX
-
 
 class TestDenseEntryPointsRefuse:
     def test_capacity_error_is_state_error(self):

@@ -35,10 +35,8 @@ from repro.semantics.sparse import (
     resume_exploration,
     save_subspace,
 )
-from repro.semantics.sparse.checkers import (
-    check_leadsto_sparse,
-    check_reachable_invariant_sparse,
-)
+from repro.semantics.checker import check_reachable_invariant
+from repro.semantics.leadsto import check_leadsto
 from repro.semantics.sparse.explorer import explore
 from repro.systems.pipeline import build_pipeline_system
 from repro.util.faultinject import (
@@ -305,9 +303,15 @@ class TestInterruptAtLevelBoundary:
 
 
 class TestNoPartialVerdict:
+    @pytest.fixture(autouse=True)
+    def _route_sparse(self, monkeypatch):
+        # The public checkers explore (and so spend the budget) only on
+        # sparse-routed spaces; force the route for the small pipeline.
+        monkeypatch.setattr("repro.semantics.sparse.SPARSE_THRESHOLD", 0)
+
     def test_budget_exhaustion_returns_unknown_not_verdict(self, pipeline):
         prop = pipeline.delivery()
-        result = check_leadsto_sparse(
+        result = check_leadsto(
             pipeline.system, prop.p, prop.q, budget=Budget(max_levels=1)
         )
         assert isinstance(result, PartialResult)
@@ -322,7 +326,7 @@ class TestNoPartialVerdict:
     def test_memory_spike_propagates_not_a_verdict(self, pipeline):
         with inject("sparse.explore.alloc", MemoryError, after=1):
             with pytest.raises(MemoryError):
-                check_reachable_invariant_sparse(
+                check_reachable_invariant(
                     pipeline.system, pipeline.conservation_predicate()
                 )
 

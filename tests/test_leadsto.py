@@ -14,7 +14,8 @@ from repro.core.expressions import ite, land, lnot
 from repro.core.predicates import ExprPredicate, FALSE, TRUE
 from repro.core.program import Program
 from repro.core.variables import Var
-from repro.semantics.leadsto import check_leadsto, fair_scc_analysis
+from repro.semantics.domain import FullSpace
+from repro.semantics.leadsto import check_leadsto, fair_analysis
 
 X = Var.shared("x", IntRange(0, 3))
 B = Var.boolean("b")
@@ -131,7 +132,7 @@ class TestFairnessSubtleties:
 class TestAnalysisInternals:
     def test_analysis_masks_partition(self):
         p = sat_counter()
-        analysis = fair_scc_analysis(p, pred(X.ref() == 3))
+        analysis = fair_analysis(FullSpace(p), pred(X.ref() == 3))
         assert (analysis.q_mask | analysis.notq_mask).all()
         assert not (analysis.q_mask & analysis.notq_mask).any()
         assert not (analysis.avoid_mask & ~analysis.notq_mask).any()
@@ -143,7 +144,7 @@ class TestAnalysisInternals:
         spin = GuardedCommand("spin", True, [(B, lnot(B.ref()))])
         exit_ = GuardedCommand("exit", X.ref() < 2, [(X, X.ref() + 1)])
         p = Program("P", [X, B], TRUE, [spin, exit_], fair=["exit"])
-        analysis = fair_scc_analysis(p, pred(X.ref() == 3))
+        analysis = fair_analysis(FullSpace(p), pred(X.ref() == 3))
         safe = analysis.safe_mask
         ts = TransitionSystem.for_program(p)
         for _, table in ts.all_tables():
@@ -152,7 +153,7 @@ class TestAnalysisInternals:
 
     def test_safe_components_order_is_usable_as_levels(self):
         p = sat_counter()
-        analysis = fair_scc_analysis(p, pred(X.ref() == 3))
+        analysis = fair_analysis(FullSpace(p), pred(X.ref() == 3))
         comps = analysis.safe_components()
         # Emission order: each component's successors lie in q or earlier
         # components.

@@ -45,11 +45,9 @@ from repro.obs import (
 from repro.obs.manifest import MANIFEST_SCHEMA
 from repro.semantics.budget import Budget, PartialResult
 from repro.semantics.sparse import CheckpointPolicy, load_checkpoint
-from repro.semantics.sparse.checkers import (
-    check_leadsto_sparse,
-    check_reachable_invariant_sparse,
-)
-from repro.semantics.sparse.explorer import explore
+from repro.semantics.checker import check_reachable_invariant
+from repro.semantics.leadsto import check_leadsto
+from repro.semantics.sparse.explorer import explore, reachable_subspace
 from repro.semantics.synthesis import (
     check_certificate_batched,
     synthesize_leadsto_proof,
@@ -240,18 +238,20 @@ class TestNeutrality:
             prop = pl.delivery()
             if record:
                 with obs.use_recorder(MetricsRecorder()):
+                    sub = reachable_subspace(pl.system)
                     results = [
-                        check_reachable_invariant_sparse(
-                            pl.system, pl.conservation_predicate()
+                        check_reachable_invariant(
+                            pl.system, pl.conservation_predicate(), subspace=sub
                         ),
-                        check_leadsto_sparse(pl.system, prop.p, prop.q),
+                        check_leadsto(pl.system, prop.p, prop.q, subspace=sub),
                     ]
             else:
+                sub = reachable_subspace(pl.system)
                 results = [
-                    check_reachable_invariant_sparse(
-                        pl.system, pl.conservation_predicate()
+                    check_reachable_invariant(
+                        pl.system, pl.conservation_predicate(), subspace=sub
                     ),
-                    check_leadsto_sparse(pl.system, prop.p, prop.q),
+                    check_leadsto(pl.system, prop.p, prop.q, subspace=sub),
                 ]
             rows = []
             for res in results:
@@ -264,14 +264,18 @@ class TestNeutrality:
 
     def test_witness_metrics_only_with_recorder(self):
         pl = fresh_pipeline()
-        res_off = check_reachable_invariant_sparse(
-            pl.system, pl.conservation_predicate()
+        res_off = check_reachable_invariant(
+            pl.system,
+            pl.conservation_predicate(),
+            subspace=reachable_subspace(pl.system),
         )
         assert "metrics" not in res_off.witness
         pl2 = fresh_pipeline()
         with obs.use_recorder(MetricsRecorder()):
-            res_on = check_reachable_invariant_sparse(
-                pl2.system, pl2.conservation_predicate()
+            res_on = check_reachable_invariant(
+                pl2.system,
+                pl2.conservation_predicate(),
+                subspace=reachable_subspace(pl2.system),
             )
         stats = res_on.witness["metrics"]
         assert stats["nodes"] == res_on.witness["reachable"]

@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.api import verify
 from repro.dsl import parse_program, parse_property
 from repro.semantics.sparse.checkpoint import program_digest
 from repro.service import (
@@ -53,6 +54,17 @@ initially
   c = 0
 assign
   fair step: c < 2 -> c := c + 1
+end
+"""
+
+UNREACHABLE_TAIL = """
+program P
+declare
+  shared x : int[0..4]
+initially
+  x = 0
+assign
+  fair up: x < 2 -> x := x + 1
 end
 """
 
@@ -137,9 +149,10 @@ class TestNormalize:
             {**REQ, "property": "invariant c <= 3"},
             {**REQ, "fairness": "strong"},
             {**REQ, "prove": True},
+            {**REQ, "tier": "sparse"},
         ]
         keys = {request_key(digest, normalize_request(v)) for v in variants}
-        assert k0 not in keys and len(keys) == 3
+        assert k0 not in keys and len(keys) == 4
         assert request_key("e" * 64, base) != k0
 
 
@@ -232,6 +245,20 @@ class TestSubmit:
         assert second["cached"] is True
         assert second["holds"] is first["holds"]
         assert service.cache.stats()["hits"] >= 1
+
+    def test_sparse_verdict_never_answers_auto(self, service):
+        """The reachable-restricted verdict of a ``tier="sparse"`` request
+        must not be served to a later ``tier="auto"`` one: here the
+        unreachable states x=3 and x=4 never reach x=2, so only the
+        sparse tier says HOLDS."""
+        req = {"program": UNREACHABLE_TAIL, "property": "true ~> x = 2"}
+        sparse = service.submit({**req, "tier": "sparse"})
+        assert sparse["status"] == "ok" and sparse["holds"] is True
+        auto = service.submit(dict(req))
+        program = parse_program(UNREACHABLE_TAIL)
+        expected = verify(program, parse_property(req["property"], program))
+        assert auto["status"] == "ok" and auto["cached"] is False
+        assert auto["holds"] is expected.holds is False
 
     def test_cache_survives_service_restart(self, tmp_path):
         cfg = ServiceConfig(workers=1, cache_dir=str(tmp_path), max_pending=2)

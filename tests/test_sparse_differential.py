@@ -12,7 +12,10 @@ dense one on everything observable:
   analysis restricted to reachable ``p``-states (the sparse tier's
   documented judgment);
 - ``check_reachable_invariant`` verdicts and violation counts (identical
-  judgment on both tiers).
+  judgment on both tiers);
+- the leaf checkers (validity, ``init``, ``next``, ``stable``,
+  ``transient``) on the reachable domain against dense masks restricted
+  to reachable states.
 
 Programs are generated randomly but *domain-safe*: every assignment is
 guarded to stay inside its variable's range, so both tiers exercise
@@ -30,16 +33,24 @@ from repro.core.expressions import land, lnot
 from repro.core.predicates import ExprPredicate
 from repro.core.program import Program
 from repro.core.variables import Var
-from repro.semantics.explorer import distance_map, reachable_mask
-from repro.semantics.leadsto import fair_scc_analysis
-from repro.semantics.checker import check_reachable_invariant
-from repro.semantics.sparse.checkers import (
-    check_leadsto_sparse,
-    check_leadsto_strong_sparse,
-    check_reachable_invariant_sparse,
+import repro.semantics.sparse as sparse_pkg
+from repro.semantics.checker import (
+    check_init,
+    check_next,
+    check_reachable_invariant,
+    check_stable,
+    check_transient,
+    check_validity,
 )
-from repro.semantics.sparse.explorer import explore, initial_indices
-from repro.semantics.strong_fairness import strong_fair_scc_analysis
+from repro.semantics.domain import FullSpace
+from repro.semantics.explorer import distance_map, reachable_mask
+from repro.semantics.leadsto import check_leadsto, fair_analysis
+from repro.semantics.sparse.explorer import (
+    explore,
+    initial_indices,
+    reachable_subspace,
+)
+from repro.semantics.strong_fairness import check_leadsto_strong
 from repro.semantics.transition import TransitionSystem
 
 
@@ -186,15 +197,17 @@ def test_leadsto_verdicts_agree(batch):
         reach = reachable_mask(program)
         pm = p.mask(program.space)
 
-        weak = fair_scc_analysis(program, q)
+        sub = reachable_subspace(program)
+
+        weak = fair_analysis(FullSpace(program), q)
         expect_weak = not (pm & weak.avoid_mask & reach).any()
-        got_weak = check_leadsto_sparse(program, p, q)
+        got_weak = check_leadsto(program, p, q, subspace=sub)
         assert got_weak.holds == expect_weak, seed
         assert got_weak.witness.get("tier") == "sparse"
 
-        strong = strong_fair_scc_analysis(program, q)
+        strong = fair_analysis(FullSpace(program), q, strong=True)
         expect_strong = not (pm & strong.avoid_mask & reach).any()
-        got_strong = check_leadsto_strong_sparse(program, p, q)
+        got_strong = check_leadsto_strong(program, p, q, subspace=sub)
         assert got_strong.holds == expect_strong, seed
 
 
@@ -206,8 +219,90 @@ def test_reachable_invariant_agrees(batch):
         rng = np.random.default_rng(30_000 + seed)
         p = random_predicate(program, rng)
         dense = check_reachable_invariant(program, p)
-        sparse = check_reachable_invariant_sparse(program, p)
+        sparse = check_reachable_invariant(
+            program, p, subspace=reachable_subspace(program)
+        )
         assert dense.holds == sparse.holds, seed
         if not dense.holds:
             assert dense.witness["violations"] == sparse.witness["violations"]
             assert dense.witness["state"] == sparse.witness["state"]
+
+
+def _expect_first(ids: np.ndarray, bad: np.ndarray, space):
+    """(violation count, first violating state) over the ids with ``bad``."""
+    hits = ids[bad]
+    return int(hits.size), (space.state_at(int(hits[0])) if hits.size else None)
+
+
+@pytest.mark.parametrize("batch", range(2))
+def test_leaf_judgments_on_reachable_domain(batch, monkeypatch):
+    """With the threshold forced to 0 the public leaf checkers decide over
+    the reachable subspace: each must match an expectation computed here
+    from dense masks restricted to ``reachable_mask(program)`` — verdict,
+    violation count, first violating state, and the offending (or
+    helpful) command."""
+    monkeypatch.setattr(sparse_pkg, "SPARSE_THRESHOLD", 0)
+    for seed in range(batch * 25, (batch + 1) * 25):
+        program = random_program(seed)
+        space = program.space
+        rng = np.random.default_rng(40_000 + seed)
+        p = random_predicate(program, rng)
+        q = random_predicate(program, rng)
+        ids = np.flatnonzero(reachable_mask(program))
+        pm, qm = p.mask(space)[ids], q.mask(space)[ids]
+        tables = TransitionSystem.for_program(program).tables
+
+        res = check_validity(program, p, q)
+        count, state = _expect_first(ids, pm & ~qm, space)
+        assert res.witness["tier"] == "sparse", seed
+        assert res.holds == (count == 0), seed
+        if count:
+            assert (res.witness["violations"], res.witness["state"]) == (
+                count,
+                state,
+            ), seed
+
+        init = np.flatnonzero(program.initial_mask())
+        res = check_init(program, p)
+        count, state = _expect_first(init, ~p.mask(space)[init], space)
+        assert res.holds == (count == 0), seed
+        if count:
+            assert (res.witness["violations"], res.witness["state"]) == (
+                count,
+                state,
+            ), seed
+
+        for checker, args, rhs in (
+            (check_next, (p, q), q),
+            (check_stable, (p,), p),
+        ):
+            expect = None
+            for cmd in program.commands:
+                succ = tables[cmd.name][ids]
+                bad = pm & ~rhs.mask(space)[succ]
+                if bad.any():
+                    count, state = _expect_first(ids, bad, space)
+                    k = int(np.flatnonzero(bad)[0])
+                    expect = (cmd.name, count, state, space.state_at(int(succ[k])))
+                    break
+            res = checker(program, *args)
+            assert res.holds == (expect is None), (seed, checker.__name__)
+            if expect is not None:
+                w = res.witness
+                got = (w["command"], w["violations"], w["state"], w["successor"])
+                assert got == expect, (seed, checker.__name__)
+
+        res = check_transient(program, p)
+        helpful, stuck = None, {}
+        for cmd in program.fair_commands:
+            bad = pm & pm[np.searchsorted(ids, tables[cmd.name][ids])]
+            if not bad.any():
+                helpful = cmd.name
+                break
+            stuck[cmd.name] = _expect_first(ids, bad, space)[1]
+        if not program.fair_commands:
+            assert res.holds == (not pm.any()), seed
+        elif helpful is not None:
+            assert res.holds and res.witness["command"] == helpful, seed
+        else:
+            assert not res.holds and res.witness["stuck_states"] == stuck, seed

@@ -194,10 +194,11 @@ class TestInitialIndices:
         sub = explore(prog)
         assert sub.size == 0
         # Vacuous leads-to over the empty subspace.
-        from repro.semantics.sparse.checkers import check_leadsto_sparse
-
-        res = check_leadsto_sparse(
-            prog, ExprPredicate(x.ref() == 0), ExprPredicate(x.ref() == 1)
+        res = check_leadsto(
+            prog,
+            ExprPredicate(x.ref() == 0),
+            ExprPredicate(x.ref() == 1),
+            subspace=reachable_subspace(prog),
         )
         assert res.holds and "no reachable states" in res.message
 
@@ -214,11 +215,6 @@ class TestExplorer:
         prog = Program("Long", [x], ExprPredicate(x.ref() == 0), [inc], fair=["inc"])
         with pytest.raises(ExplorationError, match="node_limit"):
             explore(prog, node_limit=10)
-        # The deprecated alias warns but keeps working and hits the same
-        # wall.
-        with pytest.warns(DeprecationWarning, match="max_states"):
-            with pytest.raises(ExplorationError, match="node_limit"):
-                explore(prog, max_states=10)
 
     def test_seeds_override(self):
         x = Var.shared("x", IntRange(0, 9))

@@ -33,8 +33,7 @@ from repro.core.rules import Implication, MetricInduction, StrongTransientBasis
 from repro.errors import ProofError, PropertyError
 from repro.semantics.explorer import reachable_mask
 from repro.semantics.leadsto import check_leadsto
-from repro.semantics.sparse.checkers import check_leadsto_sparse
-from repro.semantics.sparse.explorer import explore
+from repro.semantics.sparse.explorer import explore, reachable_subspace
 from repro.semantics.synthesis import synthesize_leadsto_proof
 from repro.semantics.transition import TransitionSystem
 
@@ -55,7 +54,7 @@ def _holding_and_failing(max_seeds=60, want=6):
         sub = explore(program)
         if sub.size == 0:
             continue
-        if check_leadsto_sparse(program, p, q).holds:
+        if check_leadsto(program, p, q, subspace=reachable_subspace(program)).holds:
             if len(holding) < want:
                 holding.append((program, p, q, sub))
         elif len(failing) < want:
