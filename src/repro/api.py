@@ -38,8 +38,8 @@ Tier routing
     capacity system exists to prevent.
 ``tier="compositional"``
     Check a :class:`~repro.core.compositional.CompositionalCertificate`
-    (passed as the property itself, or via ``certificate=``) without ever
-    materializing the product space.
+    (passed as the property itself) without ever materializing the
+    product space.
 
 Migration from the dict-shaped results of earlier revisions: see
 ``docs/composition.md``.
@@ -164,33 +164,21 @@ def _is_partial(result) -> bool:
     return getattr(result, "status", None) == "unknown"
 
 
-def _verify_compositional(program, prop, certificate, max_states) -> Verdict:
+def _verify_compositional(program, cert) -> Verdict:
     from repro.core.compositional import CompositionalCertificate
-    from repro.core.properties import LeadsTo
     from repro.semantics.compositional import check_compositional
 
-    cert = prop if isinstance(prop, CompositionalCertificate) else certificate
-    if cert is None:
+    if not isinstance(cert, CompositionalCertificate):
         raise PropertyError(
             "tier='compositional' needs a CompositionalCertificate — pass "
-            "it as the property or via certificate="
+            "it as the property"
         )
-    if isinstance(prop, LeadsTo):
-        if (
-            prop.p.describe() != cert.p.describe()
-            or prop.q.describe() != cert.q.describe()
-        ):
-            raise PropertyError(
-                f"certificate concludes {cert.conclusion_text()}, not "
-                f"{prop.describe()}"
-            )
     if program is not None and program is not cert.system:
         raise PropertyError(
             "the certificate was built for a different composed system; "
             "pass cert.system (or None) as the program"
         )
-    kwargs = {} if max_states is None else {"max_states": max_states}
-    res = check_compositional(cert, **kwargs)
+    res = check_compositional(cert)
     metrics = {
         "kind": "compositional",
         "subject": cert.conclusion_text(),
@@ -219,9 +207,6 @@ def verify(
     budget=None,
     prove: bool = False,
     subspace=None,
-    recorder=None,
-    certificate=None,
-    max_states=None,
 ) -> Verdict:
     """Verify ``prop`` of ``program`` and return a :class:`Verdict`.
 
@@ -233,10 +218,8 @@ def verify(
     ``fairness`` (``"weak"`` / ``"strong"``) selects the scheduler
     assumption for leads-to; ``prove=True`` additionally synthesizes and
     kernel-checks a certificate for a holding leads-to (attached as
-    ``verdict.certificate``); ``budget`` / ``subspace`` / ``recorder``
-    are the normalized engine keywords shared with the underlying
-    checkers.  ``max_states`` caps the footprint kernel on the
-    compositional tier.
+    ``verdict.certificate``); ``budget`` / ``subspace`` are the
+    normalized engine keywords shared with the underlying checkers.
     """
     from repro.core.compositional import CompositionalCertificate
 
@@ -246,24 +229,8 @@ def verify(
         raise PropertyError(
             f"unknown fairness {fairness!r}; expected 'weak' or 'strong'"
         )
-    if recorder is not None:
-        from repro import obs
-
-        with obs.use_recorder(recorder):
-            return verify(
-                program,
-                prop,
-                tier=tier,
-                fairness=fairness,
-                budget=budget,
-                prove=prove,
-                subspace=subspace,
-                certificate=certificate,
-                max_states=max_states,
-            )
-
     if tier == "compositional" or isinstance(prop, CompositionalCertificate):
-        return _verify_compositional(program, prop, certificate, max_states)
+        return _verify_compositional(program, prop)
 
     from repro.core.predicates import Predicate
     from repro.core.properties import Invariant, LeadsTo, Property

@@ -15,19 +15,19 @@ Commands
 ``reproduce [--exp EID] [--markdown]``
     Re-run the paper's experiment suite (EXPERIMENTS.md) and print the
     verdict table.
-``scenario NAME [--stages N] [--n N] [--total T] [--rows R] [--cols C]
-[--clients K] [--prove]``
-    Build one of the scaled composition scenarios (``pipeline``,
-    ``philosophers``, ``grid``, ``product``) or one of the generated
-    scenario *families* (``torus``, ``hypercube``, ``regular``,
-    ``fanout``, ``mesh`` — :mod:`repro.gen.families`), explore its
-    reachable subspace through the engine tier the size selects (sparse
-    above the threshold), and check its headline properties.  Family
-    scenarios carry an expected-property manifest (including negative
-    exhibits), so the run fails if any verdict differs from the
-    manifest.  ``grid`` and
-    ``product`` routinely exceed the old 64M dense cap by orders of
-    magnitude (``product`` defaults to ≈ 4.4 · 10¹² encoded states).
+``scenario NAME [flags] [--prove]``
+    Run one row of the scenario catalog (:mod:`repro.gen.families`):
+    the hand-built ``pipeline``, ``philosophers``, ``grid`` and
+    ``product`` and the generated families ``torus``, ``hypercube``,
+    ``regular``, ``fanout`` and ``mesh``.  Every row pairs a builder with
+    an expected-property manifest (negative exhibits included), and one
+    driver runs them all: it explores the reachable states through the
+    engine's routing rule (sparse above the threshold), checks every
+    manifest row, and fails if any verdict differs from the manifest.
+    Each row names the flags its builder reads (``Family.cli_params``);
+    unset flags take the builder's defaults.  ``grid`` and ``product``
+    routinely exceed the old 64M dense cap by orders of magnitude
+    (``product`` defaults to ≈ 4.4 · 10¹² encoded states).
     ``--prove`` certifies each leads-to verdict: holding properties get a
     synthesized, kernel-checked induction certificate (built on the
     reachable subspace when the space routes sparse — nothing of length
@@ -36,8 +36,9 @@ Commands
     **batched** columnar kernel — one vectorized pass per command over
     all induction levels — so the 4×4 grid's ~43k-level certificate
     checks end to end in about a second (``--check-levels N`` optionally
-    skips the check above N levels).  ``scenario list`` enumerates the
-    scenarios.
+    skips the check above N levels).  ``scenario compose50`` certifies
+    its product assume–guarantee style instead of exploring it, and
+    ``scenario list`` prints the catalog.
 
 ``fuzz [--count N] [--seed S] [--fault NAME] [--corpus-dir DIR]``
     Run the randomized DSL differential fuzzer (:mod:`repro.gen.fuzz`):
@@ -72,6 +73,11 @@ from pathlib import Path
 from repro.errors import ReproError
 
 __all__ = ["main", "build_parser"]
+
+
+def _widths(text: str) -> tuple[int, ...]:
+    """``--widths`` syntax: comma-separated layer widths (``2,3,3,2``)."""
+    return tuple(int(w) for w in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,22 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_obs_args(p_rep)
 
+    from repro.gen.families import FAMILIES, HAND_BUILT
+
     p_scen = sub.add_parser("scenario", help="run a scaled composition scenario")
     p_scen.add_argument(
         "name",
-        choices=[
-            "list",
-            "pipeline",
-            "philosophers",
-            "grid",
-            "product",
-            "compose50",
-            "torus",
-            "hypercube",
-            "regular",
-            "fanout",
-            "mesh",
-        ],
+        choices=["list", *HAND_BUILT, "compose50", *FAMILIES],
         help="scenario name (hand-built or generated family), or 'list' "
         "to enumerate",
     )
@@ -247,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen.add_argument(
         "--n",
         type=int,
-        default=10,
-        help="ring size (philosophers) / node count (regular family)",
+        default=None,
+        help="ring size (philosophers) / node count (regular family); "
+        "default 10",
     )
     p_scen.add_argument(
         "--rows", type=int, default=None, help="grid/torus rows (default 4 / 3)"
@@ -271,11 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen.add_argument(
         "--graph-seed",
         type=int,
-        default=0,
-        help="seed for the regular family's random graph",
+        default=None,
+        help="seed for the regular family's random graph (default 0)",
     )
     p_scen.add_argument(
         "--widths",
+        type=_widths,
         default=None,
         metavar="W0,W1,…",
         help="fanout layer profile (default 2,3,3,2)",
@@ -498,20 +496,18 @@ def _write_telemetry(args, recorder, context: dict) -> None:
 
 
 def _budget_of(args):
-    """A :class:`~repro.semantics.budget.Budget` from CLI flags, or None."""
-    if (
-        args.deadline is None
-        and args.node_budget is None
-        and args.max_levels is None
-    ):
+    """A :class:`~repro.semantics.budget.Budget` from CLI flags, or None.
+
+    Commands without budget flags (``info``) get None.
+    """
+    limits = {
+        k: getattr(args, k, None) for k in ("deadline", "node_budget", "max_levels")
+    }
+    if all(v is None for v in limits.values()):
         return None
     from repro.semantics.budget import Budget
 
-    return Budget(
-        deadline=args.deadline,
-        node_budget=args.node_budget,
-        max_levels=args.max_levels,
-    )
+    return Budget(**limits)
 
 
 def _budget_doc(budget) -> dict | None:
@@ -534,13 +530,66 @@ def _checkpoint_of(args, default_stem: str, budget):
     """
     from repro.semantics.sparse import CheckpointPolicy
 
-    if args.checkpoint is not None:
+    if getattr(args, "checkpoint", None) is not None:
         return CheckpointPolicy(path=str(args.checkpoint), every_levels=8)
-    if args.resume is not None:
+    if getattr(args, "resume", None) is not None:
         return CheckpointPolicy(path=str(args.resume), every_levels=8)
     if budget is not None:
         return CheckpointPolicy(path=f"{default_stem}.ckpt", every_levels=8)
     return None
+
+
+def _tier(program) -> str:
+    from repro.semantics.sparse import sparse_enabled
+
+    return "sparse" if sparse_enabled(program.space) else "dense"
+
+
+def _open_run(args, program, stem: str, *, explore: bool = True):
+    """Note the run, then resolve the domain whose states it reports.
+
+    Returns ``(budget, checkpoint policy, domain)``.  ``--resume``
+    continues the checkpointed exploration; otherwise, with ``explore``,
+    :func:`~repro.semantics.domain.domain_for` — the engine's only
+    routing rule — picks the full space or the reachable subspace, and
+    without it the domain is None.  An exhausted budget leaves the
+    exploration's :class:`~repro.semantics.budget.PartialResult` in the
+    domain slot, for :func:`_report_unknown`.
+    """
+    from repro.errors import BudgetExhausted
+    from repro.semantics.budget import PartialResult
+    from repro.semantics.domain import domain_for
+    from repro.semantics.sparse import resume_exploration
+
+    budget = _budget_of(args)
+    policy = _checkpoint_of(args, stem, budget)
+    _note_run(
+        program=program,
+        tier=_tier(program),
+        budget=_budget_doc(budget),
+        checkpoint_path=policy.path if policy is not None else None,
+    )
+    resume = getattr(args, "resume", None)
+    try:
+        if resume is not None:
+            domain = resume_exploration(
+                resume, program, budget=budget, checkpoint=policy
+            )
+        elif explore:
+            domain = domain_for(
+                program, "the reachable states", budget=budget, checkpoint=policy
+            )
+        else:
+            domain = None
+    except BudgetExhausted as exc:
+        domain = PartialResult.from_exhaustion(
+            exc, kind="exploration", subject=program.name
+        )
+    return budget, policy, domain
+
+
+def _is_unknown(result) -> bool:
+    return getattr(result, "status", None) == "unknown"
 
 
 def _report_unknown(partial) -> int:
@@ -602,10 +651,9 @@ def _cmd_info(args) -> int:
     print()
     print(f"state space : {program.space.size} states")
     print(f"commands    : {len(program.commands)} (fair: {len(program.fair_names)})")
-    print(f"initial     : {int(program.initial_mask().sum())} states")
-    from repro.semantics.explorer import reachable_mask
-
-    print(f"reachable   : {int(reachable_mask(program).sum())} states")
+    _, _, domain = _open_run(args, program, args.file.stem)
+    print(f"initial     : {domain.init_local.size} states")
+    print(f"reachable   : {int(domain.reachable_mask().sum())} states")
     return 0
 
 
@@ -636,34 +684,13 @@ def _cmd_prove(args) -> int:
     )
     from repro.errors import ProofError
 
-    from repro.semantics.sparse import sparse_enabled
-
     program = _load_program(args.file, args.program)
     p = _parse_pred(args.lhs, program)
     q = _parse_pred(args.rhs, program)
-    budget = _budget_of(args)
-    policy = _checkpoint_of(args, args.file.stem, budget)
-    _note_run(
-        program=program,
-        tier="sparse" if sparse_enabled(program.space) else "dense",
-        budget=_budget_doc(budget),
-        checkpoint_path=policy.path if policy is not None else None,
-    )
+    budget, policy, domain = _open_run(args, program, args.file.stem, explore=False)
+    if _is_unknown(domain):
+        return _report_unknown(domain)
     if args.resume is not None:
-        from repro.semantics.budget import PartialResult
-        from repro.semantics.sparse import resume_exploration
-        from repro.errors import BudgetExhausted
-
-        try:
-            resume_exploration(
-                args.resume, program, budget=budget, checkpoint=policy
-            )
-        except BudgetExhausted as exc:
-            return _report_unknown(
-                PartialResult.from_exhaustion(
-                    exc, kind="exploration", subject=program.name
-                )
-            )
         print(f"resumed: {args.resume}")
     try:
         proof = synthesize_leadsto_proof(
@@ -672,7 +699,7 @@ def _cmd_prove(args) -> int:
     except ProofError as exc:
         print(f"NOT PROVABLE: {exc}")
         return 1
-    if getattr(proof, "status", None) == "unknown":
+    if _is_unknown(proof):
         return _report_unknown(proof)
     result = check_certificate_batched(proof, program)
     _note_verdict(result)
@@ -721,260 +748,68 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
+#: ``scenario list`` row for compose50, which has no manifest to run.
+_COMPOSE50_SUMMARY = (
+    "heterogeneous 50-stage pipeline + allocator clients, certified "
+    "assume-guarantee style: per-component lemmas + composition rules, "
+    "the ~1e37-state product is never explored (--stages, --clients, "
+    "--total, --prove)"
+)
+
+
 def _cmd_scenario(args) -> int:
-    from repro.semantics.sparse import sparse_enabled
+    """Run one catalog scenario against its expected-property manifest.
+
+    The run fails if *any* manifest row — positive or negative exhibit —
+    comes out different from what the catalog predicts.
+    """
+    from repro.gen.families import (
+        CATALOG,
+        FAMILIES,
+        HAND_BUILT,
+        build_scenario,
+        run_scenario,
+    )
 
     if args.name == "list":
-        print(
-            "pipeline      source -> K stages -> sink over a token pool "
-            "(--stages, --total)"
-        )
-        print("philosophers  dining philosophers around a ring (--n)")
-        print(
-            "grid          dining philosophers on a rows x cols grid, "
-            "forks pinned to the canonical acyclic orientation "
-            "(--rows, --cols; 4x4 is ~1.1e12 encoded states)"
-        )
-        print(
-            "product       pipeline composed with allocator clients "
-            "competing for the same token pool (--stages, --clients, "
-            "--total; defaults are ~4.4e12 encoded states; delivery "
-            "fails under weak fairness, holds under strong)"
-        )
-        print(
-            "compose50     heterogeneous 50-stage pipeline + allocator "
-            "clients, certified assume-guarantee style: per-component "
-            "lemmas + composition rules, the ~1e37-state product is "
-            "never explored (--stages, --clients, --total, --prove)"
-        )
-        from repro.gen.families import FAMILIES
-
+        for spec in HAND_BUILT.values():
+            print(f"{spec.name:<14}{spec.summary}")
+        print(f"{'compose50':<14}{_COMPOSE50_SUMMARY}")
         print()
         print(
             "generated families (expected-property manifests; the run "
             "fails on any verdict the manifest does not predict):"
         )
-        for family in FAMILIES.values():
-            print(f"{family.name:<14}{family.summary}")
+        for spec in FAMILIES.values():
+            print(f"{spec.name:<14}{spec.summary}")
         return 0
-
-    from repro.gen.families import FAMILIES
-
-    if args.name in FAMILIES:
-        return _cmd_scenario_family(args)
-
-    # Legacy hand-built scenarios: restore the historical flag defaults.
-    args.total = 3 if args.total is None else args.total
-    args.clients = 3 if args.clients is None else args.clients
-    args.rows = 4 if args.rows is None else args.rows
-    args.cols = 4 if args.cols is None else args.cols
-
     if args.name == "compose50":
         return _cmd_compose50(args)
 
-    # checks: (label, LeadsTo property, expected verdict, strong fairness?)
-    if args.name == "pipeline":
-        from repro.systems.pipeline import build_pipeline_system
-
-        stages = 10 if args.stages is None else args.stages
-        pl = build_pipeline_system(stages, total=args.total)
-        program = pl.system
-        checks = [
-            ("delivery", pl.delivery(), True, False),
-            ("no_recycling (negative exhibit)", pl.no_recycling(), False, False),
-        ]
-        invariant_pred = pl.conservation_predicate()
-    elif args.name == "philosophers":
-        from repro.systems.philosophers import build_philosopher_ring
-
-        ps = build_philosopher_ring(args.n)
-        program = ps.system
-        checks = [("liveness(0)", ps.liveness(0), True, False)]
-        invariant_pred = ps.mutual_exclusion().p
-    elif args.name == "grid":
-        from repro.systems.philosophers import build_philosopher_grid
-
-        ps = build_philosopher_grid(args.rows, args.cols)
-        program = ps.system
-        checks = [("liveness(0)", ps.liveness(0), True, False)]
-        invariant_pred = ps.mutual_exclusion().p
-    else:
-        from repro.systems.product import build_pipeline_allocator
-
-        stages = 16 if args.stages is None else args.stages
-        pa = build_pipeline_allocator(
-            stages, clients=args.clients, total=args.total
-        )
-        program = pa.system
-        checks = [
-            (
-                "delivery, weak fairness (starvation exhibit)",
-                pa.delivery(),
-                False,
-                False,
-            ),
-            ("delivery, strong fairness", pa.delivery(), True, True),
-        ]
-        invariant_pred = pa.conservation_predicate()
-
-    sparse = sparse_enabled(program.space)
-    tier = "sparse" if sparse else "dense"
-    print(program.name)
-    print(f"encoded space : {program.space.size} states ({tier} tier)")
-    budget = _budget_of(args)
-    policy = _checkpoint_of(args, args.name, budget)
-    _note_run(
-        program=program,
-        tier=tier,
-        budget=_budget_doc(budget),
-        checkpoint_path=policy.path if policy is not None else None,
+    wiring = CATALOG[args.name].cli_params
+    scenario = build_scenario(
+        args.name, **{param: getattr(args, dest) for param, dest in wiring}
     )
-    if sparse:
-        from repro.errors import BudgetExhausted
-        from repro.semantics.budget import PartialResult
-        from repro.semantics.sparse import resume_exploration
-        from repro.semantics.sparse.explorer import reachable_subspace
-
-        try:
-            if args.resume is not None:
-                sub = resume_exploration(
-                    args.resume, program, budget=budget, checkpoint=policy
-                )
-                print(f"resumed       : {args.resume}")
-            else:
-                sub = reachable_subspace(
-                    program, budget=budget, checkpoint=policy
-                )
-        except BudgetExhausted as exc:
-            return _report_unknown(
-                PartialResult.from_exhaustion(
-                    exc, kind="exploration", subject=program.name
-                )
-            )
-        print(f"reachable     : {sub.size} states in {sub.levels} BFS levels")
-    else:
-        # Dense tier: count via the cached union CSR (the checkers below
-        # reuse it), instead of spinning up the sparse explorer as well.
-        from repro.semantics.explorer import reachable_mask
-
-        print(f"reachable     : {int(reachable_mask(program).sum())} states")
-    failures = 0
-    from repro.semantics import check_leadsto, check_reachable_invariant
-    from repro.semantics.strong_fairness import check_leadsto_strong
-
-    result = check_reachable_invariant(program, invariant_pred)
-    _note_verdict(result)
-    print(result.explain())
-    failures += not result.holds
-    for label, prop, expected, strong in checks:
-        checker = check_leadsto_strong if strong else check_leadsto
-        result = checker(program, prop.p, prop.q)
-        _note_verdict(result)
-        verdict = "as expected" if result.holds == expected else "UNEXPECTED"
-        print(f"{result.explain()}  [{label}: {verdict}]")
-        failures += result.holds != expected
-        if args.prove:
-            failures += _prove_leadsto(
-                program, prop, result, strong=strong,
-                check_levels=args.check_levels,
-            )
-    return 1 if failures else 0
-
-
-def _cmd_scenario_family(args) -> int:
-    """Run one generated scenario family against its expected-property
-    manifest (the ``scenario torus|hypercube|regular|fanout|mesh`` path).
-
-    Unlike the hand-built scenarios, the expected verdicts ship with the
-    scenario: the run fails if *any* manifest row — positive or negative
-    exhibit — comes out different from what the family predicts.
-    """
-    from repro.gen.families import build_scenario
-    from repro.semantics.sparse import sparse_enabled
-
-    if args.name == "torus":
-        params = {"rows": args.rows, "cols": args.cols}
-    elif args.name == "hypercube":
-        params = {"d": args.dim}
-    elif args.name == "regular":
-        params = {"n": args.n, "d": args.dim, "seed": args.graph_seed}
-    elif args.name == "fanout":
-        widths = (
-            tuple(int(w) for w in args.widths.split(","))
-            if args.widths
-            else None
-        )
-        params = {"widths": widths, "total": args.total}
-    else:  # mesh
-        params = {
-            "pools": args.pools,
-            "clients": args.clients,
-            "total": args.total,
-        }
-    scenario = build_scenario(args.name, **params)
     program = scenario.program
-    sparse = sparse_enabled(program.space)
-    tier = "sparse" if sparse else "dense"
     print(scenario.describe())
-    print(f"encoded space : {program.space.size} states ({tier} tier)")
-    budget = _budget_of(args)
-    policy = _checkpoint_of(args, args.name, budget)
-    _note_run(
-        program=program,
-        tier=tier,
-        budget=_budget_doc(budget),
-        checkpoint_path=policy.path if policy is not None else None,
-    )
-    if sparse:
-        from repro.errors import BudgetExhausted
-        from repro.semantics.budget import PartialResult
-        from repro.semantics.sparse import resume_exploration
-        from repro.semantics.sparse.explorer import reachable_subspace
-
-        try:
-            if args.resume is not None:
-                sub = resume_exploration(
-                    args.resume, program, budget=budget, checkpoint=policy
-                )
-                print(f"resumed       : {args.resume}")
-            else:
-                sub = reachable_subspace(
-                    program, budget=budget, checkpoint=policy
-                )
-        except BudgetExhausted as exc:
-            return _report_unknown(
-                PartialResult.from_exhaustion(
-                    exc, kind="exploration", subject=program.name
-                )
-            )
-        print(f"reachable     : {sub.size} states in {sub.levels} BFS levels")
-    else:
-        from repro.semantics.explorer import reachable_mask
-
-        print(f"reachable     : {int(reachable_mask(program).sum())} states")
-    from repro.semantics import check_leadsto, check_reachable_invariant
-    from repro.semantics.strong_fairness import check_leadsto_strong
-
+    print(f"encoded space : {program.space.size} states ({_tier(program)} tier)")
+    _, _, domain = _open_run(args, program, args.name)
+    if _is_unknown(domain):
+        return _report_unknown(domain)
+    if args.resume is not None:
+        print(f"resumed       : {args.resume}")
+    levels = getattr(domain, "levels", None)
+    tail = "" if levels is None else f" in {levels} BFS levels"
+    print(f"reachable     : {int(domain.reachable_mask().sum())} states{tail}")
     failures = 0
-    for check in scenario.checks:
-        if check.kind == "invariant":
-            result = check_reachable_invariant(program, check.pred)
-        else:
-            checker = (
-                check_leadsto_strong
-                if check.fairness == "strong"
-                else check_leadsto
-            )
-            result = checker(program, check.prop.p, check.prop.q)
+    for check, result in run_scenario(scenario):
         _note_verdict(result)
         verdict = "as expected" if result.holds == check.expected else "UNEXPECTED"
         print(f"{result.explain()}  [{check.label}: {verdict}]")
         failures += result.holds != check.expected
         if args.prove and check.kind == "leadsto":
             failures += _prove_leadsto(
-                program, check.prop, result,
-                strong=check.fairness == "strong",
-                check_levels=args.check_levels,
+                program, check, result, check_levels=args.check_levels
             )
     return 1 if failures else 0
 
@@ -1066,8 +901,10 @@ def _cmd_compose50(args) -> int:
     )
 
     stages = 50 if args.stages is None else args.stages
+    clients = 3 if args.clients is None else args.clients
+    total = 3 if args.total is None else args.total
     t0 = time.perf_counter()
-    pa = build_hetero_stack(stages, clients=args.clients, total=args.total)
+    pa = build_hetero_stack(stages, clients=clients, total=total)
     cert = build_delivery_certificate(pa)
     t_build = time.perf_counter() - t0
     size = encoded_size(pa)
@@ -1078,8 +915,8 @@ def _cmd_compose50(args) -> int:
     )
     print(
         f"components    : {len(pa.components)} "
-        f"({stages} stages, {args.clients} clients, cap {args.total}..."
-        f"{args.total + 2})"
+        f"({stages} stages, {clients} clients, cap {total}..."
+        f"{total + 2})"
     )
     print(
         f"certificate   : {cert.proof.count_nodes()} rule applications, "
@@ -1122,7 +959,7 @@ def _cmd_compose50(args) -> int:
     return 0
 
 
-def _prove_leadsto(program, prop, result, *, strong: bool, check_levels=None) -> int:
+def _prove_leadsto(program, check, result, *, check_levels=None) -> int:
     """Certify one scenario leads-to verdict (the ``--prove`` path).
 
     Holding properties get a synthesized kernel certificate (sparse-tier
@@ -1143,7 +980,7 @@ def _prove_leadsto(program, prop, result, *, strong: bool, check_levels=None) ->
         synthesize_leadsto_proof,
     )
 
-    fairness = "strong" if strong else "weak"
+    prop, fairness = check.prop, check.fairness
     if not result.holds:
         path = result.witness.get("confining_path")
         reach = result.witness.get("path")

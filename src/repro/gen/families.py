@@ -1,16 +1,31 @@
-"""Parameterized scenario families with expected-property manifests.
+"""The scenario catalog: builders with expected-property manifests.
 
-The hand-built catalog (counter, philosophers ring/grid, pipeline,
-allocator, product) pins the engine on five fixed examples; the paper's
-composition calculus claims universality over program *families*.  This
-module closes the gap: each family is a deterministic builder from a
-small parameter vector to a composed :class:`~repro.core.program.Program`
-**plus a manifest** of expected verdicts, so a single driver
-(:func:`run_scenario`, the ``scenario`` CLI, the differential tests, the
-benchmarks) can sweep generated instances nobody hand-wrote.
+The paper's composition calculus claims universality over program
+*families*.  Every ``scenario`` the CLI runs is a row of this catalog: a
+deterministic builder from a small parameter vector to a composed
+:class:`~repro.core.program.Program` **plus a manifest** of expected
+verdicts, so a single driver (:func:`run_scenario`, the ``scenario``
+CLI, the differential tests, the benchmarks) checks every instance the
+same way.  Each builder's signature carries its scenario's default
+size.
 
-Families
---------
+Hand-built scenarios (:data:`HAND_BUILT`)
+-----------------------------------------
+``pipeline``
+    Source → stages → sink over a token pool
+    (:mod:`repro.systems.pipeline`).  Expected: conservation holds,
+    delivery holds, recycling fails.
+``philosophers`` / ``grid``
+    Dining philosophers around a ring / on a 4-neighbour grid (grid
+    forks pinned to the canonical acyclic orientation).  Expected:
+    mutual exclusion holds; liveness of philosopher 0 holds.
+``product``
+    The pipeline composed with allocator clients competing for its
+    token pool (:mod:`repro.systems.product`).  Expected: conservation
+    holds, delivery fails under weak fairness and holds under strong.
+
+Generated families (:data:`FAMILIES`)
+-------------------------------------
 ``torus`` / ``hypercube`` / ``regular``
     Dining philosophers over generated conflict graphs
     (:func:`repro.graph.generators.torus_graph` /
@@ -27,13 +42,13 @@ Families
     per-pool conservation holds, availability holds, full refill fails.
 
 Every check in a manifest carries its expected verdict — negative
-exhibits are first-class, so a family sweep proves the engine *rejects*
-what it must, not just that it accepts.
+exhibits are first-class, so a sweep proves the engine *rejects* what it
+must, not just that it accepts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.predicates import Predicate
@@ -44,6 +59,8 @@ __all__ = [
     "ExpectedCheck",
     "Scenario",
     "FAMILIES",
+    "HAND_BUILT",
+    "CATALOG",
     "build_scenario",
     "run_scenario",
 ]
@@ -77,12 +94,17 @@ class Scenario:
         return f"{self.family}({parts}): {self.program.name}"
 
 
-def _philosopher_scenario(family: str, graph, params: dict) -> Scenario:
+def _pinned_philosophers(graph):
+    """Philosophers over ``graph``, forks in the canonical acyclic
+    orientation (one initial state, no full-space table)."""
     from repro.systems.philosophers import build_philosopher_system
 
-    ps = build_philosopher_system(
+    return build_philosopher_system(
         graph, check_init=False, pin_initial_orientation=True
     )
+
+
+def _philosopher_scenario(family: str, ps, params: dict) -> Scenario:
     return Scenario(
         family=family,
         params=params,
@@ -97,12 +119,30 @@ def _philosopher_scenario(family: str, graph, params: dict) -> Scenario:
     )
 
 
+def build_philosophers(n: int = 10) -> Scenario:
+    """Philosophers around a ring of ``n``."""
+    from repro.systems.philosophers import build_philosopher_ring
+
+    return _philosopher_scenario("philosophers", build_philosopher_ring(n), {"n": n})
+
+
+def build_grid(rows: int = 4, cols: int = 4) -> Scenario:
+    """Philosophers on the ``rows × cols`` 4-neighbour grid."""
+    from repro.systems.philosophers import build_philosopher_grid
+
+    return _philosopher_scenario(
+        "grid", build_philosopher_grid(rows, cols), {"rows": rows, "cols": cols}
+    )
+
+
 def build_torus(rows: int = 3, cols: int = 3) -> Scenario:
     """Philosophers on the ``rows × cols`` torus (4-regular wraparound)."""
     from repro.graph.generators import torus_graph
 
     return _philosopher_scenario(
-        "torus", torus_graph(rows, cols), {"rows": rows, "cols": cols}
+        "torus",
+        _pinned_philosophers(torus_graph(rows, cols)),
+        {"rows": rows, "cols": cols},
     )
 
 
@@ -110,7 +150,9 @@ def build_hypercube(d: int = 3) -> Scenario:
     """Philosophers on the ``d``-dimensional hypercube ``Q_d``."""
     from repro.graph.generators import hypercube_graph
 
-    return _philosopher_scenario("hypercube", hypercube_graph(d), {"d": d})
+    return _philosopher_scenario(
+        "hypercube", _pinned_philosophers(hypercube_graph(d)), {"d": d}
+    )
 
 
 def build_regular(n: int = 10, d: int = 3, seed: int = 0) -> Scenario:
@@ -119,8 +161,76 @@ def build_regular(n: int = 10, d: int = 3, seed: int = 0) -> Scenario:
 
     return _philosopher_scenario(
         "regular",
-        random_regular_graph(n, d, seed=seed),
+        _pinned_philosophers(random_regular_graph(n, d, seed=seed)),
         {"n": n, "d": d, "seed": seed},
+    )
+
+
+def _token_scenario(family: str, ts, params: dict) -> Scenario:
+    """A token pipeline's manifest: tokens are conserved and delivered,
+    and delivered tokens never come back (the negative exhibit)."""
+    return Scenario(
+        family=family,
+        params=params,
+        program=ts.system,
+        system=ts,
+        checks=[
+            ExpectedCheck(
+                "conservation",
+                "invariant",
+                True,
+                pred=ts.conservation_predicate(),
+            ),
+            ExpectedCheck("delivery", "leadsto", True, prop=ts.delivery()),
+            ExpectedCheck(
+                "no_recycling (negative exhibit)",
+                "leadsto",
+                False,
+                prop=ts.no_recycling(),
+            ),
+        ],
+    )
+
+
+def build_pipeline(stages: int = 10, total: int = 3) -> Scenario:
+    """Source → ``stages`` stages → sink over a pool of ``total`` tokens."""
+    from repro.systems.pipeline import build_pipeline_system
+
+    pl = build_pipeline_system(stages, total=total)
+    return _token_scenario("pipeline", pl, {"stages": stages, "total": total})
+
+
+def build_product(stages: int = 16, clients: int = 3, total: int = 3) -> Scenario:
+    """The pipeline composed with allocator clients on its token pool."""
+    from repro.systems.product import build_pipeline_allocator
+
+    pa = build_pipeline_allocator(stages, clients=clients, total=total)
+    return Scenario(
+        family="product",
+        params={"stages": stages, "clients": clients, "total": total},
+        program=pa.system,
+        system=pa,
+        checks=[
+            ExpectedCheck(
+                "conservation",
+                "invariant",
+                True,
+                pred=pa.conservation_predicate(),
+            ),
+            ExpectedCheck(
+                "delivery, weak fairness (starvation exhibit)",
+                "leadsto",
+                False,
+                prop=pa.delivery(),
+            ),
+            ExpectedCheck(
+                "delivery, strong fairness",
+                "leadsto",
+                True,
+                prop=pa.delivery(),
+                fairness="strong",
+            ),
+        ],
     )
 
 
@@ -131,23 +241,7 @@ def build_fanout(
     from repro.systems.fanout import build_fanout_system
 
     fs = build_fanout_system(widths, total=total)
-    return Scenario(
-        family="fanout",
-        params={"widths": tuple(widths), "total": total},
-        program=fs.system,
-        system=fs,
-        checks=[
-            ExpectedCheck(
-                "conservation", "invariant", True,
-                pred=fs.conservation_predicate(),
-            ),
-            ExpectedCheck("delivery", "leadsto", True, prop=fs.delivery()),
-            ExpectedCheck(
-                "no_recycling (negative exhibit)", "leadsto", False,
-                prop=fs.no_recycling(),
-            ),
-        ],
-    )
+    return _token_scenario("fanout", fs, {"widths": tuple(widths), "total": total})
 
 
 def build_mesh(pools: int = 4, clients: int = 6, total: int = 2) -> Scenario:
@@ -178,82 +272,118 @@ def build_mesh(pools: int = 4, clients: int = 6, total: int = 2) -> Scenario:
 
 @dataclass(frozen=True)
 class Family:
-    """Registry row: the builder plus the CLI parameter wiring."""
+    """Catalog row: the builder plus the CLI parameter wiring."""
 
     name: str
     build: Callable[..., Scenario]
     summary: str
-    #: CLI argument names consumed by the builder (``scenario`` flags).
-    cli_params: tuple[str, ...] = field(default_factory=tuple)
+    #: ``(builder parameter, scenario parser dest)`` pairs: the flags the
+    #: ``scenario`` CLI hands to the builder (unset flags are dropped, so
+    #: the builder's defaults apply).
+    cli_params: tuple[tuple[str, str], ...] = ()
 
 
-#: The generator-driven scenario catalog, keyed by family name.
-FAMILIES: dict[str, Family] = {
-    f.name: f
-    for f in (
-        Family(
-            "torus",
-            build_torus,
-            "philosophers on the rows x cols torus (wraparound grid; "
-            "--rows, --cols; 3x3 is ~1.3e8 encoded states)",
-            ("rows", "cols"),
-        ),
-        Family(
-            "hypercube",
-            build_hypercube,
-            "philosophers on the d-dimensional hypercube Q_d (--dim)",
-            ("d",),
-        ),
-        Family(
-            "regular",
-            build_regular,
-            "philosophers on a seeded random d-regular conflict graph "
-            "(--n, --dim, --graph-seed)",
-            ("n", "d", "seed"),
-        ),
-        Family(
-            "fanout",
-            build_fanout,
-            "heterogeneous fan-in/fan-out token pipeline over a layered "
-            "DAG (--widths, --total; delivery holds, recycling fails)",
-            ("widths", "total"),
-        ),
-        Family(
-            "mesh",
-            build_mesh,
-            "multi-pool allocator mesh, clients attached to two pools "
-            "each (--pools, --clients, --total; availability holds, "
-            "full refill fails)",
-            ("pools", "clients", "total"),
-        ),
-    )
-}
+def _rows(*families: Family) -> dict[str, Family]:
+    return {f.name: f for f in families}
+
+
+#: The hand-built scenarios, keyed by name.
+HAND_BUILT: dict[str, Family] = _rows(
+    Family(
+        "pipeline",
+        build_pipeline,
+        "source -> K stages -> sink over a token pool (--stages, --total)",
+        (("stages", "stages"), ("total", "total")),
+    ),
+    Family(
+        "philosophers",
+        build_philosophers,
+        "dining philosophers around a ring (--n)",
+        (("n", "n"),),
+    ),
+    Family(
+        "grid",
+        build_grid,
+        "dining philosophers on a rows x cols grid, forks pinned to the "
+        "canonical acyclic orientation (--rows, --cols; 4x4 is ~1.1e12 "
+        "encoded states)",
+        (("rows", "rows"), ("cols", "cols")),
+    ),
+    Family(
+        "product",
+        build_product,
+        "pipeline composed with allocator clients competing for the same "
+        "token pool (--stages, --clients, --total; defaults are ~4.4e12 "
+        "encoded states; delivery fails under weak fairness, holds under "
+        "strong)",
+        (("stages", "stages"), ("clients", "clients"), ("total", "total")),
+    ),
+)
+
+#: The generator-driven scenario families, keyed by family name.
+FAMILIES: dict[str, Family] = _rows(
+    Family(
+        "torus",
+        build_torus,
+        "philosophers on the rows x cols torus (wraparound grid; "
+        "--rows, --cols; 3x3 is ~1.3e8 encoded states)",
+        (("rows", "rows"), ("cols", "cols")),
+    ),
+    Family(
+        "hypercube",
+        build_hypercube,
+        "philosophers on the d-dimensional hypercube Q_d (--dim)",
+        (("d", "dim"),),
+    ),
+    Family(
+        "regular",
+        build_regular,
+        "philosophers on a seeded random d-regular conflict graph "
+        "(--n, --dim, --graph-seed)",
+        (("n", "n"), ("d", "dim"), ("seed", "graph_seed")),
+    ),
+    Family(
+        "fanout",
+        build_fanout,
+        "heterogeneous fan-in/fan-out token pipeline over a layered "
+        "DAG (--widths, --total; delivery holds, recycling fails)",
+        (("widths", "widths"), ("total", "total")),
+    ),
+    Family(
+        "mesh",
+        build_mesh,
+        "multi-pool allocator mesh, clients attached to two pools "
+        "each (--pools, --clients, --total; availability holds, "
+        "full refill fails)",
+        (("pools", "pools"), ("clients", "clients"), ("total", "total")),
+    ),
+)
+
+#: Every scenario the catalog builds, hand-built rows first.
+CATALOG: dict[str, Family] = {**HAND_BUILT, **FAMILIES}
 
 
 def build_scenario(family: str, **params) -> Scenario:
-    """Build one instance of a registered family (unknown keys rejected)."""
+    """Build one catalog scenario (``None`` parameters take the builder's
+    defaults; unknown keys rejected)."""
     try:
-        spec = FAMILIES[family]
+        spec = CATALOG[family]
     except KeyError:
         raise ValueError(
             f"unknown scenario family {family!r}; registered: "
-            f"{sorted(FAMILIES)}"
+            f"{sorted(CATALOG)}"
         ) from None
     params = {k: v for k, v in params.items() if v is not None}
     return spec.build(**params)
 
 
-def run_scenario(
-    scenario: Scenario, *, budget=None
-) -> list[tuple[ExpectedCheck, object]]:
+def run_scenario(scenario: Scenario) -> list[tuple[ExpectedCheck, object]]:
     """Run every manifest check through the tier-routed engine.
 
     Returns ``[(check, result), …]`` where ``result`` is the engine's
-    :class:`~repro.semantics.checker.CheckResult` (or a
-    :class:`~repro.semantics.budget.PartialResult` under an exhausted
-    budget).  Callers compare ``result.holds`` against
-    ``check.expected``; the scenario CLI and the family tests both drive
-    this single entry point.
+    :class:`~repro.semantics.checker.CheckResult`.  Callers compare
+    ``result.holds`` against ``check.expected``; the scenario CLI and
+    the family tests both drive this single entry point.
     """
     from repro.semantics import check_leadsto, check_reachable_invariant
     from repro.semantics.strong_fairness import check_leadsto_strong
@@ -261,17 +391,13 @@ def run_scenario(
     out = []
     for check in scenario.checks:
         if check.kind == "invariant":
-            result = check_reachable_invariant(
-                scenario.program, check.pred, budget=budget
-            )
+            result = check_reachable_invariant(scenario.program, check.pred)
         else:
             checker = (
                 check_leadsto_strong
                 if check.fairness == "strong"
                 else check_leadsto
             )
-            result = checker(
-                scenario.program, check.prop.p, check.prop.q, budget=budget
-            )
+            result = checker(scenario.program, check.prop.p, check.prop.q)
         out.append((check, result))
     return out

@@ -14,7 +14,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graph.orientation import Orientation
 from repro.graph.reachability import above_star_all, reach_star_all
-from repro.util.bitset import bit, bitset_to_list, iter_bits
+from repro.util.bitset import bit, iter_bits
 
 __all__ = [
     "is_acyclic",
@@ -148,10 +148,3 @@ def cycle_witness(orientation: Orientation) -> list[int] | None:
                 color[node] = 2
                 stack.pop()
     return None
-
-
-def above_sets_summary(orientation: Orientation) -> dict[int, list[int]]:
-    """``{i: A*(i) as sorted list}`` — debugging/report helper."""
-    return {
-        i: bitset_to_list(a) for i, a in enumerate(above_star_all(orientation))
-    }

@@ -267,7 +267,6 @@ def check_reachable_invariant(
     *,
     budget=None,
     subspace=None,
-    recorder=None,
     checkpoint=None,
 ) -> CheckResult:
     """The weaker, *non-inductive* notion: ``p`` holds on every reachable
@@ -277,23 +276,12 @@ def check_reachable_invariant(
     here; the reachable subspace adds a shortest command path to the
     counterexample (``witness["path"]`` / ``witness["path_commands"]``).
 
-    ``budget`` / ``subspace`` / ``recorder`` form the normalized keyword
-    set shared by every public checker (see ``docs/composition.md``).
-    With a ``budget``, exhaustion of the reachable exploration degrades
-    to a resumable ``status="unknown"`` :class:`~repro.semantics.budget.
+    ``budget`` / ``subspace`` form the normalized keyword set shared by
+    every public checker (see ``docs/composition.md``).  With a
+    ``budget``, exhaustion of the reachable exploration degrades to a
+    resumable ``status="unknown"`` :class:`~repro.semantics.budget.
     PartialResult` instead of raising (see ``docs/robustness.md``).
     """
-    if recorder is not None:
-        from repro import obs
-
-        with obs.use_recorder(recorder):
-            return check_reachable_invariant(
-                program,
-                p,
-                budget=budget,
-                subspace=subspace,
-                checkpoint=checkpoint,
-            )
     kind = "reachable-invariant"
     subject = f"{kind} {p.describe()}"
     try:

@@ -59,7 +59,7 @@ from repro.core.rules import (
     PSP,
     Transitivity,
 )
-from repro.semantics.obligations import FOOTPRINT_MAX, FootprintKernel
+from repro.semantics.obligations import FootprintKernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.commands import Command
@@ -458,8 +458,6 @@ def _check_components(
 def check_compositional(
     cert: CompositionalCertificate,
     *,
-    kernel: FootprintKernel | None = None,
-    max_states: int = FOOTPRINT_MAX,
     check_components: bool = True,
 ) -> CompositionalCheckResult:
     """Re-check a compositional certificate without building the product.
@@ -472,8 +470,7 @@ def check_compositional(
     certificates whose obligations have bounded footprints — the product
     state space is never enumerated, indexed, or even sized.
     """
-    if kernel is None:
-        kernel = FootprintKernel(max_states=max_states)
+    kernel = FootprintKernel()
     result = CompositionalCheckResult()
     _check_locality(cert, result)
     _check_membership(cert, result)

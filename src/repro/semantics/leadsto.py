@@ -340,16 +340,13 @@ def check_leadsto(
     *,
     budget=None,
     subspace=None,
-    recorder=None,
     checkpoint=None,
 ) -> CheckResult:
     """Check ``p ↝ q`` under weak fairness of ``D``.
 
-    ``budget`` / ``subspace`` / ``recorder`` form the normalized keyword
-    set shared by every public checker (see ``docs/composition.md``):
-    ``subspace`` forces the judgment onto an explicit reachable
-    subspace, ``recorder`` installs a telemetry recorder for the call's
-    duration.
+    ``budget`` / ``subspace`` form the normalized keyword set shared by
+    every public checker (see ``docs/composition.md``): ``subspace``
+    forces the judgment onto an explicit reachable subspace.
 
     The witness of a failure contains a ``p``-state from which the
     scheduler can confine the execution to ``¬q`` forever, a state of the
@@ -373,18 +370,6 @@ def check_leadsto(
     resumable ``status="unknown"`` :class:`~repro.semantics.budget.
     PartialResult` instead of raising (see ``docs/robustness.md``).
     """
-    if recorder is not None:
-        from repro import obs
-
-        with obs.use_recorder(recorder):
-            return check_leadsto(
-                program,
-                p,
-                q,
-                budget=budget,
-                subspace=subspace,
-                checkpoint=checkpoint,
-            )
     return leadsto_judgment(
         program,
         p,

@@ -119,29 +119,16 @@ def check_leadsto_strong(
     *,
     budget=None,
     subspace=None,
-    recorder=None,
     checkpoint=None,
 ) -> CheckResult:
     """Check ``p ↝ q`` assuming **strong** fairness of ``D``.
 
-    ``budget`` / ``subspace`` / ``recorder`` form the normalized keyword
-    set shared by every public checker (see ``docs/composition.md``).
+    ``budget`` / ``subspace`` form the normalized keyword set shared by
+    every public checker (see ``docs/composition.md``).
     The same judgment as :func:`repro.semantics.leadsto.check_leadsto`
     (domain routing, exhaustion, witnesses), with the strong-fairness
     SCC criterion of :func:`repro.semantics.leadsto.fair_analysis`.
     """
-    if recorder is not None:
-        from repro import obs
-
-        with obs.use_recorder(recorder):
-            return check_leadsto_strong(
-                program,
-                p,
-                q,
-                budget=budget,
-                subspace=subspace,
-                checkpoint=checkpoint,
-            )
     return leadsto_judgment(
         program,
         p,

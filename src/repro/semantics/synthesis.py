@@ -98,13 +98,12 @@ def synthesize_leadsto_proof(
     fairness: str = "weak",
     budget=None,
     subspace=None,
-    recorder=None,
     checkpoint=None,
 ) -> LeadsToProof:
     """Build a kernel-checkable certificate for ``p ↝ q``.
 
-    ``budget`` / ``subspace`` / ``recorder`` form the normalized keyword
-    set shared by every public checker (see ``docs/composition.md``).
+    ``budget`` / ``subspace`` form the normalized keyword set shared by
+    every public checker (see ``docs/composition.md``).
 
     Raises :class:`ProofError` if the property does not hold (no proof
     exists), quoting the model checker's counterexample.
@@ -126,17 +125,6 @@ def synthesize_leadsto_proof(
     instead of a proof (callers must check for it — it is not a
     :class:`LeadsToProof` and refuses ``bool()``).
     """
-    if recorder is not None:
-        with obs.use_recorder(recorder):
-            return synthesize_leadsto_proof(
-                program,
-                p,
-                q,
-                fairness=fairness,
-                budget=budget,
-                subspace=subspace,
-                checkpoint=checkpoint,
-            )
     if fairness not in ("weak", "strong"):
         raise ProofError(f"unknown fairness notion {fairness!r}")
     rec = obs.get_recorder()

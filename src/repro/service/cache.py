@@ -246,8 +246,3 @@ def _fsync_dir(dirname: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
-
-
-def verdict_program_digest(program: Program) -> str:
-    """Re-export of the engine's program digest (service convenience)."""
-    return program_digest(program)

@@ -2,8 +2,9 @@
 
 Covers tier routing (auto/dense/sparse/compositional), the three-valued
 ``holds``, budget degradation to ``partial``, the :class:`Verdict`
-contract, and the normalized keyword set (``budget= / subspace= / recorder=``)
-shared by the public checkers.
+contract, and the normalized keyword set (``budget= / subspace=``) shared by
+the public checkers, which report to the recorder ``obs.use_recorder``
+installs.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ class TestProveAndBudget:
 
         sub = reachable_subspace(alloc.system)
         rec = obs.MetricsRecorder()
-        v = verify(alloc.system, alloc.token_available(), subspace=sub, recorder=rec)
+        with obs.use_recorder(rec):
+            v = verify(alloc.system, alloc.token_available(), subspace=sub)
         assert v.holds is True
         assert v.tier == "sparse"
 
@@ -122,22 +124,6 @@ class TestCompositionalTier:
         assert v.tier == "compositional"
         assert v.certificate is cert
         assert v.metrics["frame_skips"] > 0
-
-    def test_explicit_tier_with_matching_leadsto(self, stack):
-        pa, cert = stack
-        prop = LeadsTo(cert.p, cert.q)
-        v = verify(
-            pa.system, prop, tier="compositional", certificate=cert
-        )
-        assert v.holds is True
-
-    def test_mismatched_conclusion_refused(self, stack):
-        pa, cert = stack
-        other = build_pipeline_allocator(4, clients=2, total=2).delivery()
-        with pytest.raises(PropertyError, match="concludes"):
-            verify(
-                pa.system, other, tier="compositional", certificate=cert
-            )
 
     def test_missing_certificate_refused(self, stack):
         pa, _ = stack
@@ -190,7 +176,8 @@ class TestVerdictShims:
 
 
 class TestSignatureNormalization:
-    """The public checkers share (budget=, subspace=, recorder=)."""
+    """The public checkers share (budget=, subspace=); telemetry goes to
+    the recorder installed with ``obs.use_recorder``."""
 
     def test_all_four_accept_the_keyword_set(self, alloc):
         import inspect
@@ -207,12 +194,9 @@ class TestSignatureNormalization:
             synthesize_leadsto_proof,
         ):
             params = list(inspect.signature(fn).parameters)
-            i_b, i_s, i_r = (
-                params.index("budget"),
-                params.index("subspace"),
-                params.index("recorder"),
+            assert params.index("budget") < params.index("subspace"), (
+                f"{fn.__name__} orders {params}"
             )
-            assert i_b < i_s < i_r, f"{fn.__name__} orders {params}"
 
     def test_recorder_keyword_routes_through_obs(self, alloc):
         from repro import obs
@@ -220,7 +204,8 @@ class TestSignatureNormalization:
 
         prop = alloc.token_available()
         rec = obs.MetricsRecorder()
-        res = check_leadsto(alloc.system, prop.p, prop.q, recorder=rec)
+        with obs.use_recorder(rec):
+            res = check_leadsto(alloc.system, prop.p, prop.q)
         assert res.holds
         # The recorder really observed the check.
         manifest = obs.build_manifest(rec)

@@ -6,11 +6,15 @@ tier-routed engine and require every manifest row — including the
 negative exhibits — to come out exactly as predicted.
 """
 
+import inspect
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.gen.families import (
+    CATALOG,
     FAMILIES,
+    HAND_BUILT,
     build_scenario,
     run_scenario,
 )
@@ -35,6 +39,22 @@ class TestRegistry:
             sc = build_scenario(name, **_small(name))
             kinds = {c.kind for c in sc.checks}
             assert kinds == {"invariant", "leadsto"}, name
+
+    def test_catalog_is_both_dicts(self):
+        assert set(HAND_BUILT) == {"pipeline", "philosophers", "grid", "product"}
+        assert set(CATALOG) == set(HAND_BUILT) | set(FAMILIES)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_cli_params_wire_real_flags_to_builder_keywords(self, name):
+        """Every ``(parameter, dest)`` pair names a ``scenario`` parser
+        dest and a keyword of the row's builder."""
+        dests = set(vars(build_parser().parse_args(["scenario", name])))
+        spec = CATALOG[name]
+        keywords = set(inspect.signature(spec.build).parameters)
+        assert spec.cli_params
+        for param, dest in spec.cli_params:
+            assert dest in dests, (name, dest)
+            assert param in keywords, (name, param)
 
     def test_describe_mentions_params(self):
         sc = build_scenario("torus")
@@ -84,8 +104,25 @@ class TestScenarioCli:
     def test_list_mentions_families(self, capsys):
         assert main(["scenario", "list"]) == 0
         out = capsys.readouterr().out
-        for name in FAMILIES:
-            assert name in out
+        row_names = {line.split(" ")[0] for line in out.splitlines()}
+        assert set(CATALOG) | {"compose50"} <= row_names
+
+    @pytest.mark.parametrize(
+        "argv,rows",
+        [
+            (["pipeline", "--stages", "4", "--total", "2"], 3),
+            (["philosophers", "--n", "4"], 2),
+            (["grid", "--rows", "2", "--cols", "3"], 2),
+            (["product", "--stages", "8", "--clients", "2"], 3),
+        ],
+        ids=["pipeline", "philosophers", "grid", "product"],
+    )
+    def test_hand_built_rows_run_as_expected(self, argv, rows, capsys):
+        """One "as expected" per manifest row, and nothing unexpected."""
+        assert main(["scenario", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "UNEXPECTED" not in out
+        assert out.count("as expected") == rows
 
     def test_hypercube_runs_sparse(self, capsys):
         assert main(["scenario", "hypercube"]) == 0

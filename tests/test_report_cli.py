@@ -85,6 +85,25 @@ class TestCliCommands:
         assert "state space : 4 states" in out
         assert "program Ladder" in out
 
+    def test_info_counts_a_sparse_program(self, tmp_path, capsys):
+        """``info`` reports what ``check`` decides on a space beyond the
+        dense capacity (10^8 encoded states, 4 reachable)."""
+        names = "abcdefgh"
+        path = tmp_path / "wide.unity"
+        path.write_text(
+            "program Wide\n"
+            "declare "
+            + "; ".join(f"shared {v} : int[0..9]" for v in names)
+            + "\ninitially "
+            + " /\\ ".join(f"{v} = 0" for v in names)
+            + "\nassign\n  fair up: a < 3 -> a := a + 1\nend\n"
+        )
+        assert main(["info", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "state space : 100000000 states" in out
+        assert "initial     : 1 states" in out
+        assert "reachable   : 4 states" in out
+
     def test_check_pass(self, ladder_file, capsys):
         code = main([
             "check", str(ladder_file),
