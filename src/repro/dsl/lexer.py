@@ -1,70 +1,49 @@
 """Tokenizer for the UNITY-like surface language.
 
-Longest-match lexing over :data:`repro.dsl.tokens.SYMBOLS`, identifiers and
-decimal integers; ``#`` starts a comment running to end of line.
+One compiled pattern, scanned line by line with ``finditer``: each match
+skips leading blanks (space, tab, carriage return) and then takes an
+identifier, a decimal integer, the longest symbol of
+:data:`repro.dsl.tokens.SYMBOLS`, a ``#`` comment running to end of
+line, or — the catch-all — any other single character, which is an
+error.  Identifiers and integers are ASCII only.  Columns count
+characters from 1, a tab being one column; the end-of-input token sits
+one past the last character of the last line.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.dsl.tokens import KEYWORDS, SYMBOLS, Token
 from repro.errors import DslSyntaxError
 
 __all__ = ["tokenize"]
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
+    rf"|(?P<sym>{'|'.join(map(re.escape, SYMBOLS))})|#.*|(?P<bad>[^ \t\r]))"
+)
 
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize ``source``; raises :class:`DslSyntaxError` on bad input."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch in _IDENT_START:
-            j = i
-            while j < n and source[j] in _IDENT_CONT:
-                j += 1
-            text = source[i:j]
-            kind = text if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            tokens.append(Token("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                # '[]' is the branch separator, but '[' directly followed
-                # by an index must stay an opening bracket: 'c[0]' never
-                # contains '[]', so no special case is required beyond
-                # longest-match ordering.
-                tokens.append(Token(sym, sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    append = tokens.append
+    lines = source.split("\n")
+    for line, text in enumerate(lines, 1):
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind is None:  # a comment
+                continue
+            word = m[kind]
+            column = m.start(kind) + 1
+            if kind == "word":
+                append(Token(word if word in KEYWORDS else "ident", word, line, column))
+            elif kind == "sym":
+                append(Token(word, word, line, column))
+            elif kind == "int":
+                append(Token("int", word, line, column))
+            else:
+                raise DslSyntaxError(f"unexpected character {word!r}", line, column)
+    append(Token("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens

@@ -1,5 +1,12 @@
 """Recursive-descent parser for the UNITY-like surface language.
 
+Declarations, commands and properties are read by one function per rule.
+Expressions are read by precedence climbing over one operator table
+(``_BINARY``), which implements the ``expr`` … ``term`` rules below; the
+grammar stays the specification.  A syntax error is reported at the
+token where the parse stopped; a command branch, which may be guarded
+or bare, reports the error of whichever reading got further.
+
 Grammar (EBNF; ``{}`` repetition, ``[]`` option)::
 
     program   = "program" name [decls] [init] [assigns] "end"
@@ -60,9 +67,6 @@ __all__ = [
     "parse_expression_text",
 ]
 
-_CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
-
-
 class _Stream:
     """Token cursor with friendly error reporting."""
 
@@ -70,11 +74,15 @@ class _Stream:
         self.tokens = tokens
         self.pos = 0
 
+    # ``pos`` never passes the trailing eof token (``advance`` stops on
+    # it), so only a look-ahead needs clamping.
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def at(self, *kinds: str) -> bool:
-        return self.peek().kind in kinds
+        return self.tokens[self.pos].kind in kinds
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -115,75 +123,59 @@ def _parse_name(s: _Stream) -> str:
 
 
 # ---------------------------------------------------------------------------
-# expressions (precedence climbing via nested functions)
+# expressions (precedence climbing over one operator table)
 # ---------------------------------------------------------------------------
+
+#: Precedence of prefix ``~``: looser than the comparisons, so ``~a = b``
+#: is ``~(a = b)``, and not allowed as an operand of anything tighter.
+_NOT = 5
+#: Precedence of the (non-associative) comparisons.
+_CMP = 6
+
+#: Binary operator → (precedence, minimum precedence of its right operand),
+#: loosest first.  A left-associative operator asks for a tighter right
+#: operand, right-associative ``=>`` for one as loose as itself.
+_BINARY = {
+    "<=>": (1, 2),
+    "=>": (2, 2),
+    "\\/": (3, 4),
+    "/\\": (4, 5),
+    **{op: (_CMP, 7) for op in ("=", "!=", "<", "<=", ">", ">=")},
+    "+": (7, 8), "-": (7, 8),
+    "*": (8, 9), "//": (8, 9), "%": (8, 9),
+}
+_UNLIMITED = 9  # above every precedence in the table
 
 
 def _parse_expr(s: _Stream) -> ExprAst:
-    return _parse_iff(s)
+    return _parse_binary(s, 1)
 
 
-def _parse_iff(s: _Stream) -> ExprAst:
-    left = _parse_impl(s)
-    while s.at("<=>"):
+def _parse_binary(s: _Stream, min_prec: int) -> ExprAst:
+    """Parse an expression whose operators bind at ``min_prec`` or tighter.
+
+    Prefix ``~`` (precedence 5) and the comparisons (6) do not associate:
+    once one of them is read, only a looser operator may continue the
+    expression, so ``~a = b = c`` and ``a < b = c`` stop at the second
+    comparison.
+    """
+    limit = _UNLIMITED
+    if min_prec <= _NOT and s.at("~"):
         s.advance()
-        left = EBinary("<=>", left, _parse_impl(s))
-    return left
-
-
-def _parse_impl(s: _Stream) -> ExprAst:
-    left = _parse_or(s)
-    if s.at("=>"):
+        left = EUnary("~", _parse_binary(s, _NOT))
+        limit = _NOT
+    else:
+        left = _parse_factor(s)
+    while True:
+        op = s.peek().kind
+        entry = _BINARY.get(op)
+        if entry is None or not min_prec <= entry[0] < limit:
+            return left
         s.advance()
-        return EBinary("=>", left, _parse_impl(s))  # right-assoc
-    return left
-
-
-def _parse_or(s: _Stream) -> ExprAst:
-    left = _parse_and(s)
-    while s.at("\\/"):
-        s.advance()
-        left = EBinary("\\/", left, _parse_and(s))
-    return left
-
-
-def _parse_and(s: _Stream) -> ExprAst:
-    left = _parse_not(s)
-    while s.at("/\\"):
-        s.advance()
-        left = EBinary("/\\", left, _parse_not(s))
-    return left
-
-
-def _parse_not(s: _Stream) -> ExprAst:
-    if s.at("~"):
-        s.advance()
-        return EUnary("~", _parse_not(s))
-    return _parse_cmp(s)
-
-
-def _parse_cmp(s: _Stream) -> ExprAst:
-    left = _parse_sum(s)
-    if s.peek().kind in _CMP_OPS:
-        op = s.advance().kind
-        return EBinary(op, left, _parse_sum(s))
-    return left
-
-
-def _parse_sum(s: _Stream) -> ExprAst:
-    left = _parse_term(s)
-    while s.at("+", "-"):
-        op = s.advance().kind
-        left = EBinary(op, left, _parse_term(s))
-    return left
-
-
-def _parse_term(s: _Stream) -> ExprAst:
-    left = _parse_factor(s)
-    while s.at("*", "//", "%"):
-        op = s.advance().kind
-        left = EBinary(op, left, _parse_factor(s))
-    return left
+        prec, right_prec = entry
+        left = EBinary(op, left, _parse_binary(s, right_prec))
+        if prec == _CMP:
+            limit = _CMP
 
 
 def _parse_factor(s: _Stream) -> ExprAst:
@@ -272,24 +264,32 @@ def _parse_decl(s: _Stream) -> PDecl:
 
 
 def _parse_branch(s: _Stream) -> PBranch:
-    # Lookahead: a branch is either 'expr -> assigns' or bare 'assigns'.
-    # Try the guarded form first by scanning for '->' before ':=' at depth 0.
+    # A branch is 'expr -> assigns' or bare 'assigns': read it as guarded
+    # first, then rewind and read it as bare.  When both readings fail,
+    # the one that got further into the input reports.
     start = s.pos
-    guard: ExprAst | None = None
     try:
-        candidate = _parse_expr(s)
-        if s.at("->"):
-            s.advance()
-            guard = candidate
-        else:
-            s.pos = start  # bare assignment list: re-parse as assigns
+        guard = _parse_expr(s)
+        s.expect("->")
+    except DslSyntaxError as exc:
+        guard_error, guard_pos = exc, s.pos
+    else:
+        return PBranch(guard, _parse_assigns(s))
+    s.pos = start
+    try:
+        return PBranch(None, _parse_assigns(s))
     except DslSyntaxError:
-        s.pos = start
+        if guard_pos > s.pos:
+            raise guard_error from None
+        raise
+
+
+def _parse_assigns(s: _Stream) -> tuple[tuple[str, ExprAst], ...]:
     assigns = [_parse_assign(s)]
     while s.at("||"):
         s.advance()
         assigns.append(_parse_assign(s))
-    return PBranch(guard, tuple(assigns))
+    return tuple(assigns)
 
 
 def _parse_assign(s: _Stream) -> tuple[str, ExprAst]:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["Token", "KEYWORDS", "SYMBOLS"]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A lexical token with its source position (1-based)."""
 
     kind: str   # 'int', 'ident', a keyword, or a symbol string

@@ -150,6 +150,152 @@ end
             parse_program_text("program P declare shared x : bool end extra")
 
 
+def _stream(source):
+    return [(t.kind, t.text, t.line, t.column) for t in tokenize(source)]
+
+
+class TestLexerPositions:
+    """Exact token streams, so a rewrite of the lexer cannot move a column."""
+
+    def test_crlf_line_endings(self):
+        assert _stream("a\r\nb := 1\r\n") == [
+            ("ident", "a", 1, 1), ("ident", "b", 2, 1), (":=", ":=", 2, 3),
+            ("int", "1", 2, 6), ("eof", "", 3, 1),
+        ]
+
+    def test_tabs_are_one_column(self):
+        assert _stream("\tx\t:= 1") == [
+            ("ident", "x", 1, 2), (":=", ":=", 1, 4), ("int", "1", 1, 7),
+            ("eof", "", 1, 8),
+        ]
+
+    def test_trailing_blank_lines(self):
+        assert _stream("x\n\n  \n") == [("ident", "x", 1, 1), ("eof", "", 4, 1)]
+
+    def test_empty_source(self):
+        assert _stream("") == [("eof", "", 1, 1)]
+
+    def test_index_bracket_next_to_branch_separator(self):
+        assert _stream("c[0] [] c[]") == [
+            ("ident", "c", 1, 1), ("[", "[", 1, 2), ("int", "0", 1, 3),
+            ("]", "]", 1, 4), ("[]", "[]", 1, 6), ("ident", "c", 1, 9),
+            ("[]", "[]", 1, 10), ("eof", "", 1, 12),
+        ]
+
+    def test_keyword_prefixes_are_identifiers(self):
+        assert _stream("endx fairly end fair") == [
+            ("ident", "endx", 1, 1), ("ident", "fairly", 1, 6),
+            ("end", "end", 1, 13), ("fair", "fair", 1, 17), ("eof", "", 1, 21),
+        ]
+
+    @pytest.mark.parametrize(
+        "source, column", [("x\u0663", 2), ("a \u2264 b", 3)], ids=["digit", "operator"]
+    )
+    def test_non_ascii_is_an_unexpected_character(self, source, column):
+        with pytest.raises(DslSyntaxError) as info:
+            tokenize(source)
+        bad = source[column - 1]
+        assert str(info.value) == (
+            f"unexpected character {bad!r} (line 1, column {column})"
+        )
+
+    def test_end_of_input_after_a_trailing_comment(self):
+        # The end-of-input column is one past the last character of the
+        # last line, comment included, not the column of the '#'.
+        assert _stream("x # note")[-1] == ("eof", "", 1, 9)
+        with pytest.raises(DslSyntaxError) as info:
+            parse_program_text("program P # no body")
+        assert str(info.value) == (
+            "expected 'end', found 'end of input' (line 1, column 20)"
+        )
+
+
+#: The test's own precedence table: operator -> (precedence, associativity).
+_PRECEDENCE = {
+    "<=>": (1, "left"), "=>": (2, "right"), "\\/": (3, "left"),
+    "/\\": (4, "left"),
+    **{op: (6, "none") for op in ("=", "!=", "<", "<=", ">", ">=")},
+    "+": (7, "left"), "-": (7, "left"),
+    "*": (8, "left"), "//": (8, "left"), "%": (8, "left"),
+}
+
+
+class TestOperatorGrouping:
+    """Pin precedence and associativity for every pair of operators."""
+
+    @pytest.mark.parametrize("op1", sorted(_PRECEDENCE))
+    def test_binary_operator_pairs(self, op1):
+        from repro.dsl.ast_nodes import EBinary, EName
+
+        a, b, c = EName("a"), EName("b"), EName("c")
+        for op2 in _PRECEDENCE:
+            text = f"a {op1} b {op2} c"
+            (p1, assoc), (p2, _) = _PRECEDENCE[op1], _PRECEDENCE[op2]
+            if p1 == p2 and assoc == "none":
+                with pytest.raises(DslSyntaxError):
+                    parse_expression_text(text)
+                continue
+            if p1 > p2 or (p1 == p2 and assoc == "left"):
+                expected = EBinary(op2, EBinary(op1, a, b), c)
+            else:
+                expected = EBinary(op1, a, EBinary(op2, b, c))
+            assert parse_expression_text(text) == expected, text
+
+    def test_prefix_operators(self):
+        from repro.dsl.ast_nodes import EBinary, EName, EUnary
+
+        a, b = EName("a"), EName("b")
+        assert parse_expression_text("~a = b") == EUnary("~", EBinary("=", a, b))
+        assert parse_expression_text("~a /\\ b") == EBinary("/\\", EUnary("~", a), b)
+        assert parse_expression_text("a => ~b") == EBinary("=>", a, EUnary("~", b))
+        assert parse_expression_text("~ ~a") == EUnary("~", EUnary("~", a))
+        assert parse_expression_text("- - a") == EUnary("-", EUnary("-", a))
+        assert parse_expression_text("a * -b") == EBinary("*", a, EUnary("-", b))
+        for text in ("a = ~b", "a + ~b", "~a = b = c"):
+            with pytest.raises(DslSyntaxError):
+                parse_expression_text(text)
+
+
+def _one_command(command_line):
+    return (
+        "program P\ndeclare shared x : int[0..4]\nassign\n"
+        f"{command_line}\nend"
+    )
+
+
+class TestBranchDiagnostics:
+    """A branch is read as guarded, then as bare assignments; a failure
+    is reported by whichever reading got further into the input."""
+
+    @pytest.mark.parametrize("command_line, message", [
+        ("  fair up: x < -> x := x + 1",
+         "expected an expression, found '->' (line 4, column 16)"),
+        ("  fair up: (x < 2 -> x := x + 1",
+         "expected ')', found '->' (line 4, column 19)"),
+        ("  fair up: 0 < x < 2 -> x := x + 1",
+         "expected '->', found '<' (line 4, column 18)"),
+    ], ids=["missing-operand", "unclosed-paren", "chained-comparison"])
+    def test_guard_errors_are_reported_where_the_guard_fails(
+        self, command_line, message
+    ):
+        with pytest.raises(DslSyntaxError) as info:
+            parse_program_text(_one_command(command_line))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("command_line, message", [
+        ("  fair up: x := x +",
+         "expected an expression, found 'end' (line 5, column 1)"),
+        ("  fair up: x y",
+         "expected ':=', found 'y' (line 4, column 14)"),
+        ("  fair up: x < 1 -> x := ",
+         "expected an expression, found 'end' (line 5, column 1)"),
+    ], ids=["truncated-value", "missing-becomes", "truncated-guarded-value"])
+    def test_assignment_errors_are_unchanged(self, command_line, message):
+        with pytest.raises(DslSyntaxError) as info:
+            parse_program_text(_one_command(command_line))
+        assert str(info.value) == message
+
+
 class TestElaboration:
     def test_program_semantics(self):
         p = parse_program(COUNTER_SRC)
