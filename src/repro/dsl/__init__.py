@@ -19,7 +19,8 @@ line) → :mod:`repro.dsl.parser` (recursive descent, with precedence
 climbing over one operator table for expressions; AST in
 :mod:`repro.dsl.ast_nodes`) → :mod:`repro.dsl.elaborate` (core objects);
 :mod:`repro.dsl.pretty` is the inverse, and round-tripping is tested.
-Syntax errors carry the 1-based line and column of the offending token.
+Syntax errors carry the 1-based line and column of the offending token;
+text nested too deeply to parse or elaborate is a syntax error too.
 Property syntax (``invariant …``, ``p ~> q``, ``transient …``, …) is
 parsed by :func:`repro.dsl.parse_property`.
 """
@@ -30,6 +31,7 @@ from repro.dsl.elaborate import (
     elaborate_property,
 )
 from repro.dsl.parser import (
+    nesting_guard,
     parse_expression_text,
     parse_module_text,
     parse_program_text,
@@ -52,11 +54,13 @@ __all__ = [
 ]
 
 
+@nesting_guard
 def parse_program(source: str):
     """Parse and elaborate DSL source into a :class:`repro.core.Program`."""
     return elaborate_program(parse_program_text(source))
 
 
+@nesting_guard
 def parse_module(source: str):
     """Parse and elaborate a multi-program module.
 
@@ -66,6 +70,7 @@ def parse_module(source: str):
     return elaborate_module(parse_module_text(source))
 
 
+@nesting_guard
 def parse_property(source: str, program):
     """Parse and elaborate a property line against ``program``'s variables."""
     return elaborate_property(parse_property_text(source), program)

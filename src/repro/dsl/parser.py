@@ -5,7 +5,9 @@ Expressions are read by precedence climbing over one operator table
 (``_BINARY``), which implements the ``expr`` … ``term`` rules below; the
 grammar stays the specification.  A syntax error is reported at the
 token where the parse stopped; a command branch, which may be guarded
-or bare, reports the error of whichever reading got further.
+or bare, reports the error of whichever reading got further.  Input
+nested deeper than the interpreter's recursion limit is a syntax error
+too ("nested too deeply"), never a ``RecursionError``.
 
 Grammar (EBNF; ``{}`` repetition, ``[]`` option)::
 
@@ -37,6 +39,8 @@ Grammar (EBNF; ``{}`` repetition, ``[]`` option)::
 
 from __future__ import annotations
 
+import functools
+
 from repro.dsl.ast_nodes import (
     EBinary,
     EBool,
@@ -66,6 +70,25 @@ __all__ = [
     "parse_property_text",
     "parse_expression_text",
 ]
+
+
+def nesting_guard(parse):
+    """Report text nested beyond the recursion limit as a syntax error.
+
+    The parser and the elaborator recurse once per nesting level, so
+    ``(((…)))``, a chain of ``~`` or a long sum can exhaust the stack;
+    the caller gets a :class:`DslSyntaxError` like any other bad input.
+    """
+
+    @functools.wraps(parse)
+    def guarded(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except RecursionError:
+            raise DslSyntaxError("text is nested too deeply to parse") from None
+
+    return guarded
+
 
 class _Stream:
     """Token cursor with friendly error reporting."""
@@ -342,6 +365,7 @@ def _parse_program_unit(s: _Stream) -> PProgram:
     return prog
 
 
+@nesting_guard
 def parse_program_text(source: str) -> PProgram:
     """Parse a single ``program … end`` unit into a surface AST."""
     s = _Stream(tokenize(source))
@@ -350,6 +374,7 @@ def parse_program_text(source: str) -> PProgram:
     return prog
 
 
+@nesting_guard
 def parse_module_text(source: str):
     """Parse a module: any number of programs plus ``system`` directives.
 
@@ -381,6 +406,7 @@ def parse_module_text(source: str):
     return module
 
 
+@nesting_guard
 def parse_property_text(source: str) -> PProperty:
     """Parse one property line into a surface AST."""
     s = _Stream(tokenize(source))
@@ -403,6 +429,7 @@ def parse_property_text(source: str) -> PProperty:
     raise s.error("expected 'next' or '~>' after the first predicate")
 
 
+@nesting_guard
 def parse_expression_text(source: str) -> ExprAst:
     """Parse a standalone expression (used by tests and the REPL helper)."""
     s = _Stream(tokenize(source))

@@ -14,11 +14,17 @@ distinct way of *not* spending a worker:
    bounded queue keeps latency bounded, and an honest 429 beats a
    socket that times out after a minute of silence.
 3. **Parse + identity** — the program and property are parsed in the
-   *parent* (parse errors never burn a worker) and hashed into the
-   content-addressed request key.
-4. **Cache** — a decided verdict under that key is served immediately
-   (``cached=true``); the fail-closed story lives in
-   :mod:`repro.service.cache`.
+   *parent* (parse errors never burn a worker) and the program is
+   hashed into its digest.  Each service remembers the digest of the
+   last :data:`DIGEST_MEMO_SIZE` distinct request texts (program,
+   program name, property), so a text it has already accepted is parsed
+   once, not once per request.  The memo holds digests only: the
+   request key is still computed per request, and a text that fails to
+   parse or digest is never remembered.
+4. **Cache** — a decided verdict under the request key is served
+   immediately (``cached=true``); the fail-closed story lives in
+   :mod:`repro.service.cache`.  A repeated request therefore costs the
+   key plus one verified cache read.
 5. **Coalescing** — concurrent requests for the *same key* collapse
    onto one worker dispatch; followers wait for the leader's answer.
    Without this, a cold cache plus a popular program turns into N
@@ -34,6 +40,7 @@ never raises on a well-formed request.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
@@ -50,7 +57,11 @@ from repro.service.supervisor import (
 )
 from repro.util.faultinject import fault_point
 
-__all__ = ["ServiceConfig", "CertificationService"]
+__all__ = ["ServiceConfig", "CertificationService", "DIGEST_MEMO_SIZE"]
+
+#: Distinct request texts whose program digest one service remembers;
+#: the least recently used text is forgotten first.
+DIGEST_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -111,6 +122,8 @@ class CertificationService:
         self._admission = threading.BoundedSemaphore(self.config.max_pending)
         self._inflight: dict[str, _Flight] = {}
         self._inflight_lock = threading.Lock()
+        self._digests: OrderedDict[tuple, str] = OrderedDict()
+        self._digests_lock = threading.Lock()
         self.requests = 0
         self.shed = 0
         self.coalesced = 0
@@ -195,16 +208,44 @@ class CertificationService:
 
     # -- internals -------------------------------------------------------
 
-    def _admitted(self, request: dict[str, Any]) -> dict[str, Any]:
+    def _digest_of(self, request: dict[str, Any]) -> str:
+        """The program digest of ``request``, parsed at most once per text.
+
+        The memo key is the exact request text, property included: a hit
+        means byte-identical input that already parsed, program and
+        property both.  Exceptions propagate and nothing is stored.
+        """
         from repro.semantics.sparse.checkpoint import program_digest
         from repro.service.worker import _parse_request_program
 
+        text = (
+            request["program"],
+            request.get("program_name"),
+            request["property"],
+        )
+        with self._digests_lock:
+            digest = self._digests.get(text)
+            if digest is not None:
+                self._digests.move_to_end(text)
+                return digest
+        program, _prop = _parse_request_program(request)
+        digest = program_digest(program)
+        with self._digests_lock:
+            self._digests[text] = digest
+            if len(self._digests) > DIGEST_MEMO_SIZE:
+                self._digests.popitem(last=False)
+        return digest
+
+    def _admitted(self, request: dict[str, Any]) -> dict[str, Any]:
         rec = obs.get_recorder()
         try:
-            program, _prop = _parse_request_program(request)
+            digest = self._digest_of(request)
         except (DslSyntaxError, ReproError) as exc:
             return _error("parse-error", f"{type(exc).__name__}: {exc}")
-        digest = program_digest(program)
+        except RecursionError as exc:
+            # Parsed, but too deep to describe (``Expr`` printing
+            # recurses once per level), so it has no digest.
+            return _error("engine-error", f"{type(exc).__name__}: {exc}")
         key = request_key(digest, request)
 
         if self.cache is not None:

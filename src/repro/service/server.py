@@ -93,6 +93,9 @@ class _Handler(BaseHTTPRequestHandler):
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self._send_json(400, _err("bad-request", f"body is not JSON: {exc}"))
             return
+        except RecursionError:
+            self._send_json(400, _err("bad-request", "body is nested too deeply"))
+            return
         response = self.service.submit(doc)
         self._send_json(http_status_of(response), response)
 

@@ -102,7 +102,10 @@ def handle_request(
         program, prop = _parse_request_program(request)
     except (DslSyntaxError, ReproError) as exc:
         return _error_payload("parse-error", exc)
-    digest = program_digest(program)
+    try:
+        digest = program_digest(program)
+    except RecursionError as exc:
+        return _error_payload("engine-error", exc)
     budget = _budget_of(request)
     tier = request["tier"]
     fault_point("service.worker.check", digest=digest, kind=type(prop).__name__)

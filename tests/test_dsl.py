@@ -1,12 +1,14 @@
 """Tests for repro.dsl: lexer, parser, elaboration, pretty round-trip."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dsl import (
+    parse_module,
     parse_program,
     parse_property,
     parse_program_text,
@@ -600,3 +602,51 @@ class TestTruncatedInput:
                 assert m is not None
                 reported.append(int(m.group(1)))
         assert reported == sorted(reported)
+
+
+ONE_VAR = """
+program P
+declare shared x : int[0..2]
+initially {}
+assign
+  fair up: x < 2 -> x := x + 1
+end
+"""
+
+
+class TestNestingDepth:
+    """Text nested past the recursion limit is a syntax error, never a
+    ``RecursionError`` escaping the front end."""
+
+    def test_deep_parentheses_in_a_property(self):
+        program = parse_program(ONE_VAR.format("x = 0"))
+        depth = sys.getrecursionlimit()
+        text = "(" * depth + "x = 0" + ")" * depth + " ~> x = 2"
+        with pytest.raises(DslSyntaxError, match="nested too deeply"):
+            parse_property_text(text)
+        with pytest.raises(DslSyntaxError, match="nested too deeply"):
+            parse_property(text, program)
+
+    def test_deep_negation_in_initially(self):
+        source = ONE_VAR.format("~" * (5 * sys.getrecursionlimit()) + "x = 0")
+        for parse in (parse_program_text, parse_program, parse_module):
+            with pytest.raises(DslSyntaxError, match="nested too deeply"):
+                parse(source)
+
+    def test_long_sum_fails_in_elaboration(self):
+        # A sum parses by iteration but elaborates by recursion.
+        terms = " + 0" * (3 * sys.getrecursionlimit())
+        source = ONE_VAR.format("x = 0" + terms)
+        parse_program_text(source)
+        with pytest.raises(DslSyntaxError, match="nested too deeply"):
+            parse_program(source)
+
+    def test_deep_expression_text(self):
+        depth = sys.getrecursionlimit()
+        with pytest.raises(DslSyntaxError, match="nested too deeply"):
+            parse_expression_text("(" * depth + "1" + ")" * depth)
+
+    def test_moderate_nesting_still_parses(self):
+        program = parse_program(ONE_VAR.format("~~~~x = 1"))
+        prop = parse_property("(" * 50 + "x = 0" + ")" * 50 + " ~> x = 2", program)
+        assert prop.describe()

@@ -174,6 +174,17 @@ class TestCliCommands:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_deeply_nested_property_is_a_syntax_error(self, tmp_path, capsys):
+        # Exit 2 (bad input), not 1 (a property failed) or a traceback.
+        path = tmp_path / "deep.prog"
+        path.write_text(
+            "program Deep\ndeclare shared x : int[0..2]\ninitially x = 0\n"
+            "assign\n  fair up: x < 2 -> x := x + 1\nend\n"
+        )
+        deep = "(" * 400 + "x = 0" + ")" * 400 + " ~> x = 2"
+        assert main(["check", str(path), "-p", deep]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
 
 MODULE = """
 program A

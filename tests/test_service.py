@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import threading
 
 import pytest
@@ -23,7 +24,9 @@ from repro.service import (
     ServiceConfig,
     start_server,
 )
+from repro.service import worker as worker_mod
 from repro.service.cache import SCHEMA, ServiceCache
+from repro.service.core import DIGEST_MEMO_SIZE
 from repro.service.protocol import (
     ERROR_CODES,
     FrameError,
@@ -70,6 +73,14 @@ end
 
 REQ = {"program": COUNTER, "property": "true ~> c = 3"}
 
+#: A program that parses and elaborates but is too deep to print, so it
+#: has no digest (``Expr`` printing recurses once per term).
+LONG_SUM = (
+    "program Sum\ndeclare shared x : int[0..2]\n"
+    f"initially x = 0{' + 0' * (sys.getrecursionlimit() * 3 // 5)}\n"
+    "assign\n  fair up: x < 2 -> x := x + 1\nend\n"
+)
+
 
 @pytest.fixture()
 def service(tmp_path):
@@ -78,6 +89,20 @@ def service(tmp_path):
     )
     with svc:
         yield svc
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """Counts the parent's parses of request text."""
+    calls = []
+    real = worker_mod._parse_request_program
+
+    def counting(request):
+        calls.append(request["program"])
+        return real(request)
+
+    monkeypatch.setattr(worker_mod, "_parse_request_program", counting)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +285,15 @@ class TestSubmit:
         assert auto["status"] == "ok" and auto["cached"] is False
         assert auto["holds"] is expected.holds is False
 
-    def test_cache_survives_service_restart(self, tmp_path):
+    def test_cache_survives_service_restart(self, tmp_path, parses):
         cfg = ServiceConfig(workers=1, cache_dir=str(tmp_path), max_pending=2)
         with CertificationService(cfg) as svc:
             assert svc.submit(dict(REQ))["cached"] is False
         with CertificationService(cfg) as svc:
             r = svc.submit(dict(REQ))
             assert r["cached"] is True and r["holds"] is True
+        # The digest memo belongs to one service: the new one parses.
+        assert len(parses) == 2
 
     def test_parse_error_never_burns_a_worker(self, service):
         r = service.submit({"program": "garbage", "property": "x = 1"})
@@ -343,6 +370,136 @@ class TestSubmit:
     def test_config_refuses_starvable_pool(self):
         with pytest.raises(ValueError):
             ServiceConfig(workers=4, max_pending=2)
+
+
+class TestDigestMemo:
+    """The parent parses each distinct request text once per service."""
+
+    def test_identical_submits_parse_once(self, service, parses):
+        answers = [service.submit(dict(REQ)) for _ in range(3)]
+        assert len(parses) == 1
+        assert [a.pop("cached") for a in answers] == [False, True, True]
+        assert answers[0] == answers[1] == answers[2]
+        assert answers[0]["status"] == "ok" and answers[0]["holds"] is True
+
+    def test_answer_fields_reuse_the_digest_but_not_the_key(
+        self, service, parses
+    ):
+        base = service.submit(dict(REQ))
+        variants = [
+            service.submit({**REQ, "tier": "sparse"}),
+            service.submit({**REQ, "fairness": "strong"}),
+            service.submit({**REQ, "prove": True}),
+        ]
+        assert len(parses) == 1
+        keys = {base["key"]} | {v["key"] for v in variants}
+        assert len(keys) == 4
+        assert all(v["status"] == "ok" for v in variants)
+        assert {v["digest"] for v in variants} == {base["digest"]}
+
+    def test_parse_errors_are_parsed_every_time(
+        self, service, parses, monkeypatch
+    ):
+        dispatched = []
+        monkeypatch.setattr(
+            service.pool, "submit", lambda *a, **k: dispatched.append(a)
+        )
+        bad = {"program": "garbage", "property": "x = 1"}
+        for _ in range(3):
+            r = service.submit(dict(bad))
+            assert r["error"]["code"] == "parse-error"
+        assert len(parses) == 3
+        assert dispatched == []
+
+    def test_oldest_text_is_forgotten_past_the_bound(self, service, parses):
+        # Comments make distinct texts of one program, so every request
+        # after the first is a verdict cache hit.
+        texts = [f"{COUNTER}# copy {i}\n" for i in range(DIGEST_MEMO_SIZE + 1)]
+        for text in texts:
+            r = service.submit({**REQ, "program": text})
+            assert r["status"] == "ok" and r["holds"] is True
+        assert len(parses) == DIGEST_MEMO_SIZE + 1
+        service.submit({**REQ, "program": texts[-1]})
+        assert len(parses) == DIGEST_MEMO_SIZE + 1
+        service.submit({**REQ, "program": texts[0]})
+        assert parses[-1] == texts[0]
+        assert len(parses) == DIGEST_MEMO_SIZE + 2
+
+    def test_concurrent_submits_of_a_fresh_document_agree(self, tmp_path):
+        cfg = ServiceConfig(workers=2, cache_dir=str(tmp_path), max_pending=8)
+        doc = {"program": COUNTER, "property": "c = 1 ~> c = 3"}
+        barrier = threading.Barrier(8)
+        results = []
+
+        def call():
+            barrier.wait()
+            results.append(svc.submit(dict(doc)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with CertificationService(cfg) as svc:
+                threads = [threading.Thread(target=call) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 8
+        assert {r["status"] for r in results} == {"ok"}
+        assert len({r["key"] for r in results}) == 1
+        assert {r["holds"] for r in results} == {True}
+
+
+class TestDeepInput:
+    """Input too deep for the interpreter's stack still gets an answer."""
+
+    def test_long_sum_is_an_engine_error(self, service, parses):
+        for _ in range(2):
+            r = service.submit({"program": LONG_SUM, "property": "true ~> x = 2"})
+            assert r["status"] == "error"
+            assert r["error"]["code"] == "engine-error"
+        assert len(parses) == 2  # never remembered
+        assert service.pool.stats()["crashes"] == 0
+        ok = service.submit(dict(REQ))
+        assert ok["status"] == "ok" and ok["holds"] is True
+
+    def test_deep_property_is_a_parse_error(self, service):
+        deep = "(" * 400 + "c = 0" + ")" * 400 + " ~> c = 3"
+        r = service.submit({"program": COUNTER, "property": deep})
+        assert r["status"] == "error" and r["error"]["code"] == "parse-error"
+        assert "nested too deeply" in r["error"]["message"]
+
+    def test_worker_answers_a_long_sum(self):
+        from repro.service.worker import handle_request
+
+        req = normalize_request({"program": LONG_SUM, "property": "true ~> x = 2"})
+        payload = handle_request(req, None)
+        assert payload["status"] == "error"
+        assert payload["error"]["code"] == "engine-error"
+
+    def test_nested_json_body_is_a_bad_request(self, service):
+        import urllib.error
+        import urllib.request
+
+        server, url = start_server(service)
+        try:
+            body = b"[" * 100_000 + b"]" * 100_000
+            req = urllib.request.Request(
+                url + "/v1/verify", data=body, method="POST"
+            )
+            with pytest.raises(urllib.error.HTTPError) as exc_info:
+                urllib.request.urlopen(req, timeout=30)
+            assert exc_info.value.code == 400
+            doc = json.loads(exc_info.value.read().decode("utf-8"))
+            assert doc["error"]["code"] == "bad-request"
+            r = ServiceClient(url).verify(dict(REQ))
+            assert r["status"] == "ok" and r["holds"] is True
+        finally:
+            server.shutdown()
+            server.server_close()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,13 @@ over HTTP, and asserts the service's chaos contract:
 - **structured degradation only** — non-verdict outcomes are UNKNOWN,
   load-shed, or coded errors from the protocol registry;
 - **the server survives** — the health endpoint answers after the mix,
-  with the crash counters proving the chaos actually landed.
+  with the crash counters proving the chaos actually landed;
+- **hostile input is refused, not fatal** — a property nested 400
+  parentheses deep gets HTTP 400 ``parse-error`` and a 200 KB body of
+  nested JSON arrays gets HTTP 400 ``bad-request``;
+- **repeats are served from the cache** — a burst of one request
+  carries the expected verdict every time, and every answer after the
+  first is ``cached``.
 
 Usage (CI runs exactly this)::
 
@@ -27,6 +33,7 @@ job.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -68,6 +75,24 @@ MIX = [
     ({"program": COUNTER, "property": "true ~> c = 3", "prove": True}, True),
 ]
 
+#: Input deeper than the interpreter's stack: (request body, expected
+#: HTTP status, expected error code).
+HOSTILE = [
+    (
+        json.dumps({
+            "program": COUNTER,
+            "property": "(" * 400 + "c = 0" + ")" * 400 + " ~> c = 3",
+        }).encode("utf-8"),
+        400,
+        "parse-error",
+    ),
+    (b"[" * 100_000 + b"]" * 100_000, 400, "bad-request"),
+]
+
+#: One request repeated in sequence after the mix, and its verdict.
+BURST = ({"program": COUNTER, "property": "c = 1 ~> c = 3"}, True)
+BURST_REPEATS = 20
+
 PORT = int(os.environ.get("SERVICE_CHAOS_PORT", "8431"))
 ROUNDS = int(os.environ.get("SERVICE_CHAOS_ROUNDS", "4"))
 THREADS = int(os.environ.get("SERVICE_CHAOS_THREADS", "4"))
@@ -84,6 +109,53 @@ def wait_for_health(client: ServiceClient, deadline: float = 30.0) -> None:
         if time.monotonic() - t0 > deadline:
             raise SystemExit("service never became healthy")
         time.sleep(0.2)
+
+
+def post_raw(base_url: str, body: bytes) -> tuple[int, dict]:
+    """POST ``body`` as is; returns the HTTP status and the JSON answer."""
+    req = urllib.request.Request(
+        base_url + "/v1/verify",
+        data=body,
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(req, timeout=60) as resp:
+            return resp.status, json.loads(resp.read().decode("utf-8"))
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read().decode("utf-8"))
+
+
+def check_hostile(base_url: str) -> list[str]:
+    """Failures among the :data:`HOSTILE` requests."""
+    failures = []
+    for body, want_status, want_code in HOSTILE:
+        try:
+            status, doc = post_raw(base_url, body)
+        except (OSError, ValueError) as exc:
+            failures.append(f"{body[:40]!r}...: no answer ({exc})")
+            continue
+        code = (doc.get("error") or {}).get("code")
+        if (status, code) != (want_status, want_code):
+            failures.append(
+                f"{body[:40]!r}...: HTTP {status} {code}, expected "
+                f"{want_status} {want_code}"
+            )
+    return failures
+
+
+def check_burst(client: ServiceClient) -> list[str]:
+    """Failures among :data:`BURST_REPEATS` sequential repeats of one
+    request: each must carry the verdict, all but the first cached."""
+    request, expected = BURST
+    failures = []
+    for n in range(BURST_REPEATS):
+        doc = client.verify(dict(request))
+        if doc.get("status") != "ok" or doc.get("holds") is not expected:
+            failures.append(f"repeat {n}: {doc!r}")
+        elif n > 0 and doc.get("cached") is not True:
+            failures.append(f"repeat {n} was not served from the cache")
+    return failures
 
 
 def main() -> int:
@@ -146,6 +218,8 @@ def main() -> int:
                 t.join()
             elapsed = time.monotonic() - t0
 
+            hostile = check_hostile(client.base_url)
+            burst = check_burst(client)
             health = client.health()
             crashes = health["pool"]["crashes"]
             total = sum(outcomes.values())
@@ -166,10 +240,17 @@ def main() -> int:
                 failures.append(
                     "no worker crashes recorded: the chaos never landed"
                 )
+            if hostile:
+                failures.append(f"HOSTILE INPUT ({len(hostile)}): {hostile}")
+            if burst:
+                failures.append(f"BURST ({len(burst)}): {burst[:5]}")
             if failures:
                 print("service chaos FAILED:\n  " + "\n  ".join(failures))
                 return 1
-            print("service chaos ok: zero wrong answers under worker kills")
+            print(
+                "service chaos ok: zero wrong answers under worker kills, "
+                "hostile input refused, repeats served from the cache"
+            )
             return 0
         finally:
             server.terminate()
