@@ -94,5 +94,5 @@ def test_E9_fair_scc_analysis(benchmark, n):
     """Raw analysis cost on the larger §4 instances (2^n orientations)."""
     psys = build_priority_system(ring_graph(n))
     q = psys.priority_predicate(0)
-    analysis = benchmark(lambda: fair_analysis(FullSpace(psys.system), q))
+    analysis = benchmark(lambda: fair_analysis(FullSpace(psys.system), TRUE, q))
     assert analysis.cond.count > 0

@@ -17,9 +17,10 @@ an elaboration collision draw from the same stream).
 The harness is itself tested for sensitivity: :data:`FAULTS` names
 verdict-level corruptions (drop fairness from the sparse oracle, flip
 the sparse weak verdict, judge the dense invariant on the full encoded
-space) that :func:`run_differential` can inject, and the fuzz loop must
-then *find* a disagreeing program — a harness that cannot see an
-injected bug would silently pass on a real one.
+space, flip the dense weak verdict decided on the cone) that
+:func:`run_differential` can inject, and the fuzz loop must then *find*
+a disagreeing program — a harness that cannot see an injected bug would
+silently pass on a real one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.expressions import land
-from repro.core.predicates import ExprPredicate
+from repro.core.predicates import TRUE, ExprPredicate
 from repro.core.program import Program
 from repro.dsl import parse_program, pretty_program
 from repro.dsl.ast_nodes import (
@@ -371,6 +372,7 @@ FAULTS: dict[str, str] = {
         "dense invariant oracle judges the full encoded space "
         "instead of the reachable set"
     ),
+    "dense-cone-flip": "dense weak leads-to verdict on the cone inverted",
 }
 
 
@@ -378,7 +380,9 @@ FAULTS: dict[str, str] = {
 class CheckOutcome:
     """One tier pair's verdicts on one case."""
 
-    name: str  # 'leadsto-weak' | 'leadsto-strong' | 'invariant' | 'certificate'
+    #: 'leadsto-weak' | 'leadsto-strong' | 'leadsto-cone-weak' |
+    #: 'leadsto-cone-strong' | 'invariant' | 'certificate'
+    name: str
     agreed: bool
     expected: object
     got: object
@@ -425,6 +429,9 @@ def run_differential(
     - ``leadsto-weak`` / ``leadsto-strong`` — the dense SCC analysis
       restricted to reachable ``p``-states (the sparse tier's documented
       judgment) vs. the public checkers over the reachable subspace;
+    - ``leadsto-cone-weak`` / ``leadsto-cone-strong`` — the whole-``¬q``
+      dense analysis (``fair_analysis(full, TRUE, q)``) vs. the public
+      dense checkers, which decide on the cone of ``p ∧ ¬q`` only;
     - ``invariant`` — full-space vs. reachable-subspace reachable-invariant
       verdicts;
     - ``certificate`` — per-level proof walk vs. the batched columnar
@@ -451,7 +458,10 @@ def run_differential(
     sub = reachable_subspace(sparse_subject)
     full = FullSpace(program)
 
-    expect_weak = not (pm & fair_analysis(full, q).avoid_mask & reach).any()
+    whole_weak = fair_analysis(full, TRUE, q).avoid_mask
+    whole_strong = fair_analysis(full, TRUE, q, strong=True).avoid_mask
+
+    expect_weak = not (pm & whole_weak & reach).any()
     got_weak = bool(check_leadsto(sparse_subject, p, q, subspace=sub).holds)
     if fault == "sparse-flip-weak":
         got_weak = not got_weak
@@ -459,9 +469,7 @@ def run_differential(
         CheckOutcome("leadsto-weak", got_weak == expect_weak, expect_weak, got_weak)
     )
 
-    expect_strong = not (
-        pm & fair_analysis(full, q, strong=True).avoid_mask & reach
-    ).any()
+    expect_strong = not (pm & whole_strong & reach).any()
     got_strong = check_leadsto_strong(sparse_subject, p, q, subspace=sub).holds
     got_strong = bool(got_strong)
     report.checks.append(
@@ -469,6 +477,16 @@ def run_differential(
             "leadsto-strong", got_strong == expect_strong, expect_strong, got_strong
         )
     )
+
+    for name, whole, checker in (
+        ("leadsto-cone-weak", whole_weak, check_leadsto),
+        ("leadsto-cone-strong", whole_strong, check_leadsto_strong),
+    ):
+        expect = not (pm & whole).any()
+        got = bool(checker(program, p, q).holds)
+        if fault == "dense-cone-flip" and name == "leadsto-cone-weak":
+            got = not got
+        report.checks.append(CheckOutcome(name, got == expect, expect, got))
 
     if fault == "dense-forget-reach":
         dense_inv = bool(pm.all())

@@ -10,11 +10,15 @@ The engine has two storage tiers for a program's transition relation:
    ``{s → t : t = table_c[s] for some c, t ≠ s}``, deduplicated and stored
    as forward + reverse CSR adjacency with dtype-minimized node ids
    (``int32`` whenever the space fits).  Used where only *connectivity*
-   matters — reachability, distance maps, reverse closures, SCCs.
+   matters over the whole space — reachability, distance maps, closures.
 
-The backend is built lazily, **once per** :class:`TransitionSystem` (which
-is itself weakly cached per program), so every liveness query after the
-first reuses the same adjacency instead of re-deriving it from the tables.
+The union CSR is built lazily, **once per** :class:`TransitionSystem`
+(which is itself weakly cached per program), so every query after the
+first reuses the same adjacency instead of re-deriving it from the
+tables.  SCC condensations do not use it: :meth:`GraphBackend.condensation`
+builds the sub-CSR of its mask from the tables, on the masked states
+only (:class:`MaskedSubgraph`), so a leads-to check on a small cone never
+pays for whole-space adjacency.
 Self-loops are dropped at construction: they are irrelevant to
 reachability and SCC structure, and fairness (where self-moves *do*
 matter) is evaluated on the dense tier.
@@ -30,22 +34,27 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 
 from repro import obs
 from repro.errors import CapacityError
-from repro.semantics.scc import Condensation, condense_subgraph
+from repro.semantics.scc import (
+    Condensation,
+    condense_subgraph,
+    sub_csr_from_tables,
+)
 from repro.util.csr import (
     build_csr,
     csr_neighbors,
-    masked_subgraph,
     minimal_int_dtype,
     sorted_unique,
     union_edges,
 )
 
-__all__ = ["GraphBackend"]
+__all__ = ["CSRGraph", "GraphBackend", "MaskedSubgraph"]
 
 #: Node-count capacity of a dense union CSR; reads the single policy
 #: source ``StateSpace.DENSE_MAX`` at call time (imported lazily to keep
@@ -56,66 +65,34 @@ def _dense_max() -> int:
     return StateSpace.DENSE_MAX
 
 
-class GraphBackend:
-    """Cached forward/reverse CSR view of a program's union transition graph.
+class CSRGraph:
+    """Frontier kernels over a forward + reverse CSR pair on node ids
+    ``0 .. n - 1``.
 
-    Obtain via :meth:`repro.semantics.transition.TransitionSystem.graph`
-    rather than constructing directly, so the adjacency is shared by every
-    checker that touches the same program.
+    The base of :class:`GraphBackend` (whose union CSR is built lazily)
+    and of :class:`MaskedSubgraph` (a masked sub-CSR, built eagerly by
+    :meth:`GraphBackend.condensation`).
     """
 
-    def __init__(self, n: int, tables: list[np.ndarray]) -> None:
-        if n > _dense_max():
-            raise CapacityError(
-                f"a union CSR over {n} nodes exceeds the dense capacity "
-                f"{_dense_max()} (see StateSpace.DENSE_MAX); spaces this "
-                "large route through the sparse tier, whose local "
-                "backends index only discovered states"
-            )
+    def __init__(
+        self,
+        n: int,
+        fwd: tuple[np.ndarray, np.ndarray] | None = None,
+        rev: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> None:
         self.n = n
         self.dtype = minimal_int_dtype(n)
-        self._tables = tables
-        self._fwd: tuple[np.ndarray, np.ndarray] | None = None
-        self._rev: tuple[np.ndarray, np.ndarray] | None = None
+        self._fwd = fwd
+        self._rev = rev
         self._scratch: np.ndarray | None = None
-        self._cond_cache: OrderedDict[bytes, Condensation] = OrderedDict()
-
-    # -- construction -------------------------------------------------------
-
-    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
-        # Chunked per command: each table's moved pairs land in a
-        # preallocated slice instead of a concatenated list of scratch
-        # arrays (see :func:`repro.util.csr.union_edges`).
-        return union_edges(self.n, self._tables)
 
     def forward_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, nbr)`` of the deduplicated union graph."""
-        if self._fwd is None:
-            rec = obs.get_recorder()
-            with rec.span("graph.union_csr", nodes=self.n):
-                src, dst = self._edges()
-                fwd = build_csr(src, dst, self.n, dtype=self.dtype)
-                # Publish the reverse view first: a concurrent caller that
-                # sees ``_fwd`` set must also find ``_rev`` set.
-                self._rev = build_csr(dst, src, self.n, dtype=self.dtype)
-                self._fwd = fwd
-                if rec.enabled:
-                    rec.add("graph.union_csr.builds")
-                    rec.add("graph.union_csr.edges", int(src.shape[0]))
+        """``(indptr, nbr)`` of the graph."""
         return self._fwd
 
     def reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, nbr)`` of the reversed union graph."""
-        if self._rev is None:
-            self.forward_csr()
-        assert self._rev is not None
+        """``(indptr, nbr)`` of the reversed graph."""
         return self._rev
-
-    @property
-    def edge_count(self) -> int:
-        """Distinct non-self edges of the union graph."""
-        indptr, _ = self.forward_csr()
-        return int(indptr[-1])
 
     # -- frontier kernels ----------------------------------------------------
 
@@ -139,15 +116,16 @@ class GraphBackend:
 
     def _closure(
         self,
-        csr: tuple[np.ndarray, np.ndarray],
+        neighbors: Callable[[np.ndarray], np.ndarray],
         seeds: np.ndarray,
         allowed: np.ndarray | None,
     ) -> np.ndarray:
-        indptr, nbr = csr
+        """Frontier BFS from ``seeds``; ``neighbors`` maps a frontier to
+        its candidate successors (duplicates allowed)."""
         visited = seeds.copy()
         frontier = np.flatnonzero(visited)
         while frontier.size:
-            cand = csr_neighbors(indptr, nbr, frontier)
+            cand = neighbors(frontier)
             if allowed is not None:
                 cand = cand[allowed[cand]]
             cand = cand[~visited[cand]]
@@ -162,14 +140,16 @@ class GraphBackend:
     ) -> np.ndarray:
         """States reachable from ``seeds`` (seeds included), optionally
         only via states satisfying ``allowed`` (seeds are not filtered)."""
-        return self._closure(self.forward_csr(), seeds, allowed)
+        neighbors = partial(csr_neighbors, *self.forward_csr())
+        return self._closure(neighbors, seeds, allowed)
 
     def reverse_closure(
         self, seeds: np.ndarray, allowed: np.ndarray | None = None
     ) -> np.ndarray:
         """States that can reach ``seeds`` (seeds included), optionally
         only via states satisfying ``allowed`` (seeds are not filtered)."""
-        return self._closure(self.reverse_csr(), seeds, allowed)
+        neighbors = partial(csr_neighbors, *self.reverse_csr())
+        return self._closure(neighbors, seeds, allowed)
 
     def distances(self, start: np.ndarray) -> np.ndarray:
         """BFS distance (in command applications) from the ``start`` mask;
@@ -248,6 +228,92 @@ class GraphBackend:
             frontier = uniq
         return None
 
+
+class MaskedSubgraph(CSRGraph):
+    """The subgraph of a :class:`GraphBackend` induced by a node mask, on
+    compact ids: compact id ``k`` is node ``nodes[k]`` of the backend
+    (``nodes`` ascends, so compact ids preserve the backend's order).
+    Self-loops and duplicate edges are dropped."""
+
+    def __init__(self, nodes, fwd, rev) -> None:
+        super().__init__(nodes.shape[0], fwd, rev)
+        self.nodes = nodes
+
+
+class GraphBackend(CSRGraph):
+    """Cached forward/reverse CSR view of a program's union transition graph.
+
+    Obtain via :meth:`repro.semantics.transition.TransitionSystem.graph`
+    rather than constructing directly, so the adjacency is shared by every
+    checker that touches the same program.
+    """
+
+    def __init__(self, n: int, tables: list[np.ndarray]) -> None:
+        if n > _dense_max():
+            raise CapacityError(
+                f"a union CSR over {n} nodes exceeds the dense capacity "
+                f"{_dense_max()} (see StateSpace.DENSE_MAX); spaces this "
+                "large route through the sparse tier, whose local "
+                "backends index only discovered states"
+            )
+        super().__init__(n)
+        self._tables = tables
+        self._cond_cache: OrderedDict[bytes, Condensation] = OrderedDict()
+
+    # -- construction -------------------------------------------------------
+
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        # Chunked per command: each table's moved pairs land in a
+        # preallocated slice instead of a concatenated list of scratch
+        # arrays (see :func:`repro.util.csr.union_edges`).
+        return union_edges(self.n, self._tables)
+
+    def forward_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, nbr)`` of the deduplicated union graph."""
+        if self._fwd is None:
+            rec = obs.get_recorder()
+            with rec.span("graph.union_csr", nodes=self.n):
+                src, dst = self._edges()
+                fwd = build_csr(src, dst, self.n, dtype=self.dtype)
+                # Publish the reverse view first: a concurrent caller that
+                # sees ``_fwd`` set must also find ``_rev`` set.
+                self._rev = build_csr(dst, src, self.n, dtype=self.dtype)
+                self._fwd = fwd
+                if rec.enabled:
+                    rec.add("graph.union_csr.builds")
+                    rec.add("graph.union_csr.edges", int(src.shape[0]))
+        return self._fwd
+
+    def reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, nbr)`` of the reversed union graph."""
+        if self._rev is None:
+            self.forward_csr()
+        assert self._rev is not None
+        return self._rev
+
+    @property
+    def edge_count(self) -> int:
+        """Distinct non-self edges of the union graph."""
+        indptr, _ = self.forward_csr()
+        return int(indptr[-1])
+
+    def table_closure(self, seeds: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+        """States reachable from ``seeds`` (seeds included) through states
+        satisfying ``allowed``, walking the successor tables directly.
+
+        The same set as ``forward_closure(seeds, allowed)``, without the
+        union CSR: one gather per table and BFS level, on the frontier
+        only.  This is how the leads-to analysis finds its cone, so a
+        check never pays for whole-space adjacency.
+        """
+        if not self._tables:
+            return seeds.copy()
+        return self._closure(
+            lambda frontier: np.concatenate([t[frontier] for t in self._tables]),
+            seeds,
+            allowed,
+        )
+
     # -- SCC ----------------------------------------------------------------
 
     #: Number of per-mask condensations to memoize.  Repeated ``p ↝ q``
@@ -257,21 +323,29 @@ class GraphBackend:
     COND_CACHE_SIZE = 8
 
     #: Skip memoization entirely above this node count: each cached
-    #: Condensation pins a length-``n`` ``comp_id`` plus member arrays,
-    #: and on forced-dense giant spaces 8 of those would dwarf the CSR
-    #: itself.  (Spaces that large normally route to the sparse tier,
-    #: whose local backends sit far below this bound.)
+    #: Condensation pins a length-``n`` ``comp_id`` plus member arrays
+    #: and its masked sub-CSR, and on forced-dense giant spaces 8 of
+    #: those would dwarf the tables themselves.  (Spaces that large
+    #: normally route to the sparse tier, whose local backends sit far
+    #: below this bound.)
     COND_CACHE_MAX_NODES = 8_000_000
 
     def condensation(self, mask: np.ndarray) -> Condensation:
         """SCC condensation of the subgraph induced by ``mask``, emitted in
         the canonical sinks-first order (:mod:`repro.semantics.scc`).
 
+        The masked sub-CSR is built from the successor tables on the
+        masked states only (:func:`~repro.semantics.scc.sub_csr_from_tables`),
+        never from the union CSR, so a small mask costs work in its own
+        size; it rides along as the result's ``subgraph``
+        (:class:`MaskedSubgraph`) for closures and paths inside the mask.
+
         Memoized by a digest of the mask bits (LRU of
         :data:`COND_CACHE_SIZE` entries, bypassed above
         :data:`COND_CACHE_MAX_NODES` nodes), so repeated queries against
-        the same predicate mask skip both the masked sub-CSR extraction
-        and the decomposition.
+        the same mask skip both the sub-CSR extraction and the
+        decomposition.  Each entry is published with one assignment,
+        complete with its subgraph.
         """
         rec = obs.get_recorder()
         key = None
@@ -287,14 +361,10 @@ class GraphBackend:
                 return hit
         if rec.enabled:
             rec.add("graph.condensation.misses")
-        with rec.span("graph.condensation", nodes=self.n):
-            fp_full, fn_full = self.forward_csr()
-            fp, fn, nodes = masked_subgraph(fp_full, fn_full, mask)
-            # Reverse view of the subgraph from its own edge list — cheaper
-            # than a second masked extraction over the full reverse CSR.
-            sub_src = np.repeat(np.arange(nodes.shape[0], dtype=np.int64), np.diff(fp))
-            rp, rn = build_csr(fn, sub_src, nodes.shape[0], dtype=fn.dtype)
+        with rec.span("graph.condensation", nodes=int(np.count_nonzero(mask))):
+            nodes, fp, fn, rp, rn = sub_csr_from_tables(mask, self._tables)
             cond = condense_subgraph(self.n, nodes, fp, fn, rp, rn)
+            cond.subgraph = MaskedSubgraph(nodes, (fp, fn), (rp, rn))
             if rec.enabled:
                 rec.add("graph.condensation.components", int(cond.count))
         if key is not None:

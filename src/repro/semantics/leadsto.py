@@ -28,11 +28,16 @@ every SCC misses some ``d ∈ D`` entirely, which is exactly a
 Implementation.  :func:`fair_analysis` is written once against an
 evaluation domain (:mod:`repro.semantics.domain`): the full space, whose
 verdicts are the paper's inductive judgment, or a reachable subspace,
-whose verdicts are reachable-restricted.  All graph work (SCC
-condensation, reverse closure) runs on the domain's CSR backend
-(:mod:`repro.semantics.graph_backend`); the fair-SCC criterion is
-evaluated **batched** over a stacked ``(command, state)`` edge matrix —
-an edge ``s → d(s)`` is internal to its SCC iff
+whose verdicts are reachable-restricted.  Only the *cone* of
+``p ∧ ¬q`` — the states reachable from it inside ``¬q`` — is analysed:
+a ``¬q``-confined walk from a ``p``-state never leaves it, and a
+``¬q``-SCC that meets it lies inside it, so the verdict and witnesses
+are those of the whole ``¬q`` subgraph at the cost of the cone.  All
+graph work (SCC condensation, reverse closure, confining paths) runs
+on the cone's sub-CSR, built from the domain's successor columns by its
+graph backend (:mod:`repro.semantics.graph_backend`); the fair-SCC
+criterion is evaluated **batched** over a stacked ``(command, state)``
+edge matrix — an edge ``s → d(s)`` is internal to its SCC iff
 ``comp_id[d(s)] == comp_id[s]`` — with a single segmented scatter into
 the ``(command, SCC)`` flag plane (:func:`_fair_flags`), instead of one
 scatter round per command.  The same helper evaluates the
@@ -65,7 +70,13 @@ __all__ = ["FairAnalysis", "fair_analysis", "check_leadsto"]
 
 @dataclass
 class FairAnalysis:
-    """Fairness analysis of the ``¬q`` subgraph of a domain.
+    """Fairness analysis of ``p ↝ q`` on the cone of ``p ∧ ¬q``.
+
+    The *cone* is the set of states reachable from ``p ∧ ¬q`` through
+    ``¬q``-states: every ``¬q``-confined walk from a ``p``-state stays in
+    it, and every SCC of the ``¬q`` subgraph that meets it lies inside
+    it, so the cone decides the judgment exactly as the whole ``¬q``
+    subgraph would.  With ``p = TRUE`` the cone is all of ``¬q``.
 
     Every array is indexed by the domain's local ids (global indices on
     the full space).
@@ -74,38 +85,40 @@ class FairAnalysis:
     ----------
     domain:
         The analysed domain (:mod:`repro.semantics.domain`).
-    q_mask, notq_mask:
-        Satisfaction masks of the target predicate and its complement.
+    p_mask, q_mask, notq_mask:
+        Satisfaction masks of ``p``, ``q`` and ``¬q``.
+    cone_mask:
+        The cone: states reachable from ``p ∧ ¬q`` inside ``¬q``.
     cond:
-        SCC condensation of the ``¬q`` subgraph (emission order = sinks
-        first; see :mod:`repro.semantics.scc`).  On a reachable subspace
-        it equals the full-space condensation restricted to reachable
+        SCC condensation of the cone (emission order = sinks first; see
+        :mod:`repro.semantics.scc`).  The cone is forward-closed inside
+        ``¬q``, so its order is the whole-``¬q`` order restricted to it;
+        only the SCC indices are cone-local.  On a reachable subspace it
+        equals the full-space condensation restricted to reachable
         states, because local ids preserve global order.
     fair_flags:
         ``fair_flags[k]`` — SCC ``k`` satisfies the fair-SCC criterion
         (weak or strong, depending on how the analysis was built).
     avoid_mask:
-        States that can reach a fair SCC inside ``¬q`` — exactly the states
-        from which the scheduler can avoid ``q`` forever.
+        Cone states that can reach a fair SCC inside ``¬q`` — exactly the
+        cone states from which the scheduler can avoid ``q`` forever.
     safe_mask:
-        ``¬q``-states from which ``q`` is inevitable
-        (``notq_mask & ~avoid_mask``).
+        Cone states from which ``q`` is inevitable
+        (``cone_mask & ~avoid_mask``).
     """
 
     domain: Any
+    p_mask: np.ndarray
     q_mask: np.ndarray
     notq_mask: np.ndarray
+    cone_mask: np.ndarray
     cond: Condensation
     fair_flags: np.ndarray
     avoid_mask: np.ndarray
 
     @property
     def safe_mask(self) -> np.ndarray:
-        return self.notq_mask & ~self.avoid_mask
-
-    def inevitable_mask(self) -> np.ndarray:
-        """States from which every fair execution reaches ``q``."""
-        return ~self.avoid_mask
+        return self.cone_mask & ~self.avoid_mask
 
     def safe_components(self) -> list[tuple[int, np.ndarray]]:
         """``(comp_id, members)`` for SCCs in the safe region, in emission
@@ -113,32 +126,27 @@ class FairAnalysis:
         safe = np.flatnonzero(~self.avoid_mask[self.cond.first_members()])
         return [(int(k), self.cond.members_of(k)) for k in safe]
 
-    def fair_seed_mask(self) -> np.ndarray:
-        """Mask of all states lying inside a fair SCC."""
-        return _fair_seed_mask(self.cond, self.fair_flags)
-
     def confining_path(self, k: int) -> np.ndarray | None:
         """Local ids of a shortest ``¬q``-confined walk from state ``k``
         into a fair SCC — the scheduler's avoidance strategy, state by
         state (``None`` when ``k`` reaches no fair SCC)."""
-        sources = np.zeros(self.domain.size, dtype=bool)
-        sources[k] = True
-        return self.domain.graph().path_between(
-            sources, self.fair_seed_mask(), allowed=self.notq_mask
-        )
+        if not self.avoid_mask[k]:
+            return None
+        sub = self.cond.subgraph
+        sources = np.zeros(sub.n, dtype=bool)
+        sources[np.searchsorted(sub.nodes, k)] = True
+        path = sub.path_between(sources, _fair_seeds(self.cond, self.fair_flags))
+        return sub.nodes[path]
 
 
 #: Byte budget of one stacked (command, state) chunk in :func:`_fair_flags`.
 _FAIR_CHUNK_BYTES = 16 << 20
 
 
-def _fair_seed_mask(cond: Condensation, fair_flags: np.ndarray) -> np.ndarray:
-    """Mask of all states lying in a flagged SCC (vectorized gather)."""
-    seeds = np.zeros(cond.comp_id.shape[0], dtype=bool)
-    if fair_flags.any():
-        active = cond.comp_id >= 0
-        seeds[active] = fair_flags[cond.comp_id[active]]
-    return seeds
+def _fair_seeds(cond: Condensation, fair_flags: np.ndarray) -> np.ndarray:
+    """Which nodes of ``cond.subgraph`` (compact ids) lie in a flagged
+    SCC (vectorized gather)."""
+    return fair_flags[cond.comp_id[cond.subgraph.nodes]]
 
 
 def _fair_flags(
@@ -158,18 +166,21 @@ def _fair_flags(
     With ``enabled`` absent this is the *weak*-fairness criterion: SCC
     ``k`` keeps its flag iff every ``d ∈ D`` has an edge with both
     endpoints in ``k`` (disabled self-moves included).  With ``enabled``
-    (one boolean row — or a zero-argument callable producing it — per
-    command) it is the *strong* criterion: for every ``d``, either no
-    member enables ``d``, or some member enables ``d`` with its
-    ``d``-successor inside ``k``.  Callables are evaluated one at a time
-    and only until the flags die, so full-space enabledness masks stream
-    instead of being materialized up front.
+    (per command, one boolean row over the graph's nodes — or a callable
+    mapping the condensed node ids to their enabledness) it is the
+    *strong* criterion: for every ``d``, either no member enables ``d``,
+    or some member enables ``d`` with its ``d``-successor inside ``k``.
+    Callables are evaluated one at a time and only until the flags die,
+    at the condensed nodes only, so enabledness streams instead of being
+    materialized up front.
     """
     count = cond.count
     ncmd = len(tables)
     if ncmd == 0 or count == 0:
         return np.ones(count, dtype=bool)
-    act_idx = np.flatnonzero(cond.comp_id >= 0)
+    # Every condensed node, grouped by SCC (the order is irrelevant to
+    # the scatters below).
+    act_idx = cond.members
     comp_act = cond.comp_id[act_idx]
     # Chunk the command axis so the stacked matrix stays bounded (~16 MB)
     # on large dense spaces, and dead flag planes short-circuit between
@@ -192,10 +203,10 @@ def _fair_flags(
             flags &= has_edge.all(axis=0)
         else:
             # Per-row reduction with a short circuit: each enabledness
-            # mask (possibly a lazy full-space evaluation) is built only
-            # while some flag is still alive.
+            # row (possibly a lazy evaluation) is built only while some
+            # flag is still alive.
             for r, e in enumerate(enabled[lo:lo + chunk]):
-                en_r = (e() if callable(e) else e)[act_idx]
+                en_r = e(act_idx) if callable(e) else e[act_idx]
                 has_enabled = np.zeros(count, dtype=bool)
                 has_enabled[comp_act[en_r]] = True
                 honored = np.zeros(count, dtype=bool)
@@ -210,8 +221,17 @@ def _fair_flags(
 
 
 
-def fair_analysis(domain, q: Predicate, *, strong: bool = False) -> FairAnalysis:
-    """Analyse the ``¬q`` subgraph of ``domain`` for fair avoidance.
+def fair_analysis(
+    domain, p: Predicate, q: Predicate, *, strong: bool = False
+) -> FairAnalysis:
+    """Analyse the cone of ``p ∧ ¬q`` in ``domain`` for fair avoidance.
+
+    The cone (states reachable from ``p ∧ ¬q`` through ``¬q``-states) is
+    found by a frontier walk over the domain's successor columns, and
+    only it is condensed: SCCs, fair flags, the avoid closure and
+    confining paths all run on its sub-CSR, never on the whole ``¬q``
+    subgraph nor on the union CSR of the domain.  ``fair_analysis(domain,
+    TRUE, q)`` is the whole-``¬q`` analysis.
 
     With ``strong=True`` the per-SCC criterion is the strong-fairness one
     (:mod:`repro.semantics.strong_fairness`): an SCC stays fair iff for
@@ -222,22 +242,27 @@ def fair_analysis(domain, q: Predicate, *, strong: bool = False) -> FairAnalysis
     variant metric of its induction certificates.
     """
     graph = domain.graph()
+    p_mask = domain.pred_mask(p)
     q_mask = domain.pred_mask(q)
     notq = ~q_mask
-    cond = graph.condensation(notq)
+    cone = graph.table_closure(p_mask & notq, notq)
+    cond = graph.condensation(cone)
     fair_cmds = domain.program.fair_commands
-    # Enabledness rows stream lazily: each column is built only when its
-    # chunk is reached, and not at all once the flags die.
+    # Enabledness rows stream lazily, at the cone's states only: each is
+    # built only when its chunk is reached, and not at all once the
+    # flags die.
     enabled = (
-        [(lambda c=cmd: domain.enabled_local(c)) for cmd in fair_cmds]
+        [(lambda ids, c=cmd: domain.enabled_at(c, ids)) for cmd in fair_cmds]
         if strong
         else None
     )
     flags = _fair_flags(
         cond, [domain.succ_local(cmd) for cmd in fair_cmds], enabled=enabled
     )
-    avoid = graph.reverse_closure(_fair_seed_mask(cond, flags), allowed=notq)
-    return FairAnalysis(domain, q_mask, notq, cond, flags, avoid)
+    sub = cond.subgraph
+    avoid = np.zeros(domain.size, dtype=bool)
+    avoid[sub.nodes] = sub.reverse_closure(_fair_seeds(cond, flags))
+    return FairAnalysis(domain, p_mask, q_mask, notq, cone, cond, flags, avoid)
 
 
 def leadsto_judgment(
@@ -280,8 +305,8 @@ def leadsto_judgment(
             message=f"no {d.where}states (vacuous over the {d.label})",
             witness=d.annotate({}, reachable=True, metrics=True),
         )
-    analysis = fair_analysis(d, q, strong=strong)
-    idx = np.flatnonzero(d.pred_mask(p) & analysis.avoid_mask)
+    analysis = fair_analysis(d, p, q, strong=strong)
+    idx = np.flatnonzero(analysis.p_mask & analysis.avoid_mask)
     scope = f"{d.label}: {d.size} {d.where}states"
     if idx.size == 0:
         return CheckResult(
@@ -290,26 +315,18 @@ def leadsto_judgment(
             subject,
             message=(
                 f"holds from every {d.where}p-state under {fairness} fairness: "
-                f"{int(analysis.safe_mask.sum())} ¬q-states safe, "
-                f"{int(analysis.avoid_mask.sum())} avoidable ({scope})"
+                f"all {int(analysis.cone_mask.sum())} ¬q-states reachable "
+                f"from p reach q ({scope})"
             ),
             witness=d.annotate({}, reachable=True, metrics=True),
         )
     k = int(idx[0])
     state = d.state_at_local(k)
-    # Locate some fair SCC for the diagnostic, plus two concrete walks:
-    # how the counterexample is reached (when the domain keeps BFS
-    # parents), and how the scheduler confines the run away from q.
-    fair = np.flatnonzero(analysis.fair_flags)
-    fair_state = (
-        d.state_at_local(int(analysis.cond.members_of(fair[0])[0]))
-        if fair.size
-        else None
-    )
-    confining = analysis.confining_path(k)
-    confining_states = (
-        [d.state_at_local(s) for s in confining] if confining is not None else [state]
-    )
+    # Two concrete walks: how the counterexample is reached (when the
+    # domain keeps BFS parents), and how the scheduler confines the run
+    # away from q — its last state names the fair SCC the run settles in.
+    confining_states = [d.state_at_local(s) for s in analysis.confining_path(k)]
+    fair_state = confining_states[-1]
     witness = {
         "state": state,
         "fair_scc_state": fair_state,

@@ -46,8 +46,9 @@ the reference oracle for randomized differential tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Any
 
 import numpy as np
 
@@ -63,6 +64,7 @@ __all__ = [
     "Condensation",
     "condensation",
     "condense_subgraph",
+    "sub_csr_from_tables",
     "canonicalize",
     "tarjan_condensation",
 ]
@@ -84,11 +86,18 @@ class Condensation:
     offsets:
         ``int64`` array of length ``count + 1``: SCC ``k`` is
         ``members[offsets[k]:offsets[k + 1]]`` (see :meth:`members_of`).
+    subgraph:
+        The masked subgraph the partition was computed on, as a
+        :class:`~repro.semantics.graph_backend.MaskedSubgraph` (compact
+        ids, forward + reverse CSR) — set by
+        :meth:`repro.semantics.graph_backend.GraphBackend.condensation`,
+        ``None`` on the standalone paths of this module.
     """
 
     comp_id: np.ndarray
     members: np.ndarray
     offsets: np.ndarray
+    subgraph: Any = field(default=None, repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -117,12 +126,12 @@ class Condensation:
 
 
 # ---------------------------------------------------------------------------
-# Subgraph extraction (standalone path; the cached path lives in
-# repro.semantics.graph_backend and shares condense_subgraph below).
+# Subgraph extraction (shared by the standalone path below and the cached
+# path in repro.semantics.graph_backend).
 # ---------------------------------------------------------------------------
 
 
-def _sub_csr_from_tables(
+def sub_csr_from_tables(
     mask: np.ndarray, tables: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward and reverse CSR of the masked subgraph, on compacted ids.
@@ -455,7 +464,7 @@ def condensation(mask: np.ndarray, tables: list[np.ndarray]) -> Condensation:
     canonical sinks-first order (see module docstring).
     """
     n = mask.shape[0]
-    nodes, fp, fn, rp, rn = _sub_csr_from_tables(mask, tables)
+    nodes, fp, fn, rp, rn = sub_csr_from_tables(mask, tables)
     return condense_subgraph(n, nodes, fp, fn, rp, rn)
 
 
@@ -469,7 +478,7 @@ def canonicalize(
     ``Condensation`` equal to the one :func:`condensation` produces.
     """
     n = mask.shape[0]
-    nodes, fp, fn, _rp, _rn = _sub_csr_from_tables(mask, tables)
+    nodes, fp, fn, _rp, _rn = sub_csr_from_tables(mask, tables)
     labels = cond.comp_id[nodes]
     order_of = _emission_order(nodes.shape[0], labels, cond.count, fp, fn)
     return _package(n, nodes, labels, order_of)

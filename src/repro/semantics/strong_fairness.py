@@ -85,7 +85,7 @@ def check_transient_strong(program: Program, p: Predicate) -> CheckResult:
     flags = _fair_flags(
         cond,
         [d.succ_local(cmd) for cmd in fair_cmds],
-        enabled=[(lambda c=cmd: d.enabled_local(c)) for cmd in fair_cmds],
+        enabled=[(lambda ids, c=cmd: d.enabled_at(c, ids)) for cmd in fair_cmds],
     )
     hit = np.flatnonzero(flags)
     if hit.size == 0:

@@ -10,8 +10,9 @@ derived ``Ensures`` and ``MetricInduction`` constructions; §2 of the
 paper, and §4.6 for the metric-induction closing step).
 
 Construction.  Work in the ``¬q`` transition graph restricted to the
-*safe* region (states from which ``q`` is inevitable) and to the forward
-closure ``R`` of ``p ∧ ¬q``:
+*cone* ``R`` of ``p ∧ ¬q`` (its forward closure inside ``¬q``), which
+lies in the *safe* region (states from which ``q`` is inevitable)
+whenever the property holds:
 
 - every SCC ``H`` of this region is **unfair** — some ``d ∈ D`` has no edge
   staying inside ``H`` — hence ``transient H`` holds with witness ``d``;
@@ -157,15 +158,13 @@ def _synthesize(domain, p: Predicate, q: Predicate, fairness: str) -> LeadsToPro
     levels)`` — a combinator, not a mask.  The certificate then concludes
     the reachable-restricted judgment.
     """
-    analysis = fair_analysis(domain, q, strong=(fairness == "strong"))
-    pm = domain.pred_mask(p)
+    analysis = fair_analysis(domain, p, q, strong=(fairness == "strong"))
 
-    bad = pm & analysis.avoid_mask
+    bad = analysis.p_mask & analysis.avoid_mask
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
         state = domain.state_at_local(k)
-        confining = analysis.confining_path(k)
-        steps = 0 if confining is None else confining.shape[0] - 1
+        steps = analysis.confining_path(k).shape[0] - 1
         raise ProofError(
             f"cannot synthesize a proof of {p.describe()} ~> {q.describe()}: "
             f"the property fails under {fairness} fairness on the "
@@ -173,23 +172,16 @@ def _synthesize(domain, p: Predicate, q: Predicate, fairness: str) -> LeadsToPro
             f"{state!r}, reaching a fair SCC in {steps} ¬q-confined step(s))"
         )
 
-    # Restrict to the part of the safe region the obligation actually
-    # touches: the forward closure of p ∧ ¬q (successors leaving ¬q are
-    # dropped — exits to q end the obligation).
-    seeds = pm & analysis.notq_mask
-    region = domain.graph().forward_closure(seeds, allowed=analysis.notq_mask)
-
-    if not region.any():
+    if analysis.cond.count == 0:
         # p ⇒ q: a single Implication suffices.
         return Implication(p, q)
 
-    # Levels: SCCs intersecting the region, in canonical emission
-    # (sinks-first) order.  An SCC intersecting the region is contained in
-    # it (regions are closed and SCC members are mutually reachable).
-    cond = analysis.cond
+    # Levels: the SCCs of the cone of p ∧ ¬q (successors leaving ¬q are
+    # dropped — exits to q end the obligation), in canonical emission
+    # (sinks-first) order.  No p-state can avoid q, so neither can any
+    # cone state: every cone SCC is safe.
     comps = [
-        (int(k), domain.to_global(cond.members_of(k)))
-        for k in np.flatnonzero(region[cond.first_members()])
+        (k, domain.to_global(members)) for k, members in analysis.safe_components()
     ]
     return _columnar_induction(
         domain.space, p, q, comps, fairness, member_word=f"{domain.where}states"

@@ -89,7 +89,8 @@ class TransitionSystem:
             from repro.semantics.graph_backend import GraphBackend
 
             self._graph = GraphBackend(
-                self.space.size, [table for _, table in self.all_tables()]
+                self.space.size,
+                [table for cmd, table in self.all_tables() if not cmd.is_skip()],
             )
         return self._graph
 

@@ -12,11 +12,6 @@ are ``nbr[indptr[v]:indptr[v + 1]]``.  ``indptr`` is always ``int64``
 in the minimal signed dtype for the space (``int32`` whenever the node
 count fits, halving memory traffic on large spaces — see
 :func:`minimal_int_dtype`).
-
-Subgraphs induced by a boolean node mask are first-class:
-:func:`masked_subgraph` compacts a cached full-graph CSR onto the masked
-nodes in a handful of vectorized passes, so per-query subgraph views are
-cheap relative to rebuilding adjacency from successor tables.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ __all__ = [
     "dedup_edges",
     "union_edges",
     "csr_neighbors",
-    "masked_subgraph",
 ]
 
 
@@ -198,28 +192,3 @@ def csr_neighbors(
     within = np.arange(total, dtype=np.int64)
     within -= np.repeat(np.cumsum(counts) - counts, counts)
     return nbr[base + within]
-
-
-def masked_subgraph(
-    indptr: np.ndarray, nbr: np.ndarray, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR of the subgraph induced by ``mask``, on compacted node ids.
-
-    Returns ``(sub_indptr, sub_nbr, nodes)`` where ``nodes`` (ascending)
-    maps compact id → original id, and ``sub_nbr`` holds compact ids.  An
-    edge survives iff both endpoints satisfy ``mask``.
-    """
-    nodes = np.flatnonzero(mask)
-    m = nodes.shape[0]
-    dtype = nbr.dtype
-    remap = np.full(mask.shape[0], -1, dtype=dtype)
-    remap[nodes] = np.arange(m, dtype=dtype)
-    counts = indptr[nodes + 1] - indptr[nodes]
-    nbrs = csr_neighbors(indptr, nbr, nodes)
-    keep = mask[nbrs]
-    seg = np.repeat(np.arange(m, dtype=np.int64), counts)[keep]
-    sub_counts = np.bincount(seg, minlength=m)
-    sub_indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(sub_counts, out=sub_indptr[1:])
-    sub_nbr = remap[nbrs[keep]]
-    return sub_indptr, sub_nbr, nodes

@@ -90,6 +90,7 @@ def test_harness_detects_injected_fault(fault):
         "sparse-unfair": {"leadsto-weak", "leadsto-strong"},
         "sparse-flip-weak": {"leadsto-weak"},
         "dense-forget-reach": {"invariant"},
+        "dense-cone-flip": {"leadsto-cone-weak"},
     }[fault]
     assert bad & expected, (fault, bad)
 

@@ -21,7 +21,6 @@ from repro.util.csr import (
     build_csr,
     csr_neighbors,
     dedup_edges,
-    masked_subgraph,
     minimal_int_dtype,
 )
 
@@ -72,21 +71,30 @@ class TestCsrKernels:
         assert set(zip(s.tolist(), d.tolist())) == {(3, 2), (1, 1), (0, 0)}
 
     def test_masked_subgraph_matches_reference(self):
+        # The masked sub-CSR a condensation carries is built from the
+        # tables on the masked nodes only; both views must hold exactly
+        # the union edges with both endpoints masked.
         for seed in range(25):
             n, tables = random_tables(seed)
             edges = naive_edges(tables)
-            src = np.array([s for s, _ in edges] or [0], dtype=np.int64)[: len(edges)]
-            dst = np.array([t for _, t in edges] or [0], dtype=np.int64)[: len(edges)]
-            indptr, nbr = build_csr(src, dst, n)
             rng = np.random.default_rng(1000 + seed)
             mask = rng.random(n) < 0.6
-            sub_indptr, sub_nbr, nodes = masked_subgraph(indptr, nbr, mask)
-            got = set()
-            for ci in range(nodes.size):
-                for t in sub_nbr[sub_indptr[ci]:sub_indptr[ci + 1]]:
-                    got.add((int(nodes[ci]), int(nodes[int(t)])))
+            sub = GraphBackend(n, tables).condensation(mask).subgraph
+            nodes = sub.nodes
+            assert nodes.tolist() == np.flatnonzero(mask).tolist()
+            views = {}
+            for name, (indptr, nbr) in (
+                ("fwd", sub.forward_csr()),
+                ("rev", sub.reverse_csr()),
+            ):
+                views[name] = {
+                    (int(nodes[ci]), int(nodes[int(t)]))
+                    for ci in range(nodes.size)
+                    for t in nbr[indptr[ci]:indptr[ci + 1]]
+                }
             want = {(s, t) for s, t in edges if mask[s] and mask[t]}
-            assert got == want
+            assert views["fwd"] == want
+            assert views["rev"] == {(t, s) for s, t in want}
 
 
 class TestGraphBackend:

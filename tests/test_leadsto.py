@@ -132,7 +132,7 @@ class TestFairnessSubtleties:
 class TestAnalysisInternals:
     def test_analysis_masks_partition(self):
         p = sat_counter()
-        analysis = fair_analysis(FullSpace(p), pred(X.ref() == 3))
+        analysis = fair_analysis(FullSpace(p), TRUE, pred(X.ref() == 3))
         assert (analysis.q_mask | analysis.notq_mask).all()
         assert not (analysis.q_mask & analysis.notq_mask).any()
         assert not (analysis.avoid_mask & ~analysis.notq_mask).any()
@@ -144,7 +144,7 @@ class TestAnalysisInternals:
         spin = GuardedCommand("spin", True, [(B, lnot(B.ref()))])
         exit_ = GuardedCommand("exit", X.ref() < 2, [(X, X.ref() + 1)])
         p = Program("P", [X, B], TRUE, [spin, exit_], fair=["exit"])
-        analysis = fair_analysis(FullSpace(p), pred(X.ref() == 3))
+        analysis = fair_analysis(FullSpace(p), TRUE, pred(X.ref() == 3))
         safe = analysis.safe_mask
         ts = TransitionSystem.for_program(p)
         for _, table in ts.all_tables():
@@ -153,7 +153,7 @@ class TestAnalysisInternals:
 
     def test_safe_components_order_is_usable_as_levels(self):
         p = sat_counter()
-        analysis = fair_analysis(FullSpace(p), pred(X.ref() == 3))
+        analysis = fair_analysis(FullSpace(p), TRUE, pred(X.ref() == 3))
         comps = analysis.safe_components()
         # Emission order: each component's successors lie in q or earlier
         # components.
@@ -173,3 +173,98 @@ class TestAnalysisInternals:
         res = check_leadsto(sat_counter(fair=False), TRUE, pred(X.ref() == 3))
         assert not res.holds
         assert res.witness["fair_scc_state"] is not None
+
+
+class TestCone:
+    """The analysis runs on the cone of ``p ∧ ¬q`` only."""
+
+    def test_fair_scc_state_is_reachable_from_the_witness(self):
+        # Two fair sinks {0, 1} and {2, 3}; x=2 already sits in the
+        # second one, so the diagnostic must name a state of it, not the
+        # first fair SCC in emission order (which x=2 cannot reach).
+        x = Var.shared("x", IntRange(0, 5))
+        rv = x.ref()
+        succ = ite(rv == 0, 1, ite(rv == 1, 0, ite(rv == 2, 3, ite(rv == 3, 2, 0))))
+        step = GuardedCommand("step", rv != 5, [(x, succ)])
+        prog = Program("TwoSinks", [x], TRUE, [step], fair=["step"])
+        res = check_leadsto(prog, pred(rv == 2) | pred(rv == 4), FALSE)
+        assert not res.holds
+        assert res.witness["state"][x] == 2
+        assert [s[x] for s in res.witness["confining_path"]] == [2]
+        assert res.witness["fair_scc_state"][x] == 2
+        assert "settling near" in res.message and "x=2" in res.message
+
+    def test_cone_excludes_states_p_cannot_reach(self):
+        # From x=2 the counter only climbs: x=0 and x=1 are ¬q but
+        # outside the cone.
+        p = sat_counter()
+        analysis = fair_analysis(FullSpace(p), pred(X.ref() == 2), pred(X.ref() == 3))
+        assert analysis.cone_mask.tolist() == [False, False, True, False]
+        assert analysis.cond.count == 1
+        whole = fair_analysis(FullSpace(p), TRUE, pred(X.ref() == 3))
+        assert whole.cone_mask.tolist() == whole.notq_mask.tolist()
+
+    def test_program_with_only_skip(self):
+        # No table to walk: the cone is p ∧ ¬q itself, and skip is a
+        # fair-less self-loop the scheduler may repeat forever.
+        p = Program("Idle", [X], TRUE, [], fair=[])
+        res = check_leadsto(p, pred(X.ref() == 0), pred(X.ref() == 3))
+        assert not res.holds
+        assert res.witness["fair_scc_state"][X] == 0
+
+    def test_holds_message_counts_the_cone(self):
+        res = check_leadsto(sat_counter(), pred(X.ref() == 2), pred(X.ref() == 3))
+        assert res.holds
+        assert "all 1 ¬q-states reachable from p reach q" in res.message
+
+
+def _ladder_program():
+    from repro.dsl import parse_program
+
+    return parse_program(
+        "program Ladder\n"
+        "declare shared x : int[0..4]\n"
+        "initially x = 0\n"
+        "assign\n"
+        "  fair up0: x = 0 -> x := x + 1;\n"
+        "  fair up1: x = 1 -> x := x + 1;\n"
+        "  fair up2: x = 2 -> x := x + 1;\n"
+        "  fair up3: x = 3 -> x := x + 1\n"
+        "end\n"
+    )
+
+
+class TestNoUnionCsr:
+    """A dense leads-to check or ``prove`` never builds the whole-space
+    union CSR, and ``prove`` condenses the cone once."""
+
+    def test_dense_check_builds_no_union_csr(self):
+        from repro.semantics.transition import TransitionSystem
+
+        prog = _ladder_program()
+        res = check_leadsto(prog, pred_of(prog, "x = 1"), pred_of(prog, "x = 4"))
+        assert res.holds
+        assert TransitionSystem.for_program(prog).graph()._fwd is None
+
+    def test_prove_condenses_once_without_union_csr(self):
+        from repro import obs
+        from repro.api import verify
+        from repro.dsl import parse_property
+        from repro.semantics.transition import TransitionSystem
+
+        for fairness in ("weak", "strong"):
+            prog = _ladder_program()
+            prop = parse_property("x = 1 ~> x = 4", prog)
+            rec = obs.MetricsRecorder()
+            with obs.use_recorder(rec):
+                verdict = verify(prog, prop, fairness=fairness, prove=True)
+            assert verdict.holds and verdict.certificate is not None
+            assert TransitionSystem.for_program(prog).graph()._fwd is None
+            counters = obs.build_manifest(rec)["counters"]
+            assert counters["graph.condensation.misses"] == 1, fairness
+
+
+def pred_of(program, text):
+    from repro.dsl import parse_property
+
+    return parse_property(f"{text} ~> {text}", program).p

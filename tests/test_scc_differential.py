@@ -225,3 +225,122 @@ class TestEmissionOrderPin:
         cond = TransitionSystem.for_program(prog).graph().condensation(notq)
         assert cond.count == depth
         assert cond.comp_id[:depth].tolist() == list(range(depth - 1, -1, -1))
+
+
+# ---------------------------------------------------------------------------
+# Leads-to on the cone of p ∧ ¬q vs. the whole-¬q reference
+# ---------------------------------------------------------------------------
+
+
+def _cone_cases():
+    """``(label, program, p, q)`` for the cone differential: fuzz seeds
+    0–199, the shrunk fuzz corpus, and small scenario-family instances."""
+    from pathlib import Path
+
+    from repro.dsl import parse_program
+    from repro.gen.families import build_scenario
+    from repro.gen.fuzz import fuzz_case, predicate_from_conjuncts
+    from repro.gen.shrink import load_corpus_entry
+
+    for seed in range(200):
+        case = fuzz_case(seed)
+        yield f"fuzz{seed}", case.program, case.p, case.q
+    for path in sorted((Path(__file__).parent / "corpus").glob("*.json")):
+        entry = load_corpus_entry(path)
+        program = parse_program(entry["program"])
+        yield (
+            path.stem,
+            program,
+            predicate_from_conjuncts(program, entry["p"]),
+            predicate_from_conjuncts(program, entry["q"]),
+        )
+    for family, params in (
+        ("pipeline", {"stages": 3, "total": 2}),
+        ("fanout", {"widths": (2, 2), "total": 2}),
+        ("mesh", {"pools": 2, "clients": 3, "total": 1}),
+        ("philosophers", {"n": 4}),
+        ("product", {"stages": 2, "clients": 2, "total": 2}),
+        ("hypercube", {"d": 2}),
+    ):
+        scenario = build_scenario(family, **params)
+        for check in scenario.checks:
+            if check.kind == "leadsto":
+                yield (
+                    f"{family}:{check.label}",
+                    scenario.program,
+                    check.prop.p,
+                    check.prop.q,
+                )
+
+
+def _reference_levels(domain, p, q, strong):
+    """Synthesis levels as selected before the cone: the whole-¬q
+    condensation, filtered by the forward closure of ``p ∧ ¬q`` inside
+    ``¬q`` (``None`` when the property fails)."""
+    from repro.core.predicates import TRUE
+    from repro.semantics.leadsto import fair_analysis
+
+    ref = fair_analysis(domain, TRUE, q, strong=strong)
+    pm = domain.pred_mask(p)
+    if (pm & ref.avoid_mask).any():
+        return None
+    region = domain.graph().forward_closure(
+        pm & ref.notq_mask, allowed=ref.notq_mask
+    )
+    cond = ref.cond
+    return [
+        domain.to_global(cond.members_of(k)).tolist()
+        for k in np.flatnonzero(region[cond.first_members()])
+    ]
+
+
+@pytest.mark.parametrize("strong", [False, True], ids=["weak", "strong"])
+def test_cone_leadsto_matches_whole_notq_reference(strong):
+    """The cone-based checkers and synthesizer give exactly the verdict,
+    witness and certificate levels of the whole-``¬q`` analysis, on both
+    the full space and the reachable subspace."""
+    from repro.core.predicates import TRUE
+    from repro.core.rules import Implication
+    from repro.semantics.domain import FullSpace
+    from repro.semantics.leadsto import check_leadsto, fair_analysis
+    from repro.semantics.sparse import reachable_subspace
+    from repro.semantics.strong_fairness import check_leadsto_strong
+    from repro.semantics.synthesis import synthesize_leadsto_proof
+
+    checker = check_leadsto_strong if strong else check_leadsto
+    fairness = "strong" if strong else "weak"
+    failing = 0
+    for label, program, p, q in _cone_cases():
+        for domain, subspace in (
+            (FullSpace(program), None),
+            (reachable_subspace(program), "reachable"),
+        ):
+            sub = domain if subspace else None
+            where = (label, subspace, fairness)
+            res = checker(program, p, q, subspace=sub)
+            ref = fair_analysis(domain, TRUE, q, strong=strong)
+            idx = np.flatnonzero(domain.pred_mask(p) & ref.avoid_mask)
+            assert res.holds == (idx.size == 0), where
+            if idx.size:
+                failing += 1
+                k = int(idx[0])
+                path = [domain.state_at_local(s) for s in ref.confining_path(k)]
+                assert res.witness["violations"] == idx.size, where
+                assert res.witness["state"] == domain.state_at_local(k), where
+                assert res.witness["confining_path"] == path, where
+                assert res.witness["fair_scc_state"] == path[-1], where
+
+            want = _reference_levels(domain, p, q, strong)
+            assert (want is None) == (not res.holds), where
+            if want is None:
+                continue
+            proof = synthesize_leadsto_proof(
+                program, p, q, fairness=fairness, subspace=sub
+            )
+            if not want:
+                assert isinstance(proof, Implication), where
+                continue
+            got = [level.members.tolist() for level in proof.levels]
+            assert got == want, where
+    # The sweep exercises failing verdicts, not only holding ones.
+    assert failing > 0

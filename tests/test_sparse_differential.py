@@ -30,7 +30,7 @@ import pytest
 from repro.core.commands import AltCommand, GuardedCommand
 from repro.core.domains import BoolDomain, IntRange
 from repro.core.expressions import land, lnot
-from repro.core.predicates import ExprPredicate
+from repro.core.predicates import TRUE, ExprPredicate
 from repro.core.program import Program
 from repro.core.variables import Var
 import repro.semantics.sparse as sparse_pkg
@@ -199,13 +199,13 @@ def test_leadsto_verdicts_agree(batch):
 
         sub = reachable_subspace(program)
 
-        weak = fair_analysis(FullSpace(program), q)
+        weak = fair_analysis(FullSpace(program), TRUE, q)
         expect_weak = not (pm & weak.avoid_mask & reach).any()
         got_weak = check_leadsto(program, p, q, subspace=sub)
         assert got_weak.holds == expect_weak, seed
         assert got_weak.witness.get("tier") == "sparse"
 
-        strong = fair_analysis(FullSpace(program), q, strong=True)
+        strong = fair_analysis(FullSpace(program), TRUE, q, strong=True)
         expect_strong = not (pm & strong.avoid_mask & reach).any()
         got_strong = check_leadsto_strong(program, p, q, subspace=sub)
         assert got_strong.holds == expect_strong, seed
