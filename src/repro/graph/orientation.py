@@ -154,11 +154,6 @@ class Orientation:
                 bits &= ~bit(k)
         return Orientation(self.graph, bits)
 
-    def flipped_edge(self, i: int, j: int) -> "Orientation":
-        """Single-edge flip (used by tests to perturb orientations)."""
-        k = self.graph.edge_id(i, j)
-        return Orientation(self.graph, self.bits ^ bit(k))
-
     # -- dunder ----------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -27,7 +27,13 @@ obligation it discharges is *local*:
 The walk is memoized by node identity, so certificates that share
 subtrees (the delivery certificate reuses one progress subtree across
 every branch of its support split) check each shared node once — total
-work linear in the number of components.
+work linear in the number of components.  Below the walk, the one
+:class:`~repro.semantics.obligations.FootprintKernel` of a check decides
+each obligation *shape* once: the stages of a composed stack are copies
+of a few component shapes, so their obligations repeat up to a renaming
+of variables, and a repeat is answered from the kernel's memo.
+``notes["obligations_decided"]`` and ``notes["obligations_by_shape"]``
+count the two.
 
 Refusals, never unsound acceptances
 -----------------------------------
@@ -86,7 +92,10 @@ class CompositionalCheckResult(ProofCheckResult):
         return (
             f"{base}; {self.components_checked} component lemma(s), "
             f"{self.frame_skips} frame-rule skips, "
-            f"{self.footprint_evaluations} footprint evaluations"
+            f"{self.footprint_evaluations} footprint evaluations, "
+            f"{self.notes.get('obligations_decided', 0)} footprint "
+            "obligation(s) decided and "
+            f"{self.notes.get('obligations_by_shape', 0)} answered by shape"
         )
 
 
@@ -267,18 +276,24 @@ class _Walker:
             (cw for cw in self.commands if cw[0].name in self.system.fair_names),
             key=lambda cw: (not (cw[1] & region_vars), cw[0].name),
         )
-        last = "the program has no fair commands (D = ∅)"
+        # Only the last failing candidate is kept, and its message is read
+        # only when every candidate fails.
+        last = None
         exit_pred = ~region
         for cmd, _ in candidates:
-            res = self.kernel.check_wp(region, cmd, exit_pred)
-            if res.ok:
+            last = self.kernel.check_wp(region, cmd, exit_pred)
+            if last.ok:
                 return
-            last = res.message
+        why = (
+            last.message
+            if last is not None
+            else "the program has no fair commands (D = ∅)"
+        )
         self.fail(
             path,
             "ensures transient obligation: no fair command exits "
             f"{region.describe()} from every region state (last candidate: "
-            f"{last})",
+            f"{why})",
         )
 
     def _walk_strong_ensures(self, node: StrongEnsures, path: str) -> None:
@@ -496,4 +511,6 @@ def check_compositional(
             )
     result.footprint_evaluations = kernel.evaluations
     result.notes["footprint_spaces"] = len(kernel._spaces)
+    result.notes["obligations_decided"] = sum(kernel.decided.values())
+    result.notes["obligations_by_shape"] = sum(kernel.by_shape.values())
     return result

@@ -51,12 +51,15 @@ length ``space.size`` unless the domain *is* the space.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
-from repro.core.predicates import Predicate
+from repro.core.commands import AltCommand, GuardedCommand, Skip
+from repro.core.domains import EnumDomain
+from repro.core.predicates import ExprPredicate, Predicate, _Composite, _Negation
 from repro.core.proofs import ProofCheckResult, ProofFailure
 
 __all__ = [
@@ -427,6 +430,10 @@ def _strong_transient_fail(
 # ``stable (Σ aᵥ·v = k)`` holds iff every command's weighted write-delta
 # is zero under its guard — an obligation over vars(command) only
 # (check_linear_stable).
+#
+# Composed systems are copies of a few component shapes glued along shared
+# variables, so most obligations repeat up to a renaming of variables; the
+# kernel decides each obligation *shape* once (FootprintKernel._shape).
 
 
 @dataclass
@@ -441,37 +448,84 @@ class FootprintResult:
         return self.ok
 
 
+class _RecalledFailure(FootprintResult):
+    """A failing verdict answered by shape.  Its message is the real
+    obligation's, built on first read by deciding that obligation again."""
+
+    def __init__(self, explain) -> None:
+        self.ok = False
+        self.dropped = ()
+        self._explain = explain
+        self._message: str | None = None
+
+    @property
+    def message(self) -> str:
+        if self._message is None:
+            self._message = self._explain()
+        return self._message
+
+
 #: Largest footprint space the kernel will enumerate (per obligation).
 #: Compositional certificates keep obligations a handful of variables
 #: wide; anything bigger is refused, never silently explored.
 FOOTPRINT_MAX = 1 << 21
 
+#: One identifier token of printed text: a variable name (``c[3]``
+#: included), an enum label, or a printer keyword.  The group makes
+#: ``split`` put the tokens at the odd positions of its result.
+_IDENT = re.compile(r"([A-Za-z_][A-Za-z0-9_]*(?:\[[0-9]+(?:,[0-9]+)*\])?)")
+
+#: Identifier tokens the printers emit on their own; a variable so named
+#: would be indistinguishable from them in a shape.
+_PRINTER_WORDS = frozenset(
+    {"true", "false", "min", "max", "if", "then", "else", "skip"}
+)
+
+
+def _symbolic(pred) -> bool:
+    """True iff ``pred`` has an expression form (``as_expr`` succeeds), so
+    its ``describe()`` text determines it."""
+    if isinstance(pred, ExprPredicate):
+        return True
+    if isinstance(pred, _Composite):
+        return all(_symbolic(p) for p in pred.parts)
+    if isinstance(pred, _Negation):
+        return _symbolic(pred.inner)
+    return False
+
 
 class FootprintKernel:
     """Exact obligation evaluation over per-obligation variable footprints.
 
-    One instance per certificate check; footprint spaces are cached across
+    One instance per certificate check.  Footprint spaces are cached across
     obligations (the same ``{done, c[i], c[i+1]}``-shaped space recurs per
-    pipeline stage), so a linear-in-components certificate checks with a
-    bounded number of small enumerations per component.
+    pipeline stage), and so are decisions: ``check_wp`` and ``entails``
+    decide each obligation *shape* once (:meth:`_shape`), so a
+    linear-in-components certificate checks with a bounded number of
+    small enumerations in all.  ``decided`` and ``by_shape`` count, per
+    entry point, the obligations decided and those answered by shape.
     """
 
     def __init__(self, *, max_states: int = FOOTPRINT_MAX) -> None:
         self.max_states = int(max_states)
         self._spaces: dict[tuple, object] = {}
         self.evaluations = 0
+        # shape → (ok, footprint evaluations the decision took)
+        self._memo: dict[tuple, tuple[bool, int]] = {}
+        self._templates: dict[tuple, tuple | None] = {}
+        self.decided = {"check_wp": 0, "entails": 0}
+        self.by_shape = {"check_wp": 0, "entails": 0}
 
     # -- spaces ------------------------------------------------------------
 
     def _space(self, variables):
         from repro.core.state import StateSpace
 
-        key = tuple(sorted(v.name for v in variables))
-        space = self._spaces.get(key)
+        ordered = tuple(sorted(variables, key=lambda v: v.name))
+        space = self._spaces.get(ordered)
         if space is None:
-            ordered = sorted(variables, key=lambda v: v.name)
-            space = StateSpace(ordered)
-            self._spaces[key] = space
+            space = StateSpace(list(ordered))
+            self._spaces[ordered] = space
         return space
 
     def _fits(self, variables) -> bool:
@@ -527,6 +581,118 @@ class FootprintKernel:
         body = ", ".join(f"{v.name}={k}" for v, k in items)
         return "{" + body + "}"
 
+    # -- decisions by shape -----------------------------------------------
+
+    def _shape(self, kind, preds, cmd=None):
+        """The memo key of an obligation, or ``None`` to bypass the memo.
+
+        The key is the obligation's printed text — the ``describe()`` of
+        its predicates and of the command body, never the command name —
+        with each variable occurrence replaced by its first-occurrence
+        index, plus the ordered tuple of those variables' domains.  Two
+        obligations with one key are the same judgment up to a renaming
+        of variables that preserves domains, so they have one verdict.
+        Text that cannot carry that guarantee bypasses the memo: a
+        predicate with no expression form (its ``describe()`` need not
+        determine it), a command other than the three symbolic kinds, a
+        variable named like an enum label of a domain in the footprint or
+        like a printer keyword, and two variables sharing a name.
+
+        Each text is renamed once per kernel (:meth:`_template`); the key
+        stores every text with *local* first-occurrence indices plus, per
+        text, the global index of each local one — the same information
+        as the globally renamed texts, without renaming them per call.
+        """
+        if not all(_symbolic(p) for p in preds):
+            return None
+        parts = [self._template(p.describe(), p.variables()) for p in preds]
+        if cmd is not None:
+            if type(cmd) not in (GuardedCommand, AltCommand, Skip):
+                return None
+            parts.insert(1, self._template(cmd.describe(), cmd.reads() | cmd.writes()))
+        order: dict[str, int] = {}
+        variables = []
+        glue = []
+        for part in parts:
+            if part is None:
+                return None
+            local = []
+            for v in part[1]:
+                i = order.setdefault(v.name, len(variables))
+                if i == len(variables):
+                    variables.append(v)
+                elif variables[i] != v:
+                    return None  # two variables share a name
+                local.append(i)
+            glue.append(tuple(local))
+        for v in variables:
+            if isinstance(v.domain, EnumDomain) and any(
+                str(label) in order for label in v.domain.labels
+            ):
+                return None
+        return (
+            kind,
+            tuple(part[0] for part in parts),
+            tuple(glue),
+            tuple(v.domain for v in variables),
+        )
+
+    def _template(self, text, variables):
+        """``text`` with each variable occurrence replaced by its local
+        first-occurrence index, and those variables in that order.
+        ``None`` if ``text`` cannot be renamed unambiguously: it contains
+        the ``#`` index marker, two of its variables share a name, or one
+        is named like a printer keyword.  Cached per kernel."""
+        key = (text, variables)
+        if key in self._templates:
+            return self._templates[key]
+        by_name = {v.name: v for v in variables}
+        template = None
+        if (
+            "#" not in text
+            and len(by_name) == len(variables)
+            and _PRINTER_WORDS.isdisjoint(by_name)
+        ):
+            order: dict[str, int] = {}
+            tokens = _IDENT.split(text)
+            for i in range(1, len(tokens), 2):
+                if tokens[i] in by_name:
+                    tokens[i] = f"#{order.setdefault(tokens[i], len(order))}"
+            template = ("".join(tokens), tuple(by_name[n] for n in order))
+        self._templates[key] = template
+        return template
+
+    def _by_shape(self, kind, key, decide) -> FootprintResult:
+        """Answer ``decide()`` from the memo under ``key``, or decide it.
+
+        A hit adds the evaluations the original decision took, so the
+        counters equal an unmemoized run's.  A failing hit is returned
+        with its message unbuilt; reading it re-decides the real
+        obligation, leaving the counters untouched.  Results that dropped
+        hypothesis conjuncts are never stored.
+        """
+        hit = self._memo.get(key) if key is not None else None
+        if hit is not None:
+            ok, evaluations = hit
+            self.by_shape[kind] += 1
+            self.evaluations += evaluations
+            if ok:
+                return FootprintResult(True)
+            return _RecalledFailure(lambda: self._replay(decide))
+        before = self.evaluations
+        res = decide()
+        self.decided[kind] += 1
+        if key is not None and not res.dropped:
+            self._memo[key] = (res.ok, self.evaluations - before)
+        return res
+
+    def _replay(self, decide) -> str:
+        before = self.evaluations
+        try:
+            return decide().message
+        finally:
+            self.evaluations = before
+
     # -- entailment / equality --------------------------------------------
 
     def entails(self, hyp, concl) -> FootprintResult:
@@ -536,8 +702,16 @@ class FootprintKernel:
         pairs, extracts constant bindings, deletes conclusion conjuncts
         already present in the hypothesis, then decides the remainder
         exactly on its footprint — dropping oversized hypothesis
-        conjuncts (sound strengthening) when it must.
+        conjuncts (sound strengthening) when it must.  Decided once per
+        shape (:meth:`_shape`).
         """
+        return self._by_shape(
+            "entails",
+            self._shape("entails", (hyp, concl)),
+            lambda: self._entails(hyp, concl),
+        )
+
+    def _entails(self, hyp, concl) -> FootprintResult:
         from repro.core.compositional import pred_disjuncts
 
         for d in pred_disjuncts(hyp):
@@ -553,7 +727,6 @@ class FootprintKernel:
             pred_disjuncts,
         )
         from repro.core.expressions import Not
-        from repro.core.predicates import ExprPredicate, _Negation
 
         conjs = pred_conjuncts(hyp)
         descs = [c.describe() for c in conjs]
@@ -673,7 +846,16 @@ class FootprintKernel:
     # -- command obligations ----------------------------------------------
 
     def check_wp(self, pre, cmd, post) -> FootprintResult:
-        """``pre ⇒ wp.cmd.post`` on the footprint of (pre, post, cmd)."""
+        """``pre ⇒ wp.cmd.post`` on the footprint of (pre, post, cmd),
+        decided once per shape (:meth:`_shape`) — a hit never builds the
+        symbolic ``wp``."""
+        return self._by_shape(
+            "check_wp",
+            self._shape("check_wp", (pre, post), cmd),
+            lambda: self._check_wp(pre, cmd, post),
+        )
+
+    def _check_wp(self, pre, cmd, post) -> FootprintResult:
         try:
             wpred = cmd.wp(post)
         except Exception as exc:  # non-symbolic command/predicate
@@ -681,10 +863,7 @@ class FootprintKernel:
                 False,
                 f"refused: wp of {cmd.name} is not expressible ({exc})",
             )
-        return self.check_wp_pred(pre, cmd, wpred)
-
-    def check_wp_pred(self, pre, cmd, wpred) -> FootprintResult:
-        res = self.entails(pre, wpred)
+        res = self._entails(pre, wpred)
         if res.ok:
             return res
         return FootprintResult(
@@ -702,10 +881,8 @@ class FootprintKernel:
         spanning *every* variable of the composition never force a
         global footprint.
         """
-        from repro.core.commands import GuardedCommand, Skip
         from repro.core.compositional import linear_terms
         from repro.core.expressions import EqE, esum
-        from repro.core.predicates import ExprPredicate
 
         expr = pred.as_expr()
         if not isinstance(expr, EqE):

@@ -43,20 +43,6 @@ class Trace:
         """True iff every visited state satisfies ``pred``."""
         return all(pred.holds(s) for s in self.states)
 
-    def first_satisfying(self, pred: Predicate) -> int | None:
-        """Index of the first state satisfying ``pred``, or ``None``."""
-        for k, s in enumerate(self.states):
-            if pred.holds(s):
-                return k
-        return None
-
-    def command_counts(self) -> dict[str, int]:
-        """Executions per command name (fairness diagnostics)."""
-        out: dict[str, int] = {}
-        for name in self.commands:
-            out[name] = out.get(name, 0) + 1
-        return out
-
 
 def simulate(
     program: Program,

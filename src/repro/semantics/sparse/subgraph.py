@@ -18,12 +18,10 @@ which is what the differential suite pins.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.semantics.graph_backend import GraphBackend
 from repro.semantics.sparse.explorer import ReachableSubspace
 
-__all__ = ["assemble_backend", "local_condensation"]
+__all__ = ["assemble_backend"]
 
 
 def assemble_backend(sub: ReachableSubspace) -> GraphBackend:
@@ -37,13 +35,3 @@ def assemble_backend(sub: ReachableSubspace) -> GraphBackend:
     """
     tables = [sub.succ_local(cmd) for cmd in sub.program.commands if not cmd.is_skip()]
     return GraphBackend(sub.size, tables)
-
-
-def local_condensation(sub: ReachableSubspace, mask_local: np.ndarray):
-    """Canonical SCC condensation of the subgraph induced by a local mask.
-
-    Thin convenience over ``sub.graph().condensation``; the returned
-    :class:`repro.semantics.scc.Condensation` uses **local** ids (map
-    members through ``sub.global_ids`` for global indices).
-    """
-    return sub.graph().condensation(np.asarray(mask_local, dtype=bool))

@@ -136,21 +136,6 @@ class TransitionSystem:
 
     # -- bulk queries -----------------------------------------------------------
 
-    def post_mask(self, mask: np.ndarray) -> np.ndarray:
-        """One-step image: states reachable from ``mask`` by any command."""
-        out = np.zeros(self.space.size, dtype=bool)
-        src = np.flatnonzero(mask)
-        for _, table in self.all_tables():
-            out[table[src]] = True
-        return out
-
-    def pre_mask(self, mask: np.ndarray) -> np.ndarray:
-        """One-step preimage: states with some command-successor in ``mask``."""
-        out = np.zeros(self.space.size, dtype=bool)
-        for _, table in self.all_tables():
-            out |= mask[table]
-        return out
-
     def edge_count(self) -> int:
         """Number of (state, command) transition pairs (bench metric)."""
         return self.space.size * len(self._commands)

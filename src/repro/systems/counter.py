@@ -159,14 +159,6 @@ class CounterSystem:
         """Component ``i`` viewed over the system's variables."""
         return lifted(self.components[i], self.system)
 
-    def all_spec_properties(self, i: int) -> list:
-        """The full repaired specification of component ``i``."""
-        return [
-            self.component_init_property(i),
-            self.component_stable_family(i),
-            self.locality_family(i),
-        ]
-
 
 def build_counter_system(n: int, cap: int = 3) -> CounterSystem:
     """Build the §3 system with ``n ≥ 1`` components saturating at ``cap``."""

@@ -95,9 +95,13 @@ class TestCertification:
         text = cert.render()
         assert "compositional certificate" in text
 
-    def test_check_scales_linearly_in_components(self):
+    def test_check_scales_linearly_in_components(self, monkeypatch):
         """Obligations grow ~linearly with the stage count (the product
-        grows exponentially)."""
+        grows exponentially), and the obligations the footprint kernel
+        actually decides do not grow at all: stages are renamed copies,
+        so their ``check_wp`` obligations are answered by shape."""
+        from repro.semantics import compositional
+
         counts = {}
         for stages in (5, 10, 20):
             pa = build_hetero_stack(stages, clients=2, total=2)
@@ -109,6 +113,30 @@ class TestCertification:
         assert counts[10] < 3 * counts[5]
         assert counts[20] < 3 * counts[10]
 
+        kernels = []
+
+        class Recording(compositional.FootprintKernel):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                kernels.append(self)
+
+        monkeypatch.setattr(compositional, "FootprintKernel", Recording)
+        decided, checked = {}, {}
+        for stages in (20, 40):
+            pa = build_hetero_stack(stages, clients=3, total=3)
+            res = check_compositional(build_delivery_certificate(pa))
+            assert res.ok, res.explain()
+            kernel = kernels[-1]
+            decided[stages] = kernel.decided["check_wp"]
+            checked[stages] = res.obligations_checked
+            assert res.notes["obligations_decided"] == sum(kernel.decided.values())
+            assert res.notes["obligations_by_shape"] == sum(
+                kernel.by_shape.values()
+            )
+            assert "answered by shape" in res.explain()
+        assert decided[40] == decided[20]
+        assert 1.5 * checked[20] < checked[40] < 3 * checked[20]
+
 
 # ---------------------------------------------------------------------------
 # Negative: the refusal contract
@@ -119,23 +147,114 @@ def _failure_text(res) -> str:
     return "\n".join(str(f) for f in res.failures)
 
 
+# Sabotaged certificates, each built from the small stack and its
+# certificate; every one must be refused.
+
+
+def _interfering_undo(pa, cert):
+    """A command that un-does delivery, outside every component."""
+    done = pa.system.var_named("done")
+    undo = GuardedCommand("undo", done.ref() > 0, [(done, done.ref() - 1)])
+    sabotaged = Program(
+        pa.system.name + "+undo",
+        pa.system.variables,
+        pa.system.init,
+        [*pa.system.commands, undo],
+        fair=sorted(pa.system.fair_names),
+    )
+    return dataclasses.replace(cert, system=sabotaged)
+
+
+def _inconsistent_initially(pa, cert):
+    x = Var.shared("x", IntRange(0, 3))
+    a = Program("A", [x], ExprPredicate(x.ref() == 0), [])
+    b = Program("B", [x], ExprPredicate(x.ref() == 1), [])
+    p = ExprPredicate(x.ref() == 0)
+    return CompositionalCertificate(
+        system=a,
+        components=(a, b),
+        p=p,
+        q=p,
+        fairness="weak",
+        proof=Implication(p, p),
+    )
+
+
+def _negative_split_variable(pa, cert):
+    x = Var.shared("neg", IntRange(-1, 2))
+    prog = Program("Neg", [x], ExprPredicate(x.ref() == 0), [])
+    base = ExprPredicate(x.ref() <= 2)
+    goal = ExprPredicate(x.ref() >= -1)
+    split = SupportSplit(
+        base,
+        (x,),
+        (Implication(base & ExprPredicate(x.ref() > 0), goal),),
+        Implication(base & ExprPredicate(x.ref() == 0), goal),
+    )
+    return CompositionalCertificate(
+        system=prog,
+        components=(prog,),
+        p=base,
+        q=goal,
+        fairness="weak",
+        proof=split,
+    )
+
+
+def _tampered_branch(pa, cert):
+    """A support-split branch rewritten to start from the wrong case."""
+    split = _find_support_split(cert.proof)
+    assert split is not None
+    wrong = ExprPredicate(pa.system.var_named("done").ref() >= 0)
+    tampered = SupportSplit(
+        split.base,
+        split.split_vars,
+        (
+            Implication(wrong, split.positive_subs[0].rhs()),
+            *split.positive_subs[1:],
+        ),
+        split.zero_sub,
+    )
+    return dataclasses.replace(cert, proof=tampered)
+
+
+def _membership_lie(pa, cert):
+    """A component dropped from the list."""
+    return dataclasses.replace(cert, components=cert.components[:-1])
+
+
+def _unknown_rule(pa, cert):
+    from repro.core.rules import TransientBasis
+
+    x = Var.shared("t", IntRange(0, 1))
+    flip = GuardedCommand("flip", x.ref() == 0, [(x, 1)])
+    prog = Program("T", [x], ExprPredicate(x.ref() == 0), [flip], fair=["flip"])
+    node = TransientBasis(ExprPredicate(x.ref() == 0))
+    return CompositionalCertificate(
+        system=prog,
+        components=(prog,),
+        p=node.lhs(),
+        q=node.rhs(),
+        fairness="weak",
+        proof=node,
+    )
+
+
+SABOTAGED = {
+    "interfering-undo": _interfering_undo,
+    "inconsistent-initially": _inconsistent_initially,
+    "negative-split-variable": _negative_split_variable,
+    "tampered-branch": _tampered_branch,
+    "membership-lie": _membership_lie,
+    "unknown-rule": _unknown_rule,
+}
+
+
 class TestRefusals:
     def test_interfering_command_fails_the_check(self, small_stack):
         """A command that writes a relevant variable out from under the
         proof (un-does delivery) must break the wp obligations."""
-        pa, cert = small_stack
-        done = pa.system.var_named("done")
-        undo = GuardedCommand(
-            "undo", done.ref() > 0, [(done, done.ref() - 1)]
-        )
-        sabotaged = Program(
-            pa.system.name + "+undo",
-            pa.system.variables,
-            pa.system.init,
-            [*pa.system.commands, undo],
-            fair=sorted(pa.system.fair_names),
-        )
-        bad = dataclasses.replace(cert, system=sabotaged)
+        bad = _interfering_undo(*small_stack)
         res = check_compositional(bad, check_components=False)
         assert not res.ok
         # The interference is caught by a wp obligation naming the
@@ -144,66 +263,23 @@ class TestRefusals:
         assert "undo" in text
         assert any(f.path == "membership" for f in res.failures)
 
-    def test_inconsistent_initially_conjunction_refused(self):
-        x = Var.shared("x", IntRange(0, 3))
-        a = Program("A", [x], ExprPredicate(x.ref() == 0), [])
-        b = Program("B", [x], ExprPredicate(x.ref() == 1), [])
-        p = ExprPredicate(x.ref() == 0)
-        cert = CompositionalCertificate(
-            system=a,
-            components=(a, b),
-            p=p,
-            q=p,
-            fairness="weak",
-            proof=Implication(p, p),
-        )
-        res = check_compositional(cert)
+    def test_inconsistent_initially_conjunction_refused(self, small_stack):
+        res = check_compositional(_inconsistent_initially(*small_stack))
         assert not res.ok
         assert any(f.path == "initially" for f in res.failures)
         assert "unsatisfiable" in _failure_text(res)
 
-    def test_broken_support_split_side_condition(self):
+    def test_broken_support_split_side_condition(self, small_stack):
         """A split variable whose domain admits negatives makes the case
         split non-exhaustive; the kernel must refuse, not assume."""
-        x = Var.shared("neg", IntRange(-1, 2))
-        prog = Program("Neg", [x], ExprPredicate(x.ref() == 0), [])
-        base = ExprPredicate(x.ref() <= 2)
-        goal = ExprPredicate(x.ref() >= -1)
-        split = SupportSplit(
-            base,
-            (x,),
-            (Implication(base & ExprPredicate(x.ref() > 0), goal),),
-            Implication(base & ExprPredicate(x.ref() == 0), goal),
-        )
-        cert = CompositionalCertificate(
-            system=prog,
-            components=(prog,),
-            p=base,
-            q=goal,
-            fairness="weak",
-            proof=split,
-        )
-        res = check_compositional(cert)
+        res = check_compositional(_negative_split_variable(*small_stack))
         assert not res.ok
         assert "may be negative" in _failure_text(res)
 
     def test_tampered_branch_shape_fails(self, small_stack):
         """Rewriting a support-split branch to start from the wrong case
         must fail the branch-shape obligation."""
-        pa, cert = small_stack
-        split = _find_support_split(cert.proof)
-        assert split is not None
-        wrong = ExprPredicate(pa.system.var_named("done").ref() >= 0)
-        tampered = SupportSplit(
-            split.base,
-            split.split_vars,
-            (
-                Implication(wrong, split.positive_subs[0].rhs()),
-                *split.positive_subs[1:],
-            ),
-            split.zero_sub,
-        )
-        bad = dataclasses.replace(cert, proof=tampered)
+        bad = _tampered_branch(*small_stack)
         res = check_compositional(bad, check_components=False)
         assert not res.ok
         text = _failure_text(res)
@@ -212,34 +288,89 @@ class TestRefusals:
     def test_membership_lie_fails(self, small_stack):
         """Dropping a component from the list must fail membership (its
         commands are in the system but unaccounted for)."""
-        pa, cert = small_stack
-        bad = dataclasses.replace(cert, components=cert.components[:-1])
+        bad = _membership_lie(*small_stack)
         res = check_compositional(bad, check_components=False)
         assert not res.ok
         assert any(f.path == "membership" for f in res.failures)
 
-    def test_unknown_rule_refused(self):
+    def test_unknown_rule_refused(self, small_stack):
         """A rule the compositional kernel has no local argument for is
         refused outright (never silently accepted)."""
-        from repro.core.rules import TransientBasis
-
-        x = Var.shared("t", IntRange(0, 1))
-        flip = GuardedCommand("flip", x.ref() == 0, [(x, 1)])
-        prog = Program(
-            "T", [x], ExprPredicate(x.ref() == 0), [flip], fair=["flip"]
-        )
-        node = TransientBasis(ExprPredicate(x.ref() == 0))
-        cert = CompositionalCertificate(
-            system=prog,
-            components=(prog,),
-            p=node.lhs(),
-            q=node.rhs(),
-            fairness="weak",
-            proof=node,
-        )
-        res = check_compositional(cert)
+        res = check_compositional(_unknown_rule(*small_stack))
         assert not res.ok
         assert "refused" in _failure_text(res)
+
+
+# ---------------------------------------------------------------------------
+# Decisions by shape: memo hits against fresh kernels and the unmemoized run
+# ---------------------------------------------------------------------------
+
+
+def _differential_case(name, small_stack):
+    if name.startswith("stack-"):
+        pa = build_hetero_stack(int(name[len("stack-") :]))
+        return build_delivery_certificate(pa)
+    return SABOTAGED[name](*small_stack)
+
+
+def _run_record(cert) -> dict:
+    res = check_compositional(cert, check_components=False)
+    return {
+        "ok": res.ok,
+        "failures": [(f.path, f.message) for f in res.failures],
+        "nodes_checked": res.nodes_checked,
+        "obligations_checked": res.obligations_checked,
+        "frame_skips": res.frame_skips,
+        "footprint_evaluations": res.footprint_evaluations,
+    }
+
+
+class TestShapeMemoDifferential:
+    @pytest.mark.parametrize("name", ["stack-3", "stack-8", "stack-20", *SABOTAGED])
+    def test_memo_hits_match_fresh_kernels_and_unmemoized_run(
+        self, name, small_stack, monkeypatch
+    ):
+        """Every memo hit is re-decided on a fresh kernel and must give
+        the same ``ok`` (and, failing, the same message); the failure
+        list and counters equal, byte for byte, a run with the memo
+        bypassed."""
+        from repro.semantics.obligations import FootprintKernel
+
+        cert = _differential_case(name, small_stack)
+        hits = []
+        with monkeypatch.context() as m:
+            for entry in ("check_wp", "entails"):
+                m.setattr(FootprintKernel, entry, _rechecked(entry, hits))
+            memo = _run_record(cert)
+        with monkeypatch.context() as m:
+            m.setattr(FootprintKernel, "_shape", lambda *a, **k: None)
+            unmemoized = _run_record(cert)
+        assert memo == unmemoized
+        if name in ("stack-8", "stack-20", "interfering-undo"):
+            assert hits, "the case should answer some obligations by shape"
+        if name == "interfering-undo":
+            assert not all(hits), "failing hits should be exercised"
+
+
+def _rechecked(entry, hits):
+    """``FootprintKernel.<entry>`` that re-decides every memo hit on a
+    fresh kernel, asserts the same verdict, and records its ``ok``."""
+    from repro.semantics.obligations import FootprintKernel
+
+    real = getattr(FootprintKernel, entry)
+
+    def wrapped(self, *args):
+        before = sum(self.by_shape.values())
+        res = real(self, *args)
+        if sum(self.by_shape.values()) > before:
+            fresh = real(FootprintKernel(), *args)
+            assert res.ok == fresh.ok
+            if not res.ok:
+                assert res.message == fresh.message
+            hits.append(res.ok)
+        return res
+
+    return wrapped
 
 
 def _find_support_split(node):

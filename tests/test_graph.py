@@ -137,12 +137,6 @@ class TestOrientation:
         assert not o2.priority(0)
         assert o2.priority(1)  # 1 now beats 0 and already beat 2
 
-    def test_flipped_edge(self):
-        g = path_graph(2)
-        o = Orientation.from_ranking(g)
-        assert o.arrow(0, 1)
-        assert o.flipped_edge(0, 1).arrow(1, 0)
-
     def test_bits_range_checked(self):
         with pytest.raises(GraphError):
             Orientation(path_graph(2), 4)

@@ -15,7 +15,7 @@ from repro.dsl import parse_expression_text
 from repro.dsl.elaborate import elaborate_expression
 from repro.semantics.transition import TransitionSystem
 
-from tests.conftest import SHARED_VARS, guard_strategy, program_strategy
+from tests.conftest import SHARED_VARS, guard_strategy
 
 
 class TestVariables:
@@ -80,21 +80,6 @@ class TestErrorHierarchy:
 
 
 class TestTransitionSystemBulk:
-    @settings(max_examples=25, deadline=None)
-    @given(program_strategy("TS"))
-    def test_post_and_pre_duality(self, program):
-        """s' ∈ post({s}) iff s ∈ pre({s'}) — on random singletons."""
-        ts = TransitionSystem.for_program(program)
-        size = program.space.size
-        s = size // 2
-        single = np.zeros(size, dtype=bool)
-        single[s] = True
-        post = ts.post_mask(single)
-        for t in np.flatnonzero(post):
-            back = np.zeros(size, dtype=bool)
-            back[t] = True
-            assert ts.pre_mask(back)[s]
-
     def test_weak_cache_identity(self, toggle_program):
         a = TransitionSystem.for_program(toggle_program)
         b = TransitionSystem.for_program(toggle_program)

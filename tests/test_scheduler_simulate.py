@@ -86,17 +86,6 @@ class TestSimulate:
         assert trace.satisfies_throughout(pred(X.ref() <= 3))
         assert not trace.satisfies_throughout(pred(X.ref() == 0))
 
-    def test_first_satisfying(self):
-        trace = simulate(sat_counter(), 10)
-        hit = trace.first_satisfying(pred(X.ref() == 2))
-        assert hit is not None and trace.states[hit][X] == 2
-        assert trace.first_satisfying(pred(X.ref() > 3)) is None
-
-    def test_command_counts(self):
-        trace = simulate(sat_counter(), 6)
-        counts = trace.command_counts()
-        assert sum(counts.values()) == 6
-
     def test_explicit_start(self):
         p = sat_counter()
         trace = simulate(p, 2, start=p.state(x=2))
