@@ -1,5 +1,5 @@
 """Sparse-tier benchmarks: exploration and checking of composition stacks
-whose encoded spaces the dense tiers cannot touch.
+whose encoded spaces the dense tier cannot touch.
 
 Assertions pin the scenario verdicts (delivery holds, recycling fails,
 ring liveness holds), so a semantic regression fails the bench run, not
@@ -46,7 +46,7 @@ def test_sparse_leadsto_pipeline(benchmark):
 @pytest.mark.benchmark(group="sparse")
 def test_sparse_leadsto_pipeline_warm(benchmark):
     """Repeated checks against one subspace (the proof-chain shape):
-    exploration, sub-CSR, and memoized condensation are all shared."""
+    exploration, graph backend, and memoized condensations are all shared."""
     pl = build_pipeline_system(10)
     d, neg = pl.delivery(), pl.no_recycling()
     reachable_subspace(pl.system)  # warm the cache

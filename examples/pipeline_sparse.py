@@ -10,7 +10,7 @@ default ``K = 10`` stages and 3 tokens the composed space is
     (T+1) · (cap+1)^K · (T+1)  =  16_777_216 encoded states,
 
 yet token conservation confines the dynamics to **364** reachable states.
-The dense engine tiers (successor tables, union CSR) would allocate a
+The dense tier's successor tables would allocate a
 130 MB ``int64`` array *per command* here; the sparse tier
 (``repro.semantics.sparse``) instead
 
@@ -18,8 +18,9 @@ The dense engine tiers (successor tables, union CSR) would allocate a
    conjuncts (a vectorized join — no full-space mask),
 2. BFS-expands the reachable subspace through per-command frontier
    kernels (``Command.succ_of``) with sorted-array interning,
-3. assembles a union sub-CSR on compact local ids, and
-4. runs the *same* fair-SCC leads-to machinery as the dense tier on it.
+3. keeps one successor column per command on compact local ids, and
+4. runs the *same* fair-SCC leads-to machinery as the dense tier on them
+   (the cone walk over the columns, the masked sub-CSR, the condensation).
 
 The routing is automatic: ``check_leadsto`` / ``check_reachable_invariant``
 pick the tier from the space size, so the verification code below is

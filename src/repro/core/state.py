@@ -112,12 +112,12 @@ class StateSpace:
     arrays.
     """
 
-    __slots__ = ("vars", "_by_name", "_var_set", "size", "_strides",
+    __slots__ = ("vars", "_by_name", "size", "_strides",
                  "_radices", "_stride_by_var", "_value_cache", "_index_cache")
 
     #: Capacity of the **dense** engine tiers: any operation that
     #: materializes a full-space array (decoded value columns, successor
-    #: tables, boolean masks, union CSR) refuses spaces above this size via
+    #: tables, boolean masks, graph backends) refuses spaces above this size via
     #: :meth:`require_dense`.  Construction itself is unbounded — encoded
     #: sizes are exact Python ints, and the sparse tier
     #: (:mod:`repro.semantics.sparse`) explores arbitrarily large products
@@ -155,7 +155,6 @@ class StateSpace:
             acc *= radices[k]
         self._strides = tuple(strides)
         self._radices = tuple(radices)
-        self._var_set = frozenset(vars_t)
         self._stride_by_var = dict(zip(vars_t, strides))
         self._value_cache: dict[Var, np.ndarray] = {}
         self._index_cache: dict[Var, np.ndarray] = {}
@@ -166,7 +165,7 @@ class StateSpace:
         """Refuse dense full-space materialization above :data:`DENSE_MAX`.
 
         Every dense-tier entry point (decoded value arrays, successor
-        tables, union CSR, full-space masks) calls this before allocating
+        tables, graph backends, full-space masks) calls this before allocating
         anything of length ``size``.  Raises :class:`CapacityError` (a
         :class:`StateError`) whose message points at the sparse tier.
         """
@@ -299,10 +298,6 @@ class StateSpace:
         return (new_index_array - old) * self.stride_of(var)
 
     # -- misc -----------------------------------------------------------------
-
-    def contains_vars(self, variables: frozenset[Var]) -> bool:
-        """True iff every variable in ``variables`` is declared here."""
-        return self._var_set.issuperset(variables)
 
     def __repr__(self) -> str:
         inner = ", ".join(v.name for v in self.vars)

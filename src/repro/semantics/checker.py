@@ -258,7 +258,13 @@ def check_invariant(program: Program, p: Predicate) -> CheckResult:
             message=f"stable part fails: {stab_res.message}",
             witness=stab_res.witness,
         )
-    return CheckResult(True, "invariant", subject)
+    # Both parts ran on one domain; their annotated witnesses name it.
+    return CheckResult(
+        True,
+        "invariant",
+        subject,
+        witness={**init_res.witness, **stab_res.witness},
+    )
 
 
 def check_reachable_invariant(

@@ -26,7 +26,8 @@ The protocol both classes provide:
 - ``init_local`` — local ids of the initial states, and
   ``reachable_mask()`` — local mask of the reachable states;
 - ``state_at_local(k)`` — the decoded state of local id ``k``;
-- ``graph()`` — the union CSR backend over the local ids;
+- ``graph()`` — the graph backend (table walks, condensations) over the
+  local ids;
 - ``restrict(global_ids)`` — ``(local ids, kept)`` of the members among
   some global indices, and ``to_global(local_ids)`` — the way back;
 - ``witness_path(k)`` — a shortest command path from the initial set to
@@ -60,7 +61,7 @@ __all__ = ["FullSpace", "domain_for"]
 class FullSpace:
     """The whole encoded state space of ``program`` as a domain.
 
-    Successor tables and the union CSR are read lazily through
+    Successor tables and the graph backend are read lazily through
     :meth:`TransitionSystem.for_program
     <repro.semantics.transition.TransitionSystem.for_program>` on every
     access: its weak cache stays the only dense cache, and judgments that

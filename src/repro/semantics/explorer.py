@@ -1,14 +1,14 @@
-"""Reachable-state exploration (breadth-first over the CSR backend).
+"""Reachable-state exploration (breadth-first over the successor tables).
 
 The paper's property semantics is *inductive* (quantified over all states);
 reachability enters only for the weaker convenience notion
-``check_reachable_invariant`` and for diagnostics.  Exploration runs on the
-cached union CSR graph (:mod:`repro.semantics.graph_backend`): each BFS
-level is one gather over the frontier's adjacency, deduplicated by a
-boolean-mask scatter on wide frontiers and by the sort-based
-:func:`~repro.util.csr.sorted_unique` set kernel on narrow ones — no
-per-table dedup rounds and no flag-less ``np.unique`` — and repeated
-queries against the same program share the adjacency.
+``check_reachable_invariant`` and for diagnostics.  Exploration walks the
+program's successor tables (:meth:`repro.semantics.graph_backend.
+GraphBackend.table_closure`): each BFS level is one gather per table over
+the frontier, deduplicated by a boolean-mask scatter on wide frontiers
+and by the sort-based :func:`~repro.util.csr.sorted_unique` set kernel on
+narrow ones — no per-table dedup rounds, no flag-less ``np.unique`` and
+no whole-space adjacency.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def reachable_mask(
         if from_mask is None
         else np.asarray(from_mask, dtype=bool)
     )
-    return ts.graph().forward_closure(start)
+    return ts.graph().table_closure(start)
 
 
 def reachable_states(

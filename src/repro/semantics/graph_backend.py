@@ -1,27 +1,28 @@
-"""Shared CSR graph backend for the semantic engine.
+"""Graph kernels over a program's transition relation.
 
-The engine has two storage tiers for a program's transition relation:
+The engine stores the transition relation in two forms:
 
-1. **Dense successor tables** (:class:`~repro.semantics.transition.
-   TransitionSystem`): one ``int64`` array per command, exact command
-   identity preserved.  Used where *which* command moves matters —
-   fairness criteria, weakest preconditions, simulation.
-2. **Union CSR graph** (this module): the command-agnostic edge set
-   ``{s → t : t = table_c[s] for some c, t ≠ s}``, deduplicated and stored
-   as forward + reverse CSR adjacency with dtype-minimized node ids
-   (``int32`` whenever the space fits).  Used where only *connectivity*
-   matters over the whole space — reachability, distance maps, closures.
+1. **Successor tables**: one ``int64`` array per command, with the
+   command's identity kept, as the paper states every property per
+   command (``p next q ≡ ⟨∀c : p ⇒ wp.c.q⟩``).  On the full space they
+   are :class:`~repro.semantics.transition.TransitionSystem`'s tables; on
+   a reachable slice, the local successor columns of a
+   :class:`~repro.semantics.sparse.explorer.ReachableSubspace`.
+   :class:`GraphBackend` walks them directly: closures
+   (:meth:`GraphBackend.table_closure`) and BFS distances
+   (:meth:`GraphBackend.distances`) gather ``table[frontier]`` once per
+   table and level, on the frontier only.
+2. **Masked sub-CSR** (:class:`MaskedSubgraph`): forward + reverse CSR
+   adjacency of the subgraph a mask induces, on compact ids.
+   :meth:`GraphBackend.condensation` builds it from the tables on the
+   masked states only and memoizes it with the SCC condensation; it
+   carries the reverse closures and witness paths inside the mask.
+   Self-loops are dropped there: they are irrelevant to reachability and
+   SCC structure, and fairness (where self-moves *do* matter) reads the
+   tables.
 
-The union CSR is built lazily, **once per** :class:`TransitionSystem`
-(which is itself weakly cached per program), so every query after the
-first reuses the same adjacency instead of re-deriving it from the
-tables.  SCC condensations do not use it: :meth:`GraphBackend.condensation`
-builds the sub-CSR of its mask from the tables, on the masked states
-only (:class:`MaskedSubgraph`), so a leads-to check on a small cone never
-pays for whole-space adjacency.
-Self-loops are dropped at construction: they are irrelevant to
-reachability and SCC structure, and fairness (where self-moves *do*
-matter) is evaluated on the dense tier.
+No whole-space adjacency is ever built, so a query costs work in the
+size of the states it touches.
 
 All traversals use boolean-mask frontiers — duplicate successors are
 collapsed by an O(frontier) scatter, or on small frontiers by the
@@ -46,55 +47,27 @@ from repro.semantics.scc import (
     condense_subgraph,
     sub_csr_from_tables,
 )
-from repro.util.csr import (
-    build_csr,
-    csr_neighbors,
-    minimal_int_dtype,
-    sorted_unique,
-    union_edges,
-)
+from repro.util.csr import csr_neighbors, minimal_int_dtype, sorted_unique
 
-__all__ = ["CSRGraph", "GraphBackend", "MaskedSubgraph"]
+__all__ = ["GraphBackend", "MaskedSubgraph"]
 
-#: Node-count capacity of a dense union CSR; reads the single policy
-#: source ``StateSpace.DENSE_MAX`` at call time (imported lazily to keep
-#: this module free of core imports at definition time).
+
+#: Node-count capacity of a graph backend; reads the single policy source
+#: ``StateSpace.DENSE_MAX`` at call time (imported lazily to keep this
+#: module free of core imports at definition time).
 def _dense_max() -> int:
     from repro.core.state import StateSpace
 
     return StateSpace.DENSE_MAX
 
 
-class CSRGraph:
-    """Frontier kernels over a forward + reverse CSR pair on node ids
-    ``0 .. n - 1``.
+class _FrontierWalk:
+    """Frontier BFS over node ids ``0 .. n - 1``, shared by the table walks
+    of :class:`GraphBackend` and the CSR walks of :class:`MaskedSubgraph`."""
 
-    The base of :class:`GraphBackend` (whose union CSR is built lazily)
-    and of :class:`MaskedSubgraph` (a masked sub-CSR, built eagerly by
-    :meth:`GraphBackend.condensation`).
-    """
-
-    def __init__(
-        self,
-        n: int,
-        fwd: tuple[np.ndarray, np.ndarray] | None = None,
-        rev: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> None:
+    def __init__(self, n: int) -> None:
         self.n = n
-        self.dtype = minimal_int_dtype(n)
-        self._fwd = fwd
-        self._rev = rev
         self._scratch: np.ndarray | None = None
-
-    def forward_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, nbr)`` of the graph."""
-        return self._fwd
-
-    def reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, nbr)`` of the reversed graph."""
-        return self._rev
-
-    # -- frontier kernels ----------------------------------------------------
 
     def _mark_fresh(self, cand: np.ndarray) -> np.ndarray:
         """Deduplicate candidate node ids into a sorted fresh-node array.
@@ -114,16 +87,23 @@ class CSRGraph:
         scratch[fresh] = False
         return fresh
 
-    def _closure(
+    def _walk(
         self,
         neighbors: Callable[[np.ndarray], np.ndarray],
         seeds: np.ndarray,
         allowed: np.ndarray | None,
+        dist: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Frontier BFS from ``seeds``; ``neighbors`` maps a frontier to
-        its candidate successors (duplicates allowed)."""
+        """Frontier BFS from the ``seeds`` mask; ``neighbors`` maps a
+        frontier to its candidate successors (duplicates allowed).
+
+        Returns the visited mask.  Fresh nodes must satisfy ``allowed``
+        when given (seeds are not filtered).  With ``dist``, each fresh
+        node's BFS level is written into it.
+        """
         visited = seeds.copy()
         frontier = np.flatnonzero(visited)
+        level = 0
         while frontier.size:
             cand = neighbors(frontier)
             if allowed is not None:
@@ -133,41 +113,40 @@ class CSRGraph:
                 break
             frontier = self._mark_fresh(cand)
             visited[frontier] = True
+            if dist is not None:
+                level += 1
+                dist[frontier] = level
         return visited
 
-    def forward_closure(
-        self, seeds: np.ndarray, allowed: np.ndarray | None = None
-    ) -> np.ndarray:
-        """States reachable from ``seeds`` (seeds included), optionally
-        only via states satisfying ``allowed`` (seeds are not filtered)."""
-        neighbors = partial(csr_neighbors, *self.forward_csr())
-        return self._closure(neighbors, seeds, allowed)
+
+class MaskedSubgraph(_FrontierWalk):
+    """The subgraph of a :class:`GraphBackend` induced by a node mask, on
+    compact ids: compact id ``k`` is node ``nodes[k]`` of the backend
+    (``nodes`` ascends, so compact ids preserve the backend's order).
+
+    ``fwd`` and ``rev`` are its forward and reverse CSR adjacency, each an
+    ``(indptr, nbr)`` pair (see :mod:`repro.util.csr`).  Self-loops and
+    duplicate edges are dropped.
+    """
+
+    def __init__(
+        self,
+        nodes: np.ndarray,
+        fwd: tuple[np.ndarray, np.ndarray],
+        rev: tuple[np.ndarray, np.ndarray],
+    ) -> None:
+        super().__init__(nodes.shape[0])
+        self.nodes = nodes
+        self.dtype = minimal_int_dtype(self.n)
+        self.fwd = fwd
+        self.rev = rev
 
     def reverse_closure(
         self, seeds: np.ndarray, allowed: np.ndarray | None = None
     ) -> np.ndarray:
-        """States that can reach ``seeds`` (seeds included), optionally
-        only via states satisfying ``allowed`` (seeds are not filtered)."""
-        neighbors = partial(csr_neighbors, *self.reverse_csr())
-        return self._closure(neighbors, seeds, allowed)
-
-    def distances(self, start: np.ndarray) -> np.ndarray:
-        """BFS distance (in command applications) from the ``start`` mask;
-        unreachable states get ``-1``."""
-        indptr, nbr = self.forward_csr()
-        dist = np.full(self.n, -1, dtype=np.int64)
-        dist[start] = 0
-        frontier = np.flatnonzero(start)
-        level = 0
-        while frontier.size:
-            level += 1
-            cand = csr_neighbors(indptr, nbr, frontier)
-            cand = cand[dist[cand] < 0]
-            if cand.size == 0:
-                break
-            frontier = self._mark_fresh(cand)
-            dist[frontier] = level
-        return dist
+        """Nodes that can reach ``seeds`` (seeds included), optionally
+        only via nodes satisfying ``allowed`` (seeds are not filtered)."""
+        return self._walk(partial(csr_neighbors, *self.rev), seeds, allowed)
 
     def path_between(
         self,
@@ -192,7 +171,7 @@ class CSRGraph:
         hit = src_idx[targets[src_idx]]
         if hit.size:
             return np.array([int(hit[0])], dtype=np.int64)
-        indptr, nbr = self.forward_csr()
+        indptr, nbr = self.fwd
         # Node-id-sized parents (int32 whenever the graph fits): the only
         # O(n) scratch of this kernel, kept no wider than the CSR itself.
         parent = np.full(self.n, -1, dtype=self.dtype)
@@ -229,29 +208,20 @@ class CSRGraph:
         return None
 
 
-class MaskedSubgraph(CSRGraph):
-    """The subgraph of a :class:`GraphBackend` induced by a node mask, on
-    compact ids: compact id ``k`` is node ``nodes[k]`` of the backend
-    (``nodes`` ascends, so compact ids preserve the backend's order).
-    Self-loops and duplicate edges are dropped."""
-
-    def __init__(self, nodes, fwd, rev) -> None:
-        super().__init__(nodes.shape[0], fwd, rev)
-        self.nodes = nodes
-
-
-class GraphBackend(CSRGraph):
-    """Cached forward/reverse CSR view of a program's union transition graph.
+class GraphBackend(_FrontierWalk):
+    """Table walks and memoized SCC condensations over the successor
+    tables of a program (or of a reachable subspace, on local ids).
 
     Obtain via :meth:`repro.semantics.transition.TransitionSystem.graph`
-    rather than constructing directly, so the adjacency is shared by every
-    checker that touches the same program.
+    or :meth:`repro.semantics.sparse.explorer.ReachableSubspace.graph`
+    rather than constructing directly, so the condensation memo is
+    shared by every checker that touches the same program.
     """
 
     def __init__(self, n: int, tables: list[np.ndarray]) -> None:
         if n > _dense_max():
             raise CapacityError(
-                f"a union CSR over {n} nodes exceeds the dense capacity "
+                f"a graph backend over {n} nodes exceeds the dense capacity "
                 f"{_dense_max()} (see StateSpace.DENSE_MAX); spaces this "
                 "large route through the sparse tier, whose local "
                 "backends index only discovered states"
@@ -260,59 +230,36 @@ class GraphBackend(CSRGraph):
         self._tables = tables
         self._cond_cache: OrderedDict[bytes, Condensation] = OrderedDict()
 
-    # -- construction -------------------------------------------------------
+    # -- table walks --------------------------------------------------------
 
-    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
-        # Chunked per command: each table's moved pairs land in a
-        # preallocated slice instead of a concatenated list of scratch
-        # arrays (see :func:`repro.util.csr.union_edges`).
-        return union_edges(self.n, self._tables)
-
-    def forward_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, nbr)`` of the deduplicated union graph."""
-        if self._fwd is None:
-            rec = obs.get_recorder()
-            with rec.span("graph.union_csr", nodes=self.n):
-                src, dst = self._edges()
-                fwd = build_csr(src, dst, self.n, dtype=self.dtype)
-                # Publish the reverse view first: a concurrent caller that
-                # sees ``_fwd`` set must also find ``_rev`` set.
-                self._rev = build_csr(dst, src, self.n, dtype=self.dtype)
-                self._fwd = fwd
-                if rec.enabled:
-                    rec.add("graph.union_csr.builds")
-                    rec.add("graph.union_csr.edges", int(src.shape[0]))
-        return self._fwd
-
-    def reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, nbr)`` of the reversed union graph."""
-        if self._rev is None:
-            self.forward_csr()
-        assert self._rev is not None
-        return self._rev
-
-    @property
-    def edge_count(self) -> int:
-        """Distinct non-self edges of the union graph."""
-        indptr, _ = self.forward_csr()
-        return int(indptr[-1])
-
-    def table_closure(self, seeds: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-        """States reachable from ``seeds`` (seeds included) through states
-        satisfying ``allowed``, walking the successor tables directly.
-
-        The same set as ``forward_closure(seeds, allowed)``, without the
-        union CSR: one gather per table and BFS level, on the frontier
-        only.  This is how the leads-to analysis finds its cone, so a
-        check never pays for whole-space adjacency.
-        """
+    def _successors(self, frontier: np.ndarray) -> np.ndarray:
+        """Every table's successor of every frontier node (duplicates and
+        self-moves included; the walk filters them)."""
         if not self._tables:
-            return seeds.copy()
-        return self._closure(
-            lambda frontier: np.concatenate([t[frontier] for t in self._tables]),
-            seeds,
-            allowed,
-        )
+            return frontier[:0]
+        return np.concatenate([t[frontier] for t in self._tables])
+
+    def table_closure(
+        self, seeds: np.ndarray, allowed: np.ndarray | None = None
+    ) -> np.ndarray:
+        """States reachable from ``seeds`` (seeds included), optionally
+        only through states satisfying ``allowed`` (seeds are not
+        filtered).
+
+        One gather per table and BFS level, on the frontier only.  This
+        is how the explorer finds the reachable states and the leads-to
+        analysis its cone.
+        """
+        return self._walk(self._successors, seeds, allowed)
+
+    def distances(self, start: np.ndarray) -> np.ndarray:
+        """BFS distance (in command applications) from the ``start`` mask;
+        unreachable states get ``-1``.  The same walk as
+        :meth:`table_closure`, recording each state's level."""
+        dist = np.full(self.n, -1, dtype=np.int64)
+        dist[start] = 0
+        self._walk(self._successors, start, None, dist)
+        return dist
 
     # -- SCC ----------------------------------------------------------------
 
@@ -336,9 +283,9 @@ class GraphBackend(CSRGraph):
 
         The masked sub-CSR is built from the successor tables on the
         masked states only (:func:`~repro.semantics.scc.sub_csr_from_tables`),
-        never from the union CSR, so a small mask costs work in its own
-        size; it rides along as the result's ``subgraph``
-        (:class:`MaskedSubgraph`) for closures and paths inside the mask.
+        so a small mask costs work in its own size; it rides along as the
+        result's ``subgraph`` (:class:`MaskedSubgraph`) for reverse
+        closures and paths inside the mask.
 
         Memoized by a digest of the mask bits (LRU of
         :data:`COND_CACHE_SIZE` entries, bypassed above
@@ -374,5 +321,7 @@ class GraphBackend(CSRGraph):
         return cond
 
     def __repr__(self) -> str:
-        built = "built" if self._fwd is not None else "lazy"
-        return f"<GraphBackend {self.n} states, {built}>"
+        return (
+            f"<GraphBackend {self.n} states, {len(self._tables)} tables, "
+            f"{len(self._cond_cache)} condensations>"
+        )

@@ -230,8 +230,8 @@ def fair_analysis(
     found by a frontier walk over the domain's successor columns, and
     only it is condensed: SCCs, fair flags, the avoid closure and
     confining paths all run on its sub-CSR, never on the whole ``¬q``
-    subgraph nor on the union CSR of the domain.  ``fair_analysis(domain,
-    TRUE, q)`` is the whole-``¬q`` analysis.
+    subgraph.  ``fair_analysis(domain, TRUE, q)`` is the whole-``¬q``
+    analysis.
 
     With ``strong=True`` the per-SCC criterion is the strong-fairness one
     (:mod:`repro.semantics.strong_fairness`): an SCC stays fair iff for

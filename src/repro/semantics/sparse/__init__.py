@@ -1,11 +1,11 @@
-"""Sparse on-the-fly exploration engine (tier 3 of the semantic engine).
+"""Sparse on-the-fly exploration engine: the semantic engine's sparse tier.
 
 Composition multiplies the *encoded* state space (``F ∘ G ∘ H`` lives in
 the product of the component spaces) while the *reachable* set typically
 stays a sliver of it — conservation laws, lockstep counters, and locality
-all cut exponentially.  The dense tiers (successor tables, union CSR)
+all cut exponentially.  The dense tier's successor tables and masks
 allocate arrays of length ``space.size`` and therefore stop scaling long
-before composition stacks get interesting.  This package is the third
+before composition stacks get interesting.  This package is the sparse
 tier: it **never allocates a full-space array**.  Categorically, the
 product object is queried through its projections — per-variable frontier
 decodes — instead of being materialized.
@@ -18,10 +18,9 @@ Layout
   ``Command.succ_of`` kernels with sorted-array interning of discovered
   global indices, and the resulting :class:`ReachableSubspace` (global ↔
   local id maps, per-command local successor columns, BFS distances).
-- :mod:`repro.semantics.sparse.subgraph` — assembly of the subspace's
-  union sub-CSR on **local** ids, feeding the existing
-  :mod:`repro.util.csr` kernels and :mod:`repro.semantics.scc`
-  condensation unchanged.
+  Its ``graph()`` is a :class:`~repro.semantics.graph_backend.GraphBackend`
+  over the local columns, so the table walks and the
+  :mod:`repro.semantics.scc` condensation run on **local** ids unchanged.
 - :mod:`repro.semantics.sparse.checkpoint` — atomic, digest-keyed BFS
   checkpoints and resume.
 
@@ -88,7 +87,6 @@ from repro.semantics.sparse.checkpoint import (
     resume_exploration,
     save_subspace,
 )
-from repro.semantics.sparse.subgraph import assemble_backend
 
 __all__ = [
     "SPARSE_THRESHOLD",
@@ -105,7 +103,6 @@ __all__ = [
     "program_digest",
     "resume_exploration",
     "save_subspace",
-    "assemble_backend",
 ]
 
 #: Spaces larger than this are routed to the sparse tier by

@@ -20,9 +20,9 @@ Two pieces live here:
    distances, **BFS parents** (first-discovery edges, so every reachable
    state carries a concrete command path back to the initial set — the raw
    material of the witness paths attached by the checkers), and the local
-   initial set — everything the sub-CSR assembly
-   (:mod:`repro.semantics.sparse.subgraph`) and the judgments over the
-   subspace (:mod:`repro.semantics.domain`) need.
+   initial set — everything the graph backend over the local columns
+   (:meth:`ReachableSubspace.graph`) and the judgments over the subspace
+   (:mod:`repro.semantics.domain`) need.
 
 Canonical-order invariant (documented; relied on by
 :mod:`repro.semantics.synthesis`): ``global_ids`` is sorted ascending, so
@@ -404,16 +404,24 @@ class ReachableSubspace:
     # -- graph ----------------------------------------------------------------
 
     def graph(self):
-        """The union sub-CSR backend over local ids (built lazily, cached).
+        """The graph backend over local ids (built lazily, cached).
 
-        A :class:`repro.semantics.graph_backend.GraphBackend`, so every
-        closure/distance/condensation kernel of the dense tier runs
-        unchanged on the subspace.
+        A :class:`repro.semantics.graph_backend.GraphBackend` over the
+        local successor columns of the non-skip commands, so every table
+        walk and condensation kernel of the dense tier runs unchanged on
+        the subspace.
         """
         if self._graph is None:
-            from repro.semantics.sparse.subgraph import assemble_backend
+            from repro.semantics.graph_backend import GraphBackend
 
-            self._graph = assemble_backend(self)
+            self._graph = GraphBackend(
+                self.size,
+                [
+                    self.succ_local(cmd)
+                    for cmd in self.program.commands
+                    if not cmd.is_skip()
+                ],
+            )
         return self._graph
 
     def __repr__(self) -> str:

@@ -78,12 +78,13 @@ class TransitionSystem:
         self._graph: "GraphBackend | None" = None
 
     def graph(self) -> "GraphBackend":
-        """The shared CSR graph backend of this program's union transition
-        graph (built lazily, cached for the lifetime of the system).
+        """The shared graph backend over this program's non-skip tables
+        (built lazily, cached for the lifetime of the system).
 
-        Connectivity-only queries (reachability, closures, SCCs) should go
-        through this backend; the dense per-command ``tables`` remain the
-        source of truth where command identity matters (fairness, wp).
+        Connectivity-only queries (reachability, closures, distances,
+        SCCs) go through this backend, which walks the tables and
+        memoizes condensations; where command identity matters (fairness,
+        wp) callers read the ``tables`` directly.
         """
         if self._graph is None:
             from repro.semantics.graph_backend import GraphBackend

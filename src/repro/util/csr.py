@@ -1,10 +1,11 @@
 """Compressed-sparse-row (CSR) graph kernels.
 
-The semantic engine stores the union transition graph of a program as a
-pair of CSR adjacency structures (forward and reverse); every reachability,
-closure, and SCC computation is a sequence of the array kernels below, with
-Python work proportional to the number of BFS *levels*, never to the number
-of nodes or edges.
+The semantic engine stores the subgraph a mask induces on a program's
+transition graph as a pair of CSR adjacency structures (forward and
+reverse; :class:`repro.semantics.graph_backend.MaskedSubgraph`); its SCC,
+reverse-closure and witness-path computations are sequences of the array
+kernels below, with Python work proportional to the number of BFS
+*levels*, never to the number of nodes or edges.
 
 A CSR adjacency is the pair ``(indptr, nbr)``: the neighbors of node ``v``
 are ``nbr[indptr[v]:indptr[v + 1]]``.  ``indptr`` is always ``int64``
@@ -24,7 +25,6 @@ __all__ = [
     "in_sorted",
     "build_csr",
     "dedup_edges",
-    "union_edges",
     "csr_neighbors",
 ]
 
@@ -41,7 +41,7 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     from its predecessor.  It returns exactly what a flag-less
     ``np.unique`` returns, but numpy 2.4 answers that call with a hash
     table, which on int32/int64 node ids is 20-70× slower than sort +
-    adjacent compare (``docs/architecture.md``, Tier 2).  ``np.unique``
+    adjacent compare (``docs/architecture.md``, "Set kernel").  ``np.unique``
     with ``return_index`` / ``return_inverse`` / ``return_counts``
     already takes numpy's sort path and stays as it is.
     """
@@ -97,53 +97,6 @@ def dedup_edges(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, n
         keep[1:] = (s[1:] != s[:-1]) | (d[1:] != d[:-1])
         s, d = s[keep], d[keep]
     return s, d
-
-
-#: Node count above which :func:`union_edges` switches from the
-#: single-pass gather to the two-pass preallocated accumulation (the
-#: single pass recomputes nothing but briefly holds every per-table
-#: scratch array at once, which only matters near the dense capacity).
-UNION_TWO_PASS_MIN = 1 << 20
-
-
-def union_edges(
-    n: int, tables: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deduplicated union edge set of successor ``tables``, self-loops
-    dropped, accumulated **chunked per command**.
-
-    Above :data:`UNION_TWO_PASS_MIN` nodes this runs two passes over the
-    tables: the first only counts moved states per table, the second
-    writes each table's ``(src, dst)`` pairs into its slice of one
-    preallocated edge-list pair.  Peak scratch is the edge list plus a
-    single boolean mask — roughly half the old
-    concatenate-a-list-of-per-command-arrays peak, which is what keeps
-    union-CSR assembly feasible for spaces near ``StateSpace.DENSE_MAX``.
-    Small graphs keep the cheaper single pass.
-    """
-    base = np.arange(n, dtype=np.int64)
-    if n < UNION_TWO_PASS_MIN:
-        srcs, dsts = [], []
-        for table in tables:
-            moved = table != base
-            srcs.append(base[moved])
-            dsts.append(table[moved])
-        src = np.concatenate(srcs) if srcs else base[:0]
-        dst = np.concatenate(dsts) if dsts else base[:0]
-        return dedup_edges(src, dst, n)
-    counts = [int(np.count_nonzero(table != base)) for table in tables]
-    total = sum(counts)
-    src = np.empty(total, dtype=np.int64)
-    dst = np.empty(total, dtype=np.int64)
-    pos = 0
-    for table, count in zip(tables, counts):
-        if count == 0:
-            continue
-        moved = table != base
-        src[pos:pos + count] = base[moved]
-        dst[pos:pos + count] = table[moved]
-        pos += count
-    return dedup_edges(src, dst, n)
 
 
 def build_csr(

@@ -46,6 +46,25 @@ class TestRouting:
         assert v.holds is True
         assert v.tier == "sparse"
 
+    def test_sparse_invariant_names_its_tier(self):
+        # 10^7 encoded states route to the sparse tier; an invariant that
+        # holds there must say so, like its init and stable parts.
+        from repro.dsl import parse_program, parse_property
+
+        n = 7
+        decl = ";\n  ".join(f"shared x{k} : int[0..9]" for k in range(n))
+        init = " /\\ ".join(f"x{k} = 0" for k in range(n))
+        prog = parse_program(
+            f"program B\ndeclare\n  {decl}\ninitially {init}\nassign\n"
+            "  fair a: x0 < 3 -> x0 := x0 + 1;\n"
+            "  b: x1 = 5 -> x0 := 9\n"
+            "end\n"
+        )
+        for text in ("init x0 <= 3", "stable x0 <= 3", "invariant x0 <= 3"):
+            v = verify(prog, parse_property(text, prog))
+            assert v.holds is True, text
+            assert v.tier == "sparse", text
+
     def test_dense_refused_on_sparse_space(self):
         pa = build_pipeline_allocator(16)
         with pytest.raises(CapacityError, match="tier='dense' refused"):

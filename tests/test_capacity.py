@@ -4,8 +4,8 @@ The contract under test (see ``repro.core.state.StateSpace``):
 
 - construction always succeeds — ``size`` is an exact Python int, and a
   10^12-state composition product builds instantly;
-- every dense entry point (decode arrays, successor tables, union CSR,
-  the checkers' dense fallbacks) refuses such spaces with a
+- every dense entry point (decode arrays, successor tables, graph
+  backends, the checkers' dense fallbacks) refuses such spaces with a
   :class:`~repro.errors.CapacityError`, which subclasses the old
   :class:`~repro.errors.StateError` so existing ``except`` sites keep
   working;
@@ -13,8 +13,8 @@ The contract under test (see ``repro.core.state.StateSpace``):
   only by its ``node_limit`` on *discovered* states and by the ``int64``
   index range;
 - the overflow-safe kernels (``dedup_edges`` beyond the int64 pair-key
-  range, chunked successor tables, preallocated union-edge accumulation)
-  agree exactly with their straightforward counterparts.
+  range, chunked successor tables) agree exactly with their
+  straightforward counterparts.
 """
 
 import numpy as np
@@ -204,24 +204,6 @@ class TestOverflowSafeKernels:
         slow = dedup_edges(src, dst, PAIR_KEY_MAX + 1)
         assert np.array_equal(fast[0], slow[0])
         assert np.array_equal(fast[1], slow[1])
-
-    @pytest.mark.parametrize("two_pass", [False, True])
-    def test_union_edges_matches_naive(self, two_pass, monkeypatch):
-        import repro.util.csr as csr_module
-
-        if two_pass:
-            monkeypatch.setattr(csr_module, "UNION_TWO_PASS_MIN", 1)
-        rng = np.random.default_rng(3)
-        n = 40
-        tables = [rng.integers(0, n, size=n, dtype=np.int64) for _ in range(4)]
-        tables.append(np.arange(n, dtype=np.int64))  # a skip-like table
-        s, d = csr_module.union_edges(n, tables)
-        naive = set()
-        for table in tables:
-            for i in range(n):
-                if table[i] != i:
-                    naive.add((i, int(table[i])))
-        assert set(zip(s.tolist(), d.tolist())) == naive
 
     def test_chunked_succ_table_matches_whole_space(self, monkeypatch):
         x = Var.shared("x", IntRange(0, 9))

@@ -1,8 +1,7 @@
-"""Tests for the shared CSR graph backend and its CSR kernels."""
+"""Tests for the graph backend's table walks, the masked sub-CSR and the
+CSR kernels."""
 
 import gc
-import threading
-import time
 import weakref
 
 import numpy as np
@@ -73,7 +72,7 @@ class TestCsrKernels:
     def test_masked_subgraph_matches_reference(self):
         # The masked sub-CSR a condensation carries is built from the
         # tables on the masked nodes only; both views must hold exactly
-        # the union edges with both endpoints masked.
+        # the tables' edges with both endpoints masked.
         for seed in range(25):
             n, tables = random_tables(seed)
             edges = naive_edges(tables)
@@ -83,10 +82,7 @@ class TestCsrKernels:
             nodes = sub.nodes
             assert nodes.tolist() == np.flatnonzero(mask).tolist()
             views = {}
-            for name, (indptr, nbr) in (
-                ("fwd", sub.forward_csr()),
-                ("rev", sub.reverse_csr()),
-            ):
+            for name, (indptr, nbr) in (("fwd", sub.fwd), ("rev", sub.rev)):
                 views[name] = {
                     (int(nodes[ci]), int(nodes[int(t)]))
                     for ci in range(nodes.size)
@@ -94,6 +90,7 @@ class TestCsrKernels:
                 }
             want = {(s, t) for s, t in edges if mask[s] and mask[t]}
             assert views["fwd"] == want
+            assert sub.fwd[0][-1] == sub.rev[0][-1] == len(want)  # no dups
             assert views["rev"] == {(t, s) for s, t in want}
 
 
@@ -101,69 +98,6 @@ class TestGraphBackend:
     def backend(self, seed):
         n, tables = random_tables(seed)
         return n, tables, GraphBackend(n, tables)
-
-    def test_concurrent_first_use_finds_both_views(self, monkeypatch):
-        # A sparse subspace's backend is shared by concurrent verify()
-        # calls.  Hold the builder inside its second (reverse) CSR build
-        # and let another thread ask for the reverse view meanwhile: it
-        # must never find the forward view published without the
-        # reverse one.
-        from repro.semantics import graph_backend
-
-        real_build = graph_backend.build_csr
-        calls = []
-        in_reverse_build = threading.Event()
-
-        def slow_build(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 2:
-                in_reverse_build.set()
-                time.sleep(0.2)
-            return real_build(*args, **kwargs)
-
-        monkeypatch.setattr(graph_backend, "build_csr", slow_build)
-        n, tables = random_tables(0, n=500)
-        gb = GraphBackend(n, tables)
-        errors = []
-
-        def reader():
-            in_reverse_build.wait(timeout=10)
-            try:
-                gb.reverse_csr()
-            except Exception as exc:  # the failure mode
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=gb.forward_csr),
-            threading.Thread(target=reader),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert not any(t.is_alive() for t in threads)
-        assert in_reverse_build.is_set()
-        assert errors == []
-        assert gb.reverse_csr()[0][-1] == gb.edge_count
-
-    def test_csr_matches_reference_edges(self):
-        for seed in range(20):
-            n, tables, gb = self.backend(seed)
-            indptr, nbr = gb.forward_csr()
-            got = {
-                (s, int(t))
-                for s in range(n)
-                for t in nbr[indptr[s]:indptr[s + 1]]
-            }
-            assert got == naive_edges(tables)
-            rp, rn = gb.reverse_csr()
-            got_rev = {
-                (int(t), s)
-                for s in range(n)
-                for t in rn[rp[s]:rp[s + 1]]
-            }
-            assert got_rev == naive_edges(tables)
-            assert gb.edge_count == len(naive_edges(tables))
 
     def test_forward_closure_matches_reference(self):
         for seed in range(20):
@@ -174,7 +108,21 @@ class TestGraphBackend:
             for _ in range(n):
                 for table in tables:
                     visited[table[visited]] = True
-            assert np.array_equal(gb.forward_closure(seeds), visited)
+            assert np.array_equal(gb.table_closure(seeds), visited)
+
+    def test_table_closure_restricted(self):
+        for seed in range(20):
+            n, tables, gb = self.backend(seed)
+            rng = np.random.default_rng(seed)
+            seeds = rng.random(n) < 0.15
+            allowed = rng.random(n) < 0.7
+            # Reference: fixpoint of "an allowed successor of the set".
+            visited = seeds.copy()
+            for _ in range(n):
+                for table in tables:
+                    succ = table[visited]
+                    visited[succ[allowed[succ]]] = True
+            assert np.array_equal(gb.table_closure(seeds, allowed), visited)
 
     def test_reverse_closure_restricted(self):
         for seed in range(20):
@@ -187,8 +135,10 @@ class TestGraphBackend:
             for _ in range(n):
                 for table in tables:
                     visited |= allowed & visited[table]
+            # The masked sub-CSR of the whole space, on identity ids.
+            sub = gb.condensation(np.ones(n, dtype=bool)).subgraph
             assert np.array_equal(
-                gb.reverse_closure(seeds, allowed=allowed), visited
+                sub.reverse_closure(seeds, allowed=allowed), visited
             )
 
     def test_distances_match_reference(self):
@@ -217,9 +167,16 @@ class TestGraphBackend:
     def test_empty_seeds(self):
         n, tables, gb = self.backend(7)
         none = np.zeros(n, dtype=bool)
-        assert not gb.forward_closure(none).any()
-        assert not gb.reverse_closure(none).any()
+        assert not gb.table_closure(none).any()
+        sub = gb.condensation(np.ones(n, dtype=bool)).subgraph
+        assert not sub.reverse_closure(none).any()
         assert (gb.distances(none) == -1).all()
+
+    def test_no_tables(self):
+        gb = GraphBackend(4, [])
+        seeds = np.array([True, False, True, False])
+        assert np.array_equal(gb.table_closure(seeds), seeds)
+        assert gb.distances(seeds).tolist() == [0, -1, 0, -1]
 
 
 class TestTransitionSystemIntegration:
@@ -239,16 +196,13 @@ class TestTransitionSystemIntegration:
         ts = TransitionSystem.for_program(prog)
         gb = ts.graph()
         assert gb is ts.graph()
-        indptr, nbr = gb.forward_csr()
-        indptr2, _ = gb.forward_csr()
-        assert indptr is indptr2
 
     def test_cache_entry_dies_with_its_program(self):
         # The system refers to its program weakly, so the weak-keyed
         # table cache frees the entry (and its tables) with the program.
         prog = self.ladder(5)
         ts = TransitionSystem.for_program(prog)
-        ts.graph().forward_csr()
+        ts.graph().table_closure(prog.initial_mask())
         assert transition._CACHE[prog] is ts
         assert ts.program is prog
         program_ref = weakref.ref(prog)
@@ -262,16 +216,6 @@ class TestTransitionSystemIntegration:
         assert [cmd.name for cmd, _ in ts.fair_tables()] == [
             f"up{k}" for k in range(5)
         ]
-
-    def test_union_graph_drops_self_loops_and_dups(self):
-        prog = self.ladder(4)
-        gb = TransitionSystem.for_program(prog).graph()
-        indptr, nbr = gb.forward_csr()
-        # The ladder's union graph is the pure path 0→1→…→4.
-        assert gb.edge_count == 4
-        for s in range(4):
-            assert nbr[indptr[s]:indptr[s + 1]].tolist() == [s + 1]
-        assert nbr.dtype == gb.dtype == np.int32
 
     def test_closures_respect_program_semantics(self):
         from repro.semantics.explorer import distance_map, reachable_mask

@@ -273,6 +273,21 @@ def _cone_cases():
                 )
 
 
+def _naive_closure(tables, seeds, allowed):
+    """States reachable from ``seeds`` through ``allowed`` states: a plain
+    fixpoint over the successor tables, independent of the engine's
+    frontier walks."""
+    visited = seeds.copy()
+    while True:
+        grown = visited.copy()
+        for table in tables:
+            succ = table[visited]
+            grown[succ[allowed[succ]]] = True
+        if np.array_equal(grown, visited):
+            return visited
+        visited = grown
+
+
 def _reference_levels(domain, p, q, strong):
     """Synthesis levels as selected before the cone: the whole-¬q
     condensation, filtered by the forward closure of ``p ∧ ¬q`` inside
@@ -284,9 +299,8 @@ def _reference_levels(domain, p, q, strong):
     pm = domain.pred_mask(p)
     if (pm & ref.avoid_mask).any():
         return None
-    region = domain.graph().forward_closure(
-        pm & ref.notq_mask, allowed=ref.notq_mask
-    )
+    tables = [domain.succ_local(cmd) for cmd in domain.program.commands]
+    region = _naive_closure(tables, pm & ref.notq_mask, ref.notq_mask)
     cond = ref.cond
     return [
         domain.to_global(cond.members_of(k)).tolist()
