@@ -15,6 +15,10 @@ Compare two snapshots::
 
     PYTHONPATH=src python benchmarks/record.py --diff BENCH_1.json BENCH_2.json
 
+Where both snapshots carry ``stats`` for an id and the medians differ by
+less than the sum of the two IQRs, ``--diff`` prints ``noise`` in place
+of the speedup: the move is inside the spread of the rounds.
+
 ``--diff … --github-summary`` renders the comparison as a GitHub-flavored
 Markdown table instead — CI appends it to ``$GITHUB_STEP_SUMMARY`` as the
 informational bench-drift report (never a build failure; machine timing
@@ -100,21 +104,35 @@ def run_benchmarks(
     return distill(payload)
 
 
+def speedup(key: str, old_doc: dict, new_doc: dict) -> str | None:
+    """``old/new`` median ratio of ``key`` as ``1.23x``, or ``noise``
+    when both snapshots carry ``stats`` for it and the medians differ by
+    less than the sum of their IQRs; ``None`` without two medians."""
+    old_s = old_doc["medians"].get(key)
+    new_s = new_doc["medians"].get(key)
+    if not (old_s and new_s):
+        return None
+    # ``stats`` is absent from snapshots up to BENCH_9.
+    old_st = old_doc.get("stats", {}).get(key)
+    new_st = new_doc.get("stats", {}).get(key)
+    if old_st and new_st and abs(old_s - new_s) < old_st["iqr"] + new_st["iqr"]:
+        return "noise"
+    return f"{old_s / new_s:.2f}x"
+
+
 def diff(old_path: Path, new_path: Path, *, github: bool = False) -> None:
-    # Medians only: ``stats`` is absent from snapshots up to BENCH_9.
-    old = json.loads(old_path.read_text())["medians"]
-    new = json.loads(new_path.read_text())["medians"]
+    old_doc = json.loads(old_path.read_text())
+    new_doc = json.loads(new_path.read_text())
+    old, new = old_doc["medians"], new_doc["medians"]
     # One comparison pass over the UNION of ids, two renderers: rows are
-    # (key, old_s | None, new_s | None, ratio | None).  Benchmarks present
-    # in only one snapshot get first-class "new"/"removed" rows — an id
-    # that appears or disappears is trajectory information, not noise to
-    # silently intersect away.
-    rows = []
-    for key in sorted(set(old) | set(new)):
-        old_s = old.get(key)
-        new_s = new.get(key)
-        ratio = old_s / new_s if old_s and new_s else None
-        rows.append((key, old_s, new_s, ratio))
+    # (key, old_s | None, new_s | None, speedup text | None).  Benchmarks
+    # present in only one snapshot get first-class "new"/"removed" rows —
+    # an id that appears or disappears is trajectory information, not
+    # noise to silently intersect away.
+    rows = [
+        (key, old.get(key), new.get(key), speedup(key, old_doc, new_doc))
+        for key in sorted(set(old) | set(new))
+    ]
     added = sum(1 for _, old_s, _, _ in rows if old_s is None)
     removed = sum(1 for _, _, new_s, _ in rows if new_s is None)
     if github:
@@ -125,33 +143,33 @@ def diff(old_path: Path, new_path: Path, *, github: bool = False) -> None:
         print()
         print("| benchmark | old (ms) | new (ms) | speedup |")
         print("| --- | ---: | ---: | ---: |")
-        for key, old_s, new_s, ratio in rows:
+        for key, old_s, new_s, speed in rows:
             if old_s is None:
                 print(f"| `{key}` | — | {new_s * 1e3:.3f} | new |")
             elif new_s is None:
                 print(f"| `{key}` | {old_s * 1e3:.3f} | — | removed |")
-            elif ratio is None:
+            elif speed is None:
                 print(f"| `{key}` | {old_s * 1e3:.3f} | "
                       f"{new_s * 1e3:.3f} | — |")
             else:
                 print(f"| `{key}` | {old_s * 1e3:.3f} | "
-                      f"{new_s * 1e3:.3f} | {ratio:.2f}x |")
+                      f"{new_s * 1e3:.3f} | {speed} |")
         if added or removed:
             print()
             print(f"_{added} new, {removed} removed benchmark id(s)._")
         return
     width = max((len(k) for k, *_ in rows), default=0)
-    for key, old_s, new_s, ratio in rows:
+    for key, old_s, new_s, speed in rows:
         if old_s is None:
             print(f"{key:<{width}}  {'new':>9} -> {new_s * 1e3:9.3f}ms")
         elif new_s is None:
             print(f"{key:<{width}}  {old_s * 1e3:9.3f}ms -> {'removed':>9}")
-        elif ratio is None:
+        elif speed is None:
             print(f"{key:<{width}}  {old_s * 1e3:9.3f}ms -> "
                   f"{new_s * 1e3:9.3f}ms")
         else:
             print(f"{key:<{width}}  {old_s * 1e3:9.3f}ms -> "
-                  f"{new_s * 1e3:9.3f}ms   {ratio:5.2f}x")
+                  f"{new_s * 1e3:9.3f}ms   {speed:>6}")
     if added or removed:
         print(f"({added} new, {removed} removed benchmark id(s))")
 

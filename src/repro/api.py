@@ -306,7 +306,7 @@ def _verify_leadsto(program, prop, *, fairness, budget, subspace, prove) -> Verd
         )
         if _is_partial(proof):
             return _verdict_from_partial(proof)
-        check = check_certificate_batched(proof, program)
+        check = check_certificate_batched(proof, program, subspace=subspace)
         if not check.ok:
             raise PropertyError(
                 f"synthesized certificate failed its kernel check: "

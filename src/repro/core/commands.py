@@ -15,22 +15,20 @@ Commands here are **total deterministic state functions**:
 Each command supports three complementary semantics, cross-validated by the
 test suite:
 
-- ``apply(state)`` — operational, one state at a time;
-- ``succ_table(space)`` — an ``int64`` array mapping every encoded state to
-  its successor (the vectorized form used by the dense model checker);
+- ``apply(state)`` — operational, one state at a time (the oracle);
+- one vectorized kernel per command kind, run over an index set:
+  ``succ_of(space, idx)`` / ``enabled_at(space, idx)`` feed it a frontier
+  environment (the sparse engine, :mod:`repro.semantics.sparse`; work and
+  memory proportional to ``len(idx)``), and ``succ_table(space)`` /
+  ``enabled_mask(space)`` feed it every state, reading the space's cached
+  decoded columns (the dense model checker);
 - ``wp(pred)`` — *symbolic* weakest precondition by substitution, following
   the paper's ``p next q ≡ ⟨∀c : c ∈ C : p ⇒ wp.c.q⟩``.
-
-A fourth, *frontier* form backs the sparse engine
-(:mod:`repro.semantics.sparse`): ``succ_of(space, idx)`` evaluates the
-command only on a given ``int64`` index set — same semantics as
-``succ_table(space)[idx]`` but with work and memory proportional to
-``len(idx)``, never to ``space.size``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -45,18 +43,18 @@ from repro.core.expressions import (
     lor,
 )
 from repro.core.predicates import ExprPredicate, Predicate
-from repro.core.state import State, StateSpace
+from repro.core.state import FrontierEnv, State, StateSpace
 from repro.core.variables import Var
 from repro.errors import CommandError, DomainError
 
 __all__ = ["Assignment", "Command", "Skip", "skip", "GuardedCommand", "AltCommand"]
 
-#: States per chunk when a dense successor table is built through the
-#: frontier kernel.  Spaces at most this large keep the whole-space
-#: vectorized path (which shares the cached ``var_arrays`` decode across
-#: commands); larger spaces stream ``succ_of`` over index ranges so peak
-#: scratch per command stays bounded instead of several ``size``-length
-#: temporaries per assignment.
+#: States per chunk when a dense successor table is built.  Spaces at most
+#: this large run the command kernel once over every state, reading the
+#: cached ``var_arrays``/``index_arrays`` columns shared across commands;
+#: larger spaces stream ``succ_of`` (the same kernel over a frontier
+#: environment) over index ranges so peak scratch per command stays
+#: bounded instead of several ``size``-length temporaries per assignment.
 SUCC_TABLE_CHUNK = 1 << 22
 
 
@@ -100,7 +98,10 @@ class Assignment:
 
 
 class Command:
-    """Abstract base class of commands."""
+    """Abstract base class of commands: a subclass gives one successor
+    kernel (:meth:`_step`) and one enabledness kernel (:meth:`_enabled`),
+    run on a frontier environment by ``succ_of``/``enabled_at`` and on
+    every state by ``succ_table``/``enabled_mask``."""
 
     __slots__ = ("name", "origins")
 
@@ -116,18 +117,25 @@ class Command:
         """The unique successor of ``state`` under this command."""
         raise NotImplementedError
 
+    def wp(self, pred: Predicate) -> Predicate:
+        """Symbolic weakest precondition (requires an expression predicate)."""
+        raise NotImplementedError
+
     def succ_table(self, space: StateSpace) -> np.ndarray:
         """Vectorized ``apply``: ``out[i]`` is the successor index of state
         ``i`` for every encoded state of ``space``.
 
         A dense-tier operation: refuses spaces above
         ``StateSpace.DENSE_MAX`` with a :class:`~repro.errors.
-        CapacityError`.  The base implementation streams
-        :meth:`succ_of` over :data:`SUCC_TABLE_CHUNK`-sized index ranges,
-        so a table build never materializes more than one chunk of
-        frontier scratch at a time.
+        CapacityError`.  Spaces above :data:`SUCC_TABLE_CHUNK` stream
+        :meth:`succ_of` over chunk-sized index ranges, so a table build
+        never materializes more than one chunk of scratch at a time.
         """
         space.require_dense(f"successor table of command {self.name}")
+        if space.size <= SUCC_TABLE_CHUNK:
+            out = np.arange(space.size, dtype=np.int64)
+            self._step(space.full_env(), out)
+            return out
         out = np.empty(space.size, dtype=np.int64)
         for lo in range(0, space.size, SUCC_TABLE_CHUNK):
             hi = min(lo + SUCC_TABLE_CHUNK, space.size)
@@ -136,32 +144,11 @@ class Command:
 
     def succ_of(self, space: StateSpace, idx: np.ndarray) -> np.ndarray:
         """Frontier successor kernel: successor indices of the states in
-        ``idx`` only (``== succ_table(space)[idx]``, without the table).
-
-        The base implementation decodes and applies one state at a time —
-        correct for any command, but subclasses override it with the
-        vectorized frontier evaluation the sparse engine relies on.
-        """
-        idx = np.asarray(idx, dtype=np.int64)
-        out = np.empty(idx.shape[0], dtype=np.int64)
-        for k in range(idx.shape[0]):
-            out[k] = space.index_of(self.apply(space.state_at(int(idx[k]))))
+        ``idx`` only (``== succ_table(space)[idx]``, without the table)."""
+        env = space.frontier_env(idx)
+        out = env.idx.copy()
+        self._step(env, out)
         return out
-
-    def enabled_at(self, space: StateSpace, idx: np.ndarray) -> np.ndarray:
-        """Frontier form of :meth:`enabled_mask`: enabledness of the states
-        in ``idx`` only (``== enabled_mask(space)[idx]``).
-
-        The base implementation gathers from :meth:`enabled_mask` — total
-        for any command, but it materializes the full-space mask;
-        subclasses override it with frontier-sized evaluation so the
-        sparse engine keeps its no-full-space-array guarantee.
-        """
-        return self.enabled_mask(space)[np.asarray(idx, dtype=np.int64)]
-
-    def wp(self, pred: Predicate) -> Predicate:
-        """Symbolic weakest precondition (requires an expression predicate)."""
-        raise NotImplementedError
 
     def enabled_mask(self, space: StateSpace) -> np.ndarray:
         """States where the command is *enabled* (some guard holds).
@@ -171,6 +158,21 @@ class Command:
         ablation (:mod:`repro.semantics.strong_fairness`), where "enabled
         infinitely often" is the fairness trigger.
         """
+        space.require_dense(f"enabledness mask of command {self.name}")
+        return self._enabled(space.full_env())
+
+    def enabled_at(self, space: StateSpace, idx: np.ndarray) -> np.ndarray:
+        """Frontier form of :meth:`enabled_mask`: enabledness of the states
+        in ``idx`` only (``== enabled_mask(space)[idx]``)."""
+        return self._enabled(space.frontier_env(idx))
+
+    def _step(self, env: FrontierEnv, out: np.ndarray) -> None:
+        """The successor kernel: ``out`` holds the indices of the states of
+        ``env``; move each to its successor's index, in place."""
+        raise NotImplementedError
+
+    def _enabled(self, env: FrontierEnv) -> np.ndarray:
+        """The enabledness kernel: one flag per state of ``env``."""
         raise NotImplementedError
 
     # -- static analysis -----------------------------------------------------
@@ -227,23 +229,15 @@ class Skip(Command):
     def apply(self, state: State) -> State:
         return state
 
-    def succ_table(self, space: StateSpace) -> np.ndarray:
-        space.require_dense("successor table of skip")
-        return np.arange(space.size, dtype=np.int64)
-
-    def succ_of(self, space: StateSpace, idx: np.ndarray) -> np.ndarray:
-        return np.asarray(idx, dtype=np.int64).copy()
+    def _step(self, env: FrontierEnv, out: np.ndarray) -> None:
+        pass
 
     def wp(self, pred: Predicate) -> Predicate:
         return pred
 
-    def enabled_mask(self, space: StateSpace) -> np.ndarray:
+    def _enabled(self, env: FrontierEnv) -> np.ndarray:
         # skip is always "enabled" (and always a no-op).
-        space.require_dense("enabledness mask of skip")
-        return np.ones(space.size, dtype=bool)
-
-    def enabled_at(self, space: StateSpace, idx: np.ndarray) -> np.ndarray:
-        return np.ones(np.asarray(idx).shape[0], dtype=bool)
+        return np.ones(env.rows, dtype=bool)
 
     def reads(self) -> frozenset[Var]:
         return frozenset()
@@ -314,67 +308,39 @@ def _eval_updates(
     return updates
 
 
-def _vector_deltas(
+def _fire(
     assignments: Sequence[Assignment],
-    space: StateSpace,
-    fire_mask: np.ndarray,
+    env: FrontierEnv,
+    fire: np.ndarray,
+    out: np.ndarray,
     name: str,
-) -> np.ndarray:
-    """Summed index deltas for the states where ``fire_mask`` is true."""
-    env = space.var_arrays()
-    delta = np.zeros(space.size, dtype=np.int64)
+) -> None:
+    """Move the entries of ``out`` (indices of ``env``'s states) where
+    ``fire`` holds to their successors under ``assignments``, evaluating
+    right-hand sides on those rows only, as ``apply`` does: a partial
+    operator (``x // y``) never sees a state its guard excludes."""
+    rows = fire.nonzero()[0]
+    if rows.size == 0:
+        return
+    every = rows.size == env.rows
+    sub = env if every else env.take(rows)
+    delta = out if every else np.zeros(rows.size, dtype=np.int64)
     for a in assignments:
-        rhs = np.asarray(a.expr.eval_vec(env))
+        rhs = np.asarray(a.expr.eval_vec(sub))
         if rhs.ndim == 0:
-            rhs = np.full(space.size, rhs[()])
-        current = env[a.var]
-        effective = np.where(fire_mask, rhs, current)
+            rhs = np.full(rows.size, rhs[()])
         try:
-            new_idx = a.var.domain.encode_array(effective)
+            new_idx = a.var.domain.encode_array(rhs)
         except DomainError as exc:
             raise DomainError(
                 f"command {name}: assignment {a.var.name} := {a.expr} "
                 f"leaves the domain on some guarded state: {exc}"
             ) from None
-        delta += space.delta_for(a.var, new_idx)
-    return delta
-
-
-def _frontier_deltas(
-    assignments: Sequence[Assignment],
-    space: StateSpace,
-    idx: np.ndarray,
-    env: Mapping[Var, np.ndarray],
-    fire_mask: np.ndarray,
-    name: str,
-) -> np.ndarray:
-    """Frontier counterpart of :func:`_vector_deltas`: summed index deltas
-    for the states ``idx`` where ``fire_mask`` is true.  ``env`` must be the
-    frontier environment of ``idx`` (``space.frontier_env(idx)``)."""
-    delta = np.zeros(idx.shape[0], dtype=np.int64)
-    for a in assignments:
-        rhs = np.asarray(a.expr.eval_vec(env))
-        if rhs.ndim == 0:
-            rhs = np.full(idx.shape[0], rhs[()])
-        effective = np.where(fire_mask, rhs, env[a.var])
-        try:
-            new_idx = a.var.domain.encode_array(effective)
-        except DomainError as exc:
-            raise DomainError(
-                f"command {name}: assignment {a.var.name} := {a.expr} "
-                f"leaves the domain on some guarded state: {exc}"
-            ) from None
-        old_idx = space.indices_at(a.var, idx)
-        delta += (new_idx - old_idx) * space.stride_of(a.var)
-    return delta
-
-
-def _frontier_guard(guard: Expr, env: Mapping[Var, np.ndarray], k: int) -> np.ndarray:
-    """Evaluate a guard over a frontier environment as a length-``k`` mask."""
-    g = np.asarray(guard.eval_vec(env), dtype=bool)
-    if g.ndim == 0:
-        return np.full(k, bool(g), dtype=bool)
-    return g
+        step = new_idx - sub.indices(a.var)
+        step *= env.space.stride_of(a.var)
+        delta += step
+    if not every:
+        out[rows] += delta
 
 
 class GuardedCommand(Command):
@@ -406,23 +372,8 @@ class GuardedCommand(Command):
             return state
         return state.updated(_eval_updates(self.assignments, state, self.name))
 
-    def succ_table(self, space: StateSpace) -> np.ndarray:
-        if space.size > SUCC_TABLE_CHUNK:
-            return super().succ_table(space)  # chunked via succ_of
-        base = np.arange(space.size, dtype=np.int64)
-        g = np.asarray(self.guard.eval_vec(space.var_arrays()), dtype=bool)
-        if g.ndim == 0:
-            g = np.full(space.size, bool(g), dtype=bool)
-        delta = _vector_deltas(self.assignments, space, g, self.name)
-        return base + delta
-
-    def succ_of(self, space: StateSpace, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        env = space.frontier_env(idx)
-        g = _frontier_guard(self.guard, env, idx.shape[0])
-        if not g.any():
-            return idx.copy()
-        return idx + _frontier_deltas(self.assignments, space, idx, env, g, self.name)
+    def _step(self, env: FrontierEnv, out: np.ndarray) -> None:
+        _fire(self.assignments, env, env.eval_bool(self.guard), out, self.name)
 
     def wp(self, pred: Predicate) -> Predicate:
         p = pred.as_expr()
@@ -430,15 +381,8 @@ class GuardedCommand(Command):
         # wp(if g then A, P) = (g ∧ P[A]) ∨ (¬g ∧ P)
         return ExprPredicate(lor(land(self.guard, sub), land(lnot(self.guard), p)))
 
-    def enabled_mask(self, space: StateSpace) -> np.ndarray:
-        g = np.asarray(self.guard.eval_vec(space.var_arrays()), dtype=bool)
-        if g.ndim == 0:
-            return np.full(space.size, bool(g), dtype=bool)
-        return g
-
-    def enabled_at(self, space: StateSpace, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        return _frontier_guard(self.guard, space.frontier_env(idx), idx.shape[0])
+    def _enabled(self, env: FrontierEnv) -> np.ndarray:
+        return env.eval_bool(self.guard)
 
     def reads(self) -> frozenset[Var]:
         out = set(self.guard.variables())
@@ -493,38 +437,12 @@ class AltCommand(Command):
                 return state.updated(_eval_updates(assigns, state, self.name))
         return state
 
-    def succ_table(self, space: StateSpace) -> np.ndarray:
-        if space.size > SUCC_TABLE_CHUNK:
-            return super().succ_table(space)  # chunked via succ_of
-        base = np.arange(space.size, dtype=np.int64)
-        env = space.var_arrays()
-        taken = np.zeros(space.size, dtype=bool)
-        total_delta = np.zeros(space.size, dtype=np.int64)
+    def _step(self, env: FrontierEnv, out: np.ndarray) -> None:
+        taken = np.zeros(env.rows, dtype=bool)
         for guard, assigns in self.branches:
-            g = np.asarray(guard.eval_vec(env), dtype=bool)
-            if g.ndim == 0:
-                g = np.full(space.size, bool(g), dtype=bool)
-            fire = g & ~taken
-            if fire.any():
-                total_delta += _vector_deltas(assigns, space, fire, self.name)
+            g = env.eval_bool(guard)
+            _fire(assigns, env, g & ~taken, out, self.name)
             taken |= g
-        return base + total_delta
-
-    def succ_of(self, space: StateSpace, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        env = space.frontier_env(idx)
-        k = idx.shape[0]
-        taken = np.zeros(k, dtype=bool)
-        total_delta = np.zeros(k, dtype=np.int64)
-        for guard, assigns in self.branches:
-            g = _frontier_guard(guard, env, k)
-            fire = g & ~taken
-            if fire.any():
-                total_delta += _frontier_deltas(
-                    assigns, space, idx, env, fire, self.name
-                )
-            taken |= g
-        return idx + total_delta
 
     def wp(self, pred: Predicate) -> Predicate:
         p = pred.as_expr()
@@ -537,22 +455,10 @@ class AltCommand(Command):
         disjuncts.append(land(*none_before, p))  # no branch fires: skip
         return ExprPredicate(lor(*disjuncts))
 
-    def enabled_mask(self, space: StateSpace) -> np.ndarray:
-        env = space.var_arrays()
-        out = np.zeros(space.size, dtype=bool)
+    def _enabled(self, env: FrontierEnv) -> np.ndarray:
+        out = np.zeros(env.rows, dtype=bool)
         for guard, _ in self.branches:
-            g = np.asarray(guard.eval_vec(env), dtype=bool)
-            if g.ndim == 0:
-                g = np.full(space.size, bool(g), dtype=bool)
-            out |= g
-        return out
-
-    def enabled_at(self, space: StateSpace, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        env = space.frontier_env(idx)
-        out = np.zeros(idx.shape[0], dtype=bool)
-        for guard, _ in self.branches:
-            out |= _frontier_guard(guard, env, idx.shape[0])
+            out |= env.eval_bool(guard)
         return out
 
     def reads(self) -> frozenset[Var]:

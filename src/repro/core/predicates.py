@@ -10,8 +10,8 @@ This module provides those state predicates, in three flavours:
 - :class:`FnPredicate` — backed by an arbitrary ``State → bool`` callable;
   the escape hatch for predicates that are awkward to express as
   expressions (e.g. graph reachability ``A*(i) = ∅`` in §4).  Masks are
-  computed by a per-state loop, so prefer :class:`MaskPredicate` when the
-  same predicate is consulted repeatedly.
+  computed by the base per-state loop, so prefer :class:`MaskPredicate`
+  when the same predicate is consulted repeatedly.
 - :class:`MaskPredicate` — backed by a precomputed boolean mask over one
   specific state space (used by the priority system, which precomputes
   reachability sets for all orientations once).
@@ -42,7 +42,7 @@ from repro.core.expressions import (
     lnot,
     lor,
 )
-from repro.core.state import State, StateSpace
+from repro.core.state import FrontierEnv, State, StateSpace
 from repro.core.variables import Var
 from repro.errors import PropertyError
 from repro.util.csr import in_sorted
@@ -63,7 +63,9 @@ __all__ = [
 
 
 class Predicate:
-    """Abstract base class of state predicates."""
+    """Abstract base class of state predicates: one kernel,
+    :meth:`_mask_of`, run on a frontier environment by :meth:`mask_at`
+    and on every state (the space's cached columns) by :meth:`mask`."""
 
     # -- core interface ---------------------------------------------------
 
@@ -72,22 +74,25 @@ class Predicate:
         raise NotImplementedError
 
     def mask(self, space: StateSpace) -> np.ndarray:
-        """Boolean satisfaction mask over all encoded states of ``space``."""
-        raise NotImplementedError
+        """Boolean satisfaction mask over all encoded states of ``space``
+        (a dense-tier operation)."""
+        return self._mask_of(space.full_env())
 
     def mask_at(self, space: StateSpace, idx: np.ndarray) -> np.ndarray:
         """Frontier satisfaction mask: truth values at the state indices
         ``idx`` only (``== mask(space)[idx]``, without the full mask).
-
-        The base implementation decodes one state at a time; expression
-        predicates override it with vectorized frontier evaluation.  This
-        is the predicate entry point of the sparse engine
+        This is the predicate entry point of the sparse engine
         (:mod:`repro.semantics.sparse`).
         """
-        idx = np.asarray(idx, dtype=np.int64)
-        out = np.empty(idx.shape[0], dtype=bool)
-        for k in range(idx.shape[0]):
-            out[k] = bool(self.holds(space.state_at(int(idx[k]))))
+        return self._mask_of(space.frontier_env(idx))
+
+    def _mask_of(self, env: FrontierEnv) -> np.ndarray:
+        """Truth values at the states of ``env``; the base decodes one
+        state at a time through :meth:`holds`."""
+        space = env.space
+        out = np.empty(env.rows, dtype=bool)
+        for k, i in enumerate(env.idx.tolist()):
+            out[k] = bool(self.holds(space.state_at(i)))
         return out
 
     def variables(self) -> frozenset[Var]:
@@ -189,20 +194,8 @@ class ExprPredicate(Predicate):
     def holds(self, state: State) -> bool:
         return bool(self.expr.eval(state))
 
-    def mask(self, space: StateSpace) -> np.ndarray:
-        out = self.expr.eval_vec(space.var_arrays())
-        arr = np.asarray(out, dtype=bool)
-        if arr.ndim == 0:
-            return np.full(space.size, bool(arr), dtype=bool)
-        return arr
-
-    def mask_at(self, space: StateSpace, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        out = self.expr.eval_vec(space.frontier_env(idx))
-        arr = np.asarray(out, dtype=bool)
-        if arr.ndim == 0:
-            return np.full(idx.shape[0], bool(arr), dtype=bool)
-        return arr
+    def _mask_of(self, env: FrontierEnv) -> np.ndarray:
+        return env.eval_bool(self.expr)
 
     def variables(self) -> frozenset[Var]:
         return self.expr.variables()
@@ -217,8 +210,9 @@ class ExprPredicate(Predicate):
 class FnPredicate(Predicate):
     """Predicate backed by an arbitrary ``State → bool`` callable.
 
-    The mask loop decodes every state; use for small spaces or one-off
-    checks, and prefer :class:`MaskPredicate` (precomputed) otherwise.
+    Masks come from the base per-state loop; use for small spaces or
+    one-off checks, and prefer :class:`MaskPredicate` (precomputed)
+    otherwise.
     """
 
     __slots__ = ("fn", "_description")
@@ -229,12 +223,6 @@ class FnPredicate(Predicate):
 
     def holds(self, state: State) -> bool:
         return bool(self.fn(state))
-
-    def mask(self, space: StateSpace) -> np.ndarray:
-        out = np.empty(space.size, dtype=bool)
-        for i in range(space.size):
-            out[i] = bool(self.fn(space.state_at(i)))
-        return out
 
     def describe(self) -> str:
         return self._description
@@ -516,22 +504,13 @@ class _Composite(Predicate):
             return all(p.holds(state) for p in self.parts)
         return any(p.holds(state) for p in self.parts)
 
-    def mask(self, space: StateSpace) -> np.ndarray:
-        out = self.parts[0].mask(space).copy()
+    def _mask_of(self, env: FrontierEnv) -> np.ndarray:
+        out = env.mask_of(self.parts[0]).copy()
         for p in self.parts[1:]:
             if self.op == "and":
-                out &= p.mask(space)
+                out &= env.mask_of(p)
             else:
-                out |= p.mask(space)
-        return out
-
-    def mask_at(self, space: StateSpace, idx: np.ndarray) -> np.ndarray:
-        out = self.parts[0].mask_at(space, idx).copy()
-        for p in self.parts[1:]:
-            if self.op == "and":
-                out &= p.mask_at(space, idx)
-            else:
-                out |= p.mask_at(space, idx)
+                out |= env.mask_of(p)
         return out
 
     def variables(self) -> frozenset[Var]:
@@ -560,11 +539,8 @@ class _Negation(Predicate):
     def holds(self, state: State) -> bool:
         return not self.inner.holds(state)
 
-    def mask(self, space: StateSpace) -> np.ndarray:
-        return ~self.inner.mask(space)
-
-    def mask_at(self, space: StateSpace, idx: np.ndarray) -> np.ndarray:
-        return ~self.inner.mask_at(space, idx)
+    def _mask_of(self, env: FrontierEnv) -> np.ndarray:
+        return ~env.mask_of(self.inner)
 
     def variables(self) -> frozenset[Var]:
         return self.inner.variables()

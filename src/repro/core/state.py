@@ -255,8 +255,10 @@ class StateSpace:
     def var_arrays(self) -> dict[Var, np.ndarray]:
         """Per-variable arrays of *values* at every state index.
 
-        This is the vector environment handed to ``Expr.eval_vec``; arrays
-        are cached, so repeated property checks share the decode cost.
+        Decoded once per space and cached: these columns (with
+        :meth:`index_arrays`) are what :meth:`full_env` hands the command
+        and predicate kernels, so every whole-space table and mask shares
+        one decode.
         """
         if len(self._value_cache) != len(self.vars):
             self.require_dense("var_arrays")
@@ -266,36 +268,25 @@ class StateSpace:
                     self._value_cache[var] = var.domain.decode_array(idx[var])
         return self._value_cache
 
-    # -- frontier codec (sparse engine) -------------------------------------
-
-    def indices_at(self, var: Var, idx: np.ndarray) -> np.ndarray:
-        """Domain indices of ``var`` at the given state indices only.
-
-        The frontier counterpart of :meth:`index_arrays`: output length is
-        ``len(idx)``, never ``size``, so the sparse engine
-        (:mod:`repro.semantics.sparse`) can evaluate commands and
-        predicates on a discovered index set without materializing
-        full-space decode arrays.
-        """
-        return (idx // self.stride_of(var)) % var.domain.size
+    # -- kernel environments ------------------------------------------------
 
     def frontier_env(self, idx: np.ndarray) -> "FrontierEnv":
-        """Lazy ``Var → value-array`` environment over the index set ``idx``.
+        """Lazy kernel environment over the index set ``idx``.
 
         Columns are decoded on first access and cached for the lifetime of
         the environment, so an expression touching 3 of 30 variables pays
-        for 3 decodes.  Suitable as the environment of ``Expr.eval_vec``.
+        for 3 decodes and nothing of length ``size`` is allocated (the
+        sparse engine, :mod:`repro.semantics.sparse`).  ``succ_of``,
+        ``enabled_at`` and ``mask_at`` run their kernels on it.
         """
         return FrontierEnv(self, np.asarray(idx, dtype=np.int64))
 
-    def delta_for(self, var: Var, new_index_array: np.ndarray) -> np.ndarray:
-        """Index delta produced by writing ``var`` with domain-index array
-        ``new_index_array`` (vectorized functional update).
-
-        ``new_state_index = old_index + Σ_assigned delta_for(var, new_idx)``.
-        """
-        old = self.index_arrays()[var]
-        return (new_index_array - old) * self.stride_of(var)
+    def full_env(self) -> "FrontierEnv":
+        """Kernel environment over every state, the largest index set (a
+        dense-tier operation): its columns are the cached
+        :meth:`var_arrays` / :meth:`index_arrays`, so ``succ_table``,
+        ``enabled_mask`` and ``mask`` decode nothing again."""
+        return _EveryState(self)
 
     # -- misc -----------------------------------------------------------------
 
@@ -311,30 +302,96 @@ class StateSpace:
 
 
 class FrontierEnv(Mapping):
-    """Lazy per-variable value columns decoded at a fixed index set.
+    """Per-variable columns of the states at an index set ``idx``, the
+    environment of every command and predicate kernel: a ``Mapping`` of
+    value columns for ``Expr.eval_vec`` plus :meth:`indices` (domain
+    indices), each with ``rows`` entries and decoded on first access."""
 
-    Implements the ``Mapping[Var, ndarray]`` protocol expected by
-    :meth:`repro.core.expressions.Expr.eval_vec`; each column has the
-    length of the index set, not of the space.  Obtain via
-    :meth:`StateSpace.frontier_env`.
-    """
-
-    __slots__ = ("space", "idx", "_cache")
+    __slots__ = ("space", "idx", "rows", "_values", "_indices")
 
     def __init__(self, space: StateSpace, idx: np.ndarray) -> None:
         self.space = space
         self.idx = idx
-        self._cache: dict[Var, np.ndarray] = {}
+        self.rows = int(idx.shape[0])
+        self._values: dict[Var, np.ndarray] = {}
+        self._indices: dict[Var, np.ndarray] = {}
 
     def __getitem__(self, var: Var) -> np.ndarray:
-        col = self._cache.get(var)
+        col = self._values.get(var)
         if col is None:
-            col = var.domain.decode_array(self.space.indices_at(var, self.idx))
-            self._cache[var] = col
+            if var not in self.space._stride_by_var:
+                raise KeyError(var)
+            col = self._values[var] = var.domain.decode_array(self.indices(var))
         return col
+
+    def indices(self, var: Var) -> np.ndarray:
+        """Domain indices of ``var`` at these states."""
+        col = self._indices.get(var)
+        if col is None:
+            stride = self.space.stride_of(var)
+            col = self._indices[var] = (self.idx // stride) % var.domain.size
+        return col
+
+    def take(self, rows: np.ndarray) -> "FrontierEnv":
+        """The states at positions ``rows`` of this environment; their
+        columns are gathered from this environment's."""
+        return _Rows(self, rows)
+
+    def eval_bool(self, expr) -> np.ndarray:
+        """A boolean expression at these states, one entry per state."""
+        out = np.asarray(expr.eval_vec(self), dtype=bool)
+        if out.ndim == 0:
+            return np.full(self.rows, bool(out), dtype=bool)
+        return out
+
+    def mask_of(self, pred) -> np.ndarray:
+        """``pred``'s truth values at these states (``pred.mask_at``)."""
+        return pred.mask_at(self.space, self.idx)
 
     def __iter__(self) -> Iterator[Var]:
         return iter(self.space.vars)
 
     def __len__(self) -> int:
         return len(self.space.vars)
+
+
+class _EveryState(FrontierEnv):
+    """Every state of a dense space: the columns are the space's cached
+    decodes, and predicates answer through their whole-space ``mask``."""
+
+    __slots__ = ()
+
+    def __init__(self, space: StateSpace) -> None:
+        self.space = space
+        self.rows = space.size
+        self._values = space.var_arrays()
+        self._indices = space.index_arrays()
+
+    @property
+    def idx(self) -> np.ndarray:
+        return np.arange(self.rows, dtype=np.int64)
+
+    def mask_of(self, pred) -> np.ndarray:
+        return pred.mask(self.space)
+
+
+class _Rows(FrontierEnv):
+    """The states at some positions of a parent environment."""
+
+    __slots__ = ("_parent", "_pos")
+
+    def __init__(self, parent: FrontierEnv, rows: np.ndarray) -> None:
+        self.space = parent.space
+        self.rows = int(rows.shape[0])
+        self._parent = parent
+        self._pos = rows
+
+    @property
+    def idx(self) -> np.ndarray:
+        return self._parent.idx[self._pos]
+
+    def __getitem__(self, var: Var) -> np.ndarray:
+        return self._parent[var][self._pos]
+
+    def indices(self, var: Var) -> np.ndarray:
+        return self._parent.indices(var)[self._pos]

@@ -142,11 +142,10 @@ class PhilosopherSystem:
 class _AcyclicityPredicate(Predicate):
     """Acyclicity of the fork orientation, batched over state indices.
 
-    ``holds`` keeps the scalar graph-walk semantics; ``mask_at`` decodes
-    only the edge columns of the queried indices and runs the vectorized
-    Kahn peel, so the sparse tier never pays a per-state Python loop.
-    ``mask`` densifies via ``mask_at`` (guarded by the space's dense
-    capacity) for the small instances the differential suite covers.
+    ``holds`` keeps the scalar graph-walk semantics; the mask kernel
+    reads only the edge columns of the queried states and runs the
+    vectorized Kahn peel, so neither ``mask_at`` (the sparse tier) nor
+    ``mask`` pays a per-state Python loop.
     """
 
     def __init__(self, system: "PhilosopherSystem") -> None:
@@ -157,20 +156,14 @@ class _AcyclicityPredicate(Predicate):
 
         return is_acyclic(self._system._orientation_of(state))
 
-    def mask_at(self, space, idx) -> np.ndarray:
+    def _mask_of(self, env) -> np.ndarray:
         from repro.graph.acyclicity import acyclic_rows
 
-        idx = np.asarray(idx, dtype=np.int64)
         graph = self._system.graph
-        cols = np.empty((idx.shape[0], graph.m), dtype=bool)
+        cols = np.empty((env.rows, graph.m), dtype=bool)
         for k, (a, b) in enumerate(graph.edges):
-            var = space.var_named(f"e[{a},{b}]")
-            cols[:, k] = space.indices_at(var, idx).astype(bool)
+            cols[:, k] = env.indices(env.space.var_named(f"e[{a},{b}]"))
         return acyclic_rows(graph, cols)
-
-    def mask(self, space) -> np.ndarray:
-        space.require_dense("acyclicity mask")
-        return self.mask_at(space, np.arange(space.size, dtype=np.int64))
 
     def describe(self) -> str:
         return "Acyclicity"

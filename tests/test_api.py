@@ -23,6 +23,28 @@ from repro.systems.compose_proof import (
 from repro.systems.product import build_pipeline_allocator
 
 
+#: ``x // y`` behind the guard ``y != 0``: a partial right-hand side.
+PARTIAL_RHS = """program D
+declare
+  shared x : int[0..4];
+  shared y : int[0..2]
+initially x = 4 /\\ y = 2
+assign
+  fair half: y != 0 -> x := x // y;
+  fair dec: y > 0 /\\ x = 1 -> y := y - 1
+end
+"""
+
+#: Reaches x = 2 from its initial state, but not from x = 3 or x = 4.
+UNREACHABLE_STUCK = """program B
+declare shared x : int[0..4]
+initially x = 0
+assign
+  fair up: x < 2 -> x := x + 1
+end
+"""
+
+
 @pytest.fixture(scope="module")
 def alloc():
     return build_allocator_system(2, total=2)
@@ -65,6 +87,14 @@ class TestRouting:
             assert v.holds is True, text
             assert v.tier == "sparse", text
 
+    def test_guarded_partial_rhs_decides_on_both_tiers(self):
+        from repro.dsl import parse_program, parse_property
+
+        prog = parse_program(PARTIAL_RHS)
+        prop = parse_property("true ~> x <= 1", prog)
+        assert verify(prog, prop).holds is False  # stuck at y = 0, x >= 2
+        assert verify(prog, prop, tier="sparse").holds is True
+
     def test_dense_refused_on_sparse_space(self):
         pa = build_pipeline_allocator(16)
         with pytest.raises(CapacityError, match="tier='dense' refused"):
@@ -106,6 +136,19 @@ class TestProveAndBudget:
         assert v.holds is True
         assert v.certificate is not None
         assert v.certificate.check(alloc.system).ok
+
+    def test_forced_sparse_prove_checks_on_the_subspace(self):
+        # The certificate is synthesized on the explored subspace, so its
+        # kernel check must run there too: on the full space x = 3 never
+        # reaches x = 2.
+        from repro.dsl import parse_program, parse_property
+
+        prog = parse_program(UNREACHABLE_STUCK)
+        prop = parse_property("true ~> x = 2", prog)
+        v = verify(prog, prop, tier="sparse", prove=True)
+        assert v.holds is True
+        assert v.tier == "sparse"
+        assert v.certificate is not None
 
     def test_budget_exhaustion_degrades_to_partial(self):
         pa = build_pipeline_allocator(8)

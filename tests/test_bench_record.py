@@ -47,3 +47,24 @@ def test_diff_reads_a_snapshot_without_stats(record, tmp_path, capsys):
     assert record.main(["--diff", str(old), str(new)]) == 0
     out = capsys.readouterr().out
     assert key in out and "1.000ms" in out
+
+
+def test_diff_marks_moves_inside_the_iqrs_as_noise(record, tmp_path, capsys):
+    # iqr = median / 10: 1.00 vs 1.15 ms lies inside 0.1 + 0.115 ms,
+    # 1.00 vs 2.00 ms does not.
+    old_m, old_st = record.distill(
+        {"benchmarks": [_bench("a::flat", 0.001), _bench("b::fast", 0.002)]}
+    )
+    new_m, new_st = record.distill(
+        {"benchmarks": [_bench("a::flat", 0.00115), _bench("b::fast", 0.001)]}
+    )
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps({"medians": old_m, "stats": old_st}))
+    new.write_text(json.dumps({"medians": new_m, "stats": new_st}))
+    for flags in ([], ["--github-summary"]):
+        assert record.main(["--diff", str(old), str(new), *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        flat = next(line for line in lines if "a::flat" in line)
+        fast = next(line for line in lines if "b::fast" in line)
+        assert "noise" in flat and "0.87x" not in flat
+        assert "2.00x" in fast and "noise" not in fast

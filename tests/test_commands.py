@@ -3,7 +3,7 @@ agreement, guards, alternatives, domain safety."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro.core.commands import AltCommand, Assignment, GuardedCommand, Skip
 from repro.core.domains import IntRange
@@ -163,12 +163,22 @@ class TestAltCommand:
         assert (alt.succ_table(SPACE) == np.arange(SPACE.size)).all()
 
 
+SHARED_SPACE = StateSpace(list(SHARED_VARS))
+
+
 @settings(max_examples=60)
-@given(command_strategy("rand"))
-def test_random_commands_three_way_agreement(cmd):
-    """apply / succ_table / wp agree on every state for random commands."""
-    space = StateSpace(list(SHARED_VARS))
+@given(
+    command_strategy("rand"),
+    st.lists(st.integers(0, SHARED_SPACE.size - 1), unique=True),
+)
+def test_random_commands_three_way_agreement(cmd, subset):
+    """apply / succ_table / wp agree on every state for random commands,
+    and the frontier forms (``succ_of``, ``enabled_at``, ``mask_at``) on a
+    shuffled index subset equal the rows of the whole-space forms.  Both
+    forms run one kernel, so the scalar ``apply`` / guard is the oracle."""
+    space = SHARED_SPACE
     table = cmd.succ_table(space)
+    enabled = cmd.enabled_mask(space)
     target = ExprPredicate(land(SHARED_X.ref() >= 1, SHARED_B.ref()))
     wp = cmd.wp(target)
     tmask = target.mask(space)
@@ -178,3 +188,27 @@ def test_random_commands_three_way_agreement(cmd):
         succ = cmd.apply(s)
         assert table[i] == space.index_of(succ)
         assert wmask[i] == tmask[table[i]]
+        assert enabled[i] == cmd.guard.eval(s)
+    idx = np.array(subset, dtype=np.int64)
+    assert np.array_equal(cmd.succ_of(space, idx), table[idx])
+    assert np.array_equal(cmd.enabled_at(space, idx), enabled[idx])
+    assert np.array_equal(target.mask_at(space, idx), tmask[idx])
+    assert np.array_equal(wp.mask_at(space, idx), wmask[idx])
+
+
+def test_partial_rhs_is_evaluated_only_where_the_guard_holds():
+    # ``x // y`` is undefined at y = 0, where the guard makes the command
+    # a skip; no form of the command may evaluate it there.
+    x = Var.shared("x", IntRange(0, 4))
+    y = Var.shared("y", IntRange(0, 2))
+    space = StateSpace([x, y])
+    half = GuardedCommand("half", y.ref() != 0, [(x, x.ref() // y.ref())])
+    alt = AltCommand(
+        "alt", [(y.ref() == 0, [(y, 1)]), (True, [(x, x.ref() // y.ref())])]
+    )
+    idx = np.arange(space.size, dtype=np.int64)[::-1]
+    for cmd in (half, alt):
+        table = cmd.succ_table(space)
+        for i in range(space.size):
+            assert table[i] == space.index_of(cmd.apply(space.state_at(i)))
+        assert np.array_equal(cmd.succ_of(space, idx), table[idx])

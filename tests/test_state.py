@@ -1,6 +1,5 @@
 """Tests for repro.core.state: states, spaces, mixed-radix codec."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -120,16 +119,6 @@ class TestStateSpace:
     def test_var_arrays_cached(self):
         space = StateSpace([X, B])
         assert space.var_arrays()[X] is space.var_arrays()[X]
-
-    def test_delta_for_matches_reencode(self):
-        space = StateSpace([X, B])
-        idx = np.arange(space.size)
-        # Write x := 3 everywhere.
-        new_idx_x = np.full(space.size, X.domain.index_of(3))
-        delta = space.delta_for(X, new_idx_x)
-        for i in range(space.size):
-            target = space.state_at(i).updated({X: 3})
-            assert idx[i] + delta[i] == space.index_of(target)
 
     def test_stride_of_unknown_var(self):
         with pytest.raises(StateError):
