@@ -30,7 +30,8 @@ Tier routing
     threshold, reachable-subspace sparse above it.
 ``tier="sparse"``
     Force the sparse tier: the reachable subspace is explored (under
-    ``budget`` if given) and every check runs over it.
+    ``budget`` if given) and every check runs over it; properties that
+    quantify over all states (``stable``, ``invariant``, …) are refused.
 ``tier="dense"``
     Require the dense tier; refused with a
     :class:`~repro.errors.CapacityError` if the space routes sparse —
@@ -233,7 +234,7 @@ def verify(
         return _verify_compositional(program, prop)
 
     from repro.core.predicates import Predicate
-    from repro.core.properties import Invariant, LeadsTo, Property
+    from repro.core.properties import LeadsTo, Property
     from repro.semantics.sparse import sparse_enabled
 
     if tier == "dense":
@@ -277,7 +278,7 @@ def verify(
             return _verdict_from_partial(result)
         return _verdict_from_check(result)
     if isinstance(prop, Property):
-        if subspace is not None and not isinstance(prop, Invariant):
+        if subspace is not None:
             raise PropertyError(
                 f"subspace= is not supported for {type(prop).__name__} "
                 "properties (they quantify over all states)"

@@ -730,6 +730,45 @@ def _require_bool(args: Iterable[Expr], symbol: str) -> tuple[Expr, ...]:
     return out
 
 
+# When the all-rows evaluation of ``And``/``Or``/``Implies``/``Ite`` raises
+# :class:`EvaluationError` (a partial operator such as ``x // y`` where it is
+# undefined), each later operand is evaluated again only on the rows the
+# earlier ones leave open, as the short-circuiting scalar ``eval`` does.
+
+
+def _env_take(env: Mapping[Var, Any], rows: np.ndarray) -> Mapping[Var, Any]:
+    """``env`` at positions ``rows`` (``FrontierEnv.take``, or the rows
+    of a mapping of columns)."""
+    take = getattr(env, "take", None)
+    if take is not None:
+        return take(rows)
+    return {v: (a[rows] if np.ndim(a) else a) for v, a in env.items()}
+
+
+def _bool_rows(expr: "Expr", env: Mapping[Var, Any]) -> np.ndarray:
+    """``expr`` as one boolean per row of ``env`` (constants broadcast)."""
+    rows = getattr(env, "rows", None)
+    if rows is None:
+        rows = max((np.shape(a)[0] for a in env.values() if np.ndim(a)), default=1)
+    return np.broadcast_to(np.asarray(expr.eval_vec(env), dtype=bool), (rows,))
+
+
+def _short_circuit(
+    operands: Sequence["Expr"], env: Mapping[Var, Any], open_value: bool
+) -> np.ndarray:
+    """Each operand on the rows every earlier one leaves at ``open_value``
+    (``True`` for a conjunction, ``False`` for a disjunction)."""
+    out = _bool_rows(operands[0], env).copy()
+    rows = np.flatnonzero(out == open_value)
+    for op in operands[1:]:
+        if rows.size == 0:
+            break
+        vals = _bool_rows(op, _env_take(env, rows))
+        out[rows] = vals
+        rows = rows[vals == open_value]
+    return out
+
+
 class _NaryBool(Expr):
     """Base of flattened n-ary conjunction/disjunction."""
 
@@ -776,10 +815,13 @@ class And(_NaryBool):
         return all(op.eval(env) for op in self.operands)
 
     def eval_vec(self, env: Mapping[Var, np.ndarray]) -> Any:
-        out = self.operands[0].eval_vec(env)
-        for op in self.operands[1:]:
-            out = np.logical_and(out, op.eval_vec(env))
-        return out
+        try:
+            out = self.operands[0].eval_vec(env)
+            for op in self.operands[1:]:
+                out = np.logical_and(out, op.eval_vec(env))
+            return out
+        except EvaluationError:
+            return _short_circuit(self.operands, env, True)
 
 
 class Or(_NaryBool):
@@ -792,10 +834,13 @@ class Or(_NaryBool):
         return any(op.eval(env) for op in self.operands)
 
     def eval_vec(self, env: Mapping[Var, np.ndarray]) -> Any:
-        out = self.operands[0].eval_vec(env)
-        for op in self.operands[1:]:
-            out = np.logical_or(out, op.eval_vec(env))
-        return out
+        try:
+            out = self.operands[0].eval_vec(env)
+            for op in self.operands[1:]:
+                out = np.logical_or(out, op.eval_vec(env))
+            return out
+        except EvaluationError:
+            return _short_circuit(self.operands, env, False)
 
 
 class Not(Expr):
@@ -845,9 +890,12 @@ class Implies(Expr):
         return (not self.left.eval(env)) or bool(self.right.eval(env))
 
     def eval_vec(self, env: Mapping[Var, np.ndarray]) -> Any:
-        return np.logical_or(
-            np.logical_not(self.left.eval_vec(env)), self.right.eval_vec(env)
-        )
+        try:
+            return np.logical_or(
+                np.logical_not(self.left.eval_vec(env)), self.right.eval_vec(env)
+            )
+        except EvaluationError:
+            return _short_circuit((Not(self.left), self.right), env, False)
 
     def children(self) -> tuple[Expr, ...]:
         return (self.left, self.right)
@@ -939,11 +987,28 @@ class Ite(Expr):
         return self.then.eval(env) if self.cond.eval(env) else self.orelse.eval(env)
 
     def eval_vec(self, env: Mapping[Var, np.ndarray]) -> Any:
-        return np.where(
-            self.cond.eval_vec(env),
-            self.then.eval_vec(env),
-            self.orelse.eval_vec(env),
-        )
+        try:
+            return np.where(
+                self.cond.eval_vec(env),
+                self.then.eval_vec(env),
+                self.orelse.eval_vec(env),
+            )
+        except EvaluationError:
+            cond = _bool_rows(self.cond, env)
+            arms = [
+                (rows, np.asarray(arm.eval_vec(_env_take(env, rows))))
+                for arm, rows in (
+                    (self.then, np.flatnonzero(cond)),
+                    (self.orelse, np.flatnonzero(~cond)),
+                )
+                if rows.size
+            ]
+            if not arms:
+                raise
+            out = np.empty(cond.shape, dtype=np.result_type(*(v for _, v in arms)))
+            for rows, vals in arms:
+                out[rows] = vals
+            return out
 
     def children(self) -> tuple[Expr, ...]:
         return (self.cond, self.then, self.orelse)

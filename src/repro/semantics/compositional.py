@@ -21,8 +21,8 @@ obligation it discharges is *local*:
   components' ``initially`` predicates.
 - **Component lemmas** (the certificate's
   :class:`~repro.core.compositional.ComponentCertificate` leaves) are
-  checked on their *own* small spaces by the existing per-level kernel,
-  whose semantic leaves tier-route dense/sparse per component.
+  checked on their *own* small spaces by the batched certificate check
+  (per-level for non-columnar trees), tier-routed per component.
 
 The walk is memoized by node identity, so certificates that share
 subtrees (the delivery certificate reuses one progress subtree across
@@ -66,6 +66,7 @@ from repro.core.rules import (
     Transitivity,
 )
 from repro.semantics.obligations import FootprintKernel
+from repro.semantics.synthesis import check_certificate_batched
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.commands import Command
@@ -434,13 +435,13 @@ def _check_components(
 ) -> None:
     """Re-check each component lemma on the component's own space.
 
-    These go through :meth:`ProofNode.check`, whose semantic leaves
-    tier-route dense/sparse per component — the per-component routing
-    that lets a big component stay checkable while the *product* never
-    materializes.
+    These go through :func:`check_certificate_batched` (per-level for
+    non-columnar trees), which tier-routes dense/sparse per component —
+    the routing that lets a big component stay checkable while the
+    *product* never materializes.
     """
     for cc in cert.component_certs:
-        sub = cc.proof.check(cc.component)
+        sub = check_certificate_batched(cc.proof, cc.component)
         result.components_checked += 1
         result.obligations_checked += sub.obligations_checked
         if not sub.ok:

@@ -23,7 +23,8 @@ Layout
   over the local columns, so the table walks and the
   :mod:`repro.semantics.scc` condensation run on **local** ids unchanged.
 - :mod:`repro.semantics.sparse.checkpoint` — atomic, digest-keyed BFS
-  checkpoints and resume.
+  snapshots, which a :class:`CheckpointPolicy` both writes and reads
+  (a complete one loads without re-running the BFS).
 
 The judgments themselves live outside this package: a
 :class:`ReachableSubspace` is an evaluation *domain*
@@ -86,7 +87,6 @@ from repro.semantics.sparse.checkpoint import (
     load_checkpoint,
     program_digest,
     resume_exploration,
-    save_subspace,
 )
 
 __all__ = [
@@ -103,7 +103,6 @@ __all__ = [
     "load_checkpoint",
     "program_digest",
     "resume_exploration",
-    "save_subspace",
 ]
 
 #: Spaces larger than this are routed to the sparse tier by

@@ -6,9 +6,12 @@ intern table, plus the RNG-free level counter implicit in their count —
 at a **level boundary**, so a resumed run replays the remaining levels
 bit-identically to an uninterrupted one (the BFS is deterministic in
 command order and sorted-array interning; nothing ambient feeds it).
-Complete checkpoints additionally carry the per-command successor
-columns already materialized on the subspace, so a resume of a finished
-run rebuilds those without re-running the kernels.
+
+A :class:`CheckpointPolicy` both writes and reads a snapshot:
+:func:`~repro.semantics.sparse.explorer.reachable_subspace` given a
+policy resumes a valid snapshot at ``policy.path`` (a complete one
+loads without a BFS level or a write) and otherwise explores afresh,
+replacing the file.
 
 File format (version ``RPROCKPT1``)
 -----------------------------------
@@ -59,10 +62,13 @@ from repro.errors import CheckpointError
 from repro.semantics.budget import Budget
 from repro.semantics.sparse.explorer import (
     ReachableSubspace,
+    _assemble,
     _BfsState,
     _run_bfs,
+    _set_stats,
     adopt_subspace,
 )
+from repro.util.csr import in_sorted
 from repro.util.faultinject import fault_point
 
 __all__ = [
@@ -73,7 +79,6 @@ __all__ = [
     "write_checkpoint",
     "load_checkpoint",
     "resume_exploration",
-    "save_subspace",
 ]
 
 #: Format magic + version.  Bumped on any incompatible layout change, so
@@ -151,7 +156,6 @@ def write_checkpoint(
     level_pcmds: list[np.ndarray],
     mover_names: list[str],
     complete: bool,
-    succ_columns: dict[str, np.ndarray] | None = None,
     metrics: dict | None = None,
 ) -> str:
     """Atomically write a checkpoint; returns the (string) path.
@@ -176,9 +180,6 @@ def write_checkpoint(
         ("level_parents", _concat(level_parents)),
         ("level_pcmds", _concat(level_pcmds)),
     ]
-    if succ_columns:
-        for name in sorted(succ_columns):
-            arrays.append((f"succ:{name}", succ_columns[name]))
     header = {
         "magic": MAGIC.decode("ascii").strip(),
         "program": program.name,
@@ -412,13 +413,15 @@ def resume_exploration(
     (so cache-directory callers can distinguish "never built" from
     "corrupt").
 
-    Validates the checkpoint against the program digest (fail-closed),
-    rebuilds the BFS state from the stored levels, and continues the loop
-    — with a fresh budget window if ``budget`` is given, and further
-    snapshots if ``checkpoint`` is.  The result is bit-identical to an
-    uninterrupted :func:`~repro.semantics.sparse.explorer.explore` (same
-    global ids, distances, parents, successor columns), and is published
-    to the per-program cache so subsequently routed checks reuse it.
+    Validates the checkpoint against the program digest (fail-closed)
+    and rebuilds the BFS state from the stored levels.  A complete
+    snapshot becomes the subspace without a BFS level or a write, so it
+    satisfies any ``budget``; a partial one continues the loop, with a
+    fresh budget window and further snapshots if ``checkpoint`` is
+    given.  The result is bit-identical to an uninterrupted
+    :func:`~repro.semantics.sparse.explorer.explore` (same global ids,
+    distances, parents, successor columns), and is published to the
+    per-program cache so subsequently routed checks reuse it.
     """
     from repro.semantics.sparse.explorer import DEFAULT_NODE_LIMIT
 
@@ -431,8 +434,8 @@ def resume_exploration(
                 reason="missing",
             )
     loaded = load_checkpoint(path, program)
-    header, arrays = loaded["header"], loaded["arrays"]
-    state = _split_levels(arrays)
+    header = loaded["header"]
+    state = _split_levels(loaded["arrays"])
     # Cumulative statistics: credit the checkpointed prefix's recorded
     # elapsed time, so the resumed run reports whole-exploration figures
     # (nodes/levels already accumulate through the restored levels).
@@ -442,59 +445,33 @@ def resume_exploration(
             state.elapsed_base = float(recorded.get("elapsed_s", 0.0))
         except (TypeError, ValueError):
             state.elapsed_base = 0.0
-    if checkpoint is None:
-        checkpoint = CheckpointPolicy(path=os.fspath(path))
-    sub = _run_bfs(
-        program,
-        state,
-        node_limit=node_limit if node_limit is not None else DEFAULT_NODE_LIMIT,
-        budget=budget,
-        checkpoint=checkpoint,
-    )
-    # Complete checkpoints may carry materialized successor columns;
-    # restore them so a post-resume proof pass skips the kernels.
     if header.get("complete"):
-        for name, arr in arrays.items():
-            if name.startswith("succ:"):
-                sub._succ[name[len("succ:"):]] = arr.copy()
+        sub = _closed_subspace(path, program, state)
+    else:
+        sub = _run_bfs(
+            program,
+            state,
+            node_limit=node_limit if node_limit is not None else DEFAULT_NODE_LIMIT,
+            budget=budget,
+            checkpoint=checkpoint or CheckpointPolicy(path=os.fspath(path)),
+        )
     adopt_subspace(program, sub)
     return sub
 
 
-def save_subspace(path: str | os.PathLike, sub: ReachableSubspace) -> str:
-    """Write a **complete** checkpoint of an already-explored subspace.
-
-    Reconstructs the per-level structure from the stored distances and
-    parents (levels are contiguous runs of ``dist`` over the sorted
-    global ids — exactly how :func:`~repro.semantics.sparse.explorer.
-    _assemble` laid them down), and includes every successor column the
-    subspace has materialized so far.
-    """
-    program = sub.program
-    level_nodes: list[np.ndarray] = []
-    level_parents: list[np.ndarray] = []
-    level_pcmds: list[np.ndarray] = []
-    for level in range(sub.levels):
-        sel = np.flatnonzero(sub.dist == level)
-        nodes = sub.global_ids[sel]
-        pg = np.full(sel.shape[0], -1, dtype=np.int64)
-        has = sub.parent[sel] >= 0
-        pg[has] = sub.global_ids[sub.parent[sel][has]]
-        level_nodes.append(nodes)
-        level_parents.append(pg)
-        level_pcmds.append(sub.parent_cmd[sel].copy())
-    return write_checkpoint(
-        path,
-        program,
-        level_nodes=level_nodes,
-        level_parents=level_parents,
-        level_pcmds=level_pcmds,
-        mover_names=list(sub.mover_names),
-        complete=True,
-        succ_columns=dict(sub._succ),
-        metrics={
-            "explored": sub.size,
-            "levels": sub.levels,
-            "elapsed_s": float(sub.stats.get("elapsed_s", 0.0)),
-        },
-    )
+def _closed_subspace(path, program: Program, state: _BfsState) -> ReachableSubspace:
+    """The subspace of a complete snapshot.  One pass of every command
+    over the last level checks closure; a successor outside the stored
+    levels refuses the file as ``reason="inconsistent"``."""
+    movers = [c for c in program.commands if not c.is_skip()]
+    for cmd in movers:
+        succ = cmd.succ_of(program.space, state.frontier)
+        if not in_sorted(state.known, succ).all():
+            raise CheckpointError(
+                f"{path}: marked complete, but command {cmd.name} leads "
+                "from its last level to a state it does not hold",
+                reason="inconsistent",
+            )
+    sub = _assemble(program, state, movers)
+    _set_stats(sub, state.elapsed_base, state.levels)
+    return sub

@@ -56,7 +56,12 @@ from repro.core.expressions import And, Expr
 from repro.core.predicates import Predicate
 from repro.core.program import Program
 from repro.core.state import State, StateSpace
-from repro.errors import BudgetExhausted, ExplorationError, PropertyError
+from repro.errors import (
+    BudgetExhausted,
+    CheckpointError,
+    ExplorationError,
+    PropertyError,
+)
 from repro.semantics.budget import Budget
 from repro.util.csr import in_sorted, sorted_unique
 from repro.util.faultinject import fault_point
@@ -145,15 +150,11 @@ def initial_indices(
         if not ready:
             continue
         conjuncts = [c for c in conjuncts if not (c[1] <= bound)]
-        keep = np.ones(idx.size, dtype=bool)
-        for expr, _ in ready:
-            m = np.asarray(expr.eval_vec(env), dtype=bool)
-            if m.ndim == 0:
-                if not m:
-                    keep[:] = False
-                    break
-            else:
-                keep &= m
+        # One conjunction: a guarded ``x // y`` never sees y = 0.
+        keep = np.broadcast_to(
+            np.asarray(And(*(c for c, _ in ready)).eval_vec(env), dtype=bool),
+            idx.shape,
+        )
         if not keep.all():
             idx = idx[keep]
             env = {v: a[keep] for v, a in env.items()}
@@ -608,14 +609,7 @@ def _run_bfs(
         if checkpoint is not None:
             write_snapshot(complete=True)
         sub = _assemble(program, state, movers)
-    sub.stats = {
-        "nodes": sub.size,
-        "levels": sub.levels,
-        "elapsed_s": round(cumulative_elapsed(), 6),
-        "rate": round(cumulative_rate(), 3),
-    }
-    if resumed_levels > 1:
-        sub.stats["resumed_levels"] = resumed_levels
+    _set_stats(sub, cumulative_elapsed(), resumed_levels)
     if rec.enabled:
         rec.heartbeat(
             phase="sparse.bfs",
@@ -625,6 +619,18 @@ def _run_bfs(
             final=True,
         )
     return sub
+
+
+def _set_stats(sub: ReachableSubspace, elapsed: float, resumed_levels: int) -> None:
+    """Exploration statistics; ``elapsed`` includes a resumed prefix."""
+    sub.stats = {
+        "nodes": sub.size,
+        "levels": sub.levels,
+        "elapsed_s": round(elapsed, 6),
+        "rate": round(sub.size / elapsed if elapsed > 0 else 0.0, 3),
+    }
+    if resumed_levels > 1:
+        sub.stats["resumed_levels"] = resumed_levels
 
 
 def _bfs_loop(
@@ -864,11 +870,12 @@ def reachable_subspace(
     sparse tier cannot decide pays the doomed BFS once, not once per
     routed check, before each check's dense fallback.
 
-    ``budget`` / ``checkpoint`` are forwarded to :func:`explore` on a
-    cache miss (a cached complete subspace satisfies any budget
-    trivially).  :class:`~repro.errors.BudgetExhausted` is **not**
-    cached: running out of budget is transient, not a property of the
-    program.
+    A miss with a ``checkpoint`` policy first resumes the snapshot at its
+    path (a complete one loads without a BFS level or a write, so it
+    satisfies any ``budget``); one refused with any ``CheckpointError``
+    counts as absent, and :func:`explore` replaces it.
+    :class:`~repro.errors.BudgetExhausted` is **not** cached: running
+    out of budget is transient, not a property of the program.
 
     Thread safety: misses are **single-flight** per program — concurrent
     callers serialize on a per-program lock, the first runs the BFS, the
@@ -901,7 +908,7 @@ def reachable_subspace(
             err.failure = cached
             raise err
         try:
-            sub = explore(program, budget=budget, checkpoint=checkpoint)
+            sub = _resume_or_explore(program, budget, checkpoint)
         except ExplorationError as exc:
             _CACHE[program] = ExplorationFailure(
                 message=str(exc),
@@ -912,3 +919,16 @@ def reachable_subspace(
             raise
         _CACHE[program] = sub
         return sub
+
+
+def _resume_or_explore(program: Program, budget, checkpoint) -> ReachableSubspace:
+    if checkpoint is not None:
+        from repro.semantics.sparse.checkpoint import resume_exploration
+
+        try:
+            return resume_exploration(
+                checkpoint.path, program, budget=budget, checkpoint=checkpoint
+            )
+        except CheckpointError:
+            pass  # absent, damaged or another program's: explore afresh
+    return explore(program, budget=budget, checkpoint=checkpoint)

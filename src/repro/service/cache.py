@@ -5,12 +5,12 @@ Layout under the cache root::
     <root>/subspaces/<program_digest>.ckpt     RPROCKPT1 checkpoints
     <root>/verdicts/<request_key>.json         verdict documents
 
-Subspace entries are ordinary engine checkpoints — written with
-:func:`repro.semantics.sparse.checkpoint.save_subspace`, read with
-:func:`~repro.semantics.sparse.checkpoint.resume_exploration` — so
-their fail-closed story (per-array SHA-256, program-digest match,
-atomic publish) is the one already pinned by ``tests/test_checkpoint``
-and ``tests/test_faultinject``.
+Subspace entries are ordinary engine snapshots: the cache only names
+them (:meth:`ServiceCache.checkpoint_policy`), and that policy both
+writes and reads them in the explorer, so their fail-closed story
+(per-array SHA-256, program-digest match, atomic publish, a refused
+file explored afresh and replaced) is the one pinned by
+``tests/test_checkpoint`` and ``tests/test_faultinject``.
 
 Verdict entries get the same treatment at JSON scale.  Each file is::
 
@@ -43,16 +43,11 @@ import os
 
 from repro import obs
 from repro.core.program import Program
-from repro.errors import CheckpointError
-from repro.semantics.budget import Budget
 from repro.semantics.sparse.checkpoint import (
     CheckpointPolicy,
+    _fsync_dir,
     cache_path_for,
-    program_digest,
-    resume_exploration,
-    save_subspace,
 )
-from repro.semantics.sparse.explorer import ReachableSubspace
 from repro.util.faultinject import fault_point
 
 __all__ = ["SCHEMA", "CacheCorrupt", "ServiceCache"]
@@ -174,47 +169,10 @@ class ServiceCache:
 
     # -- subspace snapshots ---------------------------------------------
 
-    def subspace_path(self, program: Program) -> str:
-        """The digest-addressed checkpoint path for ``program``."""
-        return cache_path_for(self.subspace_dir, program)
-
-    def load_subspace(
-        self, program: Program, *, budget: Budget | None = None
-    ) -> ReachableSubspace | None:
-        """Resume ``program``'s snapshot, or ``None`` (miss/evicted).
-
-        A corrupt or program-mismatched checkpoint is evicted and
-        reported as a miss — the caller re-explores and republishes.
-        ``reason="missing"`` is the ordinary miss (nothing to evict).
-        """
-        path = self.subspace_path(program)
-        if not os.path.exists(path):
-            self.misses += 1
-            return None
-        try:
-            sub = resume_exploration(path, program, budget=budget)
-        except CheckpointError as exc:
-            if exc.reason != "missing":
-                self._evict(path)
-            self.misses += 1
-            return None
-        self.hits += 1
-        rec = obs.get_recorder()
-        if rec.enabled:
-            rec.add("service.cache.subspace_hits")
-        return sub
-
-    def store_subspace(self, sub: ReachableSubspace) -> str:
-        """Snapshot a completed subspace into the cache (atomic)."""
-        path = save_subspace(self.subspace_path(sub.program), sub)
-        self.writes += 1
-        return path
-
     def checkpoint_policy(self, program: Program) -> CheckpointPolicy:
-        """A policy writing periodic snapshots into this cache — gives
-        budget-exhausted explorations a resume point under the same
-        digest-addressed path a later request will look up."""
-        return CheckpointPolicy(path=self.subspace_path(program))
+        """The policy that writes ``program``'s snapshot into this cache
+        and reads it back, under its digest-addressed path."""
+        return CheckpointPolicy(path=cache_path_for(self.subspace_dir, program))
 
     # -- shared ----------------------------------------------------------
 
@@ -235,14 +193,3 @@ class ServiceCache:
             "evictions": self.evictions,
             "writes": self.writes,
         }
-
-
-def _fsync_dir(dirname: str) -> None:
-    try:
-        fd = os.open(dirname, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)

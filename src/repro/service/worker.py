@@ -10,14 +10,12 @@ cancels exactly the stalled check and nothing else.
 
 Request handling maps the service's deadline contract onto the
 engine's budget machinery: the request deadline becomes a
-:class:`~repro.semantics.budget.Budget`, sparse explorations checkpoint
-into the shared cache's digest-addressed directory, and budget
-exhaustion surfaces as a structured UNKNOWN document (with the
-checkpoint path, so the *next* request for the same program resumes
-instead of restarting).  The worker also publishes completed
-:class:`~repro.semantics.sparse.explorer.ReachableSubspace` snapshots
-to the cache after a decided sparse verdict — the expensive artifact is
-the exploration, and it is property-independent.
+:class:`~repro.semantics.budget.Budget`, and a request that routes
+sparse explores under the cache's snapshot policy.  The snapshot is
+the expensive, property-independent artifact: a later request for the
+program loads it when complete (whatever its deadline) or resumes it
+when partial, and budget exhaustion is a structured UNKNOWN document
+carrying its path.
 
 At startup the worker calls
 :func:`repro.util.faultinject.arm_from_env`, which is how the chaos
@@ -92,8 +90,6 @@ def handle_request(
     in a subprocess.
     """
     from repro.api import verify
-    from repro.core.predicates import Predicate
-    from repro.core.properties import LeadsTo
     from repro.semantics.sparse import sparse_enabled
     from repro.semantics.sparse.checkpoint import program_digest
     from repro.semantics.sparse.explorer import reachable_subspace
@@ -113,30 +109,17 @@ def handle_request(
     routes_sparse = tier == "sparse" or (
         tier == "auto" and sparse_enabled(program.space)
     )
-    subspace = None
     try:
         if routes_sparse:
-            if cache is not None:
-                subspace = cache.load_subspace(program, budget=budget)
-                if subspace is None:
-                    subspace = reachable_subspace(
-                        program,
-                        budget=budget,
-                        checkpoint=cache.checkpoint_policy(program),
-                    )
-            else:
-                subspace = reachable_subspace(program, budget=budget)
-    except BudgetExhausted as exc:
-        partial = PartialResult.from_exhaustion(
-            exc, kind="exploration", subject=program.name
-        )
-        return _unknown_payload(partial)
-    except ReproError as exc:
-        return _error_payload("engine-error", exc)
-
-    # verify() only threads a subspace into checks that can use one.
-    pass_subspace = subspace if isinstance(prop, (LeadsTo, Predicate)) else None
-    try:
+            # Prime the per-program subspace cache that every routed
+            # check of verify() reads, from the snapshot when there is one.
+            reachable_subspace(
+                program,
+                budget=budget,
+                checkpoint=(
+                    cache.checkpoint_policy(program) if cache is not None else None
+                ),
+            )
         verdict = verify(
             program,
             prop,
@@ -144,8 +127,12 @@ def handle_request(
             fairness=request["fairness"],
             budget=budget,
             prove=request["prove"],
-            subspace=pass_subspace,
         )
+    except BudgetExhausted as exc:
+        partial = PartialResult.from_exhaustion(
+            exc, kind="exploration", subject=program.name
+        )
+        return _unknown_payload(partial)
     except ReproError as exc:
         return _error_payload("engine-error", exc)
 
@@ -158,14 +145,6 @@ def handle_request(
             "reason": "refused",
             "message": verdict.metrics.get("message", ""),
         }
-
-    if cache is not None and subspace is not None:
-        # A returned subspace is complete by construction (exhaustion
-        # raises instead); publish once per program digest.
-        import os
-
-        if not os.path.exists(cache.subspace_path(program)):
-            cache.store_subspace(subspace)
 
     payload: dict[str, Any] = {
         "status": "ok",

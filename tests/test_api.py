@@ -119,6 +119,17 @@ class TestRouting:
         v = verify(alloc.system, Stable(alloc.conservation_predicate()))
         assert v.holds is True
 
+    def test_forced_sparse_refuses_all_state_properties(self, alloc):
+        """``invariant p`` is ``init p /\\ stable p``: like its parts it
+        quantifies over all states, so the explored subspace cannot
+        decide it and ``tier="sparse"`` refuses it."""
+        from repro.core.properties import Init, Invariant, Stable
+
+        pred = alloc.conservation_predicate()
+        for prop in (Init(pred), Stable(pred), Invariant(pred)):
+            with pytest.raises(PropertyError, match="quantify over all states"):
+                verify(alloc.system, prop, tier="sparse")
+
     def test_unknown_tier_and_fairness_rejected(self, alloc):
         with pytest.raises(PropertyError, match="tier"):
             verify(alloc.system, alloc.token_available(), tier="warp")

@@ -5,7 +5,11 @@ Pins the fault-tolerance contracts of ``docs/robustness.md``:
 - checkpoint/resume round-trips **bit-identically** with an
   uninterrupted exploration (global ids, distances, parents, successor
   columns), both from a budget-exhausted prefix and from a complete
-  :func:`~repro.semantics.sparse.checkpoint.save_subspace` snapshot;
+  snapshot, which loads without a BFS level or a write;
+- a :class:`~repro.semantics.sparse.checkpoint.CheckpointPolicy` reads
+  back what it writes: ``reachable_subspace(checkpoint=)`` resumes a
+  valid snapshot at the policy path and treats a refused one (every
+  :class:`~repro.errors.CheckpointError` reason) as absent;
 - budgets degrade gracefully: exhaustion surfaces as a structured
   ``status="unknown"`` :class:`~repro.semantics.budget.PartialResult`
   from every budget-aware entry point (checkers, synthesis, CLI), while
@@ -22,6 +26,9 @@ Pins the fault-tolerance contracts of ``docs/robustness.md``:
 """
 
 from __future__ import annotations
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -47,7 +54,6 @@ from repro.semantics.sparse import (
     load_checkpoint,
     program_digest,
     resume_exploration,
-    save_subspace,
 )
 from repro.semantics.sparse.explorer import (
     ExplorationFailure,
@@ -58,6 +64,7 @@ from repro.semantics.strong_fairness import check_leadsto_strong
 from repro.semantics.synthesis import synthesize_leadsto_proof
 from repro.systems.pipeline import build_pipeline_system
 from repro.systems.product import build_pipeline_allocator
+from repro.util.faultinject import flip_byte, truncate_file
 
 
 def fresh_program():
@@ -181,25 +188,6 @@ class TestRoundTrip:
         assert np.array_equal(sub.dist, full.dist)
         loaded = load_checkpoint(path, observed)
         assert loaded["header"]["complete"] is True
-
-    def test_save_subspace_round_trip_with_succ_columns(self, tmp_path):
-        reference = fresh_program()
-        full = explore(reference)
-        for name in full.mover_names:
-            full.succ_local(name)  # materialize the columns to persist
-        path = str(tmp_path / "full.ckpt")
-        save_subspace(path, full)
-        loaded = load_checkpoint(path, reference)
-        stored_cols = [
-            k for k in loaded["arrays"] if k.startswith("succ:")
-        ]
-        assert len(stored_cols) == len(full.mover_names)
-        resumed_program = fresh_program()
-        sub = resume_exploration(path, resumed_program)
-        assert np.array_equal(sub.global_ids, full.global_ids)
-        assert np.array_equal(sub.dist, full.dist)
-        for name in full.mover_names:
-            assert np.array_equal(sub.succ_local(name), full.succ_local(name))
 
     def test_resume_publishes_to_cache(self, tmp_path):
         path = str(tmp_path / "cache.ckpt")
@@ -476,10 +464,9 @@ class TestCacheDirectory:
         from repro.semantics.sparse import cache_path_for
 
         program = fresh_program()
-        sub = explore(program)
         path = cache_path_for(tmp_path, program)
         assert path == str(tmp_path / f"{program_digest(program)}.ckpt")
-        save_subspace(path, sub)
+        sub = explore(program, checkpoint=CheckpointPolicy(path))
         resumed = resume_exploration(tmp_path, program)
         assert resumed.size == sub.size
         assert np.array_equal(resumed.global_ids, sub.global_ids)
@@ -494,7 +481,7 @@ class TestCacheDirectory:
 
         program = fresh_program()
         other = build_pipeline_system(4, total=2).system
-        save_subspace(cache_path_for(tmp_path, program), explore(program))
+        explore(program, checkpoint=CheckpointPolicy(cache_path_for(tmp_path, program)))
         # Force the lookup to the wrong file: the digest check inside
         # the loader still refuses, with the structured reason.
         wrong = cache_path_for(tmp_path, program)
@@ -508,7 +495,7 @@ class TestCacheDirectory:
 
         program = fresh_program()
         path = cache_path_for(tmp_path, program)
-        save_subspace(path, explore(program))
+        explore(program, checkpoint=CheckpointPolicy(path))
         flip_byte(path, -1)
         with pytest.raises(CheckpointError) as exc_info:
             resume_exploration(tmp_path, program)
@@ -519,7 +506,7 @@ class TestCacheDirectory:
 
         program = fresh_program()
         path = str(tmp_path / "x.ckpt")
-        save_subspace(path, explore(program))
+        explore(program, checkpoint=CheckpointPolicy(path))
         truncate_file(path, 12)
         with pytest.raises(CheckpointError) as exc_info:
             load_checkpoint(path)
@@ -532,3 +519,169 @@ class TestCacheDirectory:
         with pytest.raises(CheckpointError) as exc_info:
             load_checkpoint(str(tmp_path / "absent.ckpt"))
         assert exc_info.value.reason == "io"
+
+
+# ---------------------------------------------------------------------------
+# One snapshot path: the checkpoint policy reads back what it writes
+# ---------------------------------------------------------------------------
+
+
+def rewrite_checkpoint(path, edit=None, extra=()):
+    """Re-emit the checkpoint at ``path`` with its JSON header passed
+    through ``edit`` and the ``(name, array)`` pairs of ``extra``
+    appended to the payload, each with its own digest entry."""
+    from repro.semantics.sparse.checkpoint import MAGIC, _array_entry
+
+    with open(path, "rb") as f:
+        raw = f.read()
+    start = len(MAGIC) + 8
+    hlen = int.from_bytes(raw[len(MAGIC):start], "little")
+    header = json.loads(raw[start:start + hlen])
+    payload = raw[start + hlen:]
+    for name, arr in extra:
+        header["arrays"].append(_array_entry(name, arr))
+        payload += np.ascontiguousarray(arr).tobytes()
+    if edit is not None:
+        edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(MAGIC + len(blob).to_bytes(8, "little") + blob + payload)
+
+
+def assert_same_subspace(sub, full):
+    for name in ("global_ids", "dist", "parent", "parent_cmd", "init_local"):
+        assert np.array_equal(getattr(sub, name), getattr(full, name)), name
+    assert sub.mover_names == full.mover_names
+    assert sub.levels == full.levels
+
+
+def partial_snapshot(path, levels=3):
+    with pytest.raises(BudgetExhausted):
+        explore(
+            fresh_program(),
+            budget=Budget(max_levels=levels),
+            checkpoint=CheckpointPolicy(path=path, every_levels=1),
+        )
+
+
+def _set(key, value):
+    return lambda header: header.__setitem__(key, value)
+
+
+#: One way to leave a file at the policy path per refusal reason
+#: (``"missing"`` belongs to cache directories, not to a policy's file:
+#: see TestCacheDirectory).
+DAMAGE = {
+    "bad-magic": lambda path: flip_byte(path, 0),
+    "truncated": lambda path: truncate_file(path, os.path.getsize(path) - 16),
+    "corrupt-header": lambda path: flip_byte(path, len(b"RPROCKPT1\n") + 8),
+    "payload-digest": lambda path: flip_byte(path, -1),
+    "trailing-bytes": lambda path: open(path, "ab").write(b"x"),
+    "inconsistent": lambda path: rewrite_checkpoint(path, _set("levels", 99)),
+    "program-digest": lambda path: explore(
+        build_pipeline_system(4, total=2).system,
+        checkpoint=CheckpointPolicy(path),
+    ),
+    "command-set": lambda path: rewrite_checkpoint(
+        path, _set("mover_names", ["ghost"])
+    ),
+    "io": os.unlink,
+}
+
+
+class TestSnapshotPolicy:
+    def test_complete_snapshot_loads_without_bfs_or_write(
+        self, tmp_path, monkeypatch
+    ):
+        """Through ``reachable_subspace(checkpoint=)`` and
+        ``resume_exploration`` alike: no BFS level, no write, decided
+        under a zero deadline, bit-identical to ``explore()``."""
+        import repro.semantics.sparse.checkpoint as ckpt_mod
+        import repro.semantics.sparse.explorer as explorer_mod
+
+        reference = fresh_program()
+        full = explore(reference)
+        path = str(tmp_path / "complete.ckpt")
+        explore(fresh_program(), checkpoint=CheckpointPolicy(path))
+        with open(path, "rb") as f:
+            before = f.read()
+        writes = []
+        monkeypatch.setattr(
+            ckpt_mod, "write_checkpoint", lambda *a, **k: writes.append(a)
+        )
+        monkeypatch.setattr(explorer_mod, "_bfs_loop", None)  # never called
+        zero = Budget(deadline=0)
+        for load in (
+            lambda p: reachable_subspace(
+                p, budget=zero, checkpoint=CheckpointPolicy(path)
+            ),
+            lambda p: resume_exploration(path, p, budget=zero),
+        ):
+            program = fresh_program()
+            sub = load(program)
+            assert_same_subspace(sub, full)
+            assert reachable_subspace(program) is sub
+        assert writes == []
+        with open(path, "rb") as f:
+            assert f.read() == before
+
+    def test_partial_snapshot_at_policy_path_is_resumed(self, tmp_path):
+        reference = fresh_program()
+        full = explore(reference)
+        path = str(tmp_path / "partial.ckpt")
+        partial_snapshot(path, levels=3)
+        program = fresh_program()
+        sub = reachable_subspace(program, checkpoint=CheckpointPolicy(path))
+        assert_same_subspace(sub, full)
+        assert sub.stats["resumed_levels"] == 3
+        assert load_checkpoint(path, program)["header"]["complete"] is True
+
+    def test_unclosed_complete_snapshot_is_refused_as_inconsistent(
+        self, tmp_path
+    ):
+        reference = fresh_program()
+        full = explore(reference)
+        path = str(tmp_path / "unclosed.ckpt")
+        partial_snapshot(path, levels=3)
+        rewrite_checkpoint(path, _set("complete", True))
+        with pytest.raises(CheckpointError) as info:
+            resume_exploration(path, fresh_program())
+        assert info.value.reason == "inconsistent"
+        # At a policy path it is never served: a fresh exploration
+        # replaces it with the closed snapshot.
+        program = fresh_program()
+        sub = reachable_subspace(program, checkpoint=CheckpointPolicy(path))
+        assert_same_subspace(sub, full)
+        header = load_checkpoint(path, program)["header"]
+        assert header["complete"] is True and header["levels"] == full.levels
+
+    @pytest.mark.parametrize("reason", sorted(DAMAGE))
+    def test_refused_file_at_policy_path_is_replaced(self, tmp_path, reason):
+        reference = fresh_program()
+        full = explore(reference)
+        path = str(tmp_path / "damaged.ckpt")
+        explore(fresh_program(), checkpoint=CheckpointPolicy(path))
+        DAMAGE[reason](path)
+        program = fresh_program()
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path, program)
+        assert info.value.reason == reason
+        sub = reachable_subspace(program, checkpoint=CheckpointPolicy(path))
+        assert_same_subspace(sub, full)
+        assert load_checkpoint(path, program)["header"]["complete"] is True
+
+    def test_legacy_successor_columns_load_and_are_ignored(self, tmp_path):
+        reference = fresh_program()
+        full = explore(reference)
+        path = str(tmp_path / "legacy.ckpt")
+        explore(fresh_program(), checkpoint=CheckpointPolicy(path))
+        rewrite_checkpoint(
+            path,
+            extra=[(f"succ:{name}", full.succ_local(name)) for name in full.mover_names],
+        )
+        program = fresh_program()
+        assert any(k.startswith("succ:") for k in load_checkpoint(path, program)["arrays"])
+        sub = resume_exploration(path, program)
+        assert_same_subspace(sub, full)
+        for name in full.mover_names:
+            assert np.array_equal(sub.succ_local(name), full.succ_local(name))

@@ -200,6 +200,92 @@ class TestVectorAgreement:
             assert vec[k] == expr.eval(s_env), f"state {k} disagrees for {expr}"
 
 
+    @pytest.mark.parametrize("builder", [
+        lambda: land(Y.ref() != 0, X.ref() // Y.ref() > 0),
+        lambda: lor(Y.ref() == 0, X.ref() // Y.ref() > 0),
+        lambda: implies(Y.ref() != 0, X.ref() % Y.ref() == 0),
+        lambda: ite(Y.ref() == 0, X.ref(), X.ref() // Y.ref()),
+        lambda: ite(Y.ref() == 0, PH.ref() == "idle", X.ref() // Y.ref() > 0),
+        lambda: land(B.ref(), X.ref() // Y.ref() > 0),
+        lambda: lnot(lor(Y.ref() == 0, B.ref(), X.ref() % Y.ref() == 1)),
+    ])
+    def test_partial_operators_only_where_scalar_eval_reaches(self, builder):
+        """A guarded ``//`` or ``%`` is evaluated on the rows its guard
+        leaves open, as the short-circuiting scalar evaluator does."""
+        expr = builder()
+        vec_env, scalar_envs = self._vec_env()
+        vec = np.asarray(expr.eval_vec(vec_env))
+        for k, s_env in enumerate(scalar_envs):
+            assert vec[k] == expr.eval(s_env), f"state {k} disagrees for {expr}"
+
+    def test_unguarded_partial_operator_still_raises(self):
+        expr = lor(B.ref(), X.ref() // Y.ref() > 0)  # reached where y = 0
+        vec_env, scalar_envs = self._vec_env()
+        with pytest.raises(EvaluationError):
+            expr.eval(scalar_envs[1])
+        with pytest.raises(EvaluationError):
+            expr.eval_vec(vec_env)
+
+
+class TestGuardedDivisionAcrossTiers:
+    """A command guarded against its own division by zero is decided the
+    same way on both tiers, and its symbolic ``wp`` has a mask."""
+
+    HALF = """
+program Half
+declare
+  shared x : int[0..4];
+  shared y : int[0..2]
+initially
+  {init}
+assign
+  fair half: y != 0 /\\ x // y > 1 -> x := x // y
+end
+"""
+    INITS = ["y = 0 \\/ x // y > 1", "y != 0 /\\ x // y > 1"]
+
+    @pytest.mark.parametrize("init", INITS)
+    @pytest.mark.parametrize(
+        "prop", ["true ~> x <= 1", "true ~> (y = 0 \\/ x // y > 1)"]
+    )
+    def test_dense_and_sparse_verdicts_agree(self, init, prop):
+        from repro.api import verify
+        from repro.dsl import parse_program, parse_property
+
+        source = self.HALF.format(init=init)
+        dense_program = parse_program(source)
+        dense = verify(dense_program, parse_property(prop, dense_program))
+        sparse_program = parse_program(source)
+        sparse = verify(
+            sparse_program, parse_property(prop, sparse_program), tier="sparse"
+        )
+        assert dense.tier == "dense" and sparse.tier == "sparse"
+        assert dense.holds is sparse.holds is False
+
+    @pytest.mark.parametrize("init", INITS)
+    def test_initial_join_matches_the_initial_mask(self, init):
+        from repro.dsl import parse_program
+        from repro.semantics.sparse import initial_indices
+
+        program = parse_program(self.HALF.format(init=init))
+        mask = program.init.mask(program.space)
+        assert initial_indices(program).tolist() == np.flatnonzero(mask).tolist()
+
+    def test_symbolic_wp_mask_matches_the_successor_table(self):
+        from repro.core.predicates import ExprPredicate
+        from repro.dsl import parse_program
+        from repro.semantics.wp import wp_agreement
+
+        program = parse_program(self.HALF.format(init=self.INITS[0]))
+        x = program.space.vars[0]
+        half = program.command_named("half")
+        target = ExprPredicate(x.ref() <= 1)
+        assert wp_agreement(half, target, program.space)
+        wp = half.wp(target)
+        idx = np.arange(program.space.size, dtype=np.int64)
+        assert np.array_equal(wp.mask_at(program.space, idx), wp.mask(program.space))
+
+
 class TestSubstitution:
     def test_simple(self):
         e = X.ref() + Y.ref()

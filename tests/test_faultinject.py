@@ -33,7 +33,6 @@ from repro.semantics.sparse import (
     CheckpointPolicy,
     load_checkpoint,
     resume_exploration,
-    save_subspace,
 )
 from repro.semantics.checker import check_reachable_invariant
 from repro.semantics.leadsto import check_leadsto
@@ -135,8 +134,7 @@ class TestCorruptionRefused:
     @pytest.fixture
     def checkpoint(self, tmp_path, pipeline):
         path = str(tmp_path / "pipe.ckpt")
-        sub = explore(pipeline.system)
-        save_subspace(path, sub)
+        explore(pipeline.system, checkpoint=CheckpointPolicy(path))
         return path
 
     def test_valid_checkpoint_loads(self, checkpoint, pipeline):

@@ -233,18 +233,27 @@ class TestServiceCache:
         assert cache.get_verdict("f" * 64) is None
 
     def test_subspace_roundtrip_and_corruption(self, tmp_path):
-        from repro.semantics.sparse.explorer import explore
+        """The cache's snapshot policy reads back what it writes; a
+        damaged snapshot is never served, it counts as absent and the
+        next exploration replaces it."""
+        from repro.errors import CheckpointError
+        from repro.semantics.sparse.checkpoint import load_checkpoint
+        from repro.semantics.sparse.explorer import explore, reachable_subspace
 
-        program = parse_program(COUNTER)
         cache = ServiceCache(tmp_path)
-        sub = explore(program)
-        cache.store_subspace(sub)
-        again = cache.load_subspace(program)
-        assert again is not None and again.size == sub.size
-        flip_byte(cache.subspace_path(program), -3)
-        assert cache.load_subspace(program) is None  # evicted, not served
-        assert cache.load_subspace(program) is None  # now an ordinary miss
-        assert cache.stats()["evictions"] == 1
+        program = parse_program(COUNTER)
+        sub = explore(program, checkpoint=cache.checkpoint_policy(program))
+        path = cache.checkpoint_policy(program).path
+        again = parse_program(COUNTER)
+        loaded = reachable_subspace(again, checkpoint=cache.checkpoint_policy(again))
+        assert loaded.global_ids.tolist() == sub.global_ids.tolist()
+        flip_byte(path, -3)
+        third = parse_program(COUNTER)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path, third)
+        fresh = reachable_subspace(third, checkpoint=cache.checkpoint_policy(third))
+        assert fresh.global_ids.tolist() == sub.global_ids.tolist()
+        assert load_checkpoint(path, third)["header"]["complete"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +585,7 @@ class TestHandleRequest:
         assert payload["status"] == "ok" and payload["tier"] == "sparse"
         import os
 
-        assert os.path.exists(cache.subspace_path(parse_program(COUNTER)))
+        assert os.path.exists(cache.checkpoint_policy(parse_program(COUNTER)).path)
 
     def test_dense_refusal_is_engine_error(self):
         from repro.semantics import sparse as sparse_mod
@@ -591,6 +600,76 @@ class TestHandleRequest:
             sparse_mod.SPARSE_THRESHOLD = old
         assert payload["status"] == "error"
         assert payload["error"]["code"] == "engine-error"
+
+
+class TestSnapshotPath:
+    """A request routed sparse answers what ``verify()`` answers, whether
+    it explores, loads the complete snapshot an earlier request of the
+    same program left in the cache, or carries ``deadline: 0``; loading
+    never rewrites the snapshot."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_service_path_answers_what_verify_answers(
+        self, tmp_path, monkeypatch, seed
+    ):
+        import repro.semantics.sparse as sparse_pkg
+        from repro.gen.fuzz import fuzz_case
+        from repro.service.worker import handle_request
+
+        monkeypatch.setattr(sparse_pkg, "SPARSE_THRESHOLD", 0)
+        case = fuzz_case(seed)
+        source = case.source
+        p = " /\\ ".join(case.p_conjuncts)
+        q = " /\\ ".join(case.q_conjuncts)
+        cache = ServiceCache(tmp_path)
+        path = cache.checkpoint_policy(case.program).path
+        requests = [
+            {"program": source, "property": f"{p} ~> {q}"},
+            {"program": source, "property": f"true ~> {q}"},
+            {"program": source, "property": f"{p} ~> {q}", "deadline": 0},
+            {"program": source, "property": f"true ~> {p}", "tier": "sparse",
+             "deadline": 0},
+        ]
+        snapshot = None
+        for doc in requests:
+            program = parse_program(source)
+            expected = verify(
+                program,
+                parse_property(doc["property"], program),
+                tier=doc.get("tier", "auto"),
+            )
+            payload = handle_request(normalize_request(doc), cache)
+            assert payload["status"] == "ok", payload
+            assert (payload["holds"], payload["tier"]) == (
+                expected.holds,
+                expected.tier,
+            )
+            with open(path, "rb") as f:
+                data = f.read()
+            snapshot = data if snapshot is None else snapshot
+            assert data == snapshot
+
+    def test_exhausted_request_leaves_a_snapshot_the_next_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.semantics.sparse as sparse_pkg
+        from repro.semantics.sparse.checkpoint import load_checkpoint
+        from repro.service.worker import handle_request
+
+        monkeypatch.setattr(sparse_pkg, "SPARSE_THRESHOLD", 0)
+        cache = ServiceCache(tmp_path)
+        program = parse_program(COUNTER)
+        path = cache.checkpoint_policy(program).path
+        payload = handle_request(
+            normalize_request({**REQ, "max_levels": 2}), cache
+        )
+        assert payload["status"] == "unknown"
+        assert payload["checkpoint_path"] == path
+        assert load_checkpoint(path, program)["header"]["complete"] is False
+        payload = handle_request(normalize_request(dict(REQ)), cache)
+        assert payload["status"] == "ok" and payload["holds"] is True
+        header = load_checkpoint(path, program)["header"]
+        assert header["complete"] is True and header["levels"] == 4
 
 
 def test_property_objects_parse_against_programs():

@@ -18,7 +18,12 @@ over HTTP, and asserts the service's chaos contract:
   nested JSON arrays gets HTTP 400 ``bad-request``;
 - **repeats are served from the cache** — a burst of one request
   carries the expected verdict every time, and every answer after the
-  first is ``cached``.
+  first is ``cached``;
+- **a complete snapshot satisfies any budget** — the mix also sends
+  ``tier: sparse`` requests, whose workers write the program's subspace
+  snapshot under the cache directory; afterwards a ``deadline: 0``
+  sparse request for that program is decided from the snapshot, and
+  every snapshot file loads as complete.
 
 Usage (CI runs exactly this)::
 
@@ -73,7 +78,18 @@ MIX = [
     ({"program": STUCK, "property": "true ~> c = 3"}, False),
     ({"program": COUNTER, "property": "c = 0 ~> c >= 2"}, True),
     ({"program": COUNTER, "property": "true ~> c = 3", "prove": True}, True),
+    ({"program": COUNTER, "property": "true ~> c = 3", "tier": "sparse"}, True),
+    ({"program": STUCK, "property": "true ~> c = 3", "tier": "sparse"}, False),
+    ({"program": COUNTER, "property": "c = 0 ~> c >= 2", "tier": "sparse"}, True),
 ]
+
+#: Sent after the mix, when the sparse rows have left a complete snapshot
+#: of COUNTER: a zero deadline must not keep it from a verdict.
+ZERO_DEADLINE = (
+    {"program": COUNTER, "property": "c = 2 ~> c = 3", "tier": "sparse",
+     "deadline": 0},
+    True,
+)
 
 #: Input deeper than the interpreter's stack: (request body, expected
 #: HTTP status, expected error code).
@@ -158,6 +174,31 @@ def check_burst(client: ServiceClient) -> list[str]:
     return failures
 
 
+def check_snapshots(client: ServiceClient, cache_dir: Path) -> list[str]:
+    """Failures of the :data:`ZERO_DEADLINE` request and of the snapshot
+    files under ``cache_dir``: each must load and be complete."""
+    from repro.errors import CheckpointError
+    from repro.semantics.sparse.checkpoint import load_checkpoint
+
+    request, expected = ZERO_DEADLINE
+    failures = []
+    doc = client.verify(dict(request))
+    if doc.get("status") != "ok" or doc.get("holds") is not expected:
+        failures.append(f"zero-deadline sparse request: {doc!r}")
+    snapshots = sorted((cache_dir / "subspaces").glob("*.ckpt"))
+    if not snapshots:
+        failures.append("no subspace snapshot was written")
+    for path in snapshots:
+        try:
+            complete = load_checkpoint(path)["header"]["complete"]
+        except CheckpointError as exc:
+            failures.append(f"{path.name}: {exc}")
+            continue
+        if complete is not True:
+            failures.append(f"{path.name}: snapshot is not complete")
+    return failures
+
+
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
@@ -166,11 +207,12 @@ def main() -> int:
     env["REPRO_FAULTS"] = "service.worker.check=kill:after=1:times=1"
 
     with tempfile.TemporaryDirectory(prefix="service-chaos-") as tmp:
+        cache_dir = Path(tmp) / "cache"
         server = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
                 "--port", str(PORT), "--workers", "2",
-                "--cache-dir", str(Path(tmp) / "cache"),
+                "--cache-dir", str(cache_dir),
                 "--max-pending", "16", "--max-retries", "3",
                 "--breaker-threshold", "1000",  # keep the chaos flowing
             ],
@@ -218,6 +260,7 @@ def main() -> int:
                 t.join()
             elapsed = time.monotonic() - t0
 
+            snapshots = check_snapshots(client, cache_dir)
             hostile = check_hostile(client.base_url)
             burst = check_burst(client)
             health = client.health()
@@ -240,6 +283,8 @@ def main() -> int:
                 failures.append(
                     "no worker crashes recorded: the chaos never landed"
                 )
+            if snapshots:
+                failures.append(f"SNAPSHOTS ({len(snapshots)}): {snapshots[:5]}")
             if hostile:
                 failures.append(f"HOSTILE INPUT ({len(hostile)}): {hostile}")
             if burst:
@@ -249,7 +294,8 @@ def main() -> int:
                 return 1
             print(
                 "service chaos ok: zero wrong answers under worker kills, "
-                "hostile input refused, repeats served from the cache"
+                "complete snapshots decide a zero deadline, hostile input "
+                "refused, repeats served from the cache"
             )
             return 0
         finally:
