@@ -19,7 +19,9 @@ test suite:
 - one vectorized kernel per command kind, run over an index set:
   ``succ_of(space, idx)`` / ``enabled_at(space, idx)`` feed it a frontier
   environment (the sparse engine, :mod:`repro.semantics.sparse`; work and
-  memory proportional to ``len(idx)``), and ``succ_table(space)`` /
+  memory proportional to ``len(idx)``; ``succ_of`` turns into a gather
+  from a per-space memo over the command's footprint once its kernel
+  calls have paid for one), and ``succ_table(space)`` /
   ``enabled_mask(space)`` feed it every state, reading the space's cached
   decoded columns (the dense model checker);
 - ``wp(pred)`` — *symbolic* weakest precondition by substitution, following
@@ -28,6 +30,7 @@ test suite:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from typing import Any
 
@@ -45,7 +48,7 @@ from repro.core.expressions import (
 from repro.core.predicates import ExprPredicate, Predicate
 from repro.core.state import FrontierEnv, State, StateSpace
 from repro.core.variables import Var
-from repro.errors import CommandError, DomainError
+from repro.errors import CommandError, DomainError, ReproError
 
 __all__ = ["Assignment", "Command", "Skip", "skip", "GuardedCommand", "AltCommand"]
 
@@ -56,6 +59,15 @@ __all__ = ["Assignment", "Command", "Skip", "skip", "GuardedCommand", "AltComman
 #: environment) over index ranges so peak scratch per command stays
 #: bounded instead of several ``size``-length temporaries per assignment.
 SUCC_TABLE_CHUNK = 1 << 22
+
+#: What one frontier kernel call costs beyond its rows, in rows.  A call
+#: runs a fixed chain of numpy operations: on a 2-CPU x86-64 host a
+#: 16-row call takes about 50 µs and each further row 0.02 µs (pipeline
+#: stages) to 0.17 µs (philosopher grid), so the fixed part is worth
+#: 300-2,400 rows.  :class:`_FootprintStep` charges every kernel call its
+#: rows plus this and builds its memo once the total reaches the
+#: footprint size, so a memo costs about as much as the calls before it.
+STEP_CALL_ROWS = 1024
 
 
 class Assignment:
@@ -144,8 +156,28 @@ class Command:
 
     def succ_of(self, space: StateSpace, idx: np.ndarray) -> np.ndarray:
         """Frontier successor kernel: successor indices of the states in
-        ``idx`` only (``== succ_table(space)[idx]``, without the table)."""
-        env = space.frontier_env(idx)
+        ``idx`` only (``== succ_table(space)[idx]``, without the table).
+
+        The command reads and writes only its footprint
+        (``reads() | writes()``), so each successor is its state's index
+        plus a delta that depends on the footprint variables alone.  Once
+        the kernel calls on ``space`` add up to the footprint's size (see
+        :data:`STEP_CALL_ROWS`), the kernel runs once over every
+        footprint state and later calls are one gather from that memo;
+        a command whose kernel raises on some footprint state keeps the
+        kernel path, so errors surface exactly as without the memo."""
+        return self.succ_in(space.frontier_env(idx))
+
+    def succ_in(self, env: FrontierEnv) -> np.ndarray:
+        """:meth:`succ_of` on a kernel environment: callers that step
+        several commands from one index set share one environment, so
+        each footprint variable is decoded once for all of them."""
+        memo = _FootprintStep.of(self, env.space)
+        delta = memo.delta
+        if delta is None:
+            delta = memo.charge(self, env.rows)
+        if delta is not None:
+            return env.idx + delta[memo.position(env)]
         out = env.idx.copy()
         self._step(env, out)
         return out
@@ -341,6 +373,101 @@ def _fire(
         delta += step
     if not every:
         out[rows] += delta
+
+
+class _FootprintStep:
+    """The step of one command on one space, memoized over its footprint.
+
+    ``vars`` are the command's footprint variables in space order; a
+    state's footprint position is ``Σ digit_v · fstride_v`` over them.
+    ``delta[pos]`` is the global index change of the command at every
+    state with that footprint position.  Until it is built, ``left``
+    counts down the rows still to be charged (see :data:`STEP_CALL_ROWS`);
+    ``left`` is infinite when the memo is never built: an empty
+    footprint, one above :data:`SUCC_TABLE_CHUNK` states (a build is one
+    kernel call over the footprint, so it keeps the scratch bound of one
+    table chunk), or a kernel that raised on some footprint state.
+    """
+
+    __slots__ = ("vars", "fstrides", "strides", "left", "delta")
+
+    def __init__(self, command: Command, space: StateSpace) -> None:
+        footprint = command.reads() | command.writes()
+        self.vars = tuple(v for v in space.vars if v in footprint)
+        self.strides = tuple(space.stride_of(v) for v in self.vars)
+        fstrides = [1] * len(self.vars)
+        size = 1
+        for k in range(len(self.vars) - 1, -1, -1):
+            fstrides[k] = size
+            size *= self.vars[k].domain.size
+        self.fstrides = tuple(fstrides)
+        self.delta: np.ndarray | None = None
+        if not self.vars or size > SUCC_TABLE_CHUNK:
+            self.left: float = math.inf
+        else:
+            self.left = size
+
+    @staticmethod
+    def of(command: Command, space: StateSpace) -> "_FootprintStep":
+        """The memo of ``command`` on ``space`` (made on first use)."""
+        memo = space._step_cache.get(command)
+        if memo is None:
+            memo = space._step_cache[command] = _FootprintStep(command, space)
+        return memo
+
+    def charge(self, command: Command, rows: int) -> np.ndarray | None:
+        """Charge one kernel call of ``rows`` rows; the memo once built."""
+        self.left -= rows + STEP_CALL_ROWS
+        return None if self.left > 0 else self.publish(command)
+
+    def publish(self, command: Command) -> np.ndarray | None:
+        """Build the memo and publish it in one assignment (concurrent
+        callers may both build it); a kernel that raises leaves the
+        command on the kernel path for good."""
+        delta = self.build(command)
+        if delta is None:
+            self.left = math.inf
+        else:
+            self.delta = delta
+        return delta
+
+    def build(self, command: Command) -> np.ndarray | None:
+        """Run the command's kernel once over every footprint state and
+        return the global index deltas (``None`` if the kernel raises)."""
+        fspace = StateSpace(self.vars)
+        env = fspace.frontier_env(np.arange(fspace.size, dtype=np.int64))
+        out = env.idx.copy()
+        try:
+            command._step(env, out)
+        except ReproError:  # DomainError, EvaluationError: the kernel path
+            return None  # raises them on the states it actually steps
+        delta = np.zeros(fspace.size, dtype=np.int64)
+        for v, fs, stride in zip(self.vars, self.fstrides, self.strides):
+            moved = (out // fs) % v.domain.size
+            moved -= env.indices(v)
+            moved *= stride
+            delta += moved
+        return delta
+
+    def position(self, env: FrontierEnv) -> np.ndarray:
+        """Footprint positions of ``env``'s states."""
+        pos = None
+        for v, fs in zip(self.vars, self.fstrides):
+            digit = env.indices(v)
+            if fs != 1:
+                digit = digit * fs
+            pos = digit if pos is None else pos + digit
+        return pos
+
+
+def step_memo(command: Command, space: StateSpace) -> _FootprintStep | None:
+    """``command``'s footprint step memo on ``space``, built now if it is
+    not yet; ``None`` when the command keeps the kernel path.  (Tests and
+    the fuzzer's ``sparse-step-memo`` fault reach the memo through it.)"""
+    memo = _FootprintStep.of(command, space)
+    if memo.delta is None and memo.left != math.inf:
+        memo.publish(command)
+    return memo if memo.delta is not None else None
 
 
 class GuardedCommand(Command):

@@ -161,14 +161,26 @@ class Expr:
     def _fmt_child(self, child: "Expr", *, strict: bool = False) -> str:
         text = child._text  # ``str(child)``, inlined: this runs per node
         if text is None:
-            text = child._text = child._fmt()
+            text = str(child)
         if child._prec < self._prec or (strict and child._prec == self._prec):
             return f"({text})"
         return text
 
     def __str__(self) -> str:
         if self._text is None:
-            self._text = self._fmt()
+            # Print the unprinted nodes children first, so each ``_fmt``
+            # reads cached child text: the Python stack stays flat however
+            # deep the tree (a 600-term sum is a 600-deep ``Add`` chain).
+            stack = [(self, iter(self.children()))]
+            while stack:
+                node, kids = stack[-1]
+                for child in kids:
+                    if child._text is None:
+                        stack.append((child, iter(child.children())))
+                        break
+                else:
+                    stack.pop()
+                    node._text = node._fmt()
         return self._text
 
     def __repr__(self) -> str:

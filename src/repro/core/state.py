@@ -110,10 +110,15 @@ class StateSpace:
     :data:`INDEX_MAX`).  The sparse tier (:mod:`repro.semantics.sparse`)
     works between those two caps without ever allocating ``size``-length
     arrays.
+
+    A space also keeps, per command, the command's footprint step memo
+    (see :meth:`repro.core.commands.Command.succ_of`): the successor
+    index delta at every state of the command's footprint variables,
+    sized by the footprint, never by ``size``, and dropped with the space.
     """
 
-    __slots__ = ("vars", "_by_name", "size", "_strides",
-                 "_radices", "_stride_by_var", "_value_cache", "_index_cache")
+    __slots__ = ("vars", "_by_name", "size", "_strides", "_radices",
+                 "_stride_by_var", "_value_cache", "_index_cache", "_step_cache")
 
     #: Capacity of the **dense** engine tiers: any operation that
     #: materializes a full-space array (decoded value columns, successor
@@ -158,6 +163,9 @@ class StateSpace:
         self._stride_by_var = dict(zip(vars_t, strides))
         self._value_cache: dict[Var, np.ndarray] = {}
         self._index_cache: dict[Var, np.ndarray] = {}
+        # command → its footprint step memo (repro.core.commands), built
+        # lazily by ``Command.succ_in`` and dropped with the space.
+        self._step_cache: dict[Any, Any] = {}
 
     # -- capacity policy ----------------------------------------------------
 

@@ -15,9 +15,10 @@ generated program exercises semantics, never ``DomainError`` paths — and
 an elaboration collision draw from the same stream).
 
 The harness is itself tested for sensitivity: :data:`FAULTS` names
-verdict-level corruptions (drop fairness from the sparse oracle, flip
-the sparse weak verdict, judge the dense invariant on the full encoded
-space, flip the dense weak verdict decided on the cone) that
+corruptions (drop fairness from the sparse oracle, flip the sparse
+weak verdict, judge the dense invariant on the full encoded space, flip
+the dense weak verdict decided on the cone, shift one delta of a
+command's footprint step memo on the sparse tier) that
 :func:`run_differential` can inject, and the fuzz loop must then *find*
 a disagreeing program — a harness that cannot see an injected bug would
 silently pass on a real one.
@@ -359,9 +360,9 @@ def check_roundtrip(program: Program) -> str:
 
 # -- the differential harness -------------------------------------------------
 
-#: Injectable harness faults (verdict-level corruptions).  Each simulates a
-#: realistic engine bug; the sensitivity tests require the fuzz loop to
-#: *detect* every one of them.
+#: Injectable harness faults (verdict- and kernel-level corruptions).  Each
+#: simulates a realistic engine bug; the sensitivity tests require the fuzz
+#: loop to *detect* every one of them.
 FAULTS: dict[str, str] = {
     "sparse-unfair": (
         "sparse tier silently drops all fairness assumptions "
@@ -373,6 +374,11 @@ FAULTS: dict[str, str] = {
         "instead of the reachable set"
     ),
     "dense-cone-flip": "dense weak leads-to verdict on the cone inverted",
+    "sparse-step-memo": (
+        "one delta of a command's footprint step memo shifted on the "
+        "sparse tier (the first mover steps from an initial state to a "
+        "neighbour of its true successor)"
+    ),
 }
 
 
@@ -415,6 +421,40 @@ def _defair(program: Program) -> Program:
     )
 
 
+def _shift_step_memo(program: Program) -> Program:
+    """A copy of ``program`` (so a space of its own) whose first memoized
+    mover has one footprint step delta shifted: at the footprint of the
+    first initial state, the successor moves one value along the last
+    footprint variable that has more than one value."""
+    from repro.core.commands import step_memo
+    from repro.semantics.sparse.explorer import initial_indices
+
+    copy = Program(
+        program.name,
+        program.variables,
+        program.init,
+        program.commands,
+        fair=program.fair_names,
+    )
+    space = copy.space
+    start = initial_indices(copy)
+    movers = [c for c in copy.commands if not c.is_skip()] if start.size else []
+    for cmd in movers:
+        memo = step_memo(cmd, space)
+        if memo is None:
+            continue
+        movable = [k for k, v in enumerate(memo.vars) if v.domain.size > 1]
+        if not movable:
+            continue
+        k = movable[-1]
+        radix, stride = memo.vars[k].domain.size, memo.strides[k]
+        pos = int(memo.position(space.frontier_env(start[:1]))[0])
+        digit = (int(start[0] + memo.delta[pos]) // stride) % radix
+        memo.delta[pos] += stride if digit + 1 < radix else -stride
+        break
+    return copy
+
+
 def run_differential(
     program: Program,
     p: ExprPredicate,
@@ -454,7 +494,12 @@ def run_differential(
     report = DiffReport()
     reach = reachable_mask(program)
     pm = p.mask(program.space)
-    sparse_subject = _defair(program) if fault == "sparse-unfair" else program
+    if fault == "sparse-unfair":
+        sparse_subject = _defair(program)
+    elif fault == "sparse-step-memo":
+        sparse_subject = _shift_step_memo(program)
+    else:
+        sparse_subject = program
     sub = reachable_subspace(sparse_subject)
     full = FullSpace(program)
 

@@ -14,9 +14,10 @@ Layout
 ------
 - :mod:`repro.semantics.sparse.explorer` — sparse enumeration of the
   initial states (a vectorized join over the ``initially`` conjuncts),
-  breadth-first frontier expansion through ``Command.succ_of`` (the one
-  per-command kernel that also builds the dense tables, here fed a
-  frontier environment) with sorted-array interning of discovered
+  breadth-first frontier expansion through ``Command.succ_in`` (the one
+  per-command kernel that also builds the dense tables, here fed one
+  frontier environment per level, or a gather from the command's
+  footprint step memo once built) with sorted-array interning of discovered
   global indices, and the resulting :class:`ReachableSubspace` (global ↔
   local id maps, per-command local successor columns, BFS distances).
   Its ``graph()`` is a :class:`~repro.semantics.graph_backend.GraphBackend`

@@ -464,8 +464,9 @@ def _closed_subspace(path, program: Program, state: _BfsState) -> ReachableSubsp
     over the last level checks closure; a successor outside the stored
     levels refuses the file as ``reason="inconsistent"``."""
     movers = [c for c in program.commands if not c.is_skip()]
+    env = program.space.frontier_env(state.frontier)
     for cmd in movers:
-        succ = cmd.succ_of(program.space, state.frontier)
+        succ = cmd.succ_in(env)
         if not in_sorted(state.known, succ).all():
             raise CheckpointError(
                 f"{path}: marked complete, but command {cmd.name} leads "

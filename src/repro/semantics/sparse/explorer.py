@@ -12,7 +12,8 @@ Two pieces live here:
    product.
 
 2. :func:`explore` — BFS from the initial states through the per-command
-   frontier kernels (:meth:`repro.core.commands.Command.succ_of`), with
+   frontier steps (:meth:`repro.core.commands.Command.succ_in`, on one
+   environment per level, so movers share each footprint decode), with
    sorted-array interning of discovered global indices (merge + binary
    search per level; Python work per BFS *level*, not per state).  The
    result is a :class:`ReachableSubspace`: sorted global ids (the local id
@@ -670,15 +671,13 @@ def _bfs_loop(
         with rec.span(
             "sparse.bfs.level", level=state.levels, frontier=int(frontier.shape[0])
         ):
+            # One environment per level: each footprint variable of the
+            # frontier is decoded once and shared by every mover.
+            env = space.frontier_env(frontier)
             cols = []
+            k0 = time.perf_counter()
             for cmd in movers:
-                if rec.enabled:
-                    k0 = time.perf_counter()
-                    cols.append(cmd.succ_of(space, frontier))
-                    rec.add("kernel.succ_of.seconds", time.perf_counter() - k0)
-                    rec.add("kernel.succ_of.calls")
-                else:
-                    cols.append(cmd.succ_of(space, frontier))
+                cols.append(cmd.succ_in(env))
                 # Deadline granularity is per command kernel, not per level:
                 # an aborted level is discarded whole, so the checkpoint (and
                 # the exhaustion statistics) reflect completed levels only.
@@ -686,14 +685,26 @@ def _bfs_loop(
                     exhaust("deadline")
             if not cols:
                 break
+            if rec.enabled:
+                rec.add("kernel.succ_of.seconds", time.perf_counter() - k0)
+                rec.add("kernel.succ_of.calls", len(cols))
             fault_point(
                 "sparse.explore.alloc",
                 level=state.levels,
                 entries=frontier.shape[0] * len(cols),
             )
             all_succ = np.concatenate(cols)
-            cand = sorted_unique(all_succ)
-            fresh = cand[~in_sorted(state.known, cand)]
+            # One stable sort gives the distinct successors and, per value,
+            # its first entry in (command order, frontier order): the
+            # first-discovery edge, which pins the witness paths.
+            order = np.argsort(all_succ, kind="stable")
+            ranked = all_succ[order]
+            head = np.empty(ranked.shape[0], dtype=bool)
+            head[0] = True
+            np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+            cand, first = ranked[head], order[head]
+            new = ~in_sorted(state.known, cand)
+            fresh, first = cand[new], first[new]
             if fresh.size == 0:
                 break
             # Both arrays are sorted and disjoint: a positional insert is the
@@ -707,18 +718,11 @@ def _bfs_loop(
                     f"node_limit={node_limit} (encoded space {space.size}); "
                     "raise the limit if the workload is expected"
                 )
-            # First-discovery parents: among the stacked (command, frontier)
-            # successor entries that land on fresh states, keep the first per
-            # state — deterministic in (command order, frontier order), which
-            # pins the witness paths across runs.
-            take = in_sorted(fresh, all_succ)
-            succ_f = all_succ[take]
-            src_f = np.tile(frontier, len(cols))[take]
-            cmd_ids = np.repeat(np.arange(len(cols), dtype=np.int64), frontier.shape[0])
-            cmd_f = cmd_ids[take]
-            _, first = np.unique(succ_f, return_index=True)
-            state.level_parents.append(src_f[first])
-            state.level_pcmds.append(cmd_f[first])
+            # Entry k of the stacked columns is command k // F's successor
+            # of frontier state k % F.
+            mover, row = np.divmod(first, frontier.shape[0])
+            state.level_parents.append(frontier[row])
+            state.level_pcmds.append(mover)
             state.level_nodes.append(fresh)
             if rec.enabled:
                 rec.add("sparse.bfs.levels")

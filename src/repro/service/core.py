@@ -243,8 +243,9 @@ class CertificationService:
         except (DslSyntaxError, ReproError) as exc:
             return _error("parse-error", f"{type(exc).__name__}: {exc}")
         except RecursionError as exc:
-            # Parsed, but too deep to describe (``Expr`` printing
-            # recurses once per level), so it has no digest.
+            # Parsed, but too deep for a recursive engine path; printing
+            # is iterative, so the parser's nesting guard normally
+            # refuses such text first.
             return _error("engine-error", f"{type(exc).__name__}: {exc}")
         key = request_key(digest, request)
 

@@ -362,6 +362,33 @@ class TestPrinting:
         e = implies(lor(B.ref(), B.ref()), land(B.ref(), B.ref()))
         assert str(e) == "b \\/ b => b /\\ b"
 
+    def test_600_term_sum_prints_and_digests(self):
+        """A 600-deep ``Add`` chain prints at the default recursion limit
+        (children are printed first, without recursion), and its program
+        has a checkpoint digest."""
+        from repro.core.commands import GuardedCommand
+        from repro.core.predicates import ExprPredicate
+        from repro.core.program import Program
+        from repro.semantics.sparse.checkpoint import program_digest
+
+        total = esum([X.ref()] * 600)
+        assert str(total) == " + ".join(["x"] * 600)
+        up = GuardedCommand("up", X.ref() < 5, [(X, minimum(total, 5))])
+        program = Program("Long", [X], ExprPredicate(X.ref() == 0), [up], fair=[up])
+        assert len(program_digest(program)) == 64
+
+    def test_deep_mixed_chain_matches_the_recursive_printer(self):
+        e = X.ref()
+        for k in range(600):
+            e = [e - k, 2 * e, -e, minimum(e, k)][k % 4]
+        text = str(e)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(20_000)
+        try:
+            assert text == _ref_fmt(e)
+        finally:
+            sys.setrecursionlimit(limit)
+
 
 @given(st.integers(0, 5), st.integers(-2, 2), st.booleans())
 def test_random_exprs_scalar_vector_agree(x, y, b):

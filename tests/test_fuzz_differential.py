@@ -91,6 +91,7 @@ def test_harness_detects_injected_fault(fault):
         "sparse-flip-weak": {"leadsto-weak"},
         "dense-forget-reach": {"invariant"},
         "dense-cone-flip": {"leadsto-cone-weak"},
+        "sparse-step-memo": {"leadsto-weak", "leadsto-strong"},
     }[fault]
     assert bad & expected, (fault, bad)
 
