@@ -573,6 +573,15 @@ class Neg(Expr):
 # ---------------------------------------------------------------------------
 
 
+def _fmt_comparison(node: "_Cmp | _EqBase") -> str:
+    # Comparisons do not associate and ``~`` binds looser than they do
+    # (``~a = b`` is ``~(a = b)``): parenthesize such operands.
+    left, right = node.left, node.right
+    left = f"({left})" if isinstance(left, Not) else node._fmt_child(left, strict=True)
+    right = f"({right})" if isinstance(right, Not) else node._fmt_child(right, strict=True)
+    return f"{left} {node._symbol} {right}"
+
+
 class _Cmp(Expr):
     """Base of integer ordering comparisons."""
 
@@ -609,8 +618,7 @@ class _Cmp(Expr):
     def _key(self) -> tuple:
         return (type(self), self.left._key(), self.right._key())
 
-    def _fmt(self) -> str:
-        return f"{self._fmt_child(self.left)} {self._symbol} {self._fmt_child(self.right)}"
+    _fmt = _fmt_comparison
 
 
 class Lt(_Cmp):
@@ -709,8 +717,7 @@ class _EqBase(Expr):
     def _key(self) -> tuple:
         return (type(self), self.left._key(), self.right._key())
 
-    def _fmt(self) -> str:
-        return f"{self._fmt_child(self.left)} {self._symbol} {self._fmt_child(self.right)}"
+    _fmt = _fmt_comparison
 
 
 class EqE(_EqBase):
@@ -952,7 +959,9 @@ class Iff(Expr):
         return (Iff, self.left._key(), self.right._key())
 
     def _fmt(self) -> str:
-        return f"{self._fmt_child(self.left, strict=True)} <=> {self._fmt_child(self.right)}"
+        # Strict on the right too: the parser reads ``a <=> b <=> c`` left-nested.
+        left = self._fmt_child(self.left, strict=True)
+        return f"{left} <=> {self._fmt_child(self.right, strict=True)}"
 
 
 class Ite(Expr):

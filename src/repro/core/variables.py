@@ -58,7 +58,7 @@ class Var:
     rather than carrying the stored hash along.
     """
 
-    __slots__ = ("name", "domain", "locality", "_hash")
+    __slots__ = ("name", "domain", "locality", "_hash", "_ref")
 
     def __init__(
         self,
@@ -76,6 +76,7 @@ class Var:
         self.domain = domain
         self.locality = locality
         self._hash = hash((Var, name, domain, locality))
+        self._ref = None
 
     # -- constructors -------------------------------------------------------
 
@@ -123,10 +124,14 @@ class Var:
         return self.domain.check(value, context=f"variable {self.name}")
 
     def ref(self):
-        """Return a :class:`~repro.core.expressions.VarRef` expression node."""
-        from repro.core.expressions import VarRef
+        """This variable's :class:`~repro.core.expressions.VarRef` node (one
+        per ``Var``, built on first use: expression nodes are immutable)."""
+        ref = self._ref
+        if ref is None:
+            from repro.core.expressions import VarRef
 
-        return VarRef(self)
+            ref = self._ref = VarRef(self)
+        return ref
 
     # -- dunder ---------------------------------------------------------------
 

@@ -14,13 +14,14 @@ written, stored and pretty-printed as text::
       fair a: c < 3 /\\ C < 9 -> c := c + 1 || C := C + 1
     end
 
-Pipeline: :mod:`repro.dsl.lexer` (one compiled pattern, scanned line by
-line) → :mod:`repro.dsl.parser` (recursive descent, with precedence
-climbing over one operator table for expressions; AST in
+Pipeline: :mod:`repro.dsl.lexer` (one ``findall`` over the whole text)
+→ :mod:`repro.dsl.parser` (recursive descent, with precedence climbing
+over one operator table for expressions; AST in
 :mod:`repro.dsl.ast_nodes`) → :mod:`repro.dsl.elaborate` (core objects);
 :mod:`repro.dsl.pretty` is the inverse, and round-tripping is tested.
-Syntax errors carry the 1-based line and column of the offending token;
-text nested too deeply to parse or elaborate is a syntax error too.
+Syntax errors carry the 1-based line and column of the offending token,
+computed when one is raised; text nested too deeply to parse or
+elaborate is a syntax error too.
 Property syntax (``invariant …``, ``p ~> q``, ``transient …``, …) is
 parsed by :func:`repro.dsl.parse_property`.
 """

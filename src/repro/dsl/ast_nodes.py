@@ -3,6 +3,9 @@
 Kept deliberately separate from :mod:`repro.core.expressions`: surface
 names are unresolved (``EName`` may be a variable or an enum label) and
 types are unchecked until elaboration.
+
+Nodes are slotted dataclasses, not frozen (a frozen one costs four times
+as much to build); nothing mutates one, the shrinker edits copies.
 """
 
 from __future__ import annotations
@@ -19,32 +22,32 @@ __all__ = [
 # -- expressions -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EInt:
     """Integer literal."""
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EBool:
     """Boolean literal."""
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EName:
     """Unresolved name: variable reference or enum label."""
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EUnary:
     """Unary operation; ``op`` in {'-', '~'}."""
     op: str
     operand: "ExprAst"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EBinary:
     """Binary operation; ``op`` is the surface symbol."""
     op: str
@@ -52,7 +55,7 @@ class EBinary:
     right: "ExprAst"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EIte:
     """Conditional expression."""
     cond: "ExprAst"
@@ -60,7 +63,7 @@ class EIte:
     orelse: "ExprAst"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ECall:
     """Builtin call: ``min`` / ``max``."""
     func: str
@@ -73,19 +76,19 @@ ExprAst = EInt | EBool | EName | EUnary | EBinary | EIte | ECall
 # -- declarations / types -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PTypeBool:
     """``bool``."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PTypeInt:
     """``int[lo..hi]``."""
     lo: int
     hi: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PTypeEnum:
     """``enum { a, b, … }``."""
     labels: tuple[str, ...]
@@ -94,7 +97,7 @@ class PTypeEnum:
 TypeAst = PTypeBool | PTypeInt | PTypeEnum
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PDecl:
     """``local|shared name : type``."""
     locality: str
@@ -105,14 +108,14 @@ class PDecl:
 # -- commands -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PBranch:
     """``guard -> x := e || y := f`` (guard ``None`` means ``true``)."""
     guard: ExprAst | None
     assigns: tuple[tuple[str, ExprAst], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PCommand:
     """``[fair] name: body`` — ``skip``, one branch, or ``[]``-separated
     branches (first-match alternative)."""
@@ -122,7 +125,7 @@ class PCommand:
     branches: tuple[PBranch, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class PProgram:
     """A full ``program … end`` unit."""
     name: str
@@ -134,7 +137,7 @@ class PProgram:
 # -- properties ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PProperty:
     """``init e | transient e | stable e | invariant e | e next e | e ~> e``."""
     kind: str  # 'init' | 'transient' | 'stable' | 'invariant' | 'next' | 'leadsto'
@@ -142,7 +145,7 @@ class PProperty:
     second: ExprAst | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class PSystem:
     """``system Name = A || B || C`` — composition directive."""
 
@@ -150,7 +153,7 @@ class PSystem:
     components: tuple[str, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class PModule:
     """A source file: several programs plus composition directives."""
 

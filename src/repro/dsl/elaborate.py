@@ -14,6 +14,7 @@ from repro.core.commands import AltCommand, GuardedCommand, Skip
 from repro.core.domains import BoolDomain, EnumDomain, IntRange
 from repro.core.expressions import (
     Add,
+    And,
     BoolConst,
     Const,
     EqE,
@@ -34,9 +35,9 @@ from repro.core.expressions import (
     NeE,
     Neg,
     Not,
+    Or,
     Sub,
-    land,
-    lor,
+    _require_bool,
 )
 from repro.core.predicates import ExprPredicate
 from repro.core.program import Program
@@ -55,6 +56,7 @@ from repro.errors import ElaborationError, ExpressionError
 
 __all__ = ["elaborate_program", "elaborate_property", "elaborate_expression"]
 
+_NARY = {"/\\": And, "\\/": Or}
 _BINARY = {
     "+": Add, "-": Sub, "*": Mul, "//": FloorDiv, "%": Mod,
     "=": EqE, "!=": NeE, "<": Lt, "<=": Le, ">": Gt, ">=": Ge,
@@ -90,37 +92,50 @@ def elaborate_expression(
 
 
 def _elab(node: ast.ExprAst, env: Mapping[str, Var]) -> Expr:
-    if isinstance(node, ast.EInt):
-        return IntConst(node.value)
-    if isinstance(node, ast.EBool):
-        return BoolConst(node.value)
-    if isinstance(node, ast.EName):
+    kind = type(node)
+    if kind is ast.EName:
         var = env.get(node.name)
         if var is not None:
             return var.ref()
         return Const(node.name, None)  # enum label, typed by context
-    if isinstance(node, ast.EUnary):
-        inner = _elab(node.operand, env)
-        return Neg(inner) if node.op == "-" else Not(inner)
-    if isinstance(node, ast.EBinary):
-        left = _elab(node.left, env)
-        right = _elab(node.right, env)
-        if node.op == "/\\":
-            return land(left, right)
-        if node.op == "\\/":
-            return lor(left, right)
+    if kind is ast.EBinary:
+        if node.op in _NARY:
+            return _elab_chain(node, env)
         ctor = _BINARY.get(node.op)
         if ctor is None:
             raise ElaborationError(f"unknown operator {node.op!r}")
-        return ctor(left, right)
-    if isinstance(node, ast.EIte):
+        return ctor(_elab(node.left, env), _elab(node.right, env))
+    if kind is ast.EInt:
+        return IntConst(node.value)
+    if kind is ast.EUnary:
+        inner = _elab(node.operand, env)
+        return Neg(inner) if node.op == "-" else Not(inner)
+    if kind is ast.EBool:
+        return BoolConst(node.value)
+    if kind is ast.EIte:
         return Ite(
             _elab(node.cond, env), _elab(node.then, env), _elab(node.orelse, env)
         )
-    if isinstance(node, ast.ECall):
+    if kind is ast.ECall:
         args = [_elab(a, env) for a in node.args]
         return MinE(*args) if node.func == "min" else MaxE(*args)
     raise ElaborationError(f"unknown expression node {node!r}")
+
+
+def _elab_chain(node: ast.EBinary, env: Mapping[str, Var]) -> Expr:
+    """A left-nested chain of one ``/\\`` or ``\\/``, walked in a loop, as one
+    n-ary node; operands are type-checked in the binary reading's order."""
+    op = node.op
+    rights = []
+    while type(node) is ast.EBinary and node.op == op:
+        rights.append(node.right)
+        node = node.left
+    operands = [_elab(node, env), _elab(rights.pop(), env)]
+    _require_bool(operands, op)
+    for right in reversed(rights):
+        operands.append(_elab(right, env))
+        _require_bool(operands[-1:], op)
+    return _NARY[op](*operands)
 
 
 def elaborate_program(tree: ast.PProgram) -> Program:

@@ -60,8 +60,7 @@ from repro.dsl.ast_nodes import (
     PTypeInt,
     TypeAst,
 )
-from repro.dsl.lexer import tokenize
-from repro.dsl.tokens import Token
+from repro.dsl.lexer import scan, tokenize
 from repro.errors import DslSyntaxError
 
 __all__ = [
@@ -90,41 +89,58 @@ def nesting_guard(parse):
     return guarded
 
 
+class _Failure(Exception):
+    """A syntax error at token ``pos``; :func:`_parse` adds its line and
+    column if it escapes, so an abandoned reading costs no position."""
+
+    def __init__(self, message: str, pos: int) -> None:
+        self.message = message
+        self.pos = pos
+
+
 class _Stream:
-    """Token cursor with friendly error reporting."""
+    """Token cursor over the ``kinds``/``texts`` lists of :func:`scan`;
+    ``pos`` never passes the trailing end-of-input token."""
 
-    def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
+    __slots__ = ("kinds", "texts", "pos", "kind")
+
+    def __init__(self, source: str) -> None:
+        self.kinds, self.texts = scan(source)
         self.pos = 0
+        self.kind = self.kinds[0]
 
-    # ``pos`` never passes the trailing eof token (``advance`` stops on
-    # it), so only a look-ahead needs clamping.
-    def peek(self, offset: int = 0) -> Token:
-        if offset:
-            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-        return self.tokens[self.pos]
+    def advance(self) -> str:
+        """Step past the current token; return its text."""
+        pos = self.pos
+        if self.kind != "eof":
+            self.pos = pos + 1
+            self.kind = self.kinds[pos + 1]
+        return self.texts[pos]
 
-    def at(self, *kinds: str) -> bool:
-        return self.tokens[self.pos].kind in kinds
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise DslSyntaxError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line, tok.column,
-            )
+    def expect(self, kind: str) -> str:
+        if self.kind != kind:
+            raise self.error(f"expected {kind!r}, found {self.found()}")
         return self.advance()
 
-    def error(self, message: str) -> DslSyntaxError:
-        tok = self.peek()
-        return DslSyntaxError(message, tok.line, tok.column)
+    def found(self) -> str:
+        """The current token's text, quoted, for an error message."""
+        return repr(self.texts[self.pos] or "end of input")
+
+    def error(self, message: str) -> _Failure:
+        return _Failure(message, self.pos)
+
+
+def _parse(source: str, rule):
+    """Run ``rule`` over the whole of ``source``; report a failure with
+    the line and column of the token where it stopped."""
+    s = _Stream(source)
+    try:
+        result = rule(s)
+        s.expect("eof")
+    except _Failure as exc:
+        token = tokenize(source)[exc.pos]
+        raise DslSyntaxError(exc.message, token.line, token.column) from None
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +149,14 @@ class _Stream:
 
 
 def _parse_name(s: _Stream) -> str:
-    base = s.expect("ident").text
-    if s.at("[") and s.peek(1).kind == "int":
+    base = s.expect("ident")
+    # The current token is not the end of input, so ``pos + 1`` exists.
+    if s.kind == "[" and s.kinds[s.pos + 1] == "int":
         s.advance()  # '['
-        indices = [s.expect("int").text]
-        while s.at(","):
+        indices = [s.advance()]
+        while s.kind == ",":
             s.advance()
-            indices.append(s.expect("int").text)
+            indices.append(s.expect("int"))
         s.expect("]")
         return f"{base}[{','.join(indices)}]"
     return base
@@ -183,14 +200,14 @@ def _parse_binary(s: _Stream, min_prec: int) -> ExprAst:
     comparison.
     """
     limit = _UNLIMITED
-    if min_prec <= _NOT and s.at("~"):
+    if min_prec <= _NOT and s.kind == "~":
         s.advance()
         left = EUnary("~", _parse_binary(s, _NOT))
         limit = _NOT
     else:
         left = _parse_factor(s)
     while True:
-        op = s.peek().kind
+        op = s.kind
         entry = _BINARY.get(op)
         if entry is None or not min_prec <= entry[0] < limit:
             return left
@@ -202,36 +219,21 @@ def _parse_binary(s: _Stream, min_prec: int) -> ExprAst:
 
 
 def _parse_factor(s: _Stream) -> ExprAst:
-    if s.at("-"):
+    if s.kind == "-":
         s.advance()
         return EUnary("-", _parse_factor(s))
     return _parse_atom(s)
 
 
 def _parse_atom(s: _Stream) -> ExprAst:
-    tok = s.peek()
-    if tok.kind == "int":
-        s.advance()
-        return EInt(int(tok.text))
-    if tok.kind == "true":
-        s.advance()
-        return EBool(True)
-    if tok.kind == "false":
-        s.advance()
-        return EBool(False)
-    if tok.kind in ("min", "max"):
-        s.advance()
-        s.expect("(")
-        first = _parse_expr(s)
-        s.expect(",")
-        second = _parse_expr(s)
-        s.expect(")")
-        return ECall(tok.kind, (first, second))
-    if tok.kind == "ident":
+    kind = s.kind
+    if kind == "ident":
         return EName(_parse_name(s))
-    if tok.kind == "(":
+    if kind == "int":
+        return EInt(int(s.advance()))
+    if kind == "(":
         s.advance()
-        if s.at("if"):
+        if s.kind == "if":
             s.advance()
             cond = _parse_expr(s)
             s.expect("then")
@@ -243,7 +245,18 @@ def _parse_atom(s: _Stream) -> ExprAst:
         inner = _parse_expr(s)
         s.expect(")")
         return inner
-    raise s.error(f"expected an expression, found {tok.text or 'end of input'!r}")
+    if kind == "true" or kind == "false":
+        s.advance()
+        return EBool(kind == "true")
+    if kind == "min" or kind == "max":
+        s.advance()
+        s.expect("(")
+        first = _parse_expr(s)
+        s.expect(",")
+        second = _parse_expr(s)
+        s.expect(")")
+        return ECall(kind, (first, second))
+    raise s.error(f"expected an expression, found {s.found()}")
 
 
 # ---------------------------------------------------------------------------
@@ -252,35 +265,36 @@ def _parse_atom(s: _Stream) -> ExprAst:
 
 
 def _parse_type(s: _Stream) -> TypeAst:
-    if s.at("bool"):
+    kind = s.kind
+    if kind == "bool":
         s.advance()
         return PTypeBool()
-    if s.at("int"):
+    if kind == "int":
         s.advance()
         s.expect("[")
-        neg_lo = s.at("-") and (s.advance() or True)
-        lo = int(s.expect("int").text) * (-1 if neg_lo else 1)
+        neg_lo = s.kind == "-" and (s.advance() or True)
+        lo = int(s.expect("int")) * (-1 if neg_lo else 1)
         s.expect("..")
-        neg_hi = s.at("-") and (s.advance() or True)
-        hi = int(s.expect("int").text) * (-1 if neg_hi else 1)
+        neg_hi = s.kind == "-" and (s.advance() or True)
+        hi = int(s.expect("int")) * (-1 if neg_hi else 1)
         s.expect("]")
         return PTypeInt(lo, hi)
-    if s.at("enum"):
+    if kind == "enum":
         s.advance()
         s.expect("{")
-        labels = [s.expect("ident").text]
-        while s.at(","):
+        labels = [s.expect("ident")]
+        while s.kind == ",":
             s.advance()
-            labels.append(s.expect("ident").text)
+            labels.append(s.expect("ident"))
         s.expect("}")
         return PTypeEnum(tuple(labels))
     raise s.error("expected a type (bool, int[lo..hi] or enum {…})")
 
 
 def _parse_decl(s: _Stream) -> PDecl:
-    if not s.at("local", "shared"):
+    if s.kind != "local" and s.kind != "shared":
         raise s.error("expected 'local' or 'shared'")
-    locality = s.advance().kind
+    locality = s.advance()
     name = _parse_name(s)
     s.expect(":")
     return PDecl(locality, name, _parse_type(s))
@@ -294,22 +308,22 @@ def _parse_branch(s: _Stream) -> PBranch:
     try:
         guard = _parse_expr(s)
         s.expect("->")
-    except DslSyntaxError as exc:
-        guard_error, guard_pos = exc, s.pos
+    except _Failure as exc:
+        guard_failure = exc
     else:
         return PBranch(guard, _parse_assigns(s))
-    s.pos = start
+    s.pos, s.kind = start, s.kinds[start]
     try:
         return PBranch(None, _parse_assigns(s))
-    except DslSyntaxError:
-        if guard_pos > s.pos:
-            raise guard_error from None
+    except _Failure as exc:
+        if guard_failure.pos > exc.pos:
+            raise guard_failure from None
         raise
 
 
 def _parse_assigns(s: _Stream) -> tuple[tuple[str, ExprAst], ...]:
     assigns = [_parse_assign(s)]
-    while s.at("||"):
+    while s.kind == "||":
         s.advance()
         assigns.append(_parse_assign(s))
     return tuple(assigns)
@@ -322,22 +336,21 @@ def _parse_assign(s: _Stream) -> tuple[str, ExprAst]:
 
 
 def _parse_command(s: _Stream) -> PCommand:
-    fair = False
-    if s.at("fair"):
+    fair = s.kind == "fair"
+    if fair:
         s.advance()
-        fair = True
-    if s.at("skip") and s.peek(1).kind == ":":
+    if s.kind == "skip" and s.kinds[s.pos + 1] == ":":
         # The canonical identity command is itself named "skip".
         s.advance()
         name = "skip"
     else:
         name = _parse_name(s)
     s.expect(":")
-    if s.at("skip"):
+    if s.kind == "skip":
         s.advance()
         return PCommand(name, fair, True, ())
     branches = [_parse_branch(s)]
-    while s.at("[]"):
+    while s.kind == "[]":
         s.advance()
         branches.append(_parse_branch(s))
     return PCommand(name, fair, False, tuple(branches))
@@ -346,19 +359,19 @@ def _parse_command(s: _Stream) -> PCommand:
 def _parse_program_unit(s: _Stream) -> PProgram:
     s.expect("program")
     prog = PProgram(name=_parse_name(s))
-    if s.at("declare"):
+    if s.kind == "declare":
         s.advance()
         prog.decls.append(_parse_decl(s))
-        while s.at(";"):
+        while s.kind == ";":
             s.advance()
             prog.decls.append(_parse_decl(s))
-    if s.at("initially"):
+    if s.kind == "initially":
         s.advance()
         prog.init = _parse_expr(s)
-    if s.at("assign"):
+    if s.kind == "assign":
         s.advance()
         prog.commands.append(_parse_command(s))
-        while s.at(";"):
+        while s.kind == ";":
             s.advance()
             prog.commands.append(_parse_command(s))
     s.expect("end")
@@ -368,34 +381,22 @@ def _parse_program_unit(s: _Stream) -> PProgram:
 @nesting_guard
 def parse_program_text(source: str) -> PProgram:
     """Parse a single ``program … end`` unit into a surface AST."""
-    s = _Stream(tokenize(source))
-    prog = _parse_program_unit(s)
-    s.expect("eof")
-    return prog
+    return _parse(source, _parse_program_unit)
 
 
-@nesting_guard
-def parse_module_text(source: str):
-    """Parse a module: any number of programs plus ``system`` directives.
-
-    Grammar extension::
-
-        module  = { program | systemdecl }
-        systemdecl = "system" name "=" name {"||" name}
-    """
+def _parse_module(s: _Stream):
     from repro.dsl.ast_nodes import PModule, PSystem
 
-    s = _Stream(tokenize(source))
     module = PModule()
-    while not s.at("eof"):
-        if s.at("program"):
+    while s.kind != "eof":
+        if s.kind == "program":
             module.programs.append(_parse_program_unit(s))
-        elif s.at("system"):
+        elif s.kind == "system":
             s.advance()
             name = _parse_name(s)
             s.expect("=")
             components = [_parse_name(s)]
-            while s.at("||"):
+            while s.kind == "||":
                 s.advance()
                 components.append(_parse_name(s))
             module.systems.append(PSystem(name, tuple(components)))
@@ -407,32 +408,39 @@ def parse_module_text(source: str):
 
 
 @nesting_guard
+def parse_module_text(source: str):
+    """Parse a module: any number of programs plus ``system`` directives.
+
+    Grammar extension::
+
+        module  = { program | systemdecl }
+        systemdecl = "system" name "=" name {"||" name}
+    """
+    return _parse(source, _parse_module)
+
+
+def _parse_property(s: _Stream) -> PProperty:
+    kind = s.kind
+    if kind in ("init", "transient", "stable", "invariant"):
+        s.advance()
+        return PProperty(kind, _parse_expr(s))
+    first = _parse_expr(s)
+    if s.kind == "next":
+        s.advance()
+        return PProperty("next", first, _parse_expr(s))
+    if s.kind == "~>":
+        s.advance()
+        return PProperty("leadsto", first, _parse_expr(s))
+    raise s.error("expected 'next' or '~>' after the first predicate")
+
+
+@nesting_guard
 def parse_property_text(source: str) -> PProperty:
     """Parse one property line into a surface AST."""
-    s = _Stream(tokenize(source))
-    if s.at("init", "transient", "stable", "invariant"):
-        kind = s.advance().kind
-        expr = _parse_expr(s)
-        s.expect("eof")
-        return PProperty(kind, expr)
-    first = _parse_expr(s)
-    if s.at("next"):
-        s.advance()
-        second = _parse_expr(s)
-        s.expect("eof")
-        return PProperty("next", first, second)
-    if s.at("~>"):
-        s.advance()
-        second = _parse_expr(s)
-        s.expect("eof")
-        return PProperty("leadsto", first, second)
-    raise s.error("expected 'next' or '~>' after the first predicate")
+    return _parse(source, _parse_property)
 
 
 @nesting_guard
 def parse_expression_text(source: str) -> ExprAst:
     """Parse a standalone expression (used by tests and the REPL helper)."""
-    s = _Stream(tokenize(source))
-    expr = _parse_expr(s)
-    s.expect("eof")
-    return expr
+    return _parse(source, _parse_expr)

@@ -10,7 +10,7 @@ paths.
 from __future__ import annotations
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from repro.core.commands import GuardedCommand, Skip
 from repro.core.domains import IntRange
@@ -26,6 +26,11 @@ from repro.core.expressions import (
 from repro.core.predicates import ExprPredicate, Predicate
 from repro.core.program import Program
 from repro.core.variables import Var
+
+#: ``--hypothesis-profile ci`` (the CI ``fuzz`` job's DSL round-trip step):
+#: a longer sweep, derandomized so a red job reproduces.  Tier-1 runs keep
+#: hypothesis' default budget.
+settings.register_profile("ci", max_examples=2000, derandomize=True, deadline=None)
 
 # ---------------------------------------------------------------------------
 # Deterministic micro-fixtures

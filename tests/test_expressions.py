@@ -513,8 +513,9 @@ class TestCaches:
 
     def test_every_node_class_starts_with_empty_caches(self):
         """Each concrete node class sets both cache slots in ``__init__``
-        (an unset slot would make ``str()`` raise)."""
-        x, b = X.ref(), B.ref()
+        (an unset slot would make ``str()`` raise).  ``Var.ref()`` hands
+        out one shared node per variable, so fresh ones are built here."""
+        x, b = VarRef(X), VarRef(B)
         nodes = [
             x + 1, x - 1, x * 2, x // 2, x % 2, -x, minimum(x, 1),
             maximum(x, 1), x < 1, x <= 1, x > 1, x >= 1, x == 1, x != 1,
