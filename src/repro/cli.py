@@ -35,8 +35,7 @@ Commands
     witness printed state by state.  Certificates are re-checked by the
     **batched** columnar kernel — one vectorized pass per command over
     all induction levels — so the 4×4 grid's ~43k-level certificate
-    checks end to end in about a second (``--check-levels N`` optionally
-    skips the check above N levels).  ``scenario compose50`` certifies
+    checks end to end in about a second.  ``scenario compose50`` certifies
     its product assume–guarantee style instead of exploring it, and
     ``scenario list`` prints the catalog.
 
@@ -288,15 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         "proof certificate for holding properties, and print the "
         "confining-path witness for failing ones (sparse scenarios "
         "never allocate full-space arrays)",
-    )
-    p_scen.add_argument(
-        "--check-levels",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --prove: skip the kernel check for certificates with "
-        "more than N variant levels (default: no cap — the batched "
-        "kernel checks 10^5-level certificates in seconds)",
     )
     add_budget_args(p_scen)
     add_obs_args(p_scen)
@@ -808,9 +798,7 @@ def _cmd_scenario(args) -> int:
         print(f"{result.explain()}  [{check.label}: {verdict}]")
         failures += result.holds != check.expected
         if args.prove and check.kind == "leadsto":
-            failures += _prove_leadsto(
-                program, check, result, check_levels=args.check_levels
-            )
+            failures += _prove_leadsto(program, check, result)
     return 1 if failures else 0
 
 
@@ -959,7 +947,7 @@ def _cmd_compose50(args) -> int:
     return 0
 
 
-def _prove_leadsto(program, check, result, *, check_levels=None) -> int:
+def _prove_leadsto(program, check, result) -> int:
     """Certify one scenario leads-to verdict (the ``--prove`` path).
 
     Holding properties get a synthesized kernel certificate (sparse-tier
@@ -967,8 +955,7 @@ def _prove_leadsto(program, check, result, *, check_levels=None) -> int:
     re-checked by the batched columnar kernel
     (:func:`repro.semantics.synthesis.check_certificate_batched`) — one
     vectorized pass per command over all levels, so even 10⁵-level
-    certificates check in seconds; ``check_levels`` optionally caps the
-    certificate size the check runs at.  Failing properties get the
+    certificates check in seconds.  Failing properties get the
     confining-path witness printed state by state.  Returns 1 on
     certification failure, 0 otherwise.
     """
@@ -1011,12 +998,6 @@ def _prove_leadsto(program, check, result, *, check_levels=None) -> int:
         f"    certificate: {proof.count_nodes()} rule applications "
         f"({shape}), {n_levels} variant levels, {fairness} fairness"
     )
-    if check_levels is not None and n_levels > check_levels:
-        print(
-            f"    kernel check skipped ({n_levels} levels > "
-            f"--check-levels {check_levels})"
-        )
-        return 0
     t0 = time.perf_counter()
     check = check_certificate_batched(proof, program)
     dt = time.perf_counter() - t0

@@ -52,6 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro.core.expressions import (
     Add,
     And,
@@ -263,12 +265,10 @@ class StrongEnsures(LeadsToProof):
         """``q ∨ (p∧¬q ∧ en(helpful))`` — what the recurrence must reach."""
         return self.q | (self.region() & self.enabled_predicate(program))
 
-    def _local_check(
-        self, program: "Program", result: ProofCheckResult, path: str
-    ) -> None:
-        from repro.core.proofs import masks_equal, pred_entails
-        from repro.semantics.checker import check_next, check_validity
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
+        from repro.semantics.checker import next_on, validity_on
 
+        program = d.program
         if self.helpful not in program.fair_names:
             result.failures.append(
                 ProofFailure(
@@ -280,17 +280,17 @@ class StrongEnsures(LeadsToProof):
             return
         rho = self.region()
         result.obligations_checked += 1
-        res = check_next(program, rho, self.p | self.q)
+        res = next_on(d, rho, self.p | self.q)
         if not res.holds:
             result.failures.append(ProofFailure(path, res.explain()))
         cmd = program.command_named(self.helpful)
         en = self.enabled_predicate(program)
         result.obligations_checked += 1
-        res = check_validity(program, rho & en, cmd.wp(self.q))
+        res = validity_on(d, rho & en, cmd.wp(self.q))
         if not res.holds:
             result.failures.append(ProofFailure(path, res.explain()))
         result.obligations_checked += 1
-        if not masks_equal(self.recurrence.lhs(), rho, program):
+        if not np.array_equal(d.pred_mask(self.recurrence.lhs()), d.pred_mask(rho)):
             result.failures.append(
                 ProofFailure(
                     path,
@@ -300,9 +300,8 @@ class StrongEnsures(LeadsToProof):
                 )
             )
         result.obligations_checked += 1
-        if not pred_entails(
-            self.recurrence.rhs(), self.recurrence_target(program), program
-        ):
+        reach = d.pred_mask(self.recurrence.rhs())
+        if (reach & ~d.pred_mask(self.recurrence_target(program))).any():
             result.failures.append(
                 ProofFailure(
                     path,

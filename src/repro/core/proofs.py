@@ -2,10 +2,12 @@
 
 The paper's proofs are chains of inferences in a small logic.  This module
 makes those proofs *artifacts*: trees of rule applications that a kernel
-re-checks mechanically against a concrete finite program.  Leaf obligations
-(``init``/``stable``/``transient``/``next``/validity) are discharged by the
-semantic checkers; internal rules re-verify their side conditions by
-predicate-mask comparison over the program's state space.
+re-checks mechanically against a concrete finite program.  A check is one
+question: :meth:`ProofNode.check` resolves the program's evaluation domain
+(:mod:`repro.semantics.domain`) once, and every node of the tree is judged
+on that domain — leaf obligations (``init``/``stable``/``transient``/
+``next``/validity) by the semantic judgments, internal rules' side
+conditions by comparing predicate masks over the same states.
 
 Two kernels share this infrastructure:
 
@@ -50,7 +52,6 @@ __all__ = [
     "ProofFailure",
     "ProofCheckResult",
     "ProofNode",
-    "pred_entails",
     "SafetyProof",
     "StableLeaf",
     "InitLeaf",
@@ -61,45 +62,7 @@ __all__ = [
     "InitWeaken",
     "InitConjunction",
     "InvariantIntro",
-    "masks_equal",
 ]
-
-
-def _side_condition_domain(program: "Program"):
-    """The domain rule side conditions are discharged over: the one
-    :func:`~repro.semantics.domain.domain_for` resolves for the leaf
-    checkers (lazy import: the semantics package imports this one)."""
-    from repro.semantics.domain import domain_for
-
-    return domain_for(program, "a proof side condition")
-
-
-def masks_equal(p: Predicate, q: Predicate, program: "Program") -> bool:
-    """Semantic predicate equality over the program's domain.
-
-    Rule side conditions ("the intermediate predicates agree") are checked
-    semantically rather than syntactically, which keeps proofs robust to
-    logically equivalent reformulations — the paper freely rewrites
-    predicates with predicate calculus between steps.
-
-    On sparse-routed spaces the comparison is **reachable-restricted**
-    (frontier masks over the reachable subspace), matching the judgment
-    the obligation checkers decide there — certificates for 10¹²-state
-    compositions never materialize a full-space mask.
-    """
-    d = _side_condition_domain(program)
-    return bool(np.array_equal(d.pred_mask(p), d.pred_mask(q)))
-
-
-def pred_entails(p: Predicate, q: Predicate, program: "Program") -> bool:
-    """Semantic entailment ``p ⇒ q`` over the program's domain.
-
-    The entailment twin of :func:`masks_equal`, over the same domain;
-    rule side conditions should use this instead of
-    :meth:`Predicate.entails`, which always materializes full masks.
-    """
-    d = _side_condition_domain(program)
-    return bool(np.all(~d.pred_mask(p) | d.pred_mask(q)))
 
 
 @dataclass
@@ -163,10 +126,9 @@ class ProofNode:
         """Rendering of the judgment this node concludes."""
         raise NotImplementedError
 
-    def _local_check(
-        self, program: "Program", result: ProofCheckResult, path: str
-    ) -> None:
-        """Discharge this node's own side conditions and leaf obligations.
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
+        """Discharge this node's own side conditions and leaf obligations
+        on the domain ``d`` of the program under check (``d.program``).
 
         Implementations append to ``result.failures`` and increment
         ``result.obligations_checked`` per semantic obligation discharged.
@@ -176,18 +138,29 @@ class ProofNode:
     # -- kernel walk --------------------------------------------------------
 
     def check(self, program: "Program") -> ProofCheckResult:
-        """Re-check the entire tree against ``program``."""
+        """Re-check the entire tree against ``program``.
+
+        The domain is resolved once, by
+        :func:`~repro.semantics.domain.domain_for` (the full space, or the
+        reachable subspace above the sparse threshold), and the whole
+        tree is checked on it (:meth:`check_on`).
+        """
+        from repro.semantics.domain import domain_for
+
+        return self.check_on(domain_for(program, "the proof check"))
+
+    def check_on(self, d) -> ProofCheckResult:
+        """Re-check the entire tree on the domain ``d``: every leaf
+        obligation and side condition is decided over its states."""
         result = ProofCheckResult()
-        self._check_into(program, result, self.rule_name)
+        self._check_into(d, result, self.rule_name)
         return result
 
-    def _check_into(
-        self, program: "Program", result: ProofCheckResult, path: str
-    ) -> None:
+    def _check_into(self, d, result: ProofCheckResult, path: str) -> None:
         result.nodes_checked += 1
-        self._local_check(program, result, path)
+        self._local_check(d, result, path)
         for i, sub in enumerate(self.premises()):
-            sub._check_into(program, result, f"{path}.{i}:{sub.rule_name}")
+            sub._check_into(d, result, f"{path}.{i}:{sub.rule_name}")
 
     # -- metrics / rendering ----------------------------------------------------
 
@@ -262,13 +235,11 @@ class StableLeaf(SafetyProof):
     def concludes(self) -> tuple[str, Predicate]:
         return ("stable", self.p)
 
-    def _local_check(
-        self, program: "Program", result: ProofCheckResult, path: str
-    ) -> None:
-        from repro.semantics.checker import check_stable
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
+        from repro.semantics.checker import stable_on
 
         result.obligations_checked += 1
-        res = check_stable(program, self.p)
+        res = stable_on(d, self.p)
         if not res.holds:
             result.failures.append(ProofFailure(path, res.explain()))
 
@@ -284,13 +255,11 @@ class InitLeaf(SafetyProof):
     def concludes(self) -> tuple[str, Predicate]:
         return ("init", self.p)
 
-    def _local_check(
-        self, program: "Program", result: ProofCheckResult, path: str
-    ) -> None:
-        from repro.semantics.checker import check_init
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
+        from repro.semantics.checker import init_on
 
         result.obligations_checked += 1
-        res = check_init(program, self.p)
+        res = init_on(d, self.p)
         if not res.holds:
             result.failures.append(ProofFailure(path, res.explain()))
 
@@ -318,9 +287,7 @@ class StableConjunction(SafetyProof):
             out = out & sub.concludes()[1]
         return ("stable", out)
 
-    def _local_check(
-        self, program: "Program", result: ProofCheckResult, path: str
-    ) -> None:
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
         for i, sub in enumerate(self.subs):
             _expect_form(sub, "stable", result, f"{path}[{i}]", "premise")
 
@@ -357,12 +324,10 @@ class ConstantExpressions(SafetyProof):
         kept = ", ".join(str(e) for e in self.exprs)
         return f"stable {self.target.describe()}   [constants: {kept}]"
 
-    def _local_check(
-        self, program: "Program", result: ProofCheckResult, path: str
-    ) -> None:
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
         from repro.semantics.transition import TransitionSystem
 
-        ts = TransitionSystem.for_program(program)
+        ts = TransitionSystem.for_program(d.program)
         space = ts.space
         env = space.var_arrays()
 
@@ -450,9 +415,8 @@ class UniversalLift(SafetyProof):
         names = ", ".join(comp.name for comp, _ in self.parts)
         return f"stable {self.concludes()[1].describe()}   [by all of: {names}]"
 
-    def _local_check(
-        self, program: "Program", result: ProofCheckResult, path: str
-    ) -> None:
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
+        program = d.program
         target = self.concludes()[1]
         covered: set[tuple] = set()
         for comp, sub in self.parts:
@@ -469,7 +433,7 @@ class UniversalLift(SafetyProof):
             pred = _expect_form(sub, "stable", result, sub_path, "component proof")
             if pred is None:
                 continue
-            if not masks_equal(pred, target, program):
+            if not np.array_equal(d.pred_mask(pred), d.pred_mask(target)):
                 result.failures.append(
                     ProofFailure(
                         sub_path,
@@ -513,7 +477,8 @@ class InitLift(SafetyProof):
     the conjunction of the components' and so entails the component's.
 
     Side condition (checked semantically): the system's ``initially``
-    entails the component's ``initially``.
+    entails the component's ``initially``.  Every domain holds all
+    initial states, so the check is exact on the reachable subspace too.
     """
 
     rule_name = "init-lift"
@@ -531,14 +496,12 @@ class InitLift(SafetyProof):
     def conclusion_text(self) -> str:
         return f"init {self.concludes()[1].describe()}   [from {self.component.name}]"
 
-    def _local_check(
-        self, program: "Program", result: ProofCheckResult, path: str
-    ) -> None:
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
         pred = _expect_form(self.sub, "init", result, path, "component proof")
         if pred is None:
             return
         result.obligations_checked += 1
-        if not program.init.entails(self.component.init, program.space):
+        if not d.pred_mask(self.component.init)[d.init_local].all():
             result.failures.append(
                 ProofFailure(
                     path,
@@ -573,16 +536,14 @@ class InitWeaken(SafetyProof):
     def concludes(self) -> tuple[str, Predicate]:
         return ("init", self.q)
 
-    def _local_check(
-        self, program: "Program", result: ProofCheckResult, path: str
-    ) -> None:
-        from repro.semantics.checker import check_validity
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
+        from repro.semantics.checker import validity_on
 
         pred = _expect_form(self.sub, "init", result, path, "premise")
         if pred is None:
             return
         result.obligations_checked += 1
-        res = check_validity(program, pred, self.q)
+        res = validity_on(d, pred, self.q)
         if not res.holds:
             result.failures.append(ProofFailure(path, res.explain()))
 
@@ -606,9 +567,7 @@ class InitConjunction(SafetyProof):
             out = out & sub.concludes()[1]
         return ("init", out)
 
-    def _local_check(
-        self, program: "Program", result: ProofCheckResult, path: str
-    ) -> None:
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
         for i, sub in enumerate(self.subs):
             _expect_form(sub, "init", result, f"{path}[{i}]", "premise")
 
@@ -629,9 +588,7 @@ class InvariantIntro(SafetyProof):
     def concludes(self) -> tuple[str, Predicate]:
         return ("invariant", self.init_proof.concludes()[1])
 
-    def _local_check(
-        self, program: "Program", result: ProofCheckResult, path: str
-    ) -> None:
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
         p_init = _expect_form(self.init_proof, "init", result, path, "first premise")
         p_stab = _expect_form(
             self.stable_proof, "stable", result, path, "second premise"
@@ -639,7 +596,7 @@ class InvariantIntro(SafetyProof):
         if p_init is None or p_stab is None:
             return
         result.obligations_checked += 1
-        if not masks_equal(p_init, p_stab, program):
+        if not np.array_equal(d.pred_mask(p_init), d.pred_mask(p_stab)):
             result.failures.append(
                 ProofFailure(
                     path,

@@ -32,27 +32,27 @@ can certify verdicts like the pipeline∘allocator delivery property,
 which holds only under strong fairness.  Certificates containing it are
 judgments of the strong-fairness semantics, not the paper's §2 logic.
 
-Side conditions ("the intermediate predicates agree") are discharged by
-**semantic mask equality** over the program's state space, mirroring the
-paper's free use of predicate calculus between steps.  On sparse-routed
-spaces the equality/entailment helpers and every leaf checker decide the
-reachable-restricted judgment through the frontier kernels (see
-:mod:`repro.semantics.sparse`), so certificates stay checkable on
-composition stacks whose encoded space dwarfs the dense capacity.
+Every node is checked on the one domain its proof check resolved
+(:meth:`~repro.core.proofs.ProofNode.check`).  Side conditions ("the
+intermediate predicates agree") compare predicate masks over that
+domain — **semantic** equality and entailment, mirroring the paper's
+free use of predicate calculus between steps — and leaf obligations run
+the domain-taking judgments of :mod:`repro.semantics.checker`.  On
+sparse-routed spaces the domain is the reachable subspace, so side
+conditions and leaves alike decide the reachable-restricted judgment
+through the frontier kernels (see :mod:`repro.semantics.sparse`), and
+certificates stay checkable on composition stacks whose encoded space
+dwarfs the dense capacity.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.core.predicates import Predicate, TRUE
-from repro.core.proofs import (
-    ProofCheckResult,
-    ProofFailure,
-    ProofNode,
-    masks_equal,
-    pred_entails,
-)
+from repro.core.proofs import ProofCheckResult, ProofFailure, ProofNode
 from repro.errors import ProofError
 
 __all__ = [
@@ -110,11 +110,11 @@ class TransientBasis(LeadsToProof):
     def rhs(self) -> Predicate:
         return ~self.q
 
-    def _local_check(self, program, result: ProofCheckResult, path: str) -> None:
-        from repro.semantics.checker import check_transient
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
+        from repro.semantics.checker import transient_on
 
         result.obligations_checked += 1
-        res = check_transient(program, self.q)
+        res = transient_on(d, self.q)
         if not res.holds:
             result.failures.append(ProofFailure(path, res.explain()))
 
@@ -145,17 +145,17 @@ class StrongTransientBasis(LeadsToProof):
     def rhs(self) -> Predicate:
         return ~self.q
 
-    def _local_check(self, program, result: ProofCheckResult, path: str) -> None:
-        from repro.semantics.strong_fairness import check_transient_strong
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
+        from repro.semantics.strong_fairness import transient_strong_on
 
         result.obligations_checked += 1
-        res = check_transient_strong(program, self.q)
+        res = transient_strong_on(d, self.q)
         if not res.holds:
             result.failures.append(ProofFailure(path, res.explain()))
 
 
 class Implication(LeadsToProof):
-    """``[p ⇒ q] ⊢ p ↝ q`` — validity discharged over the whole space."""
+    """``[p ⇒ q] ⊢ p ↝ q`` — validity discharged over the proof's domain."""
 
     rule_name = "implication"
 
@@ -169,11 +169,11 @@ class Implication(LeadsToProof):
     def rhs(self) -> Predicate:
         return self.q
 
-    def _local_check(self, program, result: ProofCheckResult, path: str) -> None:
-        from repro.semantics.checker import check_validity
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
+        from repro.semantics.checker import validity_on
 
         result.obligations_checked += 1
-        res = check_validity(program, self.p, self.q)
+        res = validity_on(d, self.p, self.q)
         if not res.holds:
             result.failures.append(ProofFailure(path, res.explain()))
 
@@ -214,11 +214,12 @@ class Disjunction(LeadsToProof):
     def rhs(self) -> Predicate:
         return self.subs[0].rhs()
 
-    def _local_check(self, program, result: ProofCheckResult, path: str) -> None:
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
         q = self.subs[0].rhs()
+        q_mask = d.pred_mask(q)
         for i, sub in enumerate(self.subs[1:], start=1):
             result.obligations_checked += 1
-            if not masks_equal(sub.rhs(), q, program):
+            if not np.array_equal(d.pred_mask(sub.rhs()), q_mask):
                 result.failures.append(
                     ProofFailure(
                         path,
@@ -231,7 +232,7 @@ class Disjunction(LeadsToProof):
             for sub in self.subs[1:]:
                 fold = fold | sub.lhs()
             result.obligations_checked += 1
-            if not masks_equal(self._conclude_lhs, fold, program):
+            if not np.array_equal(d.pred_mask(self._conclude_lhs), d.pred_mask(fold)):
                 result.failures.append(
                     ProofFailure(
                         path,
@@ -259,15 +260,15 @@ class Transitivity(LeadsToProof):
     def rhs(self) -> Predicate:
         return self.right.rhs()
 
-    def _local_check(self, program, result: ProofCheckResult, path: str) -> None:
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
         result.obligations_checked += 1
-        if not masks_equal(self.left.rhs(), self.right.lhs(), program):
+        mid_left, mid_right = self.left.rhs(), self.right.lhs()
+        if not np.array_equal(d.pred_mask(mid_left), d.pred_mask(mid_right)):
             result.failures.append(
                 ProofFailure(
                     path,
                     "intermediate predicates disagree: "
-                    f"{self.left.rhs().describe()} vs "
-                    f"{self.right.lhs().describe()}",
+                    f"{mid_left.describe()} vs {mid_right.describe()}",
                 )
             )
 
@@ -294,11 +295,11 @@ class PSP(LeadsToProof):
     def rhs(self) -> Predicate:
         return (self.sub.rhs() & self.s) | (~self.s & self.t)
 
-    def _local_check(self, program, result: ProofCheckResult, path: str) -> None:
-        from repro.semantics.checker import check_next
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
+        from repro.semantics.checker import next_on
 
         result.obligations_checked += 1
-        res = check_next(program, self.s, self.t)
+        res = next_on(d, self.s, self.t)
         if not res.holds:
             result.failures.append(ProofFailure(path, res.explain()))
 
@@ -363,13 +364,13 @@ class Ensures(LeadsToProof):
     def premises(self) -> tuple[ProofNode, ...]:
         return (self.expand(),)
 
-    def _local_check(self, program, result: ProofCheckResult, path: str) -> None:
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
         # All obligations live in the expansion; the macro node itself only
         # asserts that the expansion concludes p ↝ q, which is true by
         # construction (Disjunction declares lhs = p, rhs folds to q).
         result.obligations_checked += 1
         exp = self.expand()
-        if not masks_equal(exp.rhs(), self.q, program):
+        if not np.array_equal(d.pred_mask(exp.rhs()), d.pred_mask(self.q)):
             result.failures.append(
                 ProofFailure(path, "expansion right-hand side is not equivalent to q")
             )
@@ -422,15 +423,15 @@ class MetricInduction(LeadsToProof):
     def rhs(self) -> Predicate:
         return self.q
 
-    def _local_check(self, program, result: ProofCheckResult, path: str) -> None:
-        from repro.semantics.checker import check_validity
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
+        from repro.semantics.checker import validity_on
 
         # Coverage: p ⇒ q ∨ ⋁ levels.
         result.obligations_checked += 1
         cover = self.q
         for lv in self.levels:
             cover = cover | lv
-        res = check_validity(program, self.p, cover)
+        res = validity_on(d, self.p, cover)
         if not res.holds:
             result.failures.append(
                 ProofFailure(
@@ -443,7 +444,7 @@ class MetricInduction(LeadsToProof):
         lower = self.q
         for m, (lv, sub) in enumerate(zip(self.levels, self.subs)):
             result.obligations_checked += 2
-            if not masks_equal(sub.lhs(), lv, program):
+            if not np.array_equal(d.pred_mask(sub.lhs()), d.pred_mask(lv)):
                 result.failures.append(
                     ProofFailure(
                         path,
@@ -451,7 +452,7 @@ class MetricInduction(LeadsToProof):
                         f"the level predicate",
                     )
                 )
-            if not pred_entails(sub.rhs(), lower, program):
+            if (d.pred_mask(sub.rhs()) & ~d.pred_mask(lower)).any():
                 result.failures.append(
                     ProofFailure(
                         path,

@@ -387,7 +387,8 @@ class CheckOutcome:
     """One tier pair's verdicts on one case."""
 
     #: 'leadsto-weak' | 'leadsto-strong' | 'leadsto-cone-weak' |
-    #: 'leadsto-cone-strong' | 'invariant' | 'certificate'
+    #: 'leadsto-cone-strong' | 'invariant' | 'certificate' |
+    #: 'certificate-sparse'
     name: str
     agreed: bool
     expected: object
@@ -476,7 +477,12 @@ def run_differential(
       verdicts;
     - ``certificate`` — per-level proof walk vs. the batched columnar
       kernel on a synthesized weak leads-to certificate (skipped when
-      synthesis declines, e.g. the property fails).
+      synthesis declines, e.g. the property fails);
+    - ``certificate-sparse`` — when the sparse weak leads-to holds, a
+      certificate synthesized on the reachable subspace must pass
+      :func:`check_certificate_batched` on that subspace, and the
+      per-level walk on the same subspace must agree with it in verdict
+      and obligation count.
     """
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; known: {sorted(FAULTS)}")
@@ -562,6 +568,20 @@ def run_differential(
                 (bat.ok, bat.obligations_checked),
             )
         )
+
+    if got_weak:
+        try:
+            proof = synthesize_leadsto_proof(sparse_subject, p, q, subspace=sub)
+        except ReproError:
+            proof = None
+        if proof is not None:
+            per = proof.check_on(sub)
+            bat = check_certificate_batched(proof, sparse_subject, subspace=sub)
+            expect = (True, True, per.obligations_checked)
+            got = (per.ok, bat.ok, bat.obligations_checked)
+            report.checks.append(
+                CheckOutcome("certificate-sparse", got == expect, expect, got)
+            )
     return report
 
 

@@ -4,16 +4,20 @@ The engine turns a :class:`~repro.core.program.Program` into NumPy successor
 tables (:mod:`repro.semantics.transition`) and checks properties over the
 **whole encoded state space** (the paper's inductive semantics — no
 substitution axiom, no implicit restriction to reachable states).  Each
-judgment is written once against an evaluation domain — the full space
-or a reachable subspace (:mod:`repro.semantics.domain`, whose
-``domain_for`` is the single routing rule):
+judgment is written once as a function of an evaluation domain — the
+full space or a reachable subspace (:mod:`repro.semantics.domain`) — and
+each question (a public checker, a proof check, a batched certificate
+check) resolves its domain once, through ``domain_for``, the single
+routing rule:
 
 - ``init / next / stable / transient / invariant`` —
   :mod:`repro.semantics.checker`;
 - ``leads-to`` under weak fairness — :mod:`repro.semantics.leadsto`
-  (fair-SCC analysis over a vectorized trim + forward-backward SCC
-  decomposition, :mod:`repro.semantics.scc`, running on the shared CSR
-  graph backend, :mod:`repro.semantics.graph_backend`);
+  (fair-SCC analysis on the cone of ``p ∧ ¬q``: a vectorized trim +
+  forward-backward SCC decomposition, :mod:`repro.semantics.scc`, of
+  the cone's sub-CSR, which the domain's graph backend,
+  :mod:`repro.semantics.graph_backend`, builds from its successor
+  columns);
 - reachability-based (non-inductive) invariants —
   :mod:`repro.semantics.explorer`;
 - **sparse tier** — :mod:`repro.semantics.sparse`: frontier exploration,

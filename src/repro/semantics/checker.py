@@ -12,11 +12,17 @@ The paper's semantics is **inductive** (§2): properties quantify over
 Because commands are total deterministic functions, ``p ⇒ wp.c.q`` over a
 set of states is the single vectorized test ``¬p_mask ∨ q_mask[succ_c]``.
 
-Each judgment is written once, against an evaluation domain
-(:mod:`repro.semantics.domain`), and each public checker resolves its
-domain through :func:`~repro.semantics.domain.domain_for` before calling
-it.  On the full space (every space up to the sparse threshold) the
-checkers decide the inductive judgment above.  Spaces above the threshold
+Each judgment is written once, as a function of the evaluation domain
+it decides on (:mod:`repro.semantics.domain`): ``validity_on``,
+``init_on``, ``next_on``, ``stable_on``, ``transient_on`` and
+``invariant_on``.  Each public ``check_*`` function is one question: it
+resolves its domain once, through
+:func:`~repro.semantics.domain.domain_for`, and calls the judgment on
+it (``check_invariant`` runs both of its parts on that one domain).
+Proof checks call the judgments directly, on the one domain their
+question resolved (:meth:`repro.core.proofs.ProofNode.check`).  On the
+full space (every space up to the sparse threshold) the checkers decide
+the inductive judgment above.  Spaces above the threshold
 are decided over the reachable subspace — the *reachable-restricted*
 judgment, through the frontier kernels, with no full-space mask (results
 carry ``witness["tier"] == "sparse"``).  This is what lets the proof
@@ -85,7 +91,11 @@ def check_validity(program: Program, p: Predicate, q: Predicate) -> CheckResult:
     This is the side condition of the paper's *Implication* rule for
     leads-to and of ``init``-weakening steps.
     """
-    d = domain_for(program, "check_validity")
+    return validity_on(domain_for(program, "check_validity"), p, q)
+
+
+def validity_on(d, p: Predicate, q: Predicate) -> CheckResult:
+    """:func:`check_validity` over the domain ``d``."""
     subject = f"{p.describe()} => {q.describe()}"
     idx = np.flatnonzero(d.pred_mask(p) & ~d.pred_mask(q))
     if idx.size == 0:
@@ -108,7 +118,11 @@ def check_validity(program: Program, p: Predicate, q: Predicate) -> CheckResult:
 
 def check_init(program: Program, p: Predicate) -> CheckResult:
     """``init p``: every state satisfying ``initially`` satisfies ``p``."""
-    d = domain_for(program, "check_init")
+    return init_on(domain_for(program, "check_init"), p)
+
+
+def init_on(d, p: Predicate) -> CheckResult:
+    """:func:`check_init` over the domain ``d``."""
     subject = f"init {p.describe()}"
     init = d.init_local
     bad = init[~d.pred_mask(p)[init]]
@@ -132,11 +146,15 @@ def check_init(program: Program, p: Predicate) -> CheckResult:
 
 def check_next(program: Program, p: Predicate, q: Predicate) -> CheckResult:
     """``p next q``: every command maps every ``p``-state to a ``q``-state."""
-    d = domain_for(program, "check_next")
+    return next_on(domain_for(program, "check_next"), p, q)
+
+
+def next_on(d, p: Predicate, q: Predicate) -> CheckResult:
+    """:func:`check_next` over the domain ``d``."""
     subject = f"{p.describe()} next {q.describe()}"
     pm = d.pred_mask(p)
     qm = d.pred_mask(q)
-    for cmd in program.commands:
+    for cmd in d.program.commands:
         succ = d.succ_local(cmd)
         idx = np.flatnonzero(pm & ~qm[succ])
         if idx.size:
@@ -171,7 +189,12 @@ def check_next(program: Program, p: Predicate, q: Predicate) -> CheckResult:
 
 def check_stable(program: Program, p: Predicate) -> CheckResult:
     """``stable p ≡ p next p``."""
-    result = check_next(program, p, p)
+    return stable_on(domain_for(program, "check_stable"), p)
+
+
+def stable_on(d, p: Predicate) -> CheckResult:
+    """:func:`check_stable` over the domain ``d``."""
+    result = next_on(d, p, p)
     return CheckResult(
         result.holds,
         "stable",
@@ -185,10 +208,14 @@ def check_transient(program: Program, p: Predicate) -> CheckResult:
     """``transient p``: some fair command falsifies ``p`` from every
     ``p``-state.  The witness reports the helpful command when the
     property holds, and per-command failure states when it fails."""
-    d = domain_for(program, "check_transient")
+    return transient_on(domain_for(program, "check_transient"), p)
+
+
+def transient_on(d, p: Predicate) -> CheckResult:
+    """:func:`check_transient` over the domain ``d``."""
     subject = f"transient {p.describe()}"
     pm = d.pred_mask(p)
-    fair = program.fair_commands
+    fair = d.program.fair_commands
     if not fair:
         # With D empty nothing is forced to execute, so only the
         # unsatisfiable predicate is transient.
@@ -238,9 +265,14 @@ def check_transient(program: Program, p: Predicate) -> CheckResult:
 
 
 def check_invariant(program: Program, p: Predicate) -> CheckResult:
-    """``invariant p ≡ (init p) ∧ (stable p)``."""
+    """``invariant p ≡ (init p) ∧ (stable p)``, both parts on one domain."""
+    return invariant_on(domain_for(program, "check_invariant"), p)
+
+
+def invariant_on(d, p: Predicate) -> CheckResult:
+    """:func:`check_invariant` over the domain ``d``."""
     subject = f"invariant {p.describe()}"
-    init_res = check_init(program, p)
+    init_res = init_on(d, p)
     if not init_res.holds:
         return CheckResult(
             False,
@@ -249,7 +281,7 @@ def check_invariant(program: Program, p: Predicate) -> CheckResult:
             message=f"init part fails: {init_res.message}",
             witness=init_res.witness,
         )
-    stab_res = check_stable(program, p)
+    stab_res = stable_on(d, p)
     if not stab_res.holds:
         return CheckResult(
             False,

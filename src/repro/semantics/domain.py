@@ -38,8 +38,10 @@ The protocol both classes provide:
 - ``annotate(witness, *, reachable=False, metrics=False)`` — the
   domain's witness extras (``tier``, ``reachable``, ``metrics``).
 
-:func:`domain_for` is the engine's single routing rule: every public
-checker resolves its domain through it and then calls the judgment.
+:func:`domain_for` is the engine's single routing rule.  Each question —
+a public checker, a proof check, synthesis, the batched certificate
+check — resolves its domain through it once and decides every judgment
+it needs on that one domain.
 """
 
 from __future__ import annotations

@@ -93,31 +93,24 @@ class CheckpointPolicy:
     """When and where the explorer snapshots its BFS state.
 
     ``path`` is the checkpoint file (atomically replaced on every write).
-    A snapshot is due when either ``every_levels`` completed levels or
-    ``every_nodes`` newly interned states have accumulated since the last
-    write; one final snapshot (marked ``complete``) is always written at
-    closure, and one on budget exhaustion.
+    A snapshot is due when ``every_levels`` completed levels have
+    accumulated since the last write; one final snapshot (marked
+    ``complete``) is always written at closure, and one on budget
+    exhaustion.
     """
 
     path: str | os.PathLike
     every_levels: int | None = 16
-    every_nodes: int | None = None
 
     def __post_init__(self) -> None:
         if self.every_levels is not None and self.every_levels <= 0:
             raise ValueError(
                 f"every_levels must be > 0, got {self.every_levels}"
             )
-        if self.every_nodes is not None and self.every_nodes <= 0:
-            raise ValueError(f"every_nodes must be > 0, got {self.every_nodes}")
 
-    def due(self, *, levels_since: int, nodes_since: int) -> bool:
+    def due(self, *, levels_since: int) -> bool:
         """Whether a snapshot is due at this level boundary."""
-        if self.every_levels is not None and levels_since >= self.every_levels:
-            return True
-        if self.every_nodes is not None and nodes_since >= self.every_nodes:
-            return True
-        return False
+        return self.every_levels is not None and levels_since >= self.every_levels
 
 
 def program_digest(program: Program) -> str:

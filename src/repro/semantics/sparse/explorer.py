@@ -658,7 +658,6 @@ def _bfs_loop(
     space = program.space
     rec = obs.get_recorder()
     last_write_level = state.levels
-    last_write_nodes = state.explored
     while frontier.size:
         fault_point(
             "sparse.explore.level", level=state.levels, explored=state.explored
@@ -746,12 +745,10 @@ def _bfs_loop(
                 rec.heartbeat(**beat)
             frontier = fresh
         if checkpoint is not None and checkpoint.due(
-            levels_since=state.levels - last_write_level,
-            nodes_since=state.explored - last_write_nodes,
+            levels_since=state.levels - last_write_level
         ):
             write_snapshot(complete=False)
             last_write_level = state.levels
-            last_write_nodes = state.explored
     return frontier
 
 

@@ -65,7 +65,11 @@ def check_transient_strong(program: Program, p: Predicate) -> CheckResult:
     Decided over the domain :func:`~repro.semantics.domain.domain_for`
     resolves (reachable-restricted above the sparse threshold).
     """
-    d = domain_for(program, "check_transient_strong")
+    return transient_strong_on(domain_for(program, "check_transient_strong"), p)
+
+
+def transient_strong_on(d, p: Predicate) -> CheckResult:
+    """:func:`check_transient_strong` over the domain ``d``."""
     subject = f"transient[strong] {p.describe()}"
     pm = d.pred_mask(p)
     if not pm.any():
@@ -79,7 +83,7 @@ def check_transient_strong(program: Program, p: Predicate) -> CheckResult:
             ),
             witness=d.annotate({}),
         )
-    fair_cmds = program.fair_commands
+    fair_cmds = d.program.fair_commands
     cond = d.graph().condensation(pm)
     # Enabledness rows stream lazily, as in the leads-to analysis.
     flags = _fair_flags(

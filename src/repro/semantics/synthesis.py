@@ -297,30 +297,38 @@ def check_certificate_batched(proof: LeadsToProof, program: Program, *, subspace
 
     The drop-in fast path for :meth:`~repro.core.proofs.ProofNode.check`
     on synthesized certificates: instead of one
-    ``check_next``/``check_transient``/validity call per induction level
-    (ten obligations per level — the entire cost of checking 10⁴–10⁵-level
+    ``next``/``transient``/validity judgment per induction level (ten
+    obligations per level — the entire cost of checking 10⁴–10⁵-level
     certificates), each obligation family runs as **one vectorized pass
     per command over all levels** through
-    :mod:`repro.semantics.obligations`, over the domain the per-level leaf
-    checkers would use (reachable subspace above the sparse threshold,
-    full space otherwise; ``subspace`` forces an explicit
-    :class:`~repro.semantics.sparse.explorer.ReachableSubspace`, matching
-    :func:`synthesize_leadsto_proof`).
+    :mod:`repro.semantics.obligations`.
+
+    The domain is resolved once, by
+    :func:`~repro.semantics.domain.domain_for`: ``subspace`` forces an
+    explicit :class:`~repro.semantics.sparse.explorer.ReachableSubspace`,
+    matching :func:`synthesize_leadsto_proof`; otherwise the reachable
+    subspace above the sparse threshold and the full space below it.
+    Certificates without the synthesized columnar shape (hand-built
+    trees, ``Implication`` shortcuts) are checked by the per-level walk
+    (:meth:`~repro.core.proofs.ProofNode.check_on`) on that same domain,
+    which stays the differential oracle either way.
 
     Verdict, node count and obligation count equal the per-level walk's;
-    the result's ``mode`` reports ``"batched"``.  Certificates without
-    the synthesized columnar shape (hand-built trees, ``Implication``
-    shortcuts) fall back to ``proof.check(program)`` — the per-level path
-    stays available as the differential oracle either way.
+    the result's ``mode`` reports which kernel ran.
     """
-    space = program.space
     rec = obs.get_recorder()
+    domain = domain_for(program, "the batched certificate check", subspace=subspace)
     layout = _certificate_layout(proof)
-    if layout is not None and proof.levels[0].space is not space:
+    if layout is not None and (
+        proof.levels[0].space is not program.space
+        # int64 headroom for the kernel's (level, member) search keys over
+        # the domain (never binding under the default sparse node limit).
+        or (domain.size and len(layout.level_members) > (2**62) // domain.size)
+    ):
         layout = None
     if layout is None:
         with rec.span("proof.check", program=program.name, mode="per-level"):
-            return proof.check(program)
+            return proof.check_on(domain)
     with rec.span(
         "proof.batched_check",
         program=program.name,
@@ -328,9 +336,4 @@ def check_certificate_batched(proof: LeadsToProof, program: Program, *, subspace
     ):
         from repro.semantics.obligations import check_columnar_obligations
 
-        domain = domain_for(program, "the batched certificate check", subspace=subspace)
-        # int64 headroom for the kernel's (level, member) search keys over
-        # the domain (never binding under the default sparse node limit).
-        if domain.size and len(layout.level_members) > (2**62) // domain.size:
-            return proof.check(program)
         return check_columnar_obligations(domain, layout)

@@ -204,12 +204,9 @@ class TestRoundTrip:
     def test_policy_validation_and_cadence(self):
         with pytest.raises(ValueError, match="every_levels"):
             CheckpointPolicy(path="x", every_levels=0)
-        with pytest.raises(ValueError, match="every_nodes"):
-            CheckpointPolicy(path="x", every_nodes=-1)
-        policy = CheckpointPolicy(path="x", every_levels=4, every_nodes=100)
-        assert not policy.due(levels_since=3, nodes_since=99)
-        assert policy.due(levels_since=4, nodes_since=0)
-        assert policy.due(levels_since=0, nodes_since=100)
+        policy = CheckpointPolicy(path="x", every_levels=4)
+        assert not policy.due(levels_since=3)
+        assert policy.due(levels_since=4)
 
     def test_program_digest_distinguishes_programs(self):
         a = build_pipeline_system(5, total=2).system
@@ -568,6 +565,11 @@ def _set(key, value):
     return lambda header: header.__setitem__(key, value)
 
 
+def _append_byte(path):
+    with open(path, "ab") as f:
+        f.write(b"x")
+
+
 #: One way to leave a file at the policy path per refusal reason
 #: (``"missing"`` belongs to cache directories, not to a policy's file:
 #: see TestCacheDirectory).
@@ -576,7 +578,7 @@ DAMAGE = {
     "truncated": lambda path: truncate_file(path, os.path.getsize(path) - 16),
     "corrupt-header": lambda path: flip_byte(path, len(b"RPROCKPT1\n") + 8),
     "payload-digest": lambda path: flip_byte(path, -1),
-    "trailing-bytes": lambda path: open(path, "ab").write(b"x"),
+    "trailing-bytes": lambda path: _append_byte(path),
     "inconsistent": lambda path: rewrite_checkpoint(path, _set("levels", 99)),
     "program-digest": lambda path: explore(
         build_pipeline_system(4, total=2).system,
