@@ -63,6 +63,25 @@ def test_certify_only_50(benchmark):
     assert by_shape > decided, (by_shape, decided)
 
 
+@pytest.mark.benchmark(group="compose")
+@pytest.mark.parametrize("stages", [39])
+def test_certify_fresh(benchmark, stages):
+    """Check of a fresh certificate every round, as a request pays it:
+    a new stack and certificate are built in each round's (untimed)
+    setup, so no predicate text, variable set or footprint space is
+    warm from an earlier round (``test_certify_only_50`` re-checks one
+    prebuilt certificate)."""
+
+    def setup():
+        cert = build_delivery_certificate(build_hetero_stack(stages))
+        return (cert,), {}
+
+    res = benchmark.pedantic(check_compositional, setup=setup, rounds=8)
+    assert res.ok, res.explain()
+    assert res.components_checked == stages + 4
+    assert res.notes["obligations_by_shape"] > res.notes["obligations_decided"]
+
+
 def test_obligations_scale_linearly():
     """Not a timing benchmark: obligation *counts* at 10 vs 20 vs 40
     stages stay within a linear envelope while the encoded product grows

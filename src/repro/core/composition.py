@@ -53,33 +53,42 @@ class CompatibilityReport:
         return f"{self.left} || {self.right}: NOT composable ({joined})"
 
 
-def _merge_variables(f: Program, g: Program) -> tuple[list[Var], list[str]]:
-    """Merged declaration list (F's order, then G's new names) + problems."""
+def _problems(left: str, declared: dict[str, Var], g: Program) -> list[str]:
+    """Why ``g`` cannot join a left side named ``left`` whose variables
+    (by name) are ``declared``: a shared name, a locality violation or a
+    domain mismatch."""
     problems: list[str] = []
-    by_name: dict[str, Var] = {}
-    merged: list[Var] = []
-    for v in f.variables:
-        by_name[v.name] = v
-        merged.append(v)
+    if left == g.name:
+        problems.append(f"components share the name {left!r}")
     for v in g.variables:
-        prev = by_name.get(v.name)
+        prev = declared.get(v.name)
         if prev is None:
-            by_name[v.name] = v
-            merged.append(v)
             continue
         if prev.is_local() or v.is_local():
             problems.append(
                 f"variable {v.name} is declared local by "
-                f"{f.name if prev.is_local() else g.name} but is also "
+                f"{left if prev.is_local() else g.name} but is also "
                 f"declared by the other component (locality violation)"
             )
         elif prev.domain != v.domain:
             problems.append(
                 f"shared variable {v.name} has mismatched domains: "
-                f"{prev.domain!r} in {f.name} vs {v.domain!r} in {g.name}"
+                f"{prev.domain!r} in {left} vs {v.domain!r} in {g.name}"
             )
         # identical shared re-declaration merges silently
-    return merged, problems
+    return problems
+
+
+def _has_initial_state(variables: list[Var], init) -> bool:
+    """Whether ``init`` holds somewhere in the space of ``variables``."""
+    from repro.core.state import StateSpace
+
+    return bool(init.mask(StateSpace(variables)).any())
+
+
+_NO_INITIAL_STATE = (
+    "conjunction of initially predicates is unsatisfiable (no initial state)"
+)
 
 
 def compatibility_report(
@@ -91,67 +100,18 @@ def compatibility_report(
     ``initially`` predicates is satisfiable over the merged state space
     (semantic check; skip for very large spaces and check later).
     """
-    reasons: list[str] = []
-    if f.name == g.name:
-        reasons.append(f"components share the name {f.name!r}")
-    merged, var_problems = _merge_variables(f, g)
-    reasons.extend(var_problems)
-
+    declared = {v.name: v for v in f.variables}
+    reasons = _problems(f.name, declared, g)
     if not reasons and check_init:
-        composed = _compose_unchecked(f, g, name="__compat_probe__")
-        if not composed.has_initial_state():
-            reasons.append(
-                "conjunction of initially predicates is unsatisfiable "
-                "(no initial state)"
-            )
+        merged = [*f.variables, *(v for v in g.variables if v.name not in declared)]
+        if not _has_initial_state(merged, f.init & g.init):
+            reasons.append(_NO_INITIAL_STATE)
     return CompatibilityReport(f.name, g.name, ok=not reasons, reasons=reasons)
 
 
 def can_compose(f: Program, g: Program, *, check_init: bool = True) -> bool:
     """Boolean form of :func:`compatibility_report` (the paper's ``F ∥ G``)."""
     return compatibility_report(f, g, check_init=check_init).ok
-
-
-def _compose_unchecked(f: Program, g: Program, name: str) -> Program:
-    merged_vars, _ = _merge_variables(f, g)
-    # Command union: resolve *name* collisions between distinct bodies by
-    # prefixing with the component name; structural duplicates merge inside
-    # the Program constructor.
-    f_keys = {c.body_key(): c for c in f.commands}
-    commands = list(f.commands)
-    fair: set[str] = set(f.fair_names)
-    for cmd in g.commands:
-        key = cmd.body_key()
-        if key in f_keys:
-            # Same body: the union has one element; fairness is inherited if
-            # either side lists it as fair.
-            if cmd.name in g.fair_names:
-                fair.add(f_keys[key].name)
-            # Merge provenance through a replacement entry.
-            idx = commands.index(f_keys[key])
-            commands[idx] = commands[idx].with_origins(
-                commands[idx].origins | cmd.origins | frozenset({g.name})
-            )
-            continue
-        new_name = cmd.name
-        if any(c.name == new_name for c in commands):
-            new_name = f"{g.name}.{cmd.name}"
-            if any(c.name == new_name for c in commands):
-                raise CompositionError(
-                    f"cannot disambiguate command name {cmd.name!r} from "
-                    f"{g.name}"
-                )
-            cmd = cmd.renamed(new_name)
-        commands.append(cmd)
-        if key in {c.body_key() for c in g.fair_commands}:
-            fair.add(cmd.name)
-    return Program(
-        name,
-        merged_vars,
-        f.init & g.init,
-        commands,
-        fair=sorted(fair),
-    )
 
 
 def compose(
@@ -162,10 +122,7 @@ def compose(
     Raises :class:`CompositionError` when ``F ∥ G`` fails (the paper's
     composability condition).
     """
-    report = compatibility_report(f, g, check_init=check_init)
-    if not report.ok:
-        raise CompositionError(report.explain())
-    return _compose_unchecked(f, g, name or f"({f.name}||{g.name})")
+    return compose_all([f, g], name=name, check_init=check_init)
 
 
 def compose_all(
@@ -174,7 +131,17 @@ def compose_all(
     name: str | None = None,
     check_init: bool = True,
 ) -> Program:
-    """Left fold of :func:`compose` over two or more components.
+    """The composition of one or more components, built in one pass.
+
+    The result equals the left fold ``compose(compose(P₀, P₁), P₂) ...``
+    — declaration order, ``initially`` text, command names, order and
+    origins, fair subset, and every :class:`CompositionError` message,
+    which names the fold's accumulated ``(P₀||P₁)`` left side — but the
+    variables, the command union (a body-key index and a name set), the
+    fair names and the ``initially`` conjunction are merged into one
+    accumulator and a single :class:`Program` is built, so the cost is
+    linear in the components' total size.  ``check_init`` probes the
+    final conjunction only; the default name is the fold's.
 
     Composition is associative and commutative up to command/variable
     ordering, so the fold order does not affect semantics (the test suite
@@ -184,15 +151,62 @@ def compose_all(
         raise CompositionError("compose_all of an empty component list")
     if len(programs) == 1:
         return programs[0]
-    out = programs[0]
-    for nxt in programs[1:-1]:
-        out = compose(out, nxt, check_init=False)
-    out = compose(out, programs[-1], check_init=check_init)
-    if name is not None:
-        out = Program(
-            name, out.variables, out.init, out.commands, fair=sorted(out.fair_names)
-        )
-    return out
+    first = programs[0]
+    left = first.name
+    variables = list(first.variables)
+    declared = {v.name: v for v in variables}
+    init = first.init
+    commands = list(first.commands)
+    slot = {c.body_key(): i for i, c in enumerate(commands)}
+    cmd_names = {c.name for c in commands}
+    fair = set(first.fair_names)
+    for k, g in enumerate(programs[1:], start=2):
+        reasons = _problems(left, declared, g)
+        if reasons:
+            report = CompatibilityReport(left, g.name, ok=False, reasons=reasons)
+            raise CompositionError(report.explain())
+        for v in g.variables:
+            if v.name not in declared:
+                declared[v.name] = v
+                variables.append(v)
+        init = init & g.init
+        # Command union: a body already present is one element of the
+        # union (provenance merged, fair if either side lists it as
+        # fair); a new body whose name is taken is prefixed with the
+        # component name.
+        for cmd in g.commands:
+            is_fair = cmd.name in g.fair_names
+            key = cmd.body_key()
+            i = slot.get(key)
+            if i is not None:
+                prev = commands[i]
+                if is_fair:
+                    fair.add(prev.name)
+                commands[i] = prev.with_origins(
+                    prev.origins | cmd.origins | frozenset({g.name})
+                )
+                continue
+            if cmd.name in cmd_names:
+                new_name = f"{g.name}.{cmd.name}"
+                if new_name in cmd_names:
+                    raise CompositionError(
+                        f"cannot disambiguate command name {cmd.name!r} from "
+                        f"{g.name}"
+                    )
+                cmd = cmd.renamed(new_name)
+            slot[key] = len(commands)
+            commands.append(cmd)
+            cmd_names.add(cmd.name)
+            if is_fair:
+                fair.add(cmd.name)
+        if check_init and k == len(programs):
+            if not _has_initial_state(variables, init):
+                report = CompatibilityReport(
+                    left, g.name, ok=False, reasons=[_NO_INITIAL_STATE]
+                )
+                raise CompositionError(report.explain())
+        left = f"({left}||{g.name})"
+    return Program(name or left, variables, init, commands, fair=sorted(fair))
 
 
 def inert_program(name: str, variables: list[Var] | tuple[Var, ...]) -> Program:

@@ -23,11 +23,12 @@ on ``bool()`` — use :meth:`Expr.same_as` for structural comparison.
 
 Nodes are **immutable**: no field of a node (or of the
 :class:`~repro.core.variables.Var` it names) changes after construction,
-and transformations such as :meth:`Expr.substitute` build new nodes.  Each
-node therefore computes its derived data at most once, on first use, and
-keeps it in a slot: :meth:`Expr.variables` (``_vars``) and the printed text
-(``_text``, returned by ``str()``; a parent prints its children by reading
-their cached text).  The printed text is the one structural identity —
+and transformations such as :meth:`Expr.substitute` build new nodes (and
+share the untouched subtrees).  Each node therefore computes its derived
+data at most once, on first use, and keeps it in a slot:
+:meth:`Expr.variables` (``_vars``) and the printed text (``_text``,
+returned by ``str()``; a parent prints its children by reading their
+cached text).  The printed text is the one structural identity —
 ``Predicate.describe()``, ``program_digest`` and the footprint kernel's
 memo keys are all built from it — so there is deliberately no intern
 table and no second digest.
@@ -115,11 +116,19 @@ class Expr:
     def substitute(self, mapping: Mapping[Var, "Expr"]) -> "Expr":
         """Return a copy with each ``VarRef(v)`` for ``v`` in ``mapping``
         replaced by ``mapping[v]`` (simultaneous substitution; the basis
-        of symbolic ``wp``)."""
+        of symbolic ``wp``).  A subtree known to name none of those
+        variables is returned as it is — nodes are immutable, so sharing
+        it keeps its cached text and variables."""
+        if self._vars is not None and self._vars.isdisjoint(mapping):
+            return self
+        return self._substitute(mapping)
+
+    def _substitute(self, mapping: Mapping[Var, "Expr"]) -> "Expr":
         raise NotImplementedError
 
     def variables(self) -> frozenset[Var]:
-        """All variables named anywhere in the tree (computed once)."""
+        """All variables named anywhere in the tree (computed once; a
+        subtree that already knows its variables is not walked again)."""
         if self._vars is not None:
             return self._vars
         out: set[Var] = set()
@@ -128,6 +137,8 @@ class Expr:
             node = stack.pop()
             if isinstance(node, VarRef):
                 out.add(node.var)
+            elif node._vars is not None:
+                out.update(node._vars)
             else:
                 stack.extend(node.children())
         self._vars = frozenset(out)
@@ -300,7 +311,7 @@ class Const(Expr):
     def children(self) -> tuple[Expr, ...]:
         return ()
 
-    def substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
+    def _substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
         return self
 
     def _key(self) -> tuple:
@@ -368,7 +379,7 @@ class VarRef(Expr):
     def children(self) -> tuple[Expr, ...]:
         return ()
 
-    def substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
+    def _substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
         repl = mapping.get(self.var)
         if repl is None:
             return self
@@ -435,7 +446,7 @@ class _BinArith(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.left, self.right)
 
-    def substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
+    def _substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
         return type(self)(self.left.substitute(mapping), self.right.substitute(mapping))
 
     def _key(self) -> tuple:
@@ -558,7 +569,7 @@ class Neg(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.operand,)
 
-    def substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
+    def _substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
         return Neg(self.operand.substitute(mapping))
 
     def _key(self) -> tuple:
@@ -612,7 +623,7 @@ class _Cmp(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.left, self.right)
 
-    def substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
+    def _substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
         return type(self)(self.left.substitute(mapping), self.right.substitute(mapping))
 
     def _key(self) -> tuple:
@@ -711,7 +722,7 @@ class _EqBase(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.left, self.right)
 
-    def substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
+    def _substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
         return type(self)(self.left.substitute(mapping), self.right.substitute(mapping))
 
     def _key(self) -> tuple:
@@ -812,7 +823,7 @@ class _NaryBool(Expr):
     def children(self) -> tuple[Expr, ...]:
         return self.operands
 
-    def substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
+    def _substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
         return type(self)(*(op.substitute(mapping) for op in self.operands))
 
     def _key(self) -> tuple:
@@ -882,7 +893,7 @@ class Not(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.operand,)
 
-    def substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
+    def _substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
         return Not(self.operand.substitute(mapping))
 
     def _key(self) -> tuple:
@@ -919,7 +930,7 @@ class Implies(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.left, self.right)
 
-    def substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
+    def _substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
         return Implies(self.left.substitute(mapping), self.right.substitute(mapping))
 
     def _key(self) -> tuple:
@@ -952,7 +963,7 @@ class Iff(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.left, self.right)
 
-    def substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
+    def _substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
         return Iff(self.left.substitute(mapping), self.right.substitute(mapping))
 
     def _key(self) -> tuple:
@@ -1034,7 +1045,7 @@ class Ite(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.cond, self.then, self.orelse)
 
-    def substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
+    def _substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
         return Ite(
             self.cond.substitute(mapping),
             self.then.substitute(mapping),

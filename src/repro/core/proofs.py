@@ -325,28 +325,30 @@ class ConstantExpressions(SafetyProof):
         return f"stable {self.target.describe()}   [constants: {kept}]"
 
     def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
-        from repro.semantics.transition import TransitionSystem
-
-        ts = TransitionSystem.for_program(d.program)
-        space = ts.space
-        env = space.var_arrays()
+        # Both obligations are decided on the domain's states (local ids):
+        # the whole space on the dense tier, the reachable states on the
+        # sparse one — where they give the reachable-restricted ``stable``,
+        # like every other leaf checked there.
+        n = d.size
+        env = d.space.frontier_env(d.to_global(np.arange(n, dtype=np.int64)))
 
         # 1. constancy of each expression under every command
         values = []
-        for t, expr in enumerate(self.exprs):
+        for expr in self.exprs:
             result.obligations_checked += 1
             vals = np.asarray(expr.eval_vec(env))
             if vals.ndim == 0:
-                vals = np.full(space.size, vals[()])
+                vals = np.full(n, vals[()])
             values.append(vals)
-            for cmd, table in ts.all_tables():
-                if not np.array_equal(vals[table], vals):
-                    bad = int(np.flatnonzero(vals[table] != vals)[0])
+            for cmd in d.program.commands:
+                moved = vals[d.succ_local(cmd)] != vals
+                if moved.any():
+                    bad = int(np.flatnonzero(moved)[0])
                     result.failures.append(
                         ProofFailure(
                             path,
                             f"expression {expr} is not constant under command "
-                            f"{cmd.name} (e.g. at {space.state_at(bad)!r})",
+                            f"{cmd.name} (e.g. at {d.state_at_local(bad)!r})",
                         )
                     )
                     break
@@ -354,14 +356,14 @@ class ConstantExpressions(SafetyProof):
         # 2. functional dependence of the target on the expression values
         result.obligations_checked += 1
         # Factorize the value tuple into dense group ids.
-        gid = np.zeros(space.size, dtype=np.int64)
+        gid = np.zeros(n, dtype=np.int64)
         stride = 1
         for vals in values:
             _, inv = np.unique(vals, return_inverse=True)
             gid += inv * stride
             stride *= int(inv.max()) + 1
         _, gid = np.unique(gid, return_inverse=True)
-        tmask = self.target.mask(space)
+        tmask = d.pred_mask(self.target)
         trues = np.bincount(gid, weights=tmask).astype(np.int64)
         totals = np.bincount(gid)
         mixed = np.flatnonzero((trues != 0) & (trues != totals))
@@ -372,8 +374,8 @@ class ConstantExpressions(SafetyProof):
                 ProofFailure(
                     path,
                     "target is not a function of the constant expressions: "
-                    f"states {space.state_at(int(members[0]))!r} and "
-                    f"{space.state_at(int(members[-1]))!r} agree on them but "
+                    f"states {d.state_at_local(int(members[0]))!r} and "
+                    f"{d.state_at_local(int(members[-1]))!r} agree on them but "
                     "disagree on the target",
                 )
             )

@@ -142,9 +142,9 @@ class _Walker:
         command not writing ``vars(pre) ∪ vars(post)`` preserves ``pre``
         and ``pre ⇒ post`` holds by construction.
         """
-        relevant = set(pre.variables()) | set(post.variables())
+        relevant = pre.variables() | post.variables()
         for cmd, writes in self.commands:
-            if not (writes & relevant):
+            if writes.isdisjoint(relevant):
                 self.result.frame_skips += 1
                 self.result.obligations_checked += 1
                 continue
@@ -158,6 +158,9 @@ class _Walker:
             return
         self._seen.add(id(node))
         self.result.nodes_checked += 1
+        # A node's obligations share masks and key parts; its
+        # children's do not (FootprintKernel.release).
+        self.kernel.release()
         if isinstance(node, Implication):
             self.obligation(
                 path, self.kernel.entails(node.p, node.q), "implication"
@@ -272,10 +275,10 @@ class _Walker:
         # every region state.  Weak-rule obligations are checked even for
         # fairness="strong" nodes — strictly stronger, hence sound.
         self.result.obligations_checked += 1
-        region_vars = set(region.variables())
+        region_vars = region.variables()
         candidates = sorted(
             (cw for cw in self.commands if cw[0].name in self.system.fair_names),
-            key=lambda cw: (not (cw[1] & region_vars), cw[0].name),
+            key=lambda cw: (cw[1].isdisjoint(region_vars), cw[0].name),
         )
         # Only the last failing candidate is kept, and its message is read
         # only when every candidate fails.

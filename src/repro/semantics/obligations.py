@@ -448,13 +448,20 @@ class FootprintResult:
         return self.ok
 
 
-class _RecalledFailure(FootprintResult):
-    """A failing verdict answered by shape.  Its message is the real
-    obligation's, built on first read by deciding that obligation again."""
+class _LazyFailure(FootprintResult):
+    """A failing verdict whose message is built on first read.
 
-    def __init__(self, explain) -> None:
+    Most failing decisions are never explained: a transient candidate
+    that does not exit the region is followed by the next one, and only
+    the last failure's message is read, only when every candidate
+    fails.  ``explain`` builds the text (a decided failure prints its
+    predicates and decodes its first counterexample; a failure answered
+    by shape re-decides the real obligation) without moving a counter.
+    """
+
+    def __init__(self, explain, dropped: tuple[str, ...] = ()) -> None:
         self.ok = False
-        self.dropped = ()
+        self.dropped = dropped
         self._explain = explain
         self._message: str | None = None
 
@@ -480,6 +487,9 @@ _IDENT = re.compile(r"([A-Za-z_][A-Za-z0-9_]*(?:\[[0-9]+(?:,[0-9]+)*\])?)")
 _PRINTER_WORDS = frozenset(
     {"true", "false", "min", "max", "if", "then", "else", "skip"}
 )
+
+
+_NO_LABELS: frozenset[str] = frozenset()
 
 
 def _symbolic(pred) -> bool:
@@ -513,6 +523,22 @@ class FootprintKernel:
         # shape → (ok, footprint evaluations the decision took)
         self._memo: dict[tuple, tuple[bool, int]] = {}
         self._templates: dict[tuple, tuple | None] = {}
+        # ordered variables → (them, their domain ids, enum labels),
+        # shared by every template over those variables
+        self._signatures: dict[tuple, tuple] = {}
+        self._domain_ids: dict = {}
+        # id(command) → (the command, pinned; its key part)
+        self._command_parts: dict[int, tuple[object, tuple | None]] = {}
+        # (id(equality), id(command)) → (both, pinned; the command's
+        # guard and its weighted write delta = 0, or None if it has none)
+        self._deltas: dict[tuple, tuple] = {}
+        # Held for one rule node, dropped by release(): id(predicate) →
+        # (the predicate, pinned; its key part), id-tuple of predicates
+        # → their joint key, and (id(expr), id(space), bindings) →
+        # (the expression, pinned; its mask).
+        self._parts: dict[int, tuple[object, tuple | None]] = {}
+        self._joints: dict[tuple, tuple | None] = {}
+        self._masks: dict[tuple, tuple[object, np.ndarray]] = {}
         self.decided = {"check_wp": 0, "entails": 0}
         self.by_shape = {"check_wp": 0, "entails": 0}
 
@@ -549,34 +575,99 @@ class FootprintKernel:
             return dom.lo <= value <= dom.hi
         return any(value == v for v in dom.values())
 
-    def _eval(self, preds, variables, bindings) -> list[np.ndarray]:
-        """Boolean arrays of ``preds`` over the space of ``variables``,
-        with out-of-footprint variables pinned by ``bindings``."""
-        self.evaluations += len(preds)
-        if not variables:
-            env = dict(bindings)
-            return [
-                np.array([bool(p.as_expr().eval(env))], dtype=bool)
-                for p in preds
-            ]
-        space = self._space(variables)
-        env = dict(space.var_arrays())
+    def _env(self, space, bindings, rows=None) -> dict:
+        """The evaluation environment of ``space`` (restricted to
+        ``rows``), with out-of-footprint variables pinned by
+        ``bindings``."""
+        columns = space.var_arrays()
+        if rows is None:
+            env = dict(columns)
+        else:
+            env = {v: column[rows] for v, column in columns.items()}
         for var, value in bindings.items():
             env[var] = np.int64(value) if isinstance(value, int) else value
-        out = []
-        for p in preds:
-            arr = np.asarray(p.as_expr().eval_vec(env), dtype=bool)
-            if arr.ndim == 0:
-                arr = np.broadcast_to(arr, (space.size,))
-            out.append(arr)
-        return out
+        return env
 
-    def _example(self, variables, bindings, mask) -> str:
+    @staticmethod
+    def _mask_in(pred, env, n: int) -> np.ndarray:
+        arr = np.asarray(pred.as_expr().eval_vec(env), dtype=bool)
+        if arr.ndim == 0:
+            arr = np.broadcast_to(arr, (n,))
+        return arr
+
+    def _hyp_mask(self, pred, space, bindings, scope) -> np.ndarray:
+        """``pred``'s mask over ``space``, reused until :meth:`release`:
+        a region's conjuncts recur as the hypothesis of every command's
+        ``wp`` check.  Keyed by the expression object (pinned), never by
+        its text, so two spellings of one text cannot collide."""
+        expr = pred.as_expr()
+        key = (id(expr), id(space), scope)
+        hit = self._masks.get(key)
+        if hit is not None:
+            return hit[1]
+        mask = self._mask_in(pred, self._env(space, bindings), space.size)
+        self._masks[key] = (expr, mask)
+        return mask
+
+    def release(self) -> None:
+        """Drop what is held for one rule node: hypothesis masks and the
+        key parts of predicates.  The compositional walker calls this as
+        it enters each node, so a node's obligations share them (its
+        region meets one command after another) and the kernel's memory
+        stays flat over a check."""
+        self._parts.clear()
+        self._joints.clear()
+        self._masks.clear()
+
+    def _counterexample(self, hyps, goal_disjuncts, variables, bindings):
+        """The first footprint row where every ``hyps`` conjunct holds
+        and no goal disjunct (a conjunct list) does, or ``None``.
+
+        The goal is evaluated only on the rows where the hypothesis
+        holds, so the first bad row is the whole space's first one.
+        """
+        if not variables:
+            env = dict(bindings)
+
+            def holds(p) -> bool:
+                return bool(p.as_expr().eval(env))
+
+            if all(holds(h) for h in hyps) and not any(
+                all(holds(g) for g in parts) for parts in goal_disjuncts
+            ):
+                return 0
+            return None
+        space = self._space(variables)
+        scope = tuple(bindings.items())
+        hmask = None
+        for h in hyps:
+            m = self._hyp_mask(h, space, bindings, scope)
+            hmask = m if hmask is None else hmask & m
+        rows = None
+        if hmask is not None:
+            rows = np.flatnonzero(hmask)
+            if rows.size == 0:
+                return None
+            if rows.size == space.size:
+                rows = None
+        n = space.size if rows is None else rows.size
+        env = self._env(space, bindings, rows)
+        gmask = np.zeros(n, dtype=bool)
+        for parts in goal_disjuncts:
+            part = self._mask_in(parts[0], env, n)
+            for g in parts[1:]:
+                part = part & self._mask_in(g, env, n)
+            gmask |= part
+        bad = np.flatnonzero(~gmask)
+        if bad.size == 0:
+            return None
+        return int(bad[0]) if rows is None else int(rows[bad[0]])
+
+    def _example(self, variables, bindings, row: int) -> str:
         if not variables:
             items = bindings.items()
         else:
-            space = self._space(variables)
-            state = space.state_at(int(np.flatnonzero(mask)[0]))
+            state = self._space(variables).state_at(row)
             items = list(state.items()) + list(bindings.items())
         body = ", ".join(f"{v.name}={k}" for v, k in items)
         return "{" + body + "}"
@@ -598,51 +689,115 @@ class FootprintKernel:
         variable named like an enum label of a domain in the footprint or
         like a printer keyword, and two variables sharing a name.
 
-        Each text is renamed once per kernel (:meth:`_template`); the key
-        stores every text with *local* first-occurrence indices plus, per
-        text, the global index of each local one — the same information
-        as the globally renamed texts, without renaming them per call.
+        The key is built from parts, each once: every predicate and
+        command is templated once (:meth:`_part`), and the predicates'
+        joint key once per tuple of predicates (:meth:`_joint`) — the
+        ``pre``/``post`` of a ``next`` obligation meet one command after
+        another, so only the command's variables are placed per call.
+        Domains enter the key as per-kernel integer ids, so hashing it
+        never calls back into Python.
         """
-        if not all(_symbolic(p) for p in preds):
+        joint = self._joint(preds)
+        if joint is None:
             return None
-        parts = [self._template(p.describe(), p.variables()) for p in preds]
-        if cmd is not None:
-            if type(cmd) not in (GuardedCommand, AltCommand, Skip):
-                return None
-            parts.insert(1, self._template(cmd.describe(), cmd.reads() | cmd.writes()))
+        joint_key, order, variables, labels = joint
+        if cmd is None:
+            return (kind, joint_key)
+        part = self._command_part(cmd)
+        if part is None:
+            return None
+        text, part_vars, part_domains, part_labels = part
+        local = []
+        domains = []
+        for v, d in zip(part_vars, part_domains):
+            i = order.get(v.name)
+            if i is None:
+                local.append(len(order) + len(domains))
+                domains.append(d)
+            elif variables[i] is not v and variables[i] != v:
+                return None  # two variables share a name
+            else:
+                local.append(i)
+        taken = labels | part_labels
+        if taken and not (
+            taken.isdisjoint(order) and taken.isdisjoint(v.name for v in part_vars)
+        ):
+            return None
+        return (kind, joint_key, text, tuple(local), tuple(domains))
+
+    def _joint(self, preds):
+        """``(key, name → index, variables, enum labels)`` of the
+        predicates together — the key holds their renamed texts, the
+        global first-occurrence index of each local variable, and the
+        variables' domain ids — or ``None`` to bypass the memo.  Held per
+        tuple of (pinned) predicates until :meth:`release`."""
+        parts = [self._part(p) for p in preds]
+        ids = tuple(map(id, preds))
+        if ids not in self._joints:
+            self._joints[ids] = self._join(parts)
+        return self._joints[ids]
+
+    @staticmethod
+    def _join(parts):
+        if None in parts:
+            return None
         order: dict[str, int] = {}
         variables = []
+        domains = []
         glue = []
-        for part in parts:
-            if part is None:
-                return None
+        labels = _NO_LABELS
+        for _, part_vars, part_domains, part_labels in parts:
             local = []
-            for v in part[1]:
+            for v, d in zip(part_vars, part_domains):
                 i = order.setdefault(v.name, len(variables))
                 if i == len(variables):
                     variables.append(v)
-                elif variables[i] != v:
+                    domains.append(d)
+                elif variables[i] is not v and variables[i] != v:
                     return None  # two variables share a name
                 local.append(i)
             glue.append(tuple(local))
-        for v in variables:
-            if isinstance(v.domain, EnumDomain) and any(
-                str(label) in order for label in v.domain.labels
-            ):
-                return None
-        return (
-            kind,
-            tuple(part[0] for part in parts),
-            tuple(glue),
-            tuple(v.domain for v in variables),
-        )
+            labels = labels | part_labels
+        if not labels.isdisjoint(order):
+            return None
+        key = (tuple(part[0] for part in parts), tuple(glue), tuple(domains))
+        return key, order, variables, labels
+
+    def _part(self, pred):
+        """The key part of a predicate (:meth:`_template`), computed once
+        per object until :meth:`release`; ``None`` if it bypasses the
+        memo.  The predicate is pinned meanwhile, so its id stays its
+        own."""
+        hit = self._parts.get(id(pred))
+        if hit is not None:
+            return hit[1]
+        part = None
+        if _symbolic(pred):
+            part = self._template(pred.describe(), pred.variables())
+        self._parts[id(pred)] = (pred, part)
+        return part
+
+    def _command_part(self, cmd):
+        """:meth:`_part` of a command, held for the kernel's life (a
+        check meets the same few commands at every node)."""
+        hit = self._command_parts.get(id(cmd))
+        if hit is not None:
+            return hit[1]
+        part = None
+        if type(cmd) in (GuardedCommand, AltCommand, Skip):
+            part = self._template(cmd.describe(), cmd.reads() | cmd.writes())
+        self._command_parts[id(cmd)] = (cmd, part)
+        return part
 
     def _template(self, text, variables):
         """``text`` with each variable occurrence replaced by its local
-        first-occurrence index, and those variables in that order.
-        ``None`` if ``text`` cannot be renamed unambiguously: it contains
-        the ``#`` index marker, two of its variables share a name, or one
-        is named like a printer keyword.  Cached per kernel."""
+        first-occurrence index, as ``(renamed text, variables, domain
+        ids, enum labels)`` — the variables in first-occurrence order,
+        then their domains' per-kernel ids and the labels of their enum
+        domains.  ``None`` if ``text`` cannot be renamed unambiguously:
+        it contains the ``#`` index marker, two of its variables share a
+        name, or one is named like a printer keyword.  Cached per
+        kernel."""
         key = (text, variables)
         if key in self._templates:
             return self._templates[key]
@@ -658,9 +813,29 @@ class FootprintKernel:
             for i in range(1, len(tokens), 2):
                 if tokens[i] in by_name:
                     tokens[i] = f"#{order.setdefault(tokens[i], len(order))}"
-            template = ("".join(tokens), tuple(by_name[n] for n in order))
+            ordered = tuple(by_name[n] for n in order)
+            template = ("".join(tokens), *self._signature(ordered))
         self._templates[key] = template
         return template
+
+    def _signature(self, ordered):
+        """``(ordered, domain ids, enum labels)``, one shared copy per
+        tuple of variables."""
+        sig = self._signatures.get(ordered)
+        if sig is None:
+            labels = frozenset(
+                str(label)
+                for v in ordered
+                if isinstance(v.domain, EnumDomain)
+                for label in v.domain.labels
+            )
+            domain_ids = tuple(
+                self._domain_ids.setdefault(v.domain, len(self._domain_ids))
+                for v in ordered
+            )
+            sig = (ordered, domain_ids, labels or _NO_LABELS)
+            self._signatures[ordered] = sig
+        return sig
 
     def _by_shape(self, kind, key, decide) -> FootprintResult:
         """Answer ``decide()`` from the memo under ``key``, or decide it.
@@ -678,7 +853,7 @@ class FootprintKernel:
             self.evaluations += evaluations
             if ok:
                 return FootprintResult(True)
-            return _RecalledFailure(lambda: self._replay(decide))
+            return _LazyFailure(lambda: self._replay(decide))
         before = self.evaluations
         res = decide()
         self.decided[kind] += 1
@@ -800,39 +975,25 @@ class FootprintKernel:
             v in g.variables() for parts in goal_disjuncts for g in parts
         )}
         live_bindings = {v: bindings[v] for v in relevant}
-        hyp_masks = self._eval(used, variables, live_bindings)
-        size = hyp_masks[0].shape[0] if hyp_masks else None
-        goal_parts = [
-            self._eval(parts, variables, live_bindings)
-            for parts in goal_disjuncts
-        ]
-        if size is None:
-            size = goal_parts[0][0].shape[0]
-        hmask = np.ones(size, dtype=bool)
-        for m in hyp_masks:
-            hmask &= m
-        gmask = np.zeros(size, dtype=bool)
-        for parts in goal_parts:
-            part = np.ones(size, dtype=bool)
-            for m in parts:
-                part &= m
-            gmask |= part
-        bad = hmask & ~gmask
-        if not bad.any():
+        self.evaluations += len(used) + sum(map(len, goal_disjuncts))
+        row = self._counterexample(used, goal_disjuncts, variables, live_bindings)
+        if row is None:
             return FootprintResult(True, dropped=tuple(dropped))
-        example = self._example(variables, live_bindings, bad)
         note = (
             f" (after dropping oversized hypothesis conjunct(s) "
             f"{dropped} — the refusal may be a projection artifact)"
             if dropped
             else ""
         )
-        return FootprintResult(
-            False,
-            f"{hyp.describe()} ⇒ {concl.describe()} fails on the "
-            f"footprint at {example}{note}",
-            dropped=tuple(dropped),
-        )
+
+        def explain() -> str:
+            example = self._example(variables, live_bindings, row)
+            return (
+                f"{hyp.describe()} ⇒ {concl.describe()} fails on the "
+                f"footprint at {example}{note}"
+            )
+
+        return _LazyFailure(explain, dropped=tuple(dropped))
 
     def equal(self, a, b) -> FootprintResult:
         """Semantic equality, as entailment both ways."""
@@ -866,10 +1027,8 @@ class FootprintKernel:
         res = self._entails(pre, wpred)
         if res.ok:
             return res
-        return FootprintResult(
-            False,
-            f"command {cmd.name}: {res.message}",
-            dropped=res.dropped,
+        return _LazyFailure(
+            lambda: f"command {cmd.name}: {res.message}", dropped=res.dropped
         )
 
     def check_linear_stable(self, pred, commands) -> FootprintResult:
@@ -909,17 +1068,25 @@ class FootprintKernel:
                     f"refused: command {cmd.name} is not a guarded "
                     "command (write deltas are not expressible)",
                 )
-            deltas = [
-                (a.expr - a.var.ref()) * coeffs[a.var]
-                for a in cmd.assignments
-                if coeffs.get(a.var, 0) != 0
-            ]
-            if not deltas:
+            # Built once per (equality, command): the same conservation
+            # law is carried through every retirement level.
+            key = (id(pred), id(cmd))
+            if key not in self._deltas:
+                deltas = [
+                    (a.expr - a.var.ref()) * coeffs[a.var]
+                    for a in cmd.assignments
+                    if coeffs.get(a.var, 0) != 0
+                ]
+                self._deltas[key] = (
+                    pred,
+                    cmd,
+                    ExprPredicate(cmd.guard),
+                    ExprPredicate(esum(deltas) == 0) if deltas else None,
+                )
+            _, _, guard, unchanged = self._deltas[key]
+            if unchanged is None:
                 continue
-            res = self.entails(
-                ExprPredicate(cmd.guard),
-                ExprPredicate(esum(deltas) == 0),
-            )
+            res = self.entails(guard, unchanged)
             if not res.ok:
                 return FootprintResult(
                     False,

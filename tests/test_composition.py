@@ -236,3 +236,139 @@ def test_random_pairs_compose_and_union_holds(pair):
     fair_bodies |= {g.command_named(n).body_key() for n in g.fair_names}
     c_fair_bodies = {c.command_named(n).body_key() for n in c.fair_names}
     assert c_fair_bodies == fair_bodies
+
+
+# ---------------------------------------------------------------------------
+# compose_all builds in one pass what the pairwise fold builds
+# ---------------------------------------------------------------------------
+
+
+def _fold(programs, *, name=None, check_init=True):
+    """The pairwise left fold of :func:`compose` that compose_all equals."""
+    out = programs[0]
+    for nxt in programs[1:-1]:
+        out = compose(out, nxt, check_init=False)
+    out = compose(out, programs[-1], check_init=check_init)
+    if name is not None:
+        out = Program(
+            name, out.variables, out.init, out.commands, fair=sorted(out.fair_names)
+        )
+    return out
+
+
+def _identity(p):
+    from repro.semantics.sparse.checkpoint import program_digest
+
+    return (
+        p.name,
+        p.describe(),
+        program_digest(p),
+        [(c.name, sorted(c.origins)) for c in p.commands],
+        sorted(p.fair_names),
+    )
+
+
+def _error(fn):
+    with pytest.raises(CompositionError) as info:
+        fn()
+    return str(info.value)
+
+
+class TestOnePassComposeAll:
+    @pytest.mark.parametrize("stages", [1, 2, 3, 12, 50])
+    def test_hetero_stacks_equal_the_fold(self, stages):
+        from repro.systems.compose_proof import build_hetero_stack
+
+        components = build_hetero_stack(stages).components
+        for name in (None, "Stack"):
+            one = compose_all(components, name=name, check_init=False)
+            assert _identity(one) == _identity(
+                _fold(components, name=name, check_init=False)
+            )
+        # Reversed order exercises renames and merged bodies differently.
+        rev = components[::-1]
+        assert _identity(compose_all(rev, check_init=False)) == _identity(
+            _fold(rev, check_init=False)
+        )
+
+    def test_toy_pairs_equal_the_fold(self):
+        from repro.systems.counter import build_counter_system
+
+        for n in (2, 3):
+            comps = build_counter_system(n, 2).components
+            assert _identity(compose_all(comps, name="S")) == _identity(
+                _fold(comps, name="S")
+            )
+        f, g, h = TestAlgebra()._three()
+        for order in ([f, g, h], [h, g, f], [g, f, h]):
+            assert _identity(compose_all(order)) == _identity(_fold(order))
+
+    def test_renames_and_merged_bodies_equal_the_fold(self):
+        # Same name, different bodies → G.a; same body, other name → one
+        # element whose fairness and origins merge.
+        f = prog("F", [X], commands=[inc("a")], fair=["a"])
+        g = prog("G", [X, B], commands=[GuardedCommand("a", True, [(B, ~B.ref())])])
+        h = prog("H", [X], commands=[inc("up")], fair=["up"])
+        k = prog(
+            "K", [X, B], commands=[GuardedCommand("a", B.ref(), [(X, 0)])], fair=["a"]
+        )
+        one = compose_all([f, g, h, k], check_init=False)
+        assert _identity(one) == _identity(_fold([f, g, h, k], check_init=False))
+        assert [c.name for c in one.commands] == ["a", "skip", "G.a", "K.a"]
+        assert one.fair_names == {"a", "K.a"}
+        assert one.command_named("a").origins == {"F", "H"}
+        k2 = prog("K2", [X, B], commands=[GuardedCommand("G.a", B.ref(), [(X, 1)])])
+        g2 = prog("G", [X], commands=[GuardedCommand("a", X.ref() > 0, [(X, 0)])])
+        bad = [f, g, k2, g2]
+        assert _error(lambda: compose_all(bad, check_init=False)) == _error(
+            lambda: _fold(bad, check_init=False)
+        )
+
+    def test_error_messages_are_byte_identical(self):
+        a = prog("A", [X])
+        b = prog("B", [B])
+        cases = {
+            "name clash": [a, b, prog("(A||B)", [X])],
+            "locality": [a, b, prog("C", [Var.local("x", IntRange(0, 3))])],
+            "domain": [a, b, prog("C", [Var.shared("x", IntRange(0, 5))])],
+        }
+        expected = {
+            "name clash": "components share the name '(A||B)'",
+            "locality": "variable x is declared local by C but is also declared",
+            "domain": "shared variable x has mismatched domains: ",
+        }
+        for case, programs in cases.items():
+            text = _error(lambda: compose_all(programs, check_init=False))
+            assert text == _error(lambda: _fold(programs, check_init=False))
+            assert text.startswith("(A||B) || ")
+            assert expected[case] in text
+
+    def test_check_init_probes_the_final_conjunction(self):
+        zero = prog("Z", [X], init=ExprPredicate(X.ref() == 0))
+        one = prog("O", [X], init=ExprPredicate(X.ref() == 1))
+        other = prog("B", [B])
+        for programs in ([zero, other, one], [zero, one, other]):
+            text = _error(lambda: compose_all(programs))
+            assert text == _error(lambda: _fold(programs))
+            assert "no initial state" in text
+            compose_all(programs, check_init=False)  # the probe is skippable
+        assert compose_all([zero, other]).has_initial_state()
+
+    @pytest.mark.parametrize("check_init", [False, True])
+    def test_one_program_is_constructed(self, monkeypatch, check_init):
+        import repro.core.composition as composition
+        from repro.systems.counter import build_counter_component
+
+        built = []
+
+        class Counted(Program):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        k = 6
+        components = [build_counter_component(i, k, 2) for i in range(k)]
+        monkeypatch.setattr(composition, "Program", Counted)
+        system = compose_all(components, name="S", check_init=check_init)
+        assert built == ["S"]
+        assert isinstance(system, Counted)

@@ -126,6 +126,74 @@ class TestConstantExpressions:
             ConstantExpressions([], TRUE)
 
 
+class TestConstantExpressionsOnTheSubspace:
+    """The rule decides both obligations on the proof's domain: the
+    reachable subspace of a system no dense table can hold, where the
+    answer is the reachable-restricted ``stable``."""
+
+    @staticmethod
+    def _pipeline():
+        from repro.systems.pipeline import build_pipeline_system
+
+        return build_pipeline_system(20, total=3)
+
+    def test_conservation_on_a_sparse_routed_system(self):
+        s = self._pipeline()
+        total = s.avail.ref() + s.in_flight() + s.done.ref()
+        res = ConstantExpressions([total], s.conservation_predicate()).check(
+            s.system
+        )
+        assert res.ok, res.explain()
+        assert res.obligations_checked == 2
+
+    def test_constancy_failure_is_reported_on_the_subspace(self):
+        s = self._pipeline()
+        res = ConstantExpressions(
+            [s.avail.ref()], s.conservation_predicate()
+        ).check(s.system)
+        assert not res.ok
+        message = str(res.failures[0])
+        assert "expression avail is not constant under command feed" in message
+        assert "done=" in message
+
+    @staticmethod
+    def _stray():
+        """x - y is constant on the reachable states (x = y) only: the
+        unreachable state x=3, y=0 lets ``stray`` move y alone."""
+        stray = GuardedCommand(
+            "stray", land(X.ref() == 3, Y.ref() == 0), [(Y, Y.ref() + 1)]
+        )
+        return Program(
+            "Stray",
+            [X, Y],
+            land(X.ref() == 0, Y.ref() == 0),
+            [both_inc(), stray],
+        )
+
+    def test_reachable_restricted_answer(self):
+        from repro.semantics.domain import FullSpace
+        from repro.semantics.sparse.explorer import reachable_subspace
+
+        prog_ = self._stray()
+        proof = ConstantExpressions([X.ref() - Y.ref()], pred(X.ref() - Y.ref() == 0))
+        full = proof.check_on(FullSpace(prog_))
+        assert not full.ok
+        assert "not constant under command stray" in str(full.failures[0])
+        assert "x=3, y=0" in str(full.failures[0])
+        reach = proof.check_on(reachable_subspace(prog_))
+        assert reach.ok, reach.explain()
+        assert reach.obligations_checked == full.obligations_checked == 2
+
+    def test_functional_dependence_on_the_subspace(self):
+        from repro.semantics.sparse.explorer import reachable_subspace
+
+        prog_ = self._stray()
+        proof = ConstantExpressions([X.ref() - Y.ref()], pred(X.ref() == 0))
+        res = proof.check_on(reachable_subspace(prog_))
+        assert not res.ok
+        assert "not a function" in str(res.failures[0])
+
+
 class TestInitRules:
     def test_init_weaken(self):
         proof = InitWeaken(InitLeaf(pred(X.ref() == 0)), pred(X.ref() <= 1))

@@ -152,3 +152,89 @@ class TestFootprintSpaces:
             res = kernel.entails(TRUE, ExprPredicate(x.ref() <= 3))
             assert res.ok is (hi == 3)
         assert len(kernel._spaces) == 2
+
+
+class TestStatePerCheck:
+    """Everything the kernel reuses lives in one kernel, i.e. one check:
+    nothing is carried from one request to the next."""
+
+    @staticmethod
+    def _counters(res):
+        return (
+            res.ok,
+            res.obligations_checked,
+            res.nodes_checked,
+            res.frame_skips,
+            res.footprint_evaluations,
+            res.components_checked,
+            dict(res.notes),
+        )
+
+    def test_two_checks_of_one_stack_count_alike(self):
+        from repro.semantics.compositional import check_compositional
+        from repro.systems.compose_proof import (
+            build_delivery_certificate,
+            build_hetero_stack,
+        )
+
+        stack = build_hetero_stack(6)
+        first = check_compositional(build_delivery_certificate(stack))
+        second = check_compositional(build_delivery_certificate(stack))
+        assert first.ok
+        assert first.notes["obligations_decided"] > 0
+        assert first.notes["obligations_by_shape"] > 0
+        assert self._counters(first) == self._counters(second)
+
+    def test_decided_failure_message_is_built_on_read(self):
+        """A decided failure's message is built when read: byte for byte
+        the text pinned here (hypothesis, wp, the first failing state of
+        the footprint space), and reading it moves no counter."""
+        x = Var.shared("x", IntRange(0, 3))
+        y = Var.shared("y", IntRange(0, 2))
+        z = Var.shared("z", IntRange(0, 1))
+        step = GuardedCommand(
+            "step", x.ref() < 3, [(x, x.ref() + 1), (y, (y.ref() + 1) % 3)]
+        )
+        pre = ExprPredicate((x.ref() >= 1) & (y.ref() + z.ref() >= 2))
+        post = ExprPredicate((x.ref() <= 2) | (y.ref() == 0))
+        kernel = FootprintKernel()
+        res = kernel.check_wp(pre, step, post)
+        counters = (kernel.evaluations, dict(kernel.decided), dict(kernel.by_shape))
+        assert not res.ok
+        want = (
+            "command step: x >= 1 /\\ y + z >= 2 ⇒ x < 3 /\\ (x + 1 <= 2 \\/ "
+            "(y + 1) % 3 = 0) \\/ ~(x < 3) /\\ (x <= 2 \\/ y = 0) fails on the "
+            "footprint at {x=2, y=1, z=1}"
+        )
+        assert res.message == want
+        assert FootprintKernel().check_wp(pre, step, post).message == want
+        assert (kernel.evaluations, kernel.decided, kernel.by_shape) == counters
+        # The goal is evaluated on the hypothesis rows only; the first bad
+        # row is still the whole footprint space's first one.
+        res = kernel.entails(pre, ExprPredicate(x.ref() + y.ref() <= 3))
+        assert res.message == (
+            "x >= 1 /\\ y + z >= 2 ⇒ x + y <= 3 fails on the footprint at "
+            "{x=2, y=2, z=0}"
+        )
+        res = kernel.entails(
+            ExprPredicate(z.ref() == 1) & ExprPredicate(x.ref() >= 2),
+            ExprPredicate(y.ref() < 2),
+        )
+        assert res.message == (
+            "z = 1 /\\ x >= 2 ⇒ y < 2 fails on the footprint at {x=2, y=2}"
+        )
+        assert kernel.evaluations == 11
+
+    def test_no_module_level_memo(self):
+        import repro.semantics.obligations as obligations
+
+        mutable = [
+            name
+            for name, value in vars(obligations).items()
+            if not name.startswith("__")
+            and (
+                isinstance(value, (dict, list, set))
+                or hasattr(value, "cache_info")
+            )
+        ]
+        assert mutable == []
