@@ -529,22 +529,28 @@ def _checkpoint_of(args, default_stem: str, budget):
     return None
 
 
-def _tier(program) -> str:
-    from repro.semantics.sparse import sparse_enabled
+def _tier_of(domain) -> str:
+    """``"dense"`` or ``"sparse"``: the tier of the domain a run is
+    decided on (an exhausted exploration ran on the sparse tier)."""
+    if _is_unknown(domain):
+        return domain.witness["tier"]
+    return domain.label.removesuffix(" tier")
 
-    return "sparse" if sparse_enabled(program.space) else "dense"
 
-
-def _open_run(args, program, stem: str, *, explore: bool = True):
-    """Note the run, then resolve the domain whose states it reports.
+def _open_run(
+    args, program, stem: str, *, op: str = "the reachable states", question=None
+):
+    """Note the run, then resolve the one domain it is decided on.
 
     Returns ``(budget, checkpoint policy, domain)``.  ``--resume``
-    continues the checkpointed exploration; otherwise, with ``explore``,
+    continues the checkpointed exploration; otherwise
     :func:`~repro.semantics.domain.domain_for` — the engine's only
-    routing rule — picks the full space or the reachable subspace, and
-    without it the domain is None.  An exhausted budget leaves the
-    exploration's :class:`~repro.semantics.budget.PartialResult` in the
-    domain slot, for :func:`_report_unknown`.
+    routing rule — picks the full space or the reachable subspace
+    (``op`` names the judgment in a dense-fallback refusal).  The run
+    manifest records that domain's tier.  An exhausted budget leaves a
+    :class:`~repro.semantics.budget.PartialResult` in the domain slot, for
+    :func:`_report_unknown`: ``question`` is its ``(kind, subject)`` when
+    a fresh exploration ran out, by default the program's exploration.
     """
     from repro.errors import BudgetExhausted
     from repro.semantics.budget import PartialResult
@@ -555,7 +561,6 @@ def _open_run(args, program, stem: str, *, explore: bool = True):
     policy = _checkpoint_of(args, stem, budget)
     _note_run(
         program=program,
-        tier=_tier(program),
         budget=_budget_doc(budget),
         checkpoint_path=policy.path if policy is not None else None,
     )
@@ -565,16 +570,14 @@ def _open_run(args, program, stem: str, *, explore: bool = True):
             domain = resume_exploration(
                 resume, program, budget=budget, checkpoint=policy
             )
-        elif explore:
-            domain = domain_for(
-                program, "the reachable states", budget=budget, checkpoint=policy
-            )
         else:
-            domain = None
+            domain = domain_for(program, op, budget=budget, checkpoint=policy)
     except BudgetExhausted as exc:
-        domain = PartialResult.from_exhaustion(
-            exc, kind="exploration", subject=program.name
-        )
+        if question is None or resume is not None:
+            question = ("exploration", program.name)
+        kind, subject = question
+        domain = PartialResult.from_exhaustion(exc, kind=kind, subject=subject)
+    _note_run(tier=_tier_of(domain))
     return budget, policy, domain
 
 
@@ -677,21 +680,25 @@ def _cmd_prove(args) -> int:
     program = _load_program(args.file, args.program)
     p = _parse_pred(args.lhs, program)
     q = _parse_pred(args.rhs, program)
-    budget, policy, domain = _open_run(args, program, args.file.stem, explore=False)
+    # Synthesis and the certificate check run on the domain resolved here,
+    # so the tier the manifest records is the tier that decided.
+    _, _, domain = _open_run(
+        args,
+        program,
+        args.file.stem,
+        op="proof synthesis",
+        question=("proof-synthesis", f"{p.describe()} ~> {q.describe()}"),
+    )
     if _is_unknown(domain):
         return _report_unknown(domain)
     if args.resume is not None:
         print(f"resumed: {args.resume}")
     try:
-        proof = synthesize_leadsto_proof(
-            program, p, q, budget=budget, checkpoint=policy
-        )
+        proof = synthesize_leadsto_proof(program, p, q, subspace=domain)
     except ProofError as exc:
         print(f"NOT PROVABLE: {exc}")
         return 1
-    if _is_unknown(proof):
-        return _report_unknown(proof)
-    result = check_certificate_batched(proof, program)
+    result = check_certificate_batched(proof, program, subspace=domain)
     _note_verdict(result)
     if not args.quiet:
         print(proof.render())
@@ -782,8 +789,8 @@ def _cmd_scenario(args) -> int:
     )
     program = scenario.program
     print(scenario.describe())
-    print(f"encoded space : {program.space.size} states ({_tier(program)} tier)")
     _, _, domain = _open_run(args, program, args.name)
+    print(f"encoded space : {program.space.size} states ({_tier_of(domain)} tier)")
     if _is_unknown(domain):
         return _report_unknown(domain)
     if args.resume is not None:

@@ -4,13 +4,14 @@ The paper's §2 model: *"A program consists of … a finite set C of commands
 and a subset D of C of commands subjected to a weak fairness constraint …
 The set C contains at least the command skip."*
 
-Commands here are **total deterministic state functions**:
+Commands here are **total deterministic state functions** of two kinds:
 
 - :class:`Skip` — identity;
-- :class:`GuardedCommand` — ``g → x₁,…,xₖ := e₁,…,eₖ``; when the guard is
-  false the command behaves as ``skip`` (totality);
-- :class:`AltCommand` — a first-match ``if g₁ → A₁ ▯ g₂ → A₂ …`` chain
-  (deterministic alternative; semantically a single command).
+- :class:`GuardedCommand` — a first-match ``if g₁ → A₁ ▯ g₂ → A₂ …``
+  chain of guarded multi-assignments ``gᵢ → x₁,…,xₖ := e₁,…,eₖ``; when no
+  guard holds the command behaves as ``skip`` (totality).  The paper's
+  ``g → A`` is its one-branch case, ``GuardedCommand(name, g, A)``;
+  :func:`AltCommand` builds one from a list of branches.
 
 Each command supports three complementary semantics, cross-validated by the
 test suite:
@@ -471,13 +472,19 @@ def step_memo(command: Command, space: StateSpace) -> _FootprintStep | None:
 
 
 class GuardedCommand(Command):
-    """``g → x₁,…,xₖ := e₁,…,eₖ``; behaves as ``skip`` when ``g`` is false.
+    """A first-match guarded command: ``branches`` is a tuple of
+    ``(guard, assignments)`` pairs read as
+    ``if g₁ → A₁ ▯ g₂ → A₂ … else skip``.  The first branch whose guard
+    holds fires; when none does the command behaves as ``skip``
+    (totality).
 
-    Right-hand sides are evaluated simultaneously against the pre-state
-    (UNITY multi-assignment semantics).
+    ``GuardedCommand(name, g, A)`` builds the one-branch command
+    ``g → x₁,…,xₖ := e₁,…,eₖ``; :func:`AltCommand` builds one from a
+    branch list.  Right-hand sides are evaluated simultaneously against
+    the pre-state (UNITY multi-assignment semantics).
     """
 
-    __slots__ = ("guard", "assignments")
+    __slots__ = ("branches",)
 
     def __init__(
         self,
@@ -487,76 +494,30 @@ class GuardedCommand(Command):
         origins: frozenset[str] = frozenset(),
     ) -> None:
         super().__init__(name, origins)
-        self.guard = _as_guard(guard)
-        self.assignments = _normalize_assignments(assignments)
-        if not self.assignments:
+        branch = (_as_guard(guard), _normalize_assignments(assignments))
+        if not branch[1]:
             raise CommandError(
                 f"command {name}: use Skip for commands with no assignments"
             )
+        self.branches = (branch,)
 
-    def apply(self, state: State) -> State:
-        if not self.guard.eval(state):
-            return state
-        return state.updated(_eval_updates(self.assignments, state, self.name))
+    @property
+    def guard(self) -> Expr:
+        """The guard of a one-branch command."""
+        return self._only_branch()[0]
 
-    def _step(self, env: FrontierEnv, out: np.ndarray) -> None:
-        _fire(self.assignments, env, env.eval_bool(self.guard), out, self.name)
+    @property
+    def assignments(self) -> tuple[Assignment, ...]:
+        """The assignments of a one-branch command."""
+        return self._only_branch()[1]
 
-    def wp(self, pred: Predicate) -> Predicate:
-        p = pred.as_expr()
-        sub = p.substitute(_subst_map(self.assignments))
-        # wp(if g then A, P) = (g ∧ P[A]) ∨ (¬g ∧ P)
-        return ExprPredicate(lor(land(self.guard, sub), land(lnot(self.guard), p)))
-
-    def _enabled(self, env: FrontierEnv) -> np.ndarray:
-        return env.eval_bool(self.guard)
-
-    def reads(self) -> frozenset[Var]:
-        out = set(self.guard.variables())
-        for a in self.assignments:
-            out |= a.expr.variables()
-        return frozenset(out)
-
-    def writes(self) -> frozenset[Var]:
-        return frozenset(a.var for a in self.assignments)
-
-    def body_key(self) -> tuple:
-        return (
-            "guarded",
-            self.guard._key(),
-            tuple(sorted(a._key() for a in self.assignments)),
-        )
-
-    def renamed(self, name: str) -> "GuardedCommand":
-        return GuardedCommand(name, self.guard, self.assignments, self.origins)
-
-    def describe(self) -> str:
-        body = " || ".join(repr(a) for a in self.assignments)
-        guard_txt = str(self.guard)
-        if guard_txt == "true":
-            return body
-        return f"{guard_txt} -> {body}"
-
-
-class AltCommand(Command):
-    """First-match deterministic alternative
-    ``if g₁ → A₁ elif g₂ → A₂ … else skip`` as a single command."""
-
-    __slots__ = ("branches",)
-
-    def __init__(
-        self,
-        name: str,
-        branches: Sequence[tuple[Expr | bool, Sequence[Assignment | tuple[Var, Any]]]],
-        origins: frozenset[str] = frozenset(),
-    ) -> None:
-        super().__init__(name, origins)
-        if not branches:
-            raise CommandError(f"command {name}: AltCommand needs branches")
-        self.branches = tuple(
-            (_as_guard(g), _normalize_assignments(assigns))
-            for g, assigns in branches
-        )
+    def _only_branch(self) -> tuple[Expr, tuple[Assignment, ...]]:
+        if len(self.branches) != 1:
+            raise AttributeError(
+                f"command {self.name} has {len(self.branches)} branches, "
+                "not a single guard and assignment list"
+            )
+        return self.branches[0]
 
     def apply(self, state: State) -> State:
         for guard, assigns in self.branches:
@@ -565,13 +526,16 @@ class AltCommand(Command):
         return state
 
     def _step(self, env: FrontierEnv, out: np.ndarray) -> None:
-        taken = np.zeros(env.rows, dtype=bool)
+        # ``taken``: the states an earlier branch's guard already claimed.
+        taken = None
         for guard, assigns in self.branches:
             g = env.eval_bool(guard)
-            _fire(assigns, env, g & ~taken, out, self.name)
-            taken |= g
+            _fire(assigns, env, g if taken is None else g & ~taken, out, self.name)
+            taken = g if taken is None else taken | g
 
     def wp(self, pred: Predicate) -> Predicate:
+        # wp(if g₁ → A₁ ▯ g₂ → A₂ …, P) =
+        #   (g₁ ∧ P[A₁]) ∨ (¬g₁ ∧ g₂ ∧ P[A₂]) ∨ … ∨ (¬g₁ ∧ ¬g₂ ∧ … ∧ P)
         p = pred.as_expr()
         disjuncts = []
         none_before: list[Expr] = []
@@ -583,9 +547,10 @@ class AltCommand(Command):
         return ExprPredicate(lor(*disjuncts))
 
     def _enabled(self, env: FrontierEnv) -> np.ndarray:
-        out = np.zeros(env.rows, dtype=bool)
+        out = None
         for guard, _ in self.branches:
-            out |= env.eval_bool(guard)
+            g = env.eval_bool(guard)
+            out = g if out is None else out | g
         return out
 
     def reads(self) -> frozenset[Var]:
@@ -597,26 +562,51 @@ class AltCommand(Command):
         return frozenset(out)
 
     def writes(self) -> frozenset[Var]:
-        out: set[Var] = set()
-        for _, assigns in self.branches:
-            out |= {a.var for a in assigns}
-        return frozenset(out)
+        return frozenset(a.var for _, assigns in self.branches for a in assigns)
 
     def body_key(self) -> tuple:
         return (
-            "alt",
+            "guarded",
             tuple(
                 (g._key(), tuple(sorted(a._key() for a in assigns)))
                 for g, assigns in self.branches
             ),
         )
 
-    def renamed(self, name: str) -> "AltCommand":
+    def renamed(self, name: str) -> "GuardedCommand":
         return AltCommand(name, self.branches, self.origins)
 
-    def describe(self) -> str:
-        parts = []
+    def branch_texts(self) -> list[str]:
+        """Each branch as ``guard -> x := e || …``; a lone branch guarded
+        by ``true`` is its assignments alone."""
+        texts = []
         for guard, assigns in self.branches:
             body = " || ".join(repr(a) for a in assigns)
-            parts.append(f"{guard} -> {body}")
-        return "  [] ".join(parts)
+            guard_txt = str(guard)
+            if guard_txt == "true" and len(self.branches) == 1:
+                texts.append(body)
+            else:
+                texts.append(f"{guard_txt} -> {body}")
+        return texts
+
+    def describe(self) -> str:
+        return "  [] ".join(self.branch_texts())
+
+
+def AltCommand(
+    name: str,
+    branches: Sequence[tuple[Expr | bool, Sequence[Assignment | tuple[Var, Any]]]],
+    origins: frozenset[str] = frozenset(),
+) -> GuardedCommand:
+    """The first-match alternative
+    ``if g₁ → A₁ elif g₂ → A₂ … else skip`` as one
+    :class:`GuardedCommand`; unlike the one-branch constructor, a branch
+    may assign nothing (it then acts as ``skip`` on its states)."""
+    cmd = GuardedCommand.__new__(GuardedCommand)
+    Command.__init__(cmd, name, origins)
+    if not branches:
+        raise CommandError(f"command {name}: AltCommand needs branches")
+    cmd.branches = tuple(
+        (_as_guard(g), _normalize_assignments(assigns)) for g, assigns in branches
+    )
+    return cmd

@@ -251,10 +251,8 @@ class StrongEnsures(LeadsToProof):
 
     def enabled_predicate(self, program: "Program") -> Predicate:
         """``en(helpful)`` as a predicate (requires a guarded command)."""
-        from repro.core.commands import GuardedCommand
-
         cmd = program.command_named(self.helpful)
-        if not isinstance(cmd, GuardedCommand):
+        if len(getattr(cmd, "branches", ())) != 1:
             raise ProofError(
                 f"strong-ensures: helpful command {self.helpful!r} must be "
                 "a guarded command (its enabledness must be expressible)"

@@ -1064,16 +1064,14 @@ class Ite(Expr):
 # ---------------------------------------------------------------------------
 
 
-def esum(exprs: Sequence[ExprLike], *, zero_if_empty: bool = True) -> Expr:
+def esum(exprs: Sequence[ExprLike]) -> Expr:
     """Sum of a sequence of integer expressions (``0`` if empty).
 
     Used pervasively for the paper's ``C = Σ_i c_i`` style predicates.
     """
     items = [_as_expr(e) for e in exprs]
     if not items:
-        if zero_if_empty:
-            return IntConst(0)
-        raise ExpressionError("esum of empty sequence")
+        return IntConst(0)
     out = items[0]
     for e in items[1:]:
         out = Add(out, e)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.core.commands import AltCommand, GuardedCommand, Skip
+from repro.core.commands import AltCommand, Skip
 from repro.core.domains import BoolDomain, EnumDomain, IntRange
 from repro.core.expressions import (
     Add,
@@ -187,12 +187,7 @@ def elaborate_program(tree: ast.PProgram) -> Program:
                         )
                     assigns.append((var, elaborate_expression(rhs, env)))
                 branches.append((guard, assigns))
-            if len(branches) == 1:
-                commands.append(
-                    GuardedCommand(cmd.name, branches[0][0], branches[0][1])
-                )
-            else:
-                commands.append(AltCommand(cmd.name, branches))
+            commands.append(AltCommand(cmd.name, branches))
         if cmd.fair:
             fair.append(cmd.name)
     return Program(tree.name, variables, init, commands, fair=fair)

@@ -7,7 +7,7 @@ tests assert (semantic equality: identical masks and successor tables).
 
 from __future__ import annotations
 
-from repro.core.commands import AltCommand, Command, GuardedCommand, Skip
+from repro.core.commands import Command, GuardedCommand, Skip
 from repro.core.domains import BoolDomain, EnumDomain, IntRange
 from repro.core.program import Program
 from repro.core.variables import Var
@@ -33,15 +33,7 @@ def pretty_command(cmd: Command) -> str:
     if isinstance(cmd, Skip):
         return "skip"
     if isinstance(cmd, GuardedCommand):
-        assigns = " || ".join(f"{a.var.name} := {a.expr}" for a in cmd.assignments)
-        guard = str(cmd.guard)
-        return assigns if guard == "true" else f"{guard} -> {assigns}"
-    if isinstance(cmd, AltCommand):
-        parts = []
-        for guard, assigns in cmd.branches:
-            body = " || ".join(f"{a.var.name} := {a.expr}" for a in assigns)
-            parts.append(f"{guard} -> {body}")
-        return " [] ".join(parts)
+        return " [] ".join(cmd.branch_texts())
     raise DslError(f"cannot render command {cmd!r}")
 
 

@@ -273,6 +273,9 @@ _PASSES = (
     _shrink_predicates,
 )
 
+#: Rounds of every pass before shrinking stops even without a fixpoint.
+_MAX_ROUNDS = 10
+
 
 def shrink(
     case: FuzzCase,
@@ -280,7 +283,6 @@ def shrink(
     *,
     fault: str | None = None,
     check: str | None = None,
-    max_rounds: int = 10,
 ) -> ShrinkResult:
     """Reduce a disagreeing case to a minimal repro.
 
@@ -299,7 +301,7 @@ def shrink(
             f"case does not reproduce a {check!r} disagreement under "
             f"fault={fault!r}"
         )
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         before = state
         for p in _PASSES:
             state = p(state, sh)

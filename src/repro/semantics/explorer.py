@@ -48,37 +48,35 @@ def reachable_states(
 ) -> list[State]:
     """Decoded reachable states (guarded by ``limit`` to avoid surprises).
 
-    ``from_mask`` overrides the start set, like its siblings.  Spaces above
-    the sparse threshold enumerate through the sparse explorer, so the
+    ``from_mask`` overrides the start set, like its siblings.  Otherwise
+    the states come from the domain
+    :func:`~repro.semantics.domain.domain_for` routes to, so spaces above
+    the sparse threshold enumerate through the sparse explorer and the
     decoded list never requires a full-space mask.  Raises
     :class:`repro.errors.ExplorationError` when the reachable set exceeds
     ``limit``.
     """
-    from repro.semantics.sparse import sparse_enabled
+    from repro.semantics.sparse import dense_fallback, sparse_enabled
 
-    idx = None
-    sparse = sparse_enabled(program.space)
-    if sparse:
-        from repro.semantics.sparse.explorer import explore, reachable_subspace
+    if from_mask is None:
+        from repro.semantics.domain import FullSpace, domain_for
 
-        try:
-            if from_mask is None:
-                sub = reachable_subspace(program)
-            else:
-                seeds = np.flatnonzero(np.asarray(from_mask, dtype=bool))
-                sub = explore(program, seeds=seeds)
-            idx = sub.global_ids
-        except ExplorationError as exc:
-            # Sparse tier cannot decide (non-expression init, reachable
-            # set over its node_limit): fall back to the dense mask —
-            # refusing with a CapacityError (chaining the sparse failure
-            # as __cause__) when even that cannot run.
-            from repro.semantics.sparse import dense_fallback
+        domain = domain_for(program, "reachable_states")
+        idx = domain.to_global(np.flatnonzero(domain.reachable_mask()))
+        sparse = not isinstance(domain, FullSpace)
+    else:
+        idx = None
+        sparse = sparse_enabled(program.space)
+        if sparse:
+            from repro.semantics.sparse.explorer import explore
 
-            dense_fallback(program.space, "reachable_states", exc)
-            idx = None
-    if idx is None:
-        idx = np.flatnonzero(reachable_mask(program, from_mask=from_mask))
+            seeds = np.flatnonzero(np.asarray(from_mask, dtype=bool))
+            try:
+                idx = explore(program, seeds=seeds).global_ids
+            except ExplorationError as exc:
+                dense_fallback(program.space, "reachable_states", exc)
+        if idx is None:
+            idx = np.flatnonzero(reachable_mask(program, from_mask=from_mask))
     if idx.size > limit:
         hint = (
             "raise limit, or explore through the sparse tier "

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.core.commands import AltCommand, GuardedCommand, Skip
+from repro.core.commands import GuardedCommand, Skip
 from repro.core.domains import EnumDomain
 from repro.core.predicates import ExprPredicate, Predicate, _Composite, _Negation
 from repro.core.proofs import ProofCheckResult, ProofFailure
@@ -784,7 +784,7 @@ class FootprintKernel:
         if hit is not None:
             return hit[1]
         part = None
-        if type(cmd) in (GuardedCommand, AltCommand, Skip):
+        if type(cmd) in (GuardedCommand, Skip):
             part = self._template(cmd.describe(), cmd.reads() | cmd.writes())
         self._command_parts[id(cmd)] = (cmd, part)
         return part
@@ -1062,7 +1062,7 @@ class FootprintKernel:
         for cmd in commands:
             if isinstance(cmd, Skip) or cmd.is_skip():
                 continue
-            if not isinstance(cmd, GuardedCommand):
+            if len(getattr(cmd, "branches", ())) != 1:
                 return FootprintResult(
                     False,
                     f"refused: command {cmd.name} is not a guarded "

@@ -61,11 +61,9 @@ from repro.core.compositional import (
     StrongEnsures,
     SupportSplit,
 )
-from repro.core.composition import compose_all
 from repro.core.expressions import esum, land
 from repro.core.guarantees_calc import g_conjunction, g_transitivity
 from repro.core.predicates import ExprPredicate, Predicate
-from repro.core.program import Program
 from repro.core.properties import Guarantees, LeadsTo, Transient
 from repro.core.rules import (
     Disjunction,
@@ -75,12 +73,7 @@ from repro.core.rules import (
     PSP,
     Transitivity,
 )
-from repro.systems.allocator import build_client
-from repro.systems.pipeline import (
-    _build_sink,
-    _build_source,
-    stage_var,
-)
+from repro.systems.pipeline import _check_sizes, _compose_stack
 from repro.systems.product import PipelineAllocatorSystem
 
 __all__ = [
@@ -88,32 +81,6 @@ __all__ = [
     "build_delivery_certificate",
     "encoded_size",
 ]
-
-
-def _build_stage_hetero(i: int, cap_src: int, cap_dst: int) -> Program:
-    """Stage ``i`` with *distinct* neighbour capacities.
-
-    The homogeneous builder bakes one ``cap`` into both buffer domains;
-    shared variables must agree on their domain across components, so a
-    heterogeneous stack needs the source buffer declared with the
-    *upstream* stage's capacity.
-    """
-    from repro.core.commands import GuardedCommand
-
-    src = stage_var(i - 1, cap_src)
-    dst = stage_var(i, cap_dst)
-    move = GuardedCommand(
-        f"move[{i}]",
-        land(src.ref() > 0, dst.ref() < cap_dst),
-        [(src, src.ref() - 1), (dst, dst.ref() + 1)],
-    )
-    return Program(
-        f"Stage[{i}]",
-        [src, dst],
-        ExprPredicate(dst.ref() == 0),
-        [move],
-        fair=[f"move[{i}]"],
-    )
 
 
 def build_hetero_stack(
@@ -127,23 +94,10 @@ def build_hetero_stack(
     array the probe could allocate; the compositional checker verifies
     initially-consistency symbolically instead.
     """
-    if stages < 1:
-        raise ValueError(f"need at least one stage, got {stages}")
-    if clients < 1:
-        raise ValueError(f"need at least one client, got {clients}")
-    if total < 1:
-        raise ValueError(f"need at least one token, got {total}")
+    _check_sizes(stages, total, clients=clients)
     caps = [total + (i % 3) for i in range(stages)]
-    components = [_build_source(total, caps[0])]
-    components += [
-        _build_stage_hetero(i, caps[i - 1], caps[i]) for i in range(1, stages)
-    ]
-    components.append(_build_sink(stages, total, caps[-1]))
-    components += [build_client(j, total) for j in range(clients)]
-    system = compose_all(
-        components,
-        name=f"HeteroStack[{stages}x{clients}]",
-        check_init=False,
+    components, system = _compose_stack(
+        f"HeteroStack[{stages}x{clients}]", caps, total, clients
     )
     return PipelineAllocatorSystem(
         stages=stages,
@@ -262,9 +216,7 @@ def _guarantee_derivation(
     return final, tuple(trail)
 
 
-def build_delivery_certificate(
-    pa: PipelineAllocatorSystem, *, component_lemmas: bool = True
-) -> CompositionalCertificate:
+def build_delivery_certificate(pa: PipelineAllocatorSystem) -> CompositionalCertificate:
     """The compositional delivery certificate for a pipeline ∘ allocator
     stack (homogeneous or heterogeneous): ``conservation ↝ done = total``
     under strong fairness, with every obligation footprint-local."""
@@ -363,11 +315,8 @@ def build_delivery_certificate(
         H = level(d, H)
     root: LeadsToProof = Transitivity(Implication(C, H.lhs()), H)
 
-    lemmas = _component_lemmas(pa) if component_lemmas else ()
-    guarantee = None
-    trail: tuple[str, ...] = ()
-    if lemmas:
-        guarantee, trail = _guarantee_derivation(pa, lemmas, pa.delivery())
+    lemmas = _component_lemmas(pa)
+    guarantee, trail = _guarantee_derivation(pa, lemmas, pa.delivery())
     return CompositionalCertificate(
         system=sys,
         components=tuple(pa.components),

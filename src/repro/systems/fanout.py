@@ -122,12 +122,8 @@ def _forward_branches(src: Var, dsts: list[tuple[Var, int]]):
     ]
 
 
-def _mover(name: str, src: Var, dsts: list[tuple[Var, int]]) -> AltCommand | GuardedCommand:
-    branches = _forward_branches(src, dsts)
-    if len(branches) == 1:
-        guard, assigns = branches[0]
-        return GuardedCommand(name, guard, assigns)
-    return AltCommand(name, branches)
+def _mover(name: str, src: Var, dsts: list[tuple[Var, int]]) -> GuardedCommand:
+    return AltCommand(name, _forward_branches(src, dsts))
 
 
 def build_fanout_system(

@@ -52,6 +52,7 @@ from repro.core.predicates import ExprPredicate, Predicate
 from repro.core.program import Program
 from repro.core.properties import Invariant, LeadsTo
 from repro.core.variables import Var
+from repro.systems.allocator import build_client
 
 __all__ = ["PipelineSystem", "build_pipeline_system"]
 
@@ -143,12 +144,14 @@ def _build_source(total: int, cap: int) -> Program:
     )
 
 
-def _build_stage(i: int, cap: int) -> Program:
-    src = stage_var(i - 1, cap)
-    dst = stage_var(i, cap)
+def _build_stage(i: int, cap_src: int, cap_dst: int) -> Program:
+    """Stage ``i``, declaring each neighbour buffer with its own capacity
+    (shared variables must agree on their domain across components)."""
+    src = stage_var(i - 1, cap_src)
+    dst = stage_var(i, cap_dst)
     move = GuardedCommand(
         f"move[{i}]",
-        land(src.ref() > 0, dst.ref() < cap),
+        land(src.ref() > 0, dst.ref() < cap_dst),
         [(src, src.ref() - 1), (dst, dst.ref() + 1)],
     )
     return Program(
@@ -177,6 +180,47 @@ def _build_sink(stages: int, total: int, cap: int) -> Program:
     )
 
 
+def _check_sizes(
+    stages: int, total: int, *, clients: int | None = None, cap: int | None = None
+) -> int:
+    """Refuse impossible stack sizes (stages, then clients, tokens and
+    buffer capacity); return the buffer capacity, ``total`` by default."""
+    if stages < 1:
+        raise ValueError(f"need at least one stage, got {stages}")
+    if clients is not None and clients < 1:
+        raise ValueError(f"need at least one client, got {clients}")
+    if total < 1:
+        raise ValueError(f"need at least one token, got {total}")
+    if cap is None:
+        return total
+    if cap < total:
+        raise ValueError(
+            f"cap={cap} < total={total} can clog the pipeline; "
+            "delivery needs cap >= total"
+        )
+    return cap
+
+
+def _compose_stack(
+    name: str, caps: list[int], total: int, clients: int = 0
+) -> tuple[list[Program], Program]:
+    """Source, one stage per buffer after the first, sink, and
+    ``clients`` allocator clients sharing the pool — buffer ``i`` holds
+    at most ``caps[i]`` tokens — and their composition ``name``.
+
+    Composition skips the semantic initial-state probe
+    (``check_init=False``): the probe would materialize a full-space mask,
+    which is exactly what large stacks must avoid — the sparse explorer's
+    initial enumeration (and a test) covers satisfiability.
+    """
+    stages = len(caps)
+    components = [_build_source(total, caps[0])]
+    components += [_build_stage(i, caps[i - 1], caps[i]) for i in range(1, stages)]
+    components.append(_build_sink(stages, total, caps[-1]))
+    components += [build_client(j, total) for j in range(clients)]
+    return components, compose_all(components, name=name, check_init=False)
+
+
 def build_pipeline_system(
     stages: int, *, total: int = 3, cap: int | None = None
 ) -> PipelineSystem:
@@ -184,30 +228,10 @@ def build_pipeline_system(
 
     ``cap`` (default ``total``) bounds each stage buffer; ``cap ≥ total``
     guarantees the pipeline can never clog, which the delivery property
-    relies on.  Composition skips the semantic initial-state probe
-    (``check_init=False``): the probe would materialize a full-space mask,
-    which is exactly what large pipelines must avoid — the sparse
-    explorer's initial enumeration (and a test) covers satisfiability.
+    relies on.
     """
-    if stages < 1:
-        raise ValueError(f"need at least one stage, got {stages}")
-    if total < 1:
-        raise ValueError(f"need at least one token, got {total}")
-    if cap is None:
-        cap = total
-    if cap < total:
-        raise ValueError(
-            f"cap={cap} < total={total} can clog the pipeline; "
-            "delivery needs cap >= total"
-        )
-    components = [_build_source(total, cap)]
-    components += [_build_stage(i, cap) for i in range(1, stages)]
-    components.append(_build_sink(stages, total, cap))
-    system = compose_all(
-        components,
-        name=f"Pipeline[{stages}]",
-        check_init=False,
-    )
+    cap = _check_sizes(stages, total, cap=cap)
+    components, system = _compose_stack(f"Pipeline[{stages}]", [cap] * stages, total)
     return PipelineSystem(
         stages=stages, cap=cap, total=total,
         components=components, system=system,

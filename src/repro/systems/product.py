@@ -45,14 +45,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.composition import compose_all
 from repro.core.expressions import esum
 from repro.core.predicates import ExprPredicate, Predicate
 from repro.core.program import Program
 from repro.core.properties import Invariant, LeadsTo
 from repro.core.variables import Var
-from repro.systems.allocator import build_client
-from repro.systems.pipeline import _build_sink, _build_source, _build_stage
+from repro.systems.pipeline import _check_sizes, _compose_stack
 
 __all__ = ["PipelineAllocatorSystem", "build_pipeline_allocator"]
 
@@ -137,27 +135,9 @@ def build_pipeline_allocator(
     initial-state probe is skipped for the same reason it is in the
     pipeline builder — it would materialize a full-space mask.
     """
-    if stages < 1:
-        raise ValueError(f"need at least one stage, got {stages}")
-    if clients < 1:
-        raise ValueError(f"need at least one client, got {clients}")
-    if total < 1:
-        raise ValueError(f"need at least one token, got {total}")
-    if cap is None:
-        cap = total
-    if cap < total:
-        raise ValueError(
-            f"cap={cap} < total={total} can clog the pipeline; "
-            "delivery needs cap >= total"
-        )
-    components = [_build_source(total, cap)]
-    components += [_build_stage(i, cap) for i in range(1, stages)]
-    components.append(_build_sink(stages, total, cap))
-    components += [build_client(j, total) for j in range(clients)]
-    system = compose_all(
-        components,
-        name=f"PipelineAllocator[{stages}x{clients}]",
-        check_init=False,
+    cap = _check_sizes(stages, total, clients=clients, cap=cap)
+    components, system = _compose_stack(
+        f"PipelineAllocator[{stages}x{clients}]", [cap] * stages, total, clients
     )
     return PipelineAllocatorSystem(
         stages=stages, clients=clients, cap=cap, total=total,

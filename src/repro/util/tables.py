@@ -11,20 +11,15 @@ from collections.abc import Sequence
 __all__ = ["format_table"]
 
 
-def format_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    *,
-    min_width: int = 3,
-    sep: str = "  ",
-) -> str:
-    """Render ``rows`` under ``headers`` as a left-aligned ASCII table.
+def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """Render ``rows`` under ``headers`` as a left-aligned ASCII table:
+    columns at least three characters wide, two spaces apart.
 
     >>> print(format_table(["n", "ok"], [[3, True], [10, False]]))
-    n   ok
-    --  -----
-    3   True
-    10  False
+    n    ok
+    ---  -----
+    3    True
+    10   False
     """
     cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
     ncols = len(cells[0])
@@ -33,9 +28,8 @@ def format_table(
             raise ValueError(
                 f"row has {len(row)} cells, expected {ncols}: {row!r}"
             )
-    widths = [
-        max(min_width, *(len(row[j]) for row in cells)) for j in range(ncols)
-    ]
+    widths = [max(3, *(len(row[j]) for row in cells)) for j in range(ncols)]
+    sep = "  "
     out = [sep.join(cells[0][j].ljust(widths[j]) for j in range(ncols)).rstrip()]
     out.append(sep.join("-" * widths[j] for j in range(ncols)).rstrip())
     for row in cells[1:]:
