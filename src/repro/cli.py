@@ -657,16 +657,21 @@ def _cmd_check(args) -> int:
     program = _load_program(args.file, args.program)
     _note_run(program=program)
     failures = 0
+    tiers = set()
     for text in args.properties:
         prop = parse_property(text, program)
         verdict = verify(program, prop)
         _note_verdict(verdict)
+        tiers.add(verdict.tier)
         print(verdict.explain())
         if not verdict.holds:
             failures += 1
             state = verdict.witness.state
             if state is not None:
                 print(f"    counterexample: {state!r}")
+    # The run's tier is the one its verdicts were decided on.
+    if len(tiers) == 1:
+        _note_run(tier=tiers.pop())
     return 1 if failures else 0
 
 

@@ -28,18 +28,19 @@ Three things live here:
 
 - :class:`SupportSplit` — a :class:`~repro.core.rules.Disjunction` whose
   completeness side condition is *propositional*: over variables with
-  non-negative domains, ``p ≡ ⋁_v (p ∧ v>0) ∨ (p ∧ ⋀_v v=0)``.  The
-  compositional kernel discharges it by inspecting domains instead of
-  comparing product-space masks; the dense kernel (differential oracle)
-  still checks it as an ordinary mask equality.
+  non-negative domains, ``p ≡ ⋁_v (p ∧ v>0) ∨ (p ∧ ⋀_v v=0)``.  Every
+  domain discharges it by inspecting variable domains and branch shapes
+  instead of comparing the declared left-hand side with the premises'.
 
 - :class:`CompositionalCertificate` — the recorded rule tree: component
   certificates at the leaves (each checked on its *own* small space by
   the existing dense/sparse pipeline), calculus applications
   (``g_transitivity`` / ``g_conjunction`` / ``g_weaken`` steps and the
   leads-to rules) at internal nodes, plus the locality report of the
-  composition itself.  Re-checking walks the tree once, touching each
-  command a bounded number of times — linear in the component count.
+  composition itself.  Re-checking walks the tree once
+  (:meth:`~repro.core.proofs.ProofNode.check_on` on the footprint
+  domain), touching each command a bounded number of times — linear in
+  the component count.
 
 Helpers :func:`pred_conjuncts` / :func:`pred_disjuncts` /
 :func:`constant_binding` / :func:`linear_terms` expose the predicate
@@ -51,8 +52,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
-
-import numpy as np
 
 from repro.core.expressions import (
     Add,
@@ -72,7 +71,7 @@ from repro.core.predicates import (
     _Composite,
     _Negation,
 )
-from repro.core.proofs import ProofCheckResult, ProofFailure
+from repro.core.proofs import ProofCheckResult, ProofFailure, discharge
 from repro.core.rules import Disjunction, LeadsToProof
 from repro.core.variables import Var
 from repro.errors import ProofError
@@ -264,8 +263,6 @@ class StrongEnsures(LeadsToProof):
         return self.q | (self.region() & self.enabled_predicate(program))
 
     def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
-        from repro.semantics.checker import next_on, validity_on
-
         program = d.program
         if self.helpful not in program.fair_names:
             result.failures.append(
@@ -277,37 +274,30 @@ class StrongEnsures(LeadsToProof):
             )
             return
         rho = self.region()
-        result.obligations_checked += 1
-        res = next_on(d, rho, self.p | self.q)
-        if not res.holds:
-            result.failures.append(ProofFailure(path, res.explain()))
+        discharge(result, path, d.next(rho, self.p | self.q))
+        try:
+            en = self.enabled_predicate(program)
+        except ProofError as exc:
+            result.failures.append(ProofFailure(path, f"refused: {exc}"))
+            return
         cmd = program.command_named(self.helpful)
-        en = self.enabled_predicate(program)
-        result.obligations_checked += 1
-        res = validity_on(d, rho & en, cmd.wp(self.q))
-        if not res.holds:
-            result.failures.append(ProofFailure(path, res.explain()))
-        result.obligations_checked += 1
-        if not np.array_equal(d.pred_mask(self.recurrence.lhs()), d.pred_mask(rho)):
-            result.failures.append(
-                ProofFailure(
-                    path,
-                    "recurrence premise starts from "
-                    f"{self.recurrence.lhs().describe()}, not from the "
-                    f"exit region {rho.describe()}",
-                )
-            )
-        result.obligations_checked += 1
-        reach = d.pred_mask(self.recurrence.rhs())
-        if (reach & ~d.pred_mask(self.recurrence_target(program))).any():
-            result.failures.append(
-                ProofFailure(
-                    path,
-                    "recurrence premise does not reach "
-                    "q ∨ (region ∧ en(helpful)): concludes "
-                    f"{self.recurrence.rhs().describe()}",
-                )
-            )
+        discharge(result, path, d.valid_wp(rho & en, cmd, self.q))
+        discharge(
+            result,
+            path,
+            d.equivalent(self.recurrence.lhs(), rho),
+            lambda: "recurrence premise starts from "
+            f"{self.recurrence.lhs().describe()}, not from the "
+            f"exit region {rho.describe()}",
+        )
+        discharge(
+            result,
+            path,
+            d.valid(self.recurrence.rhs(), self.recurrence_target(program)),
+            lambda: "recurrence premise does not reach "
+            "q ∨ (region ∧ en(helpful)): concludes "
+            f"{self.recurrence.rhs().describe()}",
+        )
 
 
 class SupportSplit(Disjunction):
@@ -316,12 +306,11 @@ class SupportSplit(Disjunction):
     A :class:`~repro.core.rules.Disjunction` over the branches
     ``base ∧ v > 0`` (one per ``v`` in ``split_vars``) plus the branch
     ``base ∧ ⋀_v v = 0``, concluding ``base ↝ q``.  When every split
-    variable has a non-negative integer domain the completeness side
-    condition is a propositional tautology — the compositional kernel
-    verifies the branch *shapes* and the domain lower bounds instead of
-    comparing product-space masks.  Under the dense kernel this node
-    checks exactly as the underlying Disjunction (the differential
-    oracle needs no special case).
+    variable has a non-negative domain the completeness side condition
+    is a propositional tautology, so on every domain the node checks
+    the branch *shapes* (each premise starts exactly from its case), the
+    domain lower bounds and that the premises' right-hand sides agree,
+    instead of the Disjunction's declared-left-hand-side equivalence.
     """
 
     rule_name = "support-split"
@@ -345,6 +334,41 @@ class SupportSplit(Disjunction):
         super().__init__(
             (*positive_subs, zero_sub), conclude_lhs=base
         )
+
+    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
+        positives, zero = self.branch_predicates()
+        for i, (sub, expected) in enumerate(zip(self.positive_subs, positives)):
+            discharge(
+                result,
+                path,
+                d.equivalent(sub.lhs(), expected),
+                lambda: f"support-split branch {i} left-hand side",
+            )
+        discharge(
+            result,
+            path,
+            d.equivalent(self.zero_sub.lhs(), zero),
+            lambda: "support-split zero branch left-hand side",
+        )
+        # Completeness: over non-negative domains,
+        #   base ⇒ ⋁ᵥ (v > 0) ∨ ⋀ᵥ (v = 0)
+        # is a propositional tautology — verify the domain bound, not a
+        # mask.
+        result.obligations_checked += 1
+        for v in self.split_vars:
+            lo = getattr(v.domain, "lo", None)
+            if lo is None:
+                lo = min(v.domain.values(), default=0)
+            if lo < 0:
+                result.failures.append(
+                    ProofFailure(
+                        path,
+                        f"support-split: variable {v.name} may be negative "
+                        f"(domain {v.domain}); the case split is not "
+                        "exhaustive",
+                    )
+                )
+        self._check_rhs_agree(d, result, path)
 
     def branch_predicates(self) -> tuple[tuple[Predicate, ...], Predicate]:
         """The *expected* branch left-hand sides, rebuilt from the spec."""

@@ -7,7 +7,10 @@ question: :meth:`ProofNode.check` resolves the program's evaluation domain
 (:mod:`repro.semantics.domain`) once, and every node of the tree is judged
 on that domain — leaf obligations (``init``/``stable``/``transient``/
 ``next``/validity) by the semantic judgments, internal rules' side
-conditions by comparing predicate masks over the same states.
+conditions by semantic equivalence and entailment over the same states.
+:meth:`ProofNode.check_on` is the one walk of every certificate: on a
+mask domain or, for the leads-to rules of a compositional certificate,
+on the footprint domain.
 
 Two kernels share this infrastructure:
 
@@ -50,6 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ProofFailure",
+    "discharge",
     "ProofCheckResult",
     "ProofNode",
     "SafetyProof",
@@ -74,6 +78,22 @@ class ProofFailure:
 
     def __str__(self) -> str:
         return f"{self.path}: {self.message}"
+
+
+def discharge(result: "ProofCheckResult", path: str, verdict, what=None) -> None:
+    """Count one judgment's obligations into ``result``; record its failure.
+
+    ``verdict`` is what a domain's judgment returned: it is true when the
+    judgment holds, has ``obligations`` (how many semantic obligations
+    deciding it took) and, for the failure text, ``message`` and
+    ``explain()``.  ``what``, if given, is a callable naming the failed
+    side condition; it is called only on failure, so a passing check
+    builds no text.
+    """
+    result.obligations_checked += verdict.obligations
+    if not verdict:
+        message = verdict.explain() if what is None else f"{what()}: {verdict.message}"
+        result.failures.append(ProofFailure(path, message))
 
 
 @dataclass
@@ -126,12 +146,16 @@ class ProofNode:
         """Rendering of the judgment this node concludes."""
         raise NotImplementedError
 
-    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
+    def _local_check(self, d, result: ProofCheckResult, path: str):
         """Discharge this node's own side conditions and leaf obligations
         on the domain ``d`` of the program under check (``d.program``).
 
         Implementations append to ``result.failures`` and increment
-        ``result.obligations_checked`` per semantic obligation discharged.
+        ``result.obligations_checked`` per semantic obligation discharged
+        (:func:`discharge`).  They return ``None`` (the walk then goes on
+        into :meth:`premises`) or, when a domain decides a derived rule
+        its own way (:class:`~repro.core.rules.Ensures`), the sub-proofs
+        left to check on ``d``.
         """
         raise NotImplementedError
 
@@ -151,16 +175,25 @@ class ProofNode:
 
     def check_on(self, d) -> ProofCheckResult:
         """Re-check the entire tree on the domain ``d``: every leaf
-        obligation and side condition is decided over its states."""
+        obligation and side condition is decided by ``d``'s judgments.
+
+        The walk is memoized by node identity, so a subtree shared by
+        several premises (the delivery certificate reuses one progress
+        subtree across the branches of its support split) is checked
+        once.
+        """
         result = ProofCheckResult()
-        self._check_into(d, result, self.rule_name)
+        self._check_into(d, result, self.rule_name, set())
         return result
 
-    def _check_into(self, d, result: ProofCheckResult, path: str) -> None:
+    def _check_into(self, d, result: ProofCheckResult, path: str, seen: set) -> None:
+        if id(self) in seen:
+            return
+        seen.add(id(self))
         result.nodes_checked += 1
-        self._local_check(d, result, path)
-        for i, sub in enumerate(self.premises()):
-            sub._check_into(d, result, f"{path}.{i}:{sub.rule_name}")
+        subs = self._local_check(d, result, path)
+        for i, sub in enumerate(self.premises() if subs is None else subs):
+            sub._check_into(d, result, f"{path}.{i}:{sub.rule_name}", seen)
 
     # -- metrics / rendering ----------------------------------------------------
 
@@ -238,10 +271,7 @@ class StableLeaf(SafetyProof):
     def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
         from repro.semantics.checker import stable_on
 
-        result.obligations_checked += 1
-        res = stable_on(d, self.p)
-        if not res.holds:
-            result.failures.append(ProofFailure(path, res.explain()))
+        discharge(result, path, stable_on(d, self.p))
 
 
 class InitLeaf(SafetyProof):
@@ -258,10 +288,7 @@ class InitLeaf(SafetyProof):
     def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
         from repro.semantics.checker import init_on
 
-        result.obligations_checked += 1
-        res = init_on(d, self.p)
-        if not res.holds:
-            result.failures.append(ProofFailure(path, res.explain()))
+        discharge(result, path, init_on(d, self.p))
 
 
 class StableConjunction(SafetyProof):
@@ -539,15 +566,9 @@ class InitWeaken(SafetyProof):
         return ("init", self.q)
 
     def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
-        from repro.semantics.checker import validity_on
-
         pred = _expect_form(self.sub, "init", result, path, "premise")
-        if pred is None:
-            return
-        result.obligations_checked += 1
-        res = validity_on(d, pred, self.q)
-        if not res.holds:
-            result.failures.append(ProofFailure(path, res.explain()))
+        if pred is not None:
+            discharge(result, path, d.valid(pred, self.q))
 
 
 class InitConjunction(SafetyProof):
@@ -597,12 +618,10 @@ class InvariantIntro(SafetyProof):
         )
         if p_init is None or p_stab is None:
             return
-        result.obligations_checked += 1
-        if not np.array_equal(d.pred_mask(p_init), d.pred_mask(p_stab)):
-            result.failures.append(
-                ProofFailure(
-                    path,
-                    "init and stable premises conclude inequivalent predicates: "
-                    f"{p_init.describe()} vs {p_stab.describe()}",
-                )
-            )
+        discharge(
+            result,
+            path,
+            d.equivalent(p_init, p_stab),
+            lambda: "init and stable premises conclude inequivalent predicates: "
+            f"{p_init.describe()} vs {p_stab.describe()}",
+        )

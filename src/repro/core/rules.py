@@ -33,26 +33,31 @@ which holds only under strong fairness.  Certificates containing it are
 judgments of the strong-fairness semantics, not the paper's §2 logic.
 
 Every node is checked on the one domain its proof check resolved
-(:meth:`~repro.core.proofs.ProofNode.check`).  Side conditions ("the
-intermediate predicates agree") compare predicate masks over that
-domain — **semantic** equality and entailment, mirroring the paper's
-free use of predicate calculus between steps — and leaf obligations run
-the domain-taking judgments of :mod:`repro.semantics.checker`.  On
-sparse-routed spaces the domain is the reachable subspace, so side
-conditions and leaves alike decide the reachable-restricted judgment
-through the frontier kernels (see :mod:`repro.semantics.sparse`), and
-certificates stay checkable on composition stacks whose encoded space
-dwarfs the dense capacity.
+(:meth:`~repro.core.proofs.ProofNode.check`), and each rule states its
+obligations once, as calls of that domain's judgments
+(:mod:`repro.semantics.domain`): side conditions ("the intermediate
+predicates agree") are ``equivalent``/``valid`` — **semantic** equality
+and entailment, mirroring the paper's free use of predicate calculus
+between steps — and leaves are ``next``, ``transient`` and
+``transient_strong``.  On sparse-routed spaces the domain is the
+reachable subspace, so side conditions and leaves alike decide the
+reachable-restricted judgment through the frontier kernels (see
+:mod:`repro.semantics.sparse`); on the compositional tier it is the
+footprint domain, which never enumerates the product.
+
+``Ensures`` is the one rule a domain decides its own way, through its
+``ensures`` judgment: the mask domains check the derivation
+:meth:`Ensures.expand` (so the trusted base stays the paper's five
+rules), while the footprint domain checks the two obligations
+``p∧¬q next p∨q`` and ``transient (p∧¬q)`` directly.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.core.predicates import Predicate, TRUE
-from repro.core.proofs import ProofCheckResult, ProofFailure, ProofNode
+from repro.core.proofs import ProofCheckResult, ProofNode, discharge
 from repro.errors import ProofError
 
 __all__ = [
@@ -111,12 +116,7 @@ class TransientBasis(LeadsToProof):
         return ~self.q
 
     def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
-        from repro.semantics.checker import transient_on
-
-        result.obligations_checked += 1
-        res = transient_on(d, self.q)
-        if not res.holds:
-            result.failures.append(ProofFailure(path, res.explain()))
+        discharge(result, path, d.transient(self.q))
 
 
 class StrongTransientBasis(LeadsToProof):
@@ -146,12 +146,7 @@ class StrongTransientBasis(LeadsToProof):
         return ~self.q
 
     def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
-        from repro.semantics.strong_fairness import transient_strong_on
-
-        result.obligations_checked += 1
-        res = transient_strong_on(d, self.q)
-        if not res.holds:
-            result.failures.append(ProofFailure(path, res.explain()))
+        discharge(result, path, d.transient_strong(self.q))
 
 
 class Implication(LeadsToProof):
@@ -170,12 +165,7 @@ class Implication(LeadsToProof):
         return self.q
 
     def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
-        from repro.semantics.checker import validity_on
-
-        result.obligations_checked += 1
-        res = validity_on(d, self.p, self.q)
-        if not res.holds:
-            result.failures.append(ProofFailure(path, res.explain()))
+        discharge(result, path, d.valid(self.p, self.q))
 
 
 class Disjunction(LeadsToProof):
@@ -215,31 +205,30 @@ class Disjunction(LeadsToProof):
         return self.subs[0].rhs()
 
     def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
-        q = self.subs[0].rhs()
-        q_mask = d.pred_mask(q)
-        for i, sub in enumerate(self.subs[1:], start=1):
-            result.obligations_checked += 1
-            if not np.array_equal(d.pred_mask(sub.rhs()), q_mask):
-                result.failures.append(
-                    ProofFailure(
-                        path,
-                        f"premise {i} concludes a different right-hand side: "
-                        f"{sub.rhs().describe()} vs {q.describe()}",
-                    )
-                )
+        self._check_rhs_agree(d, result, path)
         if self._conclude_lhs is not None:
             fold = self.subs[0].lhs()
             for sub in self.subs[1:]:
                 fold = fold | sub.lhs()
-            result.obligations_checked += 1
-            if not np.array_equal(d.pred_mask(self._conclude_lhs), d.pred_mask(fold)):
-                result.failures.append(
-                    ProofFailure(
-                        path,
-                        "declared left-hand side is not equivalent to the "
-                        "disjunction of the premises' left-hand sides",
-                    )
-                )
+            discharge(
+                result,
+                path,
+                d.equivalent(self._conclude_lhs, fold),
+                lambda: "declared left-hand side is not equivalent to the "
+                "disjunction of the premises' left-hand sides",
+            )
+
+    def _check_rhs_agree(self, d, result: ProofCheckResult, path: str) -> None:
+        """Every premise concludes the first premise's right-hand side."""
+        q = self.subs[0].rhs()
+        for i, sub in enumerate(self.subs[1:], start=1):
+            discharge(
+                result,
+                path,
+                d.equivalent(sub.rhs(), q),
+                lambda: f"premise {i} concludes a different right-hand side: "
+                f"{sub.rhs().describe()} vs {q.describe()}",
+            )
 
 
 class Transitivity(LeadsToProof):
@@ -261,16 +250,14 @@ class Transitivity(LeadsToProof):
         return self.right.rhs()
 
     def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
-        result.obligations_checked += 1
         mid_left, mid_right = self.left.rhs(), self.right.lhs()
-        if not np.array_equal(d.pred_mask(mid_left), d.pred_mask(mid_right)):
-            result.failures.append(
-                ProofFailure(
-                    path,
-                    "intermediate predicates disagree: "
-                    f"{mid_left.describe()} vs {mid_right.describe()}",
-                )
-            )
+        discharge(
+            result,
+            path,
+            d.equivalent(mid_left, mid_right),
+            lambda: "intermediate predicates disagree: "
+            f"{mid_left.describe()} vs {mid_right.describe()}",
+        )
 
 
 class PSP(LeadsToProof):
@@ -296,12 +283,7 @@ class PSP(LeadsToProof):
         return (self.sub.rhs() & self.s) | (~self.s & self.t)
 
     def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
-        from repro.semantics.checker import next_on
-
-        result.obligations_checked += 1
-        res = next_on(d, self.s, self.t)
-        if not res.holds:
-            result.failures.append(ProofFailure(path, res.explain()))
+        discharge(result, path, d.next(self.s, self.t))
 
 
 class Ensures(LeadsToProof):
@@ -320,8 +302,10 @@ class Ensures(LeadsToProof):
         …                                       ⊢ (p∧¬q)∨(p∧q) ↝ q     (Disjunction)
               with declared lhs p  (≡ (p∧¬q)∨(p∧q))
 
-    Checking an ``Ensures`` node checks exactly this expansion, so the
-    kernel's trusted base stays the paper's five rules.
+    On the mask domains, checking an ``Ensures`` node checks exactly
+    this expansion, so the kernel's trusted base stays the paper's five
+    rules; the footprint domain checks the two obligations of ``p
+    ensures q`` directly (its ``ensures`` judgment).
 
     With ``fairness="strong"`` the expansion's basis is
     :class:`StrongTransientBasis` instead — the helpful command needs
@@ -364,16 +348,8 @@ class Ensures(LeadsToProof):
     def premises(self) -> tuple[ProofNode, ...]:
         return (self.expand(),)
 
-    def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
-        # All obligations live in the expansion; the macro node itself only
-        # asserts that the expansion concludes p ↝ q, which is true by
-        # construction (Disjunction declares lhs = p, rhs folds to q).
-        result.obligations_checked += 1
-        exp = self.expand()
-        if not np.array_equal(d.pred_mask(exp.rhs()), d.pred_mask(self.q)):
-            result.failures.append(
-                ProofFailure(path, "expansion right-hand side is not equivalent to q")
-            )
+    def _local_check(self, d, result: ProofCheckResult, path: str):
+        return d.ensures(self, result, path)
 
 
 class MetricInduction(LeadsToProof):
@@ -424,40 +400,33 @@ class MetricInduction(LeadsToProof):
         return self.q
 
     def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
-        from repro.semantics.checker import validity_on
-
         # Coverage: p ⇒ q ∨ ⋁ levels.
-        result.obligations_checked += 1
         cover = self.q
         for lv in self.levels:
             cover = cover | lv
-        res = validity_on(d, self.p, cover)
-        if not res.holds:
-            result.failures.append(
-                ProofFailure(
-                    path, f"p is not covered by q and the levels: {res.message}"
-                )
-            )
+        discharge(
+            result,
+            path,
+            d.valid(self.p, cover),
+            lambda: "p is not covered by q and the levels",
+        )
         # Each level's premise must conclude L_m ↝ R with R ⇒ (q ∨ lower
         # levels); the weakening is derivable (Implication + Transitivity),
         # accepting it directly keeps hand-written proofs natural.
         lower = self.q
         for m, (lv, sub) in enumerate(zip(self.levels, self.subs)):
-            result.obligations_checked += 2
-            if not np.array_equal(d.pred_mask(sub.lhs()), d.pred_mask(lv)):
-                result.failures.append(
-                    ProofFailure(
-                        path,
-                        f"level {m}: premise lhs {sub.lhs().describe()} is not "
-                        f"the level predicate",
-                    )
-                )
-            if (d.pred_mask(sub.rhs()) & ~d.pred_mask(lower)).any():
-                result.failures.append(
-                    ProofFailure(
-                        path,
-                        f"level {m}: premise rhs {sub.rhs().describe()} does not "
-                        f"entail (q ∨ lower levels)",
-                    )
-                )
+            discharge(
+                result,
+                path,
+                d.equivalent(sub.lhs(), lv),
+                lambda: f"level {m}: premise lhs {sub.lhs().describe()} is "
+                "not the level predicate",
+            )
+            discharge(
+                result,
+                path,
+                d.valid(sub.rhs(), lower),
+                lambda: f"level {m}: premise rhs {sub.rhs().describe()} does "
+                "not entail (q ∨ lower levels)",
+            )
             lower = lower | lv

@@ -75,6 +75,10 @@ class CheckResult:
     message: str = ""
     witness: dict[str, Any] = field(default_factory=dict)
 
+    #: Obligations deciding the judgment took, as a proof-check verdict
+    #: (:func:`repro.core.proofs.discharge`): one.
+    obligations = 1
+
     def __bool__(self) -> bool:
         return self.holds
 

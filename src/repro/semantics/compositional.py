@@ -9,11 +9,15 @@ obligation it discharges is *local*:
   and commands involved; the logic's all-states semantics quantifies over
   every assignment of the rest, so each obligation is decided exactly on
   its footprint by :class:`~repro.semantics.obligations.FootprintKernel`.
+  The tree is checked by the one proof walk of every certificate,
+  :meth:`~repro.core.proofs.ProofNode.check_on`, on
+  :class:`FootprintSpace` — the third evaluation domain, whose
+  judgments are these footprint decisions.
 - **Interference freedom** is per command: a command whose write set is
-  disjoint from ``vars(p) ∪ vars(q)`` cannot destroy ``p ∧ ¬q`` (the
-  frame rule — the ``next`` obligation reduces to the propositional
-  tautology ``p ∧ ¬q ⇒ p ∨ q`` and is skipped without evaluation);
-  interfering commands are checked through their symbolic ``wp``.
+  disjoint from ``vars(p) ∪ vars(q)`` keeps both predicates' values, so
+  once ``p ⇒ q`` is established it cannot break ``p next q`` (the frame
+  rule — the command is skipped without evaluation); interfering
+  commands are checked through their symbolic ``wp``.
 - **Locality side conditions** are the paper's pairwise composability
   checks (:func:`repro.core.composition.compatibility_report` with
   ``check_init=False`` — shared variables must agree on domain and
@@ -37,12 +41,13 @@ count the two.
 
 Refusals, never unsound acceptances
 -----------------------------------
-Wherever the kernel cannot decide an obligation locally — a footprint
-beyond the cap, a non-symbolic command, a rule that needs product-global
-reasoning (bare transient bases, metric induction) — it *refuses*: the
-check fails with an explanation, it never guesses.  The dense per-level
-kernel on small instances is the differential oracle for exactly this
-contract (``tests/test_compositional.py``).
+Wherever the kernel cannot decide an obligation locally — a predicate
+with no expression form, a footprint beyond the cap, a non-symbolic
+command, a helpful command with several branches — it *refuses*: the
+check fails with an explanation saying "refused", never an exception,
+and it never guesses.  The same walk on the full space of small
+instances is the differential oracle for exactly this contract
+(``tests/test_compositional.py``).
 """
 
 from __future__ import annotations
@@ -50,30 +55,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.compositional import (
-    CompositionalCertificate,
-    StrongEnsures,
-    SupportSplit,
-    linear_terms,
+from repro.core.compositional import CompositionalCertificate
+from repro.core.proofs import ProofCheckResult, ProofFailure, discharge
+from repro.semantics.obligations import (
+    FootprintKernel,
+    FootprintResult,
+    _LazyFailure,
+    _symbolic,
 )
-from repro.core.proofs import ProofCheckResult, ProofFailure
-from repro.core.rules import (
-    Disjunction,
-    Ensures,
-    Implication,
-    LeadsToProof,
-    PSP,
-    Transitivity,
-)
-from repro.semantics.obligations import FootprintKernel
 from repro.semantics.synthesis import check_certificate_batched
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.commands import Command
-    from repro.core.predicates import Predicate
     from repro.core.program import Program
 
-__all__ = ["CompositionalCheckResult", "check_compositional"]
+__all__ = ["CompositionalCheckResult", "FootprintSpace", "check_compositional"]
 
 
 @dataclass
@@ -100,253 +95,113 @@ class CompositionalCheckResult(ProofCheckResult):
         )
 
 
-class _Walker:
-    """One memoized walk of a certificate's rule tree."""
+class FootprintSpace:
+    """The third evaluation domain: a system's states, never enumerated.
 
-    def __init__(
-        self,
-        system: "Program",
-        kernel: FootprintKernel,
-        result: CompositionalCheckResult,
-    ) -> None:
-        self.system = system
+    It has the rule judgments only (no masks, ids or graph), each decided
+    by the :class:`~repro.semantics.obligations.FootprintKernel` on the
+    footprint of its obligation.  ``transient_strong`` is the weak
+    criterion, a sound strengthening, and ``ensures`` checks ``p∧¬q next
+    p∨q`` and ``transient (p∧¬q)``.  What the kernel cannot decide is a
+    failure saying "refused", never an exception.  Each judgment starts
+    a fresh kernel scope (:meth:`FootprintKernel.release`).
+    """
+
+    def __init__(self, system: "Program", kernel: FootprintKernel) -> None:
+        self.program = system
         self.kernel = kernel
-        self.result = result
-        self._seen: set[int] = set()
-        # Each command with its write set, computed once.  ``Program``
-        # already computed every write set at construction, so none of
-        # these calls can fail here.
-        self.commands: list[tuple["Command", frozenset]] = [
-            (cmd, cmd.writes()) for cmd in system.commands
-        ]
+        #: ``next`` obligations discharged by the frame rule.
+        self.frame_skips = 0
+        self._commands = [(cmd, cmd.writes()) for cmd in system.commands]
+        self._fair = [cw for cw in self._commands if cw[0].name in system.fair_names]
 
-    # -- plumbing ----------------------------------------------------------
-
-    def fail(self, path: str, message: str) -> None:
-        self.result.failures.append(ProofFailure(path, message))
-
-    def obligation(self, path: str, res, label: str) -> None:
-        self.result.obligations_checked += 1
-        if not res.ok:
-            self.fail(path, f"{label}: {res.message}")
-
-    # -- the next-obligation workhorse ------------------------------------
-
-    def check_next(
-        self, path: str, pre: "Predicate", post: "Predicate", label: str
-    ) -> None:
-        """``pre next post`` per command: frame rule, else symbolic wp.
-
-        Sound only when ``pre ⇒ post`` propositionally on the frame case
-        — callers pass ``pre = p ∧ ¬q`` and ``post = p ∨ q``, for which a
-        command not writing ``vars(pre) ∪ vars(post)`` preserves ``pre``
-        and ``pre ⇒ post`` holds by construction.
-        """
-        relevant = pre.variables() | post.variables()
-        for cmd, writes in self.commands:
-            if writes.isdisjoint(relevant):
-                self.result.frame_skips += 1
-                self.result.obligations_checked += 1
-                continue
-            res = self.kernel.check_wp(pre, cmd, post)
-            self.obligation(path, res, f"{label} (command {cmd.name})")
-
-    # -- dispatch ----------------------------------------------------------
-
-    def walk(self, node: LeadsToProof, path: str) -> None:
-        if id(node) in self._seen:
-            return
-        self._seen.add(id(node))
-        self.result.nodes_checked += 1
-        # A node's obligations share masks and key parts; its
-        # children's do not (FootprintKernel.release).
-        self.kernel.release()
-        if isinstance(node, Implication):
-            self.obligation(
-                path, self.kernel.entails(node.p, node.q), "implication"
-            )
-        elif isinstance(node, Transitivity):
-            self.obligation(
-                path,
-                self.kernel.equal(node.left.rhs(), node.right.lhs()),
-                "transitivity glue",
-            )
-            self.walk(node.left, f"{path}.0:{node.left.rule_name}")
-            self.walk(node.right, f"{path}.1:{node.right.rule_name}")
-        elif isinstance(node, SupportSplit):
-            self._walk_support_split(node, path)
-        elif isinstance(node, Disjunction):
-            self._walk_disjunction(node, path)
-        elif isinstance(node, PSP):
-            self._walk_psp(node, path)
-        elif isinstance(node, StrongEnsures):
-            self._walk_strong_ensures(node, path)
-        elif isinstance(node, Ensures):
-            self._walk_ensures(node, path)
-        else:
-            self.fail(
-                path,
-                f"refused: rule {node.rule_name!r} needs product-global "
-                "reasoning the compositional kernel does not perform",
-            )
-
-    # -- per-rule checks ---------------------------------------------------
-
-    def _subs_rhs_agree(self, node: Disjunction, path: str) -> None:
-        q = node.subs[0].rhs()
-        for i, sub in enumerate(node.subs[1:], start=1):
-            self.obligation(
-                path,
-                self.kernel.equal(sub.rhs(), q),
-                f"disjunction premise {i} right-hand side",
-            )
-
-    def _walk_disjunction(self, node: Disjunction, path: str) -> None:
-        self._subs_rhs_agree(node, path)
-        if node._conclude_lhs is not None:
-            fold = node.subs[0].lhs()
-            for sub in node.subs[1:]:
-                fold = fold | sub.lhs()
-            self.obligation(
-                path,
-                self.kernel.equal(node._conclude_lhs, fold),
-                "disjunction declared left-hand side",
-            )
-        for i, sub in enumerate(node.subs):
-            self.walk(sub, f"{path}.{i}:{sub.rule_name}")
-
-    def _walk_support_split(self, node: SupportSplit, path: str) -> None:
-        # Branch shapes: each premise must start exactly from its case.
-        positives, zero = node.branch_predicates()
-        for i, (sub, expected) in enumerate(
-            zip(node.positive_subs, positives)
-        ):
-            self.obligation(
-                path,
-                self.kernel.equal(sub.lhs(), expected),
-                f"support-split branch {i} left-hand side",
-            )
-        self.obligation(
-            path,
-            self.kernel.equal(node.zero_sub.lhs(), zero),
-            "support-split zero branch left-hand side",
-        )
-        # Completeness: over non-negative domains,
-        #   base ⇒ ⋁ᵥ (v > 0) ∨ ⋀ᵥ (v = 0)
-        # is a propositional tautology — verify the domain bound, not a
-        # product mask.
-        self.result.obligations_checked += 1
-        for v in node.split_vars:
-            lo = getattr(v.domain, "lo", None)
-            if lo is None:
-                lo = min(v.domain.values(), default=0)
-            if lo < 0:
-                self.fail(
-                    path,
-                    f"support-split: variable {v.name} may be negative "
-                    f"(domain {v.domain}); the case split is not "
-                    "exhaustive",
+    def _judge(self, preds, decide, *, keep: bool = False) -> FootprintResult:
+        """``decide()`` in a fresh kernel scope, or in the current one if
+        ``keep``; refused if a predicate has no expression form."""
+        if not keep:
+            self.kernel.release()
+        for pred in preds:
+            if not _symbolic(pred):  # neither text nor footprint is known
+                return FootprintResult(
+                    False, f"refused: {pred.describe()} has no expression form"
                 )
-        self._subs_rhs_agree(node, path)
-        for i, sub in enumerate(node.subs):
-            self.walk(sub, f"{path}.{i}:{sub.rule_name}")
+        return decide()
 
-    def _walk_psp(self, node: PSP, path: str) -> None:
-        # ``s next t`` — when s and t are the same linear equality this is
-        # the conservation route: per-command weighted write deltas, an
-        # obligation over vars(command) only.
-        if node.s is node.t or node.s.describe() == node.t.describe():
-            stable = self.kernel.check_linear_stable(
-                node.s, self.system.commands
-            )
-            if stable.ok or _is_linear_equality(node.s):
-                self.obligation(path, stable, "psp stability (linear)")
-                self.walk(node.sub, f"{path}.0:{node.sub.rule_name}")
-                return
-        self.check_next(path, node.s, node.t, "psp next obligation")
-        self.walk(node.sub, f"{path}.0:{node.sub.rule_name}")
+    def valid(self, p, q) -> FootprintResult:
+        return self._judge((p, q), lambda: self.kernel.entails(p, q))
 
-    def _walk_ensures(self, node: Ensures, path: str) -> None:
-        region = node.p & ~node.q
-        self.check_next(
-            path, region, node.p | node.q, "ensures next obligation"
-        )
-        # transient (p ∧ ¬q): some fair command exits the region from
-        # every region state.  Weak-rule obligations are checked even for
-        # fairness="strong" nodes — strictly stronger, hence sound.
-        self.result.obligations_checked += 1
-        region_vars = region.variables()
-        candidates = sorted(
-            (cw for cw in self.commands if cw[0].name in self.system.fair_names),
-            key=lambda cw: (cw[1].isdisjoint(region_vars), cw[0].name),
-        )
-        # Only the last failing candidate is kept, and its message is read
-        # only when every candidate fails.
+    def equivalent(self, a, b) -> FootprintResult:
+        return self._judge((a, b), lambda: self.kernel.equal(a, b))
+
+    def valid_wp(self, pre, cmd, post) -> FootprintResult:
+        return self._judge((pre, post), lambda: self.kernel.check_wp(pre, cmd, post))
+
+    def next(self, p, q) -> FootprintResult:
+        """Linear stability when ``p`` and ``q`` are one linear equality;
+        else one obligation per command.  A command writing none of
+        ``vars(p) ∪ vars(q)`` keeps both values, so it may be skipped (the
+        frame rule) once ``p ⇒ q`` holds, decided on the first one."""
+        return self._judge((p, q), lambda: self._next(p, q))
+
+    def _next(self, p, q) -> FootprintResult:
+        if p is q or p.describe() == q.describe():
+            stable = self.kernel.check_linear_stable(p, self.program.commands)
+            if stable is not None:
+                return stable
+        relevant = p.variables() | q.variables()
+        framed = None
+        for cmd, writes in self._commands:
+            if writes.isdisjoint(relevant):
+                if framed is None:
+                    framed = self.kernel.entails(p, q).ok
+                if framed:
+                    self.frame_skips += 1
+                    continue
+            res = self.kernel.check_wp(p, cmd, q)
+            if not res.ok:
+                return _LazyFailure(
+                    lambda: f"{p.describe()} next {q.describe()}: {res.message}",
+                    dropped=res.dropped,
+                    obligations=len(self._commands),
+                )
+        return FootprintResult(True, obligations=len(self._commands))
+
+    def transient(self, p) -> FootprintResult:
+        """One fair command exits ``p`` from every ``p``-state; writers of
+        ``p``'s variables are tried first."""
+        return self._judge((p,), lambda: self._transient(p))
+
+    transient_strong = transient
+
+    def _transient(self, p) -> FootprintResult:
+        region_vars = p.variables()
         last = None
-        exit_pred = ~region
-        for cmd, _ in candidates:
-            last = self.kernel.check_wp(region, cmd, exit_pred)
+        exit_pred = ~p
+        for cmd, _ in sorted(
+            self._fair, key=lambda cw: (cw[1].isdisjoint(region_vars), cw[0].name)
+        ):
+            last = self.kernel.check_wp(p, cmd, exit_pred)
             if last.ok:
-                return
-        why = (
-            last.message
-            if last is not None
-            else "the program has no fair commands (D = ∅)"
+                return last
+        why = "the program has no fair commands (D = ∅)"
+        return _LazyFailure(
+            lambda: f"no fair command exits {p.describe()} from every region "
+            f"state (last candidate: {why if last is None else last.message})"
         )
-        self.fail(
+
+    def ensures(self, node, result, path: str) -> tuple:
+        region, progress = node.p & ~node.q, node.p | node.q
+        discharge(
+            result, path, self.next(region, progress), lambda: "ensures next obligation"
+        )
+        # In next's kernel scope: the region's masks serve both obligations.
+        discharge(
+            result,
             path,
-            "ensures transient obligation: no fair command exits "
-            f"{region.describe()} from every region state (last candidate: "
-            f"{why})",
+            self._judge((region,), lambda: self._transient(region), keep=True),
+            lambda: "ensures transient obligation",
         )
-
-    def _walk_strong_ensures(self, node: StrongEnsures, path: str) -> None:
-        if node.helpful not in self.system.fair_names:
-            self.fail(
-                path,
-                f"helpful command {node.helpful!r} is not in the fair "
-                f"subset of {self.system.name}",
-            )
-            return
-        rho = node.region()
-        self.check_next(
-            path, rho, node.p | node.q, "strong-ensures next obligation"
-        )
-        try:
-            en = node.enabled_predicate(self.system)
-        except Exception as exc:
-            self.fail(path, f"refused: {exc}")
-            return
-        cmd = self.system.command_named(node.helpful)
-        res = self.kernel.check_wp(rho & en, cmd, node.q)
-        self.obligation(path, res, "strong-ensures helpful wp")
-        self.obligation(
-            path,
-            self.kernel.equal(node.recurrence.lhs(), rho),
-            "strong-ensures recurrence start",
-        )
-        self.obligation(
-            path,
-            self.kernel.entails(
-                node.recurrence.rhs(), node.recurrence_target(self.system)
-            ),
-            "strong-ensures recurrence target",
-        )
-        self.walk(node.recurrence, f"{path}.0:{node.recurrence.rule_name}")
-
-
-def _is_linear_equality(pred: "Predicate") -> bool:
-    from repro.core.expressions import EqE
-
-    try:
-        expr = pred.as_expr()
-    except Exception:
-        return False
-    return (
-        isinstance(expr, EqE)
-        and linear_terms(expr.left) is not None
-        and linear_terms(expr.right) is not None
-    )
+        return ()
 
 
 # ---------------------------------------------------------------------------
@@ -496,23 +351,23 @@ def check_compositional(
     _check_init_consistency(cert, kernel, result)
     if check_components:
         _check_components(cert, result)
-    walker = _Walker(cert.system, kernel, result)
-    walker.walk(cert.proof, f"0:{cert.proof.rule_name}")
+    space = FootprintSpace(cert.system, kernel)
+    tree = cert.proof.check_on(space)
+    result.nodes_checked += tree.nodes_checked
+    result.obligations_checked += tree.obligations_checked
+    result.failures.extend(tree.failures)
+    result.frame_skips = space.frame_skips
     # The tree must conclude what the certificate claims.
-    result.obligations_checked += 2
     for got, want, side in (
         (cert.proof.lhs(), cert.p, "left"),
         (cert.proof.rhs(), cert.q, "right"),
     ):
-        res = kernel.equal(got, want)
-        if not res.ok:
-            result.failures.append(
-                ProofFailure(
-                    "conclusion",
-                    f"rule tree concludes a different {side}-hand side: "
-                    f"{res.message}",
-                )
-            )
+        discharge(
+            result,
+            "conclusion",
+            space.equivalent(got, want),
+            lambda: f"rule tree concludes a different {side}-hand side",
+        )
     result.footprint_evaluations = kernel.evaluations
     result.notes["footprint_spaces"] = len(kernel._spaces)
     result.notes["obligations_decided"] = sum(kernel.decided.values())

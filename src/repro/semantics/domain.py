@@ -5,7 +5,7 @@ weak and strong ``transient``, the reachable invariant, leads-to under
 weak and strong fairness, proof synthesis and the batched certificate
 check — is written once, against a *domain*: a set of states addressed
 by compact **local** ids ``0 .. size - 1``, together with everything a
-judgment reads from it.  Two domains realize the protocol:
+judgment reads from it.  Two *mask* domains realize the protocol:
 
 - :class:`FullSpace` — the whole encoded space of a program (local id ==
   global index).  Judgments over it decide the paper's **inductive**
@@ -38,6 +38,21 @@ The protocol both classes provide:
 - ``annotate(witness, *, reachable=False, metrics=False)`` — the
   domain's witness extras (``tier``, ``reachable``, ``metrics``).
 
+Proof rules see a narrower protocol, the **rule judgments** ``valid(p,
+q)``, ``equivalent(a, b)``, ``next(p, q)``, ``transient(p)``,
+``transient_strong(p)``, ``valid_wp(pre, cmd, post)`` and ``ensures(node,
+result, path)``, each returning a verdict with ``holds``,
+``obligations`` and ``message``/``explain()``
+(:func:`repro.core.proofs.discharge`).  The two mask domains share one
+implementation of them,
+:class:`~repro.semantics.judgments.MaskJudgments`.  A third domain
+provides only these:
+:class:`~repro.semantics.compositional.FootprintSpace`, a composed
+system's states, never enumerated — each judgment is decided on the
+variable footprint of its obligation.  So one proof walk
+(:meth:`~repro.core.proofs.ProofNode.check_on`) checks every
+certificate, on whichever of the three domains its question names.
+
 :func:`domain_for` is the engine's single routing rule.  Each question —
 a public checker, a proof check, synthesis, the batched certificate
 check — resolves its domain through it once and decides every judgment
@@ -53,6 +68,7 @@ from repro.core.predicates import Predicate
 from repro.core.program import Program
 from repro.errors import ExplorationError
 from repro.semantics.explorer import reachable_mask
+from repro.semantics.judgments import MaskJudgments
 from repro.semantics.sparse import dense_fallback, sparse_enabled
 from repro.semantics.sparse.explorer import reachable_subspace
 from repro.semantics.transition import TransitionSystem
@@ -60,7 +76,7 @@ from repro.semantics.transition import TransitionSystem
 __all__ = ["FullSpace", "domain_for"]
 
 
-class FullSpace:
+class FullSpace(MaskJudgments):
     """The whole encoded state space of ``program`` as a domain.
 
     Successor tables and the graph backend are read lazily through

@@ -438,14 +438,20 @@ def _strong_transient_fail(
 
 @dataclass
 class FootprintResult:
-    """Outcome of one footprint-projected obligation."""
+    """Outcome of footprint-projected obligations (``obligations`` of
+    them), readable as a proof-check verdict
+    (:func:`repro.core.proofs.discharge`)."""
 
     ok: bool
     message: str = ""
     dropped: tuple[str, ...] = ()
+    obligations: int = 1
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def explain(self) -> str:
+        return self.message
 
 
 class _LazyFailure(FootprintResult):
@@ -459,9 +465,12 @@ class _LazyFailure(FootprintResult):
     by shape re-decides the real obligation) without moving a counter.
     """
 
-    def __init__(self, explain, dropped: tuple[str, ...] = ()) -> None:
+    def __init__(
+        self, explain, dropped: tuple[str, ...] = (), obligations: int = 1
+    ) -> None:
         self.ok = False
         self.dropped = dropped
+        self.obligations = obligations
         self._explain = explain
         self._message: str | None = None
 
@@ -610,11 +619,11 @@ class FootprintKernel:
         return mask
 
     def release(self) -> None:
-        """Drop what is held for one rule node: hypothesis masks and the
-        key parts of predicates.  The compositional walker calls this as
-        it enters each node, so a node's obligations share them (its
-        region meets one command after another) and the kernel's memory
-        stays flat over a check."""
+        """Drop what is held for one judgment: hypothesis masks and the
+        key parts of predicates.  The footprint domain calls this as it
+        starts each judgment, so the judgment's obligations share them
+        (its region meets one command after another) and the kernel's
+        memory stays flat over a check."""
         self._parts.clear()
         self._joints.clear()
         self._masks.clear()
@@ -1031,8 +1040,10 @@ class FootprintKernel:
             lambda: f"command {cmd.name}: {res.message}", dropped=res.dropped
         )
 
-    def check_linear_stable(self, pred, commands) -> FootprintResult:
-        """``stable (Σ aᵥ·v = k)`` via per-command write deltas.
+    def check_linear_stable(self, pred, commands) -> FootprintResult | None:
+        """``stable (Σ aᵥ·v = k)`` via per-command write deltas, or
+        ``None`` when ``pred`` is not (syntactically) such a linear
+        equality.
 
         Each command preserves a linear equality iff, under its guard,
         the weighted sum of its assignment deltas is zero — an exact
@@ -1043,19 +1054,13 @@ class FootprintKernel:
         from repro.core.compositional import linear_terms
         from repro.core.expressions import EqE, esum
 
-        expr = pred.as_expr()
+        expr = pred.as_expr() if _symbolic(pred) else None
         if not isinstance(expr, EqE):
-            return FootprintResult(
-                False,
-                f"refused: {pred.describe()} is not a linear equality",
-            )
+            return None
         left = linear_terms(expr.left)
         right = linear_terms(expr.right)
         if left is None or right is None:
-            return FootprintResult(
-                False,
-                f"refused: {pred.describe()} is not (syntactically) linear",
-            )
+            return None
         coeffs = dict(left[0])
         for v, c in right[0].items():
             coeffs[v] = coeffs.get(v, 0) - c

@@ -64,6 +64,7 @@ from repro.errors import (
     PropertyError,
 )
 from repro.semantics.budget import Budget
+from repro.semantics.judgments import MaskJudgments
 from repro.util.csr import in_sorted, sorted_unique
 from repro.util.faultinject import fault_point
 
@@ -170,7 +171,7 @@ def initial_indices(
 # ---------------------------------------------------------------------------
 
 
-class ReachableSubspace:
+class ReachableSubspace(MaskJudgments):
     """The reachable slice of a program's encoded space, on compact ids.
 
     Local id ``k`` denotes the state with global index ``global_ids[k]``;

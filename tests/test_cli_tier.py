@@ -101,3 +101,28 @@ def test_sparse_run_still_records_sparse(ladder_file, tmp_path, monkeypatch):
     ])
     assert code == 0
     assert _manifest(out)["tier"] == "sparse"
+
+
+def test_check_records_the_tier_of_its_verdicts(tmp_path):
+    path = tmp_path / "four.unity"
+    path.write_text(LADDER)
+    out = tmp_path / "m.json"
+    code = main([
+        "check", str(path), "-p", "true ~> x = 3", "-p", "invariant x <= 3",
+        "--metrics-out", str(out),
+    ])
+    assert code == 0
+    manifest = _manifest(out)
+    assert [row["tier"] for row in manifest["verdicts"]] == ["dense", "dense"]
+    assert manifest["tier"] == "dense"
+
+
+def test_sparse_check_records_sparse(ladder_file, tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.semantics.sparse.SPARSE_THRESHOLD", 0)
+    out = tmp_path / "m.json"
+    code = main([
+        "check", str(ladder_file), "-p", "true ~> x = 3",
+        "--metrics-out", str(out),
+    ])
+    assert code == 0
+    assert _manifest(out)["tier"] == "sparse"

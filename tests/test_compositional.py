@@ -224,6 +224,43 @@ def _membership_lie(pa, cert):
 
 
 def _unknown_rule(pa, cert):
+    """A synthesized columnar certificate: its levels are support sets
+    with no expression form, so no obligation has a footprint."""
+    from repro.semantics.synthesis import synthesize_leadsto_proof
+
+    x = Var.shared("t", IntRange(0, 3))
+    inc = GuardedCommand("inc", x.ref() < 3, [(x, x.ref() + 1)])
+    prog = Program("T", [x], ExprPredicate(x.ref() == 0), [inc], fair=["inc"])
+    p, q = ExprPredicate(x.ref() == 0), ExprPredicate(x.ref() == 3)
+    proof = synthesize_leadsto_proof(prog, p, q)
+    assert proof.support_table is not None
+    return CompositionalCertificate(
+        system=prog,
+        components=(prog,),
+        p=p,
+        q=q,
+        fairness="weak",
+        proof=proof,
+    )
+
+
+SABOTAGED = {
+    "interfering-undo": _interfering_undo,
+    "inconsistent-initially": _inconsistent_initially,
+    "negative-split-variable": _negative_split_variable,
+    "tampered-branch": _tampered_branch,
+    "membership-lie": _membership_lie,
+    "unknown-rule": _unknown_rule,
+}
+
+
+# ---------------------------------------------------------------------------
+# One walk, two domains: the footprint domain against the full space
+# ---------------------------------------------------------------------------
+
+
+def _transient_basis(pa, cert):
+    """A bare transient basis: ``transient`` is footprint-local."""
     from repro.core.rules import TransientBasis
 
     x = Var.shared("t", IntRange(0, 1))
@@ -240,14 +277,100 @@ def _unknown_rule(pa, cert):
     )
 
 
-SABOTAGED = {
-    "interfering-undo": _interfering_undo,
-    "inconsistent-initially": _inconsistent_initially,
-    "negative-split-variable": _negative_split_variable,
-    "tampered-branch": _tampered_branch,
-    "membership-lie": _membership_lie,
-    "unknown-rule": _unknown_rule,
+def _frame_without_entailment(pa, cert):
+    """``x > 0 next x > 5`` where the one command writes only ``y``: it
+    keeps ``x = 1``, so the frame rule must not skip it (``p ⇏ q``)."""
+    from repro.core.predicates import TRUE
+    from repro.core.rules import PSP
+
+    x = Var.shared("x", IntRange(0, 9))
+    y = Var.shared("y", IntRange(0, 3))
+    c = GuardedCommand("c", y.ref() < 3, [(y, y.ref() + 1)])
+    prog = Program("F", [x, y], ExprPredicate(x.ref() == 0), [c], fair=["c"])
+    psp = PSP(
+        Implication(TRUE, TRUE),
+        s=ExprPredicate(x.ref() > 0),
+        t=ExprPredicate(x.ref() > 5),
+    )
+    return CompositionalCertificate(
+        system=prog,
+        components=(prog,),
+        p=psp.lhs(),
+        q=psp.rhs(),
+        fairness="weak",
+        proof=psp,
+    )
+
+
+def _multi_branch_helpful(pa, cert):
+    """A strong-ensures whose helpful command has two branches, so its
+    enabledness has no guard to name: refused on every domain."""
+    from repro.core.commands import AltCommand
+    from repro.core.compositional import StrongEnsures
+
+    x = Var.shared("x", IntRange(0, 3))
+    c = AltCommand("c", [(x.ref() < 3, [(x, x.ref() + 1)]), (x.ref() == 3, [(x, 3)])])
+    prog = Program("G", [x], ExprPredicate(x.ref() == 0), [c], fair=["c"])
+    p, q = ExprPredicate(x.ref() == 2), ExprPredicate(x.ref() == 3)
+    rho = p & ~q
+    node = StrongEnsures(p, q, helpful="c", recurrence=Implication(rho, q | rho))
+    return CompositionalCertificate(
+        system=prog,
+        components=(prog,),
+        p=p,
+        q=q,
+        fairness="strong",
+        proof=node,
+    )
+
+
+DOMAIN_CASES = {
+    "transient-basis": _transient_basis,
+    "frame-without-entailment": _frame_without_entailment,
+    "multi-branch-helpful": _multi_branch_helpful,
+    **SABOTAGED,
 }
+
+#: Cases where only the compositional check fails: the fault lies in a
+#: side condition of the composition, outside the rule tree, or the
+#: footprint domain refuses what the full space decides.
+_COMPOSITIONAL_ONLY = {"inconsistent-initially", "membership-lie", "unknown-rule"}
+
+
+class TestOneWalkTwoDomains:
+    @pytest.mark.parametrize(
+        "name", ["small-stack", "stack-2", "stack-3", *DOMAIN_CASES]
+    )
+    def test_full_space_and_footprint_agree(self, name, small_stack):
+        """The rule tree walked on the full space (the dense oracle) and
+        the compositional check agree on ``ok``."""
+        from repro.semantics.domain import FullSpace
+
+        if name == "small-stack":
+            cert = small_stack[1]
+        elif name.startswith("stack-"):
+            cert = _differential_case(name, small_stack)
+        else:
+            cert = DOMAIN_CASES[name](*small_stack)
+        dense = cert.proof.check_on(FullSpace(cert.system))
+        res = check_compositional(cert, check_components=False)
+        if name in _COMPOSITIONAL_ONLY:
+            assert dense.ok, dense.explain()
+            assert not res.ok
+        else:
+            assert res.ok == dense.ok, f"{res.explain()}\n{dense.explain()}"
+        if name == "multi-branch-helpful":
+            for out in (dense, res):
+                assert "refused" in _failure_text(out)
+
+    def test_frame_rule_needs_the_entailment(self, small_stack):
+        """The frame rule skips a command only once ``p ⇒ q`` holds."""
+        res = check_compositional(
+            _frame_without_entailment(*small_stack), check_components=False
+        )
+        assert not res.ok
+        assert res.frame_skips == 0
+        assert "{x=1, y=0}" in _failure_text(res)
 
 
 class TestRefusals:
