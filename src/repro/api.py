@@ -25,13 +25,18 @@ the compositional certificate checker and always returns a
 
 Tier routing
 ------------
+:func:`~repro.semantics.domain.domain_for` does the routing: ``verify``
+resolves each question's domain through it once, under ``budget`` and
+``checkpoint``, before any judgment runs.
+
 ``tier="auto"`` (default)
     The engine's normal size-based routing: dense below the sparse
     threshold, reachable-subspace sparse above it.
 ``tier="sparse"``
-    Force the sparse tier: the reachable subspace is explored (under
-    ``budget`` if given) and every check runs over it; properties that
-    quantify over all states (``stable``, ``invariant``, …) are refused.
+    Force the sparse tier: the reachable subspace is explored and every
+    check runs over it; properties that quantify over all states
+    (``stable``, ``invariant``, …) are refused before anything is
+    explored.
 ``tier="dense"``
     Require the dense tier; refused with a
     :class:`~repro.errors.CapacityError` if the space routes sparse —
@@ -41,6 +46,10 @@ Tier routing
     Check a :class:`~repro.core.compositional.CompositionalCertificate`
     (passed as the property itself) without ever materializing the
     product space.
+
+An exploration that runs out of ``budget`` is one partial verdict
+(``holds=None``) whose ``kind`` / ``subject`` name the question, for
+every property kind.
 
 Migration from the dict-shaped results of earlier revisions: see
 ``docs/composition.md``.
@@ -52,7 +61,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import CapacityError, PropertyError
+from repro.errors import PropertyError
 
 __all__ = ["verify", "Verdict", "Witness", "TIERS"]
 
@@ -144,10 +153,10 @@ def _verdict_from_check(result, *, certificate=None) -> Verdict:
     )
 
 
-def _verdict_from_partial(partial, tier: str = "sparse") -> Verdict:
+def _verdict_from_partial(partial) -> Verdict:
     return Verdict(
         holds=None,
-        tier=tier,
+        tier="sparse",
         witness=Witness(partial.witness),
         metrics={
             "kind": partial.kind,
@@ -161,8 +170,24 @@ def _verdict_from_partial(partial, tier: str = "sparse") -> Verdict:
     )
 
 
-def _is_partial(result) -> bool:
-    return getattr(result, "status", None) == "unknown"
+def _question(prop, fairness: str) -> tuple[str, str]:
+    """``(kind, subject)`` of the question ``prop`` asks, as its result
+    names it."""
+    from repro.core.predicates import Predicate
+    from repro.core.properties import LeadsTo, Property, PropertyFamily
+
+    if isinstance(prop, LeadsTo):
+        if fairness == "strong":
+            subject = f"{prop.p.describe()} ~>[strong] {prop.q.describe()}"
+            return "leadsto-strong", subject
+        return "leadsto", prop.describe()
+    if isinstance(prop, Predicate):
+        return "reachable-invariant", f"reachable-invariant {prop.describe()}"
+    if isinstance(prop, PropertyFamily):
+        return "family", prop.describe()
+    if isinstance(prop, Property):
+        return type(prop).__name__.lower(), prop.describe()
+    raise PropertyError(f"cannot verify {prop!r}: not a property")
 
 
 def _verify_compositional(program, cert) -> Verdict:
@@ -208,6 +233,7 @@ def verify(
     budget=None,
     prove: bool = False,
     subspace=None,
+    checkpoint=None,
 ) -> Verdict:
     """Verify ``prop`` of ``program`` and return a :class:`Verdict`.
 
@@ -219,8 +245,12 @@ def verify(
     ``fairness`` (``"weak"`` / ``"strong"``) selects the scheduler
     assumption for leads-to; ``prove=True`` additionally synthesizes and
     kernel-checks a certificate for a holding leads-to (attached as
-    ``verdict.certificate``); ``budget`` / ``subspace`` are the
-    normalized engine keywords shared with the underlying checkers.
+    ``verdict.certificate``).  ``subspace`` decides over an explicit
+    reachable subspace.  The question's domain is resolved once, through
+    :func:`~repro.semantics.domain.domain_for`, under ``budget`` and the
+    ``checkpoint`` policy (which writes the exploration's snapshot and
+    reads it back); a budget that runs out first is a partial verdict
+    naming the question.
     """
     from repro.core.compositional import CompositionalCertificate
 
@@ -234,67 +264,53 @@ def verify(
         return _verify_compositional(program, prop)
 
     from repro.core.predicates import Predicate
-    from repro.core.properties import LeadsTo, Property
-    from repro.semantics.sparse import sparse_enabled
+    from repro.core.properties import LeadsTo
+    from repro.errors import BudgetExhausted
+    from repro.semantics.budget import PartialResult
+    from repro.semantics.domain import FullSpace, domain_for
 
-    if tier == "dense":
-        if subspace is not None:
-            raise PropertyError("tier='dense' contradicts subspace=")
-        if sparse_enabled(program.space):
-            raise CapacityError(
-                f"tier='dense' refused: {program.space.size} encoded "
-                "states routes sparse; use tier='auto' or tier='sparse'"
-            )
-    if tier == "sparse" and subspace is None:
-        from repro.errors import BudgetExhausted
-        from repro.semantics.budget import PartialResult
-        from repro.semantics.sparse.explorer import reachable_subspace
-
-        try:
-            subspace = reachable_subspace(program, budget=budget)
-        except BudgetExhausted as exc:
-            return _verdict_from_partial(
-                PartialResult.from_exhaustion(
-                    exc, kind="exploration", subject=program.name
-                )
-            )
-
-    if isinstance(prop, LeadsTo):
-        return _verify_leadsto(
+    kind, subject = _question(prop, fairness)
+    if not isinstance(prop, (LeadsTo, Predicate)) and (
+        tier == "sparse" or subspace is not None
+    ):
+        raise PropertyError(
+            f"subspace= is not supported for {type(prop).__name__} "
+            "properties (they quantify over all states)"
+        )
+    try:
+        domain = domain_for(
             program,
-            prop,
-            fairness=fairness,
+            "check_" + kind.replace("-", "_"),
+            tier=tier,
             budget=budget,
             subspace=subspace,
-            prove=prove,
+            checkpoint=checkpoint,
+        )
+    except BudgetExhausted as exc:
+        return _verdict_from_partial(
+            PartialResult.from_exhaustion(exc, kind=kind, subject=subject)
+        )
+    # The checkers below re-resolve the same domain: a reachable subspace
+    # goes down explicitly, the full space costs one ``FullSpace``.
+    sub = None if isinstance(domain, FullSpace) else domain
+    if isinstance(prop, LeadsTo):
+        return _verify_leadsto(
+            program, prop, fairness=fairness, subspace=sub, prove=prove
         )
     if isinstance(prop, Predicate):
         from repro.semantics.checker import check_reachable_invariant
 
-        result = check_reachable_invariant(
-            program, prop, budget=budget, subspace=subspace
-        )
-        if _is_partial(result):
-            return _verdict_from_partial(result)
+        result = check_reachable_invariant(program, prop, subspace=sub)
         return _verdict_from_check(result)
-    if isinstance(prop, Property):
-        if subspace is not None:
-            raise PropertyError(
-                f"subspace= is not supported for {type(prop).__name__} "
-                "properties (they quantify over all states)"
-            )
-        return _verdict_from_check(prop.check(program))
-    raise PropertyError(f"cannot verify {prop!r}: not a property")
+    return _verdict_from_check(prop.check(program))
 
 
-def _verify_leadsto(program, prop, *, fairness, budget, subspace, prove) -> Verdict:
+def _verify_leadsto(program, prop, *, fairness, subspace, prove) -> Verdict:
     from repro.semantics.leadsto import check_leadsto
     from repro.semantics.strong_fairness import check_leadsto_strong
 
     checker = check_leadsto_strong if fairness == "strong" else check_leadsto
-    result = checker(program, prop.p, prop.q, budget=budget, subspace=subspace)
-    if _is_partial(result):
-        return _verdict_from_partial(result)
+    result = checker(program, prop.p, prop.q, subspace=subspace)
     cert = None
     if prove and result.holds:
         from repro.semantics.synthesis import (
@@ -303,10 +319,8 @@ def _verify_leadsto(program, prop, *, fairness, budget, subspace, prove) -> Verd
         )
 
         proof = synthesize_leadsto_proof(
-            program, prop.p, prop.q, fairness=fairness, budget=budget, subspace=subspace
+            program, prop.p, prop.q, fairness=fairness, subspace=subspace
         )
-        if _is_partial(proof):
-            return _verdict_from_partial(proof)
         check = check_certificate_batched(proof, program, subspace=subspace)
         if not check.ok:
             raise PropertyError(

@@ -309,7 +309,6 @@ def check_reachable_invariant(
     *,
     budget=None,
     subspace=None,
-    checkpoint=None,
 ) -> CheckResult:
     """The weaker, *non-inductive* notion: ``p`` holds on every reachable
     state.  Not part of the paper's logic (it corresponds to the
@@ -319,7 +318,8 @@ def check_reachable_invariant(
     counterexample (``witness["path"]`` / ``witness["path_commands"]``).
 
     ``budget`` / ``subspace`` form the normalized keyword set shared by
-    every public checker (see ``docs/composition.md``).  With a
+    every public checker (see ``docs/composition.md``); a checkpoint
+    policy is :func:`repro.api.verify`'s.  With a
     ``budget``, exhaustion of the reachable exploration degrades to a
     resumable ``status="unknown"`` :class:`~repro.semantics.budget.
     PartialResult` instead of raising (see ``docs/robustness.md``).
@@ -332,7 +332,6 @@ def check_reachable_invariant(
             "check_reachable_invariant",
             budget=budget,
             subspace=subspace,
-            checkpoint=checkpoint,
         )
     except BudgetExhausted as exc:
         return PartialResult.from_exhaustion(exc, kind=kind, subject=subject)

@@ -249,15 +249,16 @@ def _check_membership(
 
 def _check_init_consistency(
     cert: CompositionalCertificate,
-    kernel: FootprintKernel,
+    space: FootprintSpace,
     result: CompositionalCheckResult,
 ) -> None:
     """The conjunction of component ``initially`` predicates is satisfiable.
 
-    Checked symbolically: ``init ⇒ false`` must *fail* on the footprint.
-    Constant-binding conjuncts (the common case — every scenario pins its
-    variables initially) are exact; if the kernel had to drop oversized
-    conjuncts the sat-finding is inconclusive and we refuse.
+    Checked symbolically: ``init ⇒ false`` must *fail* on the footprint,
+    with a counterexample.  Constant-binding conjuncts (the common case —
+    every scenario pins its variables initially) are exact; a predicate
+    with no expression form, or oversized conjuncts the kernel had to
+    drop, leave the sat-finding inconclusive and we refuse.
     """
     from repro.core.expressions import BoolConst
     from repro.core.predicates import ExprPredicate
@@ -268,7 +269,7 @@ def _check_init_consistency(
     if init is None:
         return
     result.obligations_checked += 1
-    res = kernel.entails(init, ExprPredicate(BoolConst(False)))
+    res = space.valid(init, ExprPredicate(BoolConst(False)))
     if res.ok:
         result.failures.append(
             ProofFailure(
@@ -286,6 +287,8 @@ def _check_init_consistency(
                 f"{res.dropped}",
             )
         )
+    elif not isinstance(res, _LazyFailure):  # refused before deciding
+        result.failures.append(ProofFailure("initially", res.message))
 
 
 def _check_components(
@@ -348,10 +351,10 @@ def check_compositional(
     result = CompositionalCheckResult()
     _check_locality(cert, result)
     _check_membership(cert, result)
-    _check_init_consistency(cert, kernel, result)
+    space = FootprintSpace(cert.system, kernel)
+    _check_init_consistency(cert, space, result)
     if check_components:
         _check_components(cert, result)
-    space = FootprintSpace(cert.system, kernel)
     tree = cert.proof.check_on(space)
     result.nodes_checked += tree.nodes_checked
     result.obligations_checked += tree.obligations_checked

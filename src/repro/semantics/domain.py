@@ -53,10 +53,11 @@ variable footprint of its obligation.  So one proof walk
 (:meth:`~repro.core.proofs.ProofNode.check_on`) checks every
 certificate, on whichever of the three domains its question names.
 
-:func:`domain_for` is the engine's single routing rule.  Each question —
-a public checker, a proof check, synthesis, the batched certificate
-check — resolves its domain through it once and decides every judgment
-it needs on that one domain.
+:func:`domain_for` is the engine's single routing rule, tier included.
+Each question — :func:`repro.api.verify` (under its budget and
+checkpoint policy), a public checker, a proof check, synthesis, the
+batched certificate check — resolves its domain through it once and
+decides every judgment it needs on that one domain.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ import numpy as np
 from repro.core.commands import Command
 from repro.core.predicates import Predicate
 from repro.core.program import Program
-from repro.errors import ExplorationError
+from repro.errors import CapacityError, ExplorationError, PropertyError
 from repro.semantics.explorer import reachable_mask
 from repro.semantics.judgments import MaskJudgments
 from repro.semantics.sparse import dense_fallback, sparse_enabled
@@ -147,33 +148,52 @@ class FullSpace(MaskJudgments):
 
 
 def domain_for(
-    program: Program, op: str, *, budget=None, subspace=None, checkpoint=None
+    program: Program,
+    op: str,
+    *,
+    tier: str = "auto",
+    budget=None,
+    subspace=None,
+    checkpoint=None,
 ):
-    """The domain the judgment ``op`` runs on for ``program``.
+    """The domain the judgment ``op`` runs on for ``program`` under ``tier``.
 
-    An explicit ``subspace`` wins.  Otherwise spaces above
-    :data:`~repro.semantics.sparse.SPARSE_THRESHOLD` get the cached
-    reachable subspace (``budget`` / ``checkpoint`` bound its
-    exploration), and every other space gets the :class:`FullSpace`.
+    An explicit ``subspace`` wins.  Otherwise ``tier="auto"`` gives
+    spaces above :data:`~repro.semantics.sparse.SPARSE_THRESHOLD` the
+    cached reachable subspace and every other space the
+    :class:`FullSpace`; ``tier="sparse"`` always explores, and
+    ``tier="dense"`` refuses with a :class:`~repro.errors.CapacityError`
+    when the space routes sparse.  ``budget`` / ``checkpoint`` bound the
+    exploration.
 
     When the exploration fails with an
     :class:`~repro.errors.ExplorationError` (non-expression
-    ``initially``, reachable set above its ``node_limit``), the judgment
+    ``initially``, reachable set above its ``node_limit``), ``"auto"``
     falls back to the full space through
     :func:`~repro.semantics.sparse.dense_fallback`, which refuses with a
     :class:`~repro.errors.CapacityError` chaining the failure beyond
-    ``DENSE_MAX``.  :class:`~repro.errors.BudgetExhausted` propagates:
-    running out of budget is resumable, never grounds for a dense
-    restart, and callers holding a budget turn it into a
+    ``DENSE_MAX``; ``"sparse"`` re-raises it.
+    :class:`~repro.errors.BudgetExhausted` propagates: running out of
+    budget is resumable, never grounds for a dense restart, and callers
+    holding a budget turn it into a
     :class:`~repro.semantics.budget.PartialResult`.
     """
     if subspace is not None:
+        if tier == "dense":
+            raise PropertyError("tier='dense' contradicts subspace=")
         return subspace
     space = program.space
-    if not sparse_enabled(space):
+    if tier != "sparse" and not sparse_enabled(space):
         return FullSpace(program)
+    if tier == "dense":
+        raise CapacityError(
+            f"tier='dense' refused: {space.size} encoded "
+            "states routes sparse; use tier='auto' or tier='sparse'"
+        )
     try:
         return reachable_subspace(program, budget=budget, checkpoint=checkpoint)
     except ExplorationError as exc:
+        if tier == "sparse":
+            raise
         dense_fallback(space, op, exc)
         return FullSpace(program)

@@ -40,43 +40,21 @@ def reachable_mask(
     return ts.graph().table_closure(start)
 
 
-def reachable_states(
-    program: Program,
-    *,
-    limit: int = 10_000,
-    from_mask: np.ndarray | None = None,
-) -> list[State]:
+def reachable_states(program: Program, *, limit: int = 10_000) -> list[State]:
     """Decoded reachable states (guarded by ``limit`` to avoid surprises).
 
-    ``from_mask`` overrides the start set, like its siblings.  Otherwise
-    the states come from the domain
+    The states come from the domain
     :func:`~repro.semantics.domain.domain_for` routes to, so spaces above
     the sparse threshold enumerate through the sparse explorer and the
     decoded list never requires a full-space mask.  Raises
     :class:`repro.errors.ExplorationError` when the reachable set exceeds
     ``limit``.
     """
-    from repro.semantics.sparse import dense_fallback, sparse_enabled
+    from repro.semantics.domain import FullSpace, domain_for
 
-    if from_mask is None:
-        from repro.semantics.domain import FullSpace, domain_for
-
-        domain = domain_for(program, "reachable_states")
-        idx = domain.to_global(np.flatnonzero(domain.reachable_mask()))
-        sparse = not isinstance(domain, FullSpace)
-    else:
-        idx = None
-        sparse = sparse_enabled(program.space)
-        if sparse:
-            from repro.semantics.sparse.explorer import explore
-
-            seeds = np.flatnonzero(np.asarray(from_mask, dtype=bool))
-            try:
-                idx = explore(program, seeds=seeds).global_ids
-            except ExplorationError as exc:
-                dense_fallback(program.space, "reachable_states", exc)
-        if idx is None:
-            idx = np.flatnonzero(reachable_mask(program, from_mask=from_mask))
+    domain = domain_for(program, "reachable_states")
+    idx = domain.to_global(np.flatnonzero(domain.reachable_mask()))
+    sparse = not isinstance(domain, FullSpace)
     if idx.size > limit:
         hint = (
             "raise limit, or explore through the sparse tier "

@@ -273,7 +273,6 @@ def leadsto_judgment(
     strong: bool,
     budget=None,
     subspace=None,
-    checkpoint=None,
 ) -> CheckResult | PartialResult:
     """``p ↝ q`` under weak or strong fairness, over the resolved domain.
 
@@ -290,7 +289,6 @@ def leadsto_judgment(
             "check_leadsto_strong" if strong else "check_leadsto",
             budget=budget,
             subspace=subspace,
-            checkpoint=checkpoint,
         )
     except BudgetExhausted as exc:
         # The budget ran out before the reachable closure was complete,
@@ -357,13 +355,13 @@ def check_leadsto(
     *,
     budget=None,
     subspace=None,
-    checkpoint=None,
 ) -> CheckResult:
     """Check ``p ↝ q`` under weak fairness of ``D``.
 
     ``budget`` / ``subspace`` form the normalized keyword set shared by
     every public checker (see ``docs/composition.md``): ``subspace``
-    forces the judgment onto an explicit reachable subspace.
+    forces the judgment onto an explicit reachable subspace.  A
+    checkpoint policy is :func:`repro.api.verify`'s.
 
     The witness of a failure contains a ``p``-state from which the
     scheduler can confine the execution to ``¬q`` forever, a state of the
@@ -394,5 +392,4 @@ def check_leadsto(
         strong=False,
         budget=budget,
         subspace=subspace,
-        checkpoint=checkpoint,
     )

@@ -42,7 +42,8 @@ Routing
 consults :func:`sparse_enabled` and resolves the reachable subspace when
 ``space.size > SPARSE_THRESHOLD`` (the full space otherwise, or when the
 exploration fails and :func:`dense_fallback` admits it); an explicit
-``subspace=`` always wins.  Callers of the checkers never need to know
+``subspace=`` always wins, and ``tier="sparse"`` / ``"dense"`` force
+or refuse the subspace.  Callers of the checkers never need to know
 which domain ran.
 
 Semantics note.  The paper's property semantics is *inductive* — it

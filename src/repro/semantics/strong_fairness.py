@@ -123,12 +123,12 @@ def check_leadsto_strong(
     *,
     budget=None,
     subspace=None,
-    checkpoint=None,
 ) -> CheckResult:
     """Check ``p ↝ q`` assuming **strong** fairness of ``D``.
 
     ``budget`` / ``subspace`` form the normalized keyword set shared by
-    every public checker (see ``docs/composition.md``).
+    every public checker (see ``docs/composition.md``); a checkpoint
+    policy is :func:`repro.api.verify`'s.
     The same judgment as :func:`repro.semantics.leadsto.check_leadsto`
     (domain routing, exhaustion, witnesses), with the strong-fairness
     SCC criterion of :func:`repro.semantics.leadsto.fair_analysis`.
@@ -140,7 +140,6 @@ def check_leadsto_strong(
         strong=True,
         budget=budget,
         subspace=subspace,
-        checkpoint=checkpoint,
     )
 
 

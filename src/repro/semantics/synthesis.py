@@ -99,12 +99,12 @@ def synthesize_leadsto_proof(
     fairness: str = "weak",
     budget=None,
     subspace=None,
-    checkpoint=None,
 ) -> LeadsToProof:
     """Build a kernel-checkable certificate for ``p ↝ q``.
 
     ``budget`` / ``subspace`` form the normalized keyword set shared by
-    every public checker (see ``docs/composition.md``).
+    every public checker (see ``docs/composition.md``); a checkpoint
+    policy is :func:`repro.api.verify`'s.
 
     Raises :class:`ProofError` if the property does not hold (no proof
     exists), quoting the model checker's counterexample.
@@ -120,11 +120,11 @@ def synthesize_leadsto_proof(
     default spaces above the sparse threshold use the cached reachable
     subspace and smaller spaces synthesize over the full space.
 
-    ``budget`` / ``checkpoint`` bound the sparse exploration feeding the
-    synthesis; on exhaustion this returns a resumable
-    ``status="unknown"`` :class:`~repro.semantics.budget.PartialResult`
-    instead of a proof (callers must check for it — it is not a
-    :class:`LeadsToProof` and refuses ``bool()``).
+    ``budget`` bounds the sparse exploration feeding the synthesis; on
+    exhaustion this returns a resumable ``status="unknown"``
+    :class:`~repro.semantics.budget.PartialResult` instead of a proof
+    (callers must check for it — it is not a :class:`LeadsToProof` and
+    refuses ``bool()``).
     """
     if fairness not in ("weak", "strong"):
         raise ProofError(f"unknown fairness notion {fairness!r}")
@@ -136,7 +136,6 @@ def synthesize_leadsto_proof(
                 "proof synthesis",
                 budget=budget,
                 subspace=subspace,
-                checkpoint=checkpoint,
             )
         except BudgetExhausted as exc:
             arrow = "~>[strong]" if fairness == "strong" else "~>"

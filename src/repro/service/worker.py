@@ -10,8 +10,9 @@ cancels exactly the stalled check and nothing else.
 
 Request handling maps the service's deadline contract onto the
 engine's budget machinery: the request deadline becomes a
-:class:`~repro.semantics.budget.Budget`, and a request that routes
-sparse explores under the cache's snapshot policy.  The snapshot is
+:class:`~repro.semantics.budget.Budget`, and the worker hands it to
+:func:`repro.api.verify` with the cache's snapshot policy, so a request
+that routes sparse explores under both.  The snapshot is
 the expensive, property-independent artifact: a later request for the
 program loads it when complete (whatever its deadline) or resumes it
 when partial, and budget exhaustion is a structured UNKNOWN document
@@ -32,8 +33,8 @@ import argparse
 import sys
 from typing import Any, BinaryIO
 
-from repro.errors import BudgetExhausted, DslSyntaxError, ReproError
-from repro.semantics.budget import Budget, PartialResult
+from repro.errors import DslSyntaxError, ReproError
+from repro.semantics.budget import Budget
 from repro.service.cache import ServiceCache
 from repro.service.protocol import read_frame, write_frame
 from repro.util.faultinject import arm_from_env, fault_point
@@ -71,12 +72,6 @@ def _budget_of(request: dict[str, Any]) -> Budget | None:
     )
 
 
-def _unknown_payload(partial: PartialResult, *, tier: str = "sparse") -> dict:
-    doc = partial.to_doc()
-    doc["tier"] = tier
-    return doc
-
-
 def handle_request(
     request: dict[str, Any], cache: ServiceCache | None
 ) -> dict[str, Any]:
@@ -90,9 +85,7 @@ def handle_request(
     in a subprocess.
     """
     from repro.api import verify
-    from repro.semantics.sparse import sparse_enabled
     from repro.semantics.sparse.checkpoint import program_digest
-    from repro.semantics.sparse.explorer import reachable_subspace
 
     try:
         program, prop = _parse_request_program(request)
@@ -102,43 +95,23 @@ def handle_request(
         digest = program_digest(program)
     except RecursionError as exc:
         return _error_payload("engine-error", exc)
-    budget = _budget_of(request)
-    tier = request["tier"]
     fault_point("service.worker.check", digest=digest, kind=type(prop).__name__)
-
-    routes_sparse = tier == "sparse" or (
-        tier == "auto" and sparse_enabled(program.space)
-    )
     try:
-        if routes_sparse:
-            # Prime the per-program subspace cache that every routed
-            # check of verify() reads, from the snapshot when there is one.
-            reachable_subspace(
-                program,
-                budget=budget,
-                checkpoint=(
-                    cache.checkpoint_policy(program) if cache is not None else None
-                ),
-            )
         verdict = verify(
             program,
             prop,
-            tier=tier,
+            tier=request["tier"],
             fairness=request["fairness"],
-            budget=budget,
+            budget=_budget_of(request),
             prove=request["prove"],
+            checkpoint=None if cache is None else cache.checkpoint_policy(program),
         )
-    except BudgetExhausted as exc:
-        partial = PartialResult.from_exhaustion(
-            exc, kind="exploration", subject=program.name
-        )
-        return _unknown_payload(partial)
     except ReproError as exc:
         return _error_payload("engine-error", exc)
 
     if verdict.holds is None:
         if verdict.partial is not None:
-            return _unknown_payload(verdict.partial, tier=verdict.tier)
+            return {**verdict.partial.to_doc(), "tier": verdict.tier}
         return {
             "status": "unknown",
             "tier": verdict.tier,

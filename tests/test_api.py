@@ -285,6 +285,112 @@ class TestSignatureNormalization:
         assert manifest["phases"] or manifest["counters"]
 
 
+def _repro_a(n: int) -> str:
+    """Repro A: ``n`` ten-valued variables, one fair command on ``x0``
+    and one unfair command that jumps from ``x1 = 5``; ``n = 7`` gives
+    10^7 encoded states, which route sparse."""
+    decl = ";\n  ".join(f"shared x{k} : int[0..9]" for k in range(n))
+    init = " /\\ ".join(f"x{k} = 0" for k in range(n))
+    return (
+        f"program B\ndeclare\n  {decl}\ninitially {init}\nassign\n"
+        "  fair a: x0 < 3 -> x0 := x0 + 1;\n"
+        "  b: x1 = 5 -> x0 := 9\n"
+        "end\n"
+    )
+
+
+#: One question per property kind, and the ``kind`` its verdict names.
+QUESTIONS = [
+    ("init x0 <= 3", "init"),
+    ("x0 <= 3 next x0 <= 3", "next"),
+    ("stable x0 <= 3", "stable"),
+    ("transient x0 = 1", "transient"),
+    ("invariant x0 <= 3", "invariant"),
+    ("true ~> x0 = 3", "leadsto"),
+]
+
+
+class TestBudgetHoldsForEveryQuestion:
+    """A budget bounds the exploration of every property kind, and the
+    partial verdict names the question; the service answers the same."""
+
+    @pytest.mark.parametrize("text, kind", QUESTIONS)
+    def test_budget_gives_a_partial_naming_the_question(self, text, kind):
+        from repro.dsl import parse_program, parse_property
+
+        program = parse_program(_repro_a(7))
+        prop = parse_property(text, program)
+        v = verify(program, prop, budget=Budget(max_levels=1))
+        assert v.holds is None, v.explain()
+        assert v.partial is not None and v.partial.reason == "level-budget"
+        assert (v.partial.kind, v.partial.subject) == (kind, prop.describe())
+        assert (v.metrics["kind"], v.metrics["subject"]) == (kind, prop.describe())
+
+    def test_bare_predicate(self):
+        from repro.dsl import parse_program, parse_property
+
+        program = parse_program(_repro_a(7))
+        pred = parse_property("invariant x0 <= 3", program).p
+        v = verify(program, pred, budget=Budget(max_levels=1))
+        assert v.holds is None
+        assert v.partial.kind == "reachable-invariant"
+        assert v.partial.subject == f"reachable-invariant {pred.describe()}"
+
+    def test_strong_leadsto_names_its_fairness(self):
+        from repro.dsl import parse_program, parse_property
+
+        program = parse_program(_repro_a(7))
+        prop = parse_property("true ~> x0 = 3", program)
+        v = verify(program, prop, fairness="strong", budget=Budget(max_levels=1))
+        assert v.holds is None
+        assert v.partial.kind == "leadsto-strong"
+        assert v.partial.subject == "true ~>[strong] x0 = 3"
+
+    @pytest.mark.parametrize("text, kind", QUESTIONS)
+    def test_service_answers_what_verify_answers(self, text, kind):
+        from repro.dsl import parse_program, parse_property
+        from repro.service.protocol import normalize_request
+        from repro.service.worker import handle_request
+
+        source = _repro_a(7)
+        program = parse_program(source)
+        v = verify(program, parse_property(text, program), budget=Budget(deadline=0))
+        payload = handle_request(
+            normalize_request({"program": source, "property": text, "deadline": 0}),
+            None,
+        )
+        assert v.holds is None and v.partial.reason == "deadline"
+        assert payload["status"] == "unknown", payload
+        assert payload["reason"] == "deadline"
+        assert payload["kind"] == v.partial.kind == kind
+        assert payload["tier"] == v.tier == "sparse"
+
+
+class TestRefusalTexts:
+    def test_dense_refusal(self):
+        from repro.dsl import parse_program, parse_property
+
+        program = parse_program(_repro_a(7))
+        with pytest.raises(CapacityError) as info:
+            verify(program, parse_property("stable x0 <= 3", program), tier="dense")
+        assert str(info.value) == (
+            "tier='dense' refused: 10000000 encoded states routes sparse; "
+            "use tier='auto' or tier='sparse'"
+        )
+
+    def test_sparse_refusal_of_all_state_properties(self, alloc):
+        from repro.core.properties import Transient
+
+        with pytest.raises(PropertyError) as info:
+            verify(
+                alloc.system, Transient(alloc.conservation_predicate()), tier="sparse"
+            )
+        assert str(info.value) == (
+            "subspace= is not supported for Transient properties (they "
+            "quantify over all states)"
+        )
+
+
 class TestCLI:
     def test_compose50_scenario(self, capsys):
         from repro.cli import main

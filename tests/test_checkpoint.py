@@ -33,6 +33,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.api import verify
 from repro.cli import main
 from repro.core.commands import GuardedCommand
 from repro.core.domains import IntRange
@@ -232,12 +233,14 @@ class TestGracefulDegradation:
         monkeypatch.setattr(sparse_pkg, "SPARSE_THRESHOLD", 1)
         pl = build_pipeline_system(5, total=2)
         path = str(tmp_path / "inv.ckpt")
-        result = check_reachable_invariant(
+        verdict = verify(
             pl.system,
             pl.conservation_predicate(),
             budget=Budget(max_levels=1),
             checkpoint=CheckpointPolicy(path=path, every_levels=1),
         )
+        assert verdict.holds is None
+        result = verdict.partial
         assert isinstance(result, PartialResult)
         assert result.status == "unknown"
         assert result.kind == "reachable-invariant"

@@ -392,6 +392,33 @@ class TestRefusals:
         assert any(f.path == "initially" for f in res.failures)
         assert "unsatisfiable" in _failure_text(res)
 
+    def test_initially_without_expression_form_refused(self):
+        """An ``initially`` with no expression form leaves the
+        satisfiability of the conjunction undecided: the check refuses
+        and ``verify`` answers UNKNOWN, it never raises."""
+        from repro.api import verify
+        from repro.core.predicates import FnPredicate
+
+        x = Var.shared("x", IntRange(0, 3))
+        inc = GuardedCommand("inc", x.ref() < 3, [(x, x.ref() + 1)])
+        init = FnPredicate(lambda s: s[x] == 0, "x is zero")
+        prog = Program("F", [x], init, [inc], fair=["inc"])
+        p = ExprPredicate(x.ref() == 0)
+        cert = CompositionalCertificate(
+            system=prog,
+            components=(prog,),
+            p=p,
+            q=p,
+            fairness="weak",
+            proof=Implication(p, p),
+        )
+        res = check_compositional(cert)
+        assert not res.ok
+        assert [f.path for f in res.failures] == ["initially"]
+        assert "refused" in _failure_text(res)
+        assert "x is zero" in _failure_text(res)
+        assert verify(None, cert).holds is None
+
     def test_broken_support_split_side_condition(self, small_stack):
         """A split variable whose domain admits negatives makes the case
         split non-exhaustive; the kernel must refuse, not assume."""

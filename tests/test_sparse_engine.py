@@ -22,7 +22,7 @@ from repro.core.state import StateSpace
 from repro.core.variables import Var
 from repro.errors import ExplorationError
 from repro.semantics.checker import check_reachable_invariant
-from repro.semantics.explorer import reachable_mask, reachable_states
+from repro.semantics.explorer import reachable_states
 from repro.semantics.leadsto import check_leadsto
 from repro.semantics.sparse.explorer import (
     explore,
@@ -243,7 +243,7 @@ class TestExplorer:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: reachable_states honors from_mask + typed limit error
+# Satellite: reachable_states raises a typed limit error
 # ---------------------------------------------------------------------------
 
 
@@ -252,15 +252,6 @@ class TestReachableStatesSatellite:
         x = Var.shared("x", IntRange(0, 7))
         inc = GuardedCommand("inc", x.ref() < 7, [(x, x.ref() + 1)])
         return x, Program("Walk", [x], ExprPredicate(x.ref() == 0), [inc])
-
-    def test_from_mask_honored(self):
-        x, prog = self._prog()
-        start = np.zeros(prog.space.size, dtype=bool)
-        start[5] = True
-        states = reachable_states(prog, from_mask=start)
-        assert sorted(s[x] for s in states) == [5, 6, 7]
-        # And it must agree with reachable_mask's from_mask semantics.
-        assert len(states) == int(reachable_mask(prog, from_mask=start).sum())
 
     def test_limit_raises_typed_error(self):
         _, prog = self._prog()

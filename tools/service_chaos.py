@@ -20,10 +20,11 @@ over HTTP, and asserts the service's chaos contract:
   carries the expected verdict every time, and every answer after the
   first is ``cached``;
 - **a complete snapshot satisfies any budget** — the mix also sends
-  ``tier: sparse`` requests, whose workers write the program's subspace
-  snapshot under the cache directory; afterwards a ``deadline: 0``
-  sparse request for that program is decided from the snapshot, and
-  every snapshot file loads as complete.
+  ``tier: sparse`` requests, and a ``tier: auto`` request for a program
+  above the sparse threshold, whose workers write the program's
+  subspace snapshot under the cache directory; afterwards a
+  ``deadline: 0`` request for each program is decided from its
+  snapshot, and every snapshot file loads as complete.
 
 Usage (CI runs exactly this)::
 
@@ -70,6 +71,23 @@ STUCK = COUNTER.replace("c < 3", "c < 2").replace(
     "program counter", "program stuck"
 )
 
+#: COUNTER plus six variables no command touches, all pinned initially:
+#: 4e6 encoded states, above the sparse threshold, so ``tier: auto``
+#: routes it sparse.  Its reachable slice is COUNTER's, and its leads-to
+#: holds on every state as well as on the reachable ones.
+WIDE = """
+program wide
+declare
+  local c : int[0..3];
+  local w0 : int[0..9]; local w1 : int[0..9]; local w2 : int[0..9];
+  local w3 : int[0..9]; local w4 : int[0..9]; local w5 : int[0..9]
+initially
+  c = 0 /\\ w0 = 0 /\\ w1 = 0 /\\ w2 = 0 /\\ w3 = 0 /\\ w4 = 0 /\\ w5 = 0
+assign
+  fair step: c < 3 -> c := c + 1
+end
+"""
+
 #: (request, expected holds) — None expected means "any structured
 #: non-verdict outcome is acceptable, a verdict must still be correct".
 MIX = [
@@ -81,15 +99,20 @@ MIX = [
     ({"program": COUNTER, "property": "true ~> c = 3", "tier": "sparse"}, True),
     ({"program": STUCK, "property": "true ~> c = 3", "tier": "sparse"}, False),
     ({"program": COUNTER, "property": "c = 0 ~> c >= 2", "tier": "sparse"}, True),
+    ({"program": WIDE, "property": "true ~> c = 3"}, True),
 ]
 
-#: Sent after the mix, when the sparse rows have left a complete snapshot
-#: of COUNTER: a zero deadline must not keep it from a verdict.
-ZERO_DEADLINE = (
-    {"program": COUNTER, "property": "c = 2 ~> c = 3", "tier": "sparse",
-     "deadline": 0},
-    True,
-)
+#: Sent after the mix, when the sparse rows have left complete snapshots
+#: of COUNTER and WIDE: a zero deadline must not keep them from a
+#: verdict.  The properties are new, so the verdict cache cannot answer.
+ZERO_DEADLINE = [
+    (
+        {"program": COUNTER, "property": "c = 2 ~> c = 3", "tier": "sparse",
+         "deadline": 0},
+        True,
+    ),
+    ({"program": WIDE, "property": "c = 2 ~> c = 3", "deadline": 0}, True),
+]
 
 #: Input deeper than the interpreter's stack: (request body, expected
 #: HTTP status, expected error code).
@@ -175,16 +198,21 @@ def check_burst(client: ServiceClient) -> list[str]:
 
 
 def check_snapshots(client: ServiceClient, cache_dir: Path) -> list[str]:
-    """Failures of the :data:`ZERO_DEADLINE` request and of the snapshot
-    files under ``cache_dir``: each must load and be complete."""
+    """Failures of the :data:`ZERO_DEADLINE` requests (each decided on
+    the sparse tier) and of the snapshot files under ``cache_dir``: each
+    must load and be complete."""
     from repro.errors import CheckpointError
     from repro.semantics.sparse.checkpoint import load_checkpoint
 
-    request, expected = ZERO_DEADLINE
     failures = []
-    doc = client.verify(dict(request))
-    if doc.get("status") != "ok" or doc.get("holds") is not expected:
-        failures.append(f"zero-deadline sparse request: {doc!r}")
+    for request, expected in ZERO_DEADLINE:
+        doc = client.verify(dict(request))
+        if (doc.get("status"), doc.get("holds"), doc.get("tier")) != (
+            "ok",
+            expected,
+            "sparse",
+        ):
+            failures.append(f"zero-deadline request: {doc!r}")
     snapshots = sorted((cache_dir / "subspaces").glob("*.ckpt"))
     if not snapshots:
         failures.append("no subspace snapshot was written")
