@@ -298,7 +298,7 @@ def smoke_checkpoint_roundtrip() -> None:
 
     def verdicts(proc: subprocess.CompletedProcess) -> list[str]:
         return [line for line in proc.stdout.splitlines()
-                if line.startswith(("[HOLDS]", "[FAILS]"))]
+                if line.startswith(("HOLDS [", "FAILS ["))]
 
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as tmp:
         tmpdir = Path(tmp)
@@ -313,6 +313,16 @@ def smoke_checkpoint_roundtrip() -> None:
             raise SystemExit(
                 "checkpoint smoke: budget-exhausted run leaked a verdict:\n"
                 + budgeted.stdout
+            )
+        # The UNKNOWN names the manifest question that ran out, not the
+        # exploration behind it.
+        if not any(
+            line.startswith(("[UNKNOWN] reachable-invariant:", "[UNKNOWN] leadsto"))
+            for line in budgeted.stdout.splitlines()
+        ):
+            raise SystemExit(
+                "checkpoint smoke: the UNKNOWN line names no manifest "
+                "question:\n" + budgeted.stdout
             )
         if not ckpt.exists():
             raise SystemExit(f"checkpoint smoke: no checkpoint at {ckpt}")

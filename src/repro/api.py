@@ -137,19 +137,27 @@ class Verdict:
         return f"{status} [{self.tier}] {subject}{tail}".rstrip()
 
 
-def _verdict_from_check(result, *, certificate=None) -> Verdict:
-    """Lift a :class:`~repro.semantics.checker.CheckResult`."""
+def _verdict_from_check(result, *, certificate=None, check=None) -> Verdict:
+    """Lift a :class:`~repro.semantics.checker.CheckResult`, with the
+    facts of ``certificate``'s kernel ``check`` when one ran."""
     witness = result.witness or {}
+    metrics = {
+        "kind": result.kind,
+        "subject": result.subject,
+        "message": result.message,
+    }
+    if check is not None:
+        metrics.update(
+            mode=check.mode,
+            obligations=int(check.obligations_checked),
+            rule_applications=int(check.nodes_checked),
+        )
     return Verdict(
         holds=result.holds,
         tier=witness.get("tier", "dense"),
         witness=Witness(witness),
         certificate=certificate,
-        metrics={
-            "kind": result.kind,
-            "subject": result.subject,
-            "message": result.message,
-        },
+        metrics=metrics,
     )
 
 
@@ -245,7 +253,10 @@ def verify(
     ``fairness`` (``"weak"`` / ``"strong"``) selects the scheduler
     assumption for leads-to; ``prove=True`` additionally synthesizes and
     kernel-checks a certificate for a holding leads-to (attached as
-    ``verdict.certificate``).  ``subspace`` decides over an explicit
+    ``verdict.certificate``), and the batched kernel check's facts join
+    ``verdict.metrics``: its ``mode`` (``"batched"`` or ``"per-level"``),
+    ``obligations`` and ``rule_applications``, the keys a compositional
+    verdict uses.  ``subspace`` decides over an explicit
     reachable subspace.  The question's domain is resolved once, through
     :func:`~repro.semantics.domain.domain_for`, under ``budget`` and the
     ``checkpoint`` policy (which writes the exploration's snapshot and
@@ -311,21 +322,20 @@ def _verify_leadsto(program, prop, *, fairness, subspace, prove) -> Verdict:
 
     checker = check_leadsto_strong if fairness == "strong" else check_leadsto
     result = checker(program, prop.p, prop.q, subspace=subspace)
-    cert = None
-    if prove and result.holds:
-        from repro.semantics.synthesis import (
-            check_certificate_batched,
-            synthesize_leadsto_proof,
-        )
+    if not (prove and result.holds):
+        return _verdict_from_check(result)
+    from repro.semantics.synthesis import (
+        check_certificate_batched,
+        synthesize_leadsto_proof,
+    )
 
-        proof = synthesize_leadsto_proof(
-            program, prop.p, prop.q, fairness=fairness, subspace=subspace
+    proof = synthesize_leadsto_proof(
+        program, prop.p, prop.q, fairness=fairness, subspace=subspace
+    )
+    check = check_certificate_batched(proof, program, subspace=subspace)
+    if not check.ok:
+        raise PropertyError(
+            f"synthesized certificate failed its kernel check: "
+            f"{check.explain()}"
         )
-        check = check_certificate_batched(proof, program, subspace=subspace)
-        if not check.ok:
-            raise PropertyError(
-                f"synthesized certificate failed its kernel check: "
-                f"{check.explain()}"
-            )
-        cert = proof
-    return _verdict_from_check(result, certificate=cert)
+    return _verdict_from_check(result, certificate=proof, check=check)

@@ -21,9 +21,9 @@ Commands
     ``product`` and the generated families ``torus``, ``hypercube``,
     ``regular``, ``fanout`` and ``mesh``.  Every row pairs a builder with
     an expected-property manifest (negative exhibits included), and one
-    driver runs them all: it explores the reachable states through the
-    engine's routing rule (sparse above the threshold), checks every
-    manifest row, and fails if any verdict differs from the manifest.
+    driver runs them all: it asks every manifest row through
+    :func:`repro.api.verify`, and fails if any verdict differs from the
+    manifest.
     Each row names the flags its builder reads (``Family.cli_params``);
     unset flags take the builder's defaults.  ``grid`` and ``product``
     routinely exceed the old 64M dense cap by orders of magnitude
@@ -52,15 +52,20 @@ Commands
     non-zero only if no disagreement was found (an insensitive harness).
 
 Fault tolerance (``scenario`` and ``prove``; see ``docs/robustness.md``)
-    ``--deadline S`` / ``--node-budget N`` / ``--max-levels N`` bound the
-    sparse exploration; on exhaustion the run prints a structured
-    ``status=unknown`` line plus a checkpoint path and exits 0 (UNKNOWN
-    is a clean, resumable outcome — not a failure).  ``--checkpoint
-    PATH`` chooses the checkpoint file; ``--resume PATH`` continues from
-    one, refusing (fail-closed) if the program or space changed since it
-    was written.  A resumed run completes to the same verdict and
-    witness as an uninterrupted one.  Budgets only bind on the sparse
-    tier; dense-tier runs ignore them.
+    Every question these commands ask goes through
+    :func:`repro.api.verify`, under the budget and checkpoint policy the
+    flags give; the CLI does no routing of its own.  ``--deadline S`` /
+    ``--node-budget N`` / ``--max-levels N`` bound the sparse
+    exploration; on exhaustion the run prints the partial verdict, which
+    names the question asked, a structured ``status=unknown`` line and a
+    checkpoint path, and exits 0 (UNKNOWN is a clean, resumable outcome —
+    not a failure).  ``--checkpoint PATH`` chooses the checkpoint file: a
+    snapshot of the same program found there is continued or loaded.
+    ``--resume PATH`` is a ``--checkpoint`` that first refuses
+    (fail-closed) a snapshot written for another program or space; the
+    two flags exclude each other.  A resumed run completes to the same
+    verdict and witness as an uninterrupted one.  Budgets only bind on
+    the sparse tier; dense-tier runs ignore them.
 """
 
 from __future__ import annotations
@@ -139,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="cap on completed BFS levels (resumable UNKNOWN)",
         )
-        p.add_argument(
+        where = p.add_mutually_exclusive_group()
+        where.add_argument(
             "--checkpoint",
             type=Path,
             default=None,
@@ -148,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
             "budget is set: <scenario-or-module>.ckpt in the current "
             "directory)",
         )
-        p.add_argument(
+        where.add_argument(
             "--resume",
             type=Path,
             default=None,
@@ -388,48 +394,64 @@ def _note_run(**info) -> None:
 
 
 def _note_verdict(result) -> None:
-    """Append one verdict row to the run manifest."""
+    """Append a verdict's rows to the run manifest: the verdict itself,
+    then its certificate's kernel check when ``verify(prove=True)`` ran
+    one."""
     if _RUN_CONTEXT is None:
         return
     from repro.api import Verdict
 
     if isinstance(result, Verdict):
-        row = {
-            "kind": result.metrics.get("kind", "verify"),
-            "subject": result.metrics.get("subject", ""),
-            "holds": result.holds,
-            "tier": result.tier,
-        }
-        if result.partial is not None:
-            row["status"] = result.partial.status
-    elif hasattr(result, "holds"):  # CheckResult
-        row = {
-            "kind": result.kind,
-            "subject": result.subject,
-            "holds": bool(result.holds),
-        }
-        tier = (result.witness or {}).get("tier")
-        if tier:
-            row["tier"] = tier
-    elif hasattr(result, "ok"):  # ProofCheckResult (certificate check)
-        row = {
-            "kind": "certificate-check",
-            "ok": bool(result.ok),
-            "mode": result.mode,
-            "obligations": int(result.obligations_checked),
-        }
+        m = result.metrics
+        rows = [
+            {
+                "kind": m.get("kind", "verify"),
+                "subject": m.get("subject", ""),
+                "holds": result.holds,
+                "tier": result.tier,
+            }
+        ]
+        if "mode" in m:
+            rows.append(
+                {
+                    "kind": "certificate-check",
+                    "ok": True,
+                    "mode": m["mode"],
+                    "obligations": m["obligations"],
+                }
+            )
     else:  # PartialResult (budget exhaustion)
-        row = {
-            "kind": result.kind,
-            "subject": result.subject,
-            "status": result.status,
-            "reason": result.reason,
-            "explored": int(result.explored),
-            "levels": int(result.levels),
-            "rate": round(float(result.rate), 3),
-            "frontier": int(result.frontier),
-        }
-    _RUN_CONTEXT.setdefault("verdicts", []).append(row)
+        rows = [
+            {
+                "kind": result.kind,
+                "subject": result.subject,
+                "status": result.status,
+                "reason": result.reason,
+                "explored": int(result.explored),
+                "levels": int(result.levels),
+                "rate": round(float(result.rate), 3),
+                "frontier": int(result.frontier),
+            }
+        ]
+    _RUN_CONTEXT.setdefault("verdicts", []).extend(rows)
+
+
+def _note_tier(verdicts) -> str:
+    """Note and return the tier a run's verdicts were decided on."""
+    tiers = sorted({v.tier for v in verdicts})
+    if len(tiers) == 1:
+        _note_run(tier=tiers[0])
+    return "/".join(tiers)
+
+
+def _proof_ok(verdict) -> str:
+    """The kernel check's line for a ``verify(prove=True)`` verdict (the
+    check passed, or ``verify`` would have raised)."""
+    m = verdict.metrics
+    return (
+        f"proof OK: {m['rule_applications']} rule applications, "
+        f"{m['obligations']} semantic obligations ({m['mode']} kernel)"
+    )
 
 
 def _obs_requested(args) -> bool:
@@ -486,13 +508,9 @@ def _write_telemetry(args, recorder, context: dict) -> None:
 
 
 def _budget_of(args):
-    """A :class:`~repro.semantics.budget.Budget` from CLI flags, or None.
-
-    Commands without budget flags (``info``) get None.
-    """
-    limits = {
-        k: getattr(args, k, None) for k in ("deadline", "node_budget", "max_levels")
-    }
+    """A :class:`~repro.semantics.budget.Budget` from CLI flags, or None
+    when no budget flag is set."""
+    limits = {k: getattr(args, k) for k in ("deadline", "node_budget", "max_levels")}
     if all(v is None for v in limits.values()):
         return None
     from repro.semantics.budget import Budget
@@ -511,78 +529,30 @@ def _budget_doc(budget) -> dict | None:
     }
 
 
-def _checkpoint_of(args, default_stem: str, budget):
-    """The checkpoint policy implied by the CLI flags, or None.
+def _limits_of(args, program, stem: str):
+    """The ``(budget, checkpoint policy)`` a command asks ``verify`` under.
 
-    An explicit ``--checkpoint`` always wins; ``--resume`` keeps writing
-    to the file it resumes from; a budget with neither defaults to
-    ``<default_stem>.ckpt`` so exhaustion always leaves a resume path.
+    ``--checkpoint`` or ``--resume`` names the checkpoint file; a budget
+    with neither defaults to ``<stem>.ckpt``, so exhaustion always leaves
+    a resume path.  ``--resume`` first validates its file against
+    ``program`` (fail-closed: another program's snapshot is refused);
+    the policy then continues or loads it.
     """
-    from repro.semantics.sparse import CheckpointPolicy
-
-    if getattr(args, "checkpoint", None) is not None:
-        return CheckpointPolicy(path=str(args.checkpoint), every_levels=8)
-    if getattr(args, "resume", None) is not None:
-        return CheckpointPolicy(path=str(args.resume), every_levels=8)
-    if budget is not None:
-        return CheckpointPolicy(path=f"{default_stem}.ckpt", every_levels=8)
-    return None
-
-
-def _tier_of(domain) -> str:
-    """``"dense"`` or ``"sparse"``: the tier of the domain a run is
-    decided on (an exhausted exploration ran on the sparse tier)."""
-    if _is_unknown(domain):
-        return domain.witness["tier"]
-    return domain.label.removesuffix(" tier")
-
-
-def _open_run(
-    args, program, stem: str, *, op: str = "the reachable states", question=None
-):
-    """Note the run, then resolve the one domain it is decided on.
-
-    Returns ``(budget, checkpoint policy, domain)``.  ``--resume``
-    continues the checkpointed exploration; otherwise
-    :func:`~repro.semantics.domain.domain_for` — the engine's only
-    routing rule — picks the full space or the reachable subspace
-    (``op`` names the judgment in a dense-fallback refusal).  The run
-    manifest records that domain's tier.  An exhausted budget leaves a
-    :class:`~repro.semantics.budget.PartialResult` in the domain slot, for
-    :func:`_report_unknown`: ``question`` is its ``(kind, subject)`` when
-    a fresh exploration ran out, by default the program's exploration.
-    """
-    from repro.errors import BudgetExhausted
-    from repro.semantics.budget import PartialResult
-    from repro.semantics.domain import domain_for
-    from repro.semantics.sparse import resume_exploration
+    from repro.semantics.sparse import CheckpointPolicy, load_checkpoint
 
     budget = _budget_of(args)
-    policy = _checkpoint_of(args, stem, budget)
+    path = args.checkpoint or args.resume
+    if path is None and budget is not None:
+        path = f"{stem}.ckpt"
+    policy = None if path is None else CheckpointPolicy(str(path), every_levels=8)
     _note_run(
         program=program,
         budget=_budget_doc(budget),
-        checkpoint_path=policy.path if policy is not None else None,
+        checkpoint_path=None if policy is None else policy.path,
     )
-    resume = getattr(args, "resume", None)
-    try:
-        if resume is not None:
-            domain = resume_exploration(
-                resume, program, budget=budget, checkpoint=policy
-            )
-        else:
-            domain = domain_for(program, op, budget=budget, checkpoint=policy)
-    except BudgetExhausted as exc:
-        if question is None or resume is not None:
-            question = ("exploration", program.name)
-        kind, subject = question
-        domain = PartialResult.from_exhaustion(exc, kind=kind, subject=subject)
-    _note_run(tier=_tier_of(domain))
-    return budget, policy, domain
-
-
-def _is_unknown(result) -> bool:
-    return getattr(result, "status", None) == "unknown"
+    if args.resume is not None:
+        load_checkpoint(args.resume, program)
+    return budget, policy
 
 
 def _report_unknown(partial) -> int:
@@ -639,12 +609,15 @@ def _parse_pred(text: str, program):
 
 
 def _cmd_info(args) -> int:
+    from repro.semantics.domain import domain_for
+
     program = _load_program(args.file, args.program)
     print(program.describe())
     print()
     print(f"state space : {program.space.size} states")
     print(f"commands    : {len(program.commands)} (fair: {len(program.fair_names)})")
-    _, _, domain = _open_run(args, program, args.file.stem)
+    # ``info`` asks no question: the domain only supplies the counts.
+    domain = domain_for(program, "the reachable states")
     print(f"initial     : {domain.init_local.size} states")
     print(f"reachable   : {int(domain.reachable_mask().sum())} states")
     return 0
@@ -657,59 +630,44 @@ def _cmd_check(args) -> int:
     program = _load_program(args.file, args.program)
     _note_run(program=program)
     failures = 0
-    tiers = set()
+    verdicts = []
     for text in args.properties:
         prop = parse_property(text, program)
         verdict = verify(program, prop)
         _note_verdict(verdict)
-        tiers.add(verdict.tier)
+        verdicts.append(verdict)
         print(verdict.explain())
         if not verdict.holds:
             failures += 1
             state = verdict.witness.state
             if state is not None:
                 print(f"    counterexample: {state!r}")
-    # The run's tier is the one its verdicts were decided on.
-    if len(tiers) == 1:
-        _note_run(tier=tiers.pop())
+    _note_tier(verdicts)
     return 1 if failures else 0
 
 
 def _cmd_prove(args) -> int:
-    from repro.semantics.synthesis import (
-        check_certificate_batched,
-        synthesize_leadsto_proof,
-    )
-    from repro.errors import ProofError
+    from repro.api import verify
+    from repro.core.properties import LeadsTo
 
     program = _load_program(args.file, args.program)
-    p = _parse_pred(args.lhs, program)
-    q = _parse_pred(args.rhs, program)
-    # Synthesis and the certificate check run on the domain resolved here,
-    # so the tier the manifest records is the tier that decided.
-    _, _, domain = _open_run(
-        args,
-        program,
-        args.file.stem,
-        op="proof synthesis",
-        question=("proof-synthesis", f"{p.describe()} ~> {q.describe()}"),
-    )
-    if _is_unknown(domain):
-        return _report_unknown(domain)
+    prop = LeadsTo(_parse_pred(args.lhs, program), _parse_pred(args.rhs, program))
+    budget, policy = _limits_of(args, program, args.file.stem)
+    verdict = verify(program, prop, budget=budget, checkpoint=policy, prove=True)
+    _note_tier([verdict])
+    if verdict.partial is not None:
+        return _report_unknown(verdict.partial)
     if args.resume is not None:
         print(f"resumed: {args.resume}")
-    try:
-        proof = synthesize_leadsto_proof(program, p, q, subspace=domain)
-    except ProofError as exc:
-        print(f"NOT PROVABLE: {exc}")
+    _note_verdict(verdict)
+    if not verdict.holds:
+        print(f"NOT PROVABLE: {verdict.explain()}")
         return 1
-    result = check_certificate_batched(proof, program, subspace=domain)
-    _note_verdict(result)
     if not args.quiet:
-        print(proof.render())
+        print(verdict.certificate.render())
         print()
-    print(result.explain())
-    return 0 if result.ok else 1
+    print(_proof_ok(verdict))
+    return 0
 
 
 def _cmd_simulate(args) -> int:
@@ -794,23 +752,23 @@ def _cmd_scenario(args) -> int:
     )
     program = scenario.program
     print(scenario.describe())
-    _, _, domain = _open_run(args, program, args.name)
-    print(f"encoded space : {program.space.size} states ({_tier_of(domain)} tier)")
-    if _is_unknown(domain):
-        return _report_unknown(domain)
+    budget, policy = _limits_of(args, program, args.name)
+    rows = run_scenario(scenario, budget=budget, checkpoint=policy, prove=args.prove)
+    tier = _note_tier(verdict for _, verdict in rows)
+    print(f"encoded space : {program.space.size} states ({tier} tier)")
     if args.resume is not None:
         print(f"resumed       : {args.resume}")
-    levels = getattr(domain, "levels", None)
-    tail = "" if levels is None else f" in {levels} BFS levels"
-    print(f"reachable     : {int(domain.reachable_mask().sum())} states{tail}")
     failures = 0
-    for check, result in run_scenario(scenario):
-        _note_verdict(result)
-        verdict = "as expected" if result.holds == check.expected else "UNEXPECTED"
-        print(f"{result.explain()}  [{check.label}: {verdict}]")
-        failures += result.holds != check.expected
+    for check, verdict in rows:
+        if verdict.partial is not None:
+            _report_unknown(verdict.partial)
+            break
+        _note_verdict(verdict)
+        outcome = "as expected" if verdict.holds == check.expected else "UNEXPECTED"
+        print(f"{verdict.explain()}  [{check.label}: {outcome}]")
+        failures += verdict.holds != check.expected
         if args.prove and check.kind == "leadsto":
-            failures += _prove_leadsto(program, check, result)
+            failures += _prove_leadsto(program, check, verdict)
     return 1 if failures else 0
 
 
@@ -959,34 +917,27 @@ def _cmd_compose50(args) -> int:
     return 0
 
 
-def _prove_leadsto(program, check, result) -> int:
+def _prove_leadsto(program, check, verdict) -> int:
     """Certify one scenario leads-to verdict (the ``--prove`` path).
 
-    Holding properties get a synthesized kernel certificate (sparse-tier
-    induction over the reachable subspace when the space routes sparse),
-    re-checked by the batched columnar kernel
-    (:func:`repro.semantics.synthesis.check_certificate_batched`) — one
+    A holding property carries the certificate ``verify(prove=True)``
+    synthesized and re-checked with the batched columnar kernel — one
     vectorized pass per command over all levels, so even 10⁵-level
-    certificates check in seconds.  Failing properties get the
-    confining-path witness printed state by state.  Returns 1 on
-    certification failure, 0 otherwise.
+    certificates check in seconds.  A failing property gets its
+    confining-path witness printed state by state, and the synthesizer
+    must refuse it.  Returns 1 on certification failure, 0 otherwise.
     """
-    import time
-
     from repro.errors import ProofError
-    from repro.semantics.synthesis import (
-        check_certificate_batched,
-        synthesize_leadsto_proof,
-    )
+    from repro.semantics.synthesis import synthesize_leadsto_proof
 
     prop, fairness = check.prop, check.fairness
-    if not result.holds:
-        path = result.witness.get("confining_path")
-        reach = result.witness.get("path")
+    if not verdict.holds:
+        path = verdict.witness.get("confining_path")
+        reach = verdict.witness.get("path")
         if reach:
             print(
                 f"    reached in {len(reach) - 1} step(s) via "
-                f"{' -> '.join(result.witness.get('path_commands', []))}"
+                f"{' -> '.join(verdict.witness.get('path_commands', []))}"
             )
         if path:
             print(f"    confining path ({len(path)} ¬q-state(s) into a fair SCC):")
@@ -994,7 +945,8 @@ def _prove_leadsto(program, check, result) -> int:
                 print(f"      {state!r}")
             if len(path) > 8:
                 print(f"      … {len(path) - 8} more")
-        # A failing property must also make the synthesizer refuse.
+        # A reference check, not routing: a failing property must also
+        # make the synthesizer refuse.
         try:
             synthesize_leadsto_proof(program, prop.p, prop.q, fairness=fairness)
         except ProofError as exc:
@@ -1002,22 +954,16 @@ def _prove_leadsto(program, check, result) -> int:
             return 0
         print("    UNEXPECTED: synthesis produced a proof of a failing property")
         return 1
-    proof = synthesize_leadsto_proof(program, prop.p, prop.q, fairness=fairness)
+    proof = verdict.certificate
     hist = proof.rule_histogram()
     shape = ", ".join(f"{k}×{v}" for k, v in sorted(hist.items()))
-    n_levels = len(getattr(proof, "levels", ()))
     print(
         f"    certificate: {proof.count_nodes()} rule applications "
-        f"({shape}), {n_levels} variant levels, {fairness} fairness"
+        f"({shape}), {len(getattr(proof, 'levels', ()))} variant levels, "
+        f"{fairness} fairness"
     )
-    t0 = time.perf_counter()
-    check = check_certificate_batched(proof, program)
-    dt = time.perf_counter() - t0
-    _note_verdict(check)
-    rate = f", {n_levels / dt:,.0f} levels/s" if n_levels and dt > 0 else ""
-    print(f"    {check.explain()}")
-    print(f"    kernel: {check.mode} pass in {dt:.2f} s{rate}")
-    return 0 if check.ok else 1
+    print(f"    {_proof_ok(verdict)}")
+    return 0
 
 
 def _cmd_serve(args) -> int:

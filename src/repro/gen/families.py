@@ -4,10 +4,10 @@ The paper's composition calculus claims universality over program
 *families*.  Every ``scenario`` the CLI runs is a row of this catalog: a
 deterministic builder from a small parameter vector to a composed
 :class:`~repro.core.program.Program` **plus a manifest** of expected
-verdicts, so a single driver (:func:`run_scenario`, the ``scenario``
-CLI, the differential tests, the benchmarks) checks every instance the
-same way.  Each builder's signature carries its scenario's default
-size.
+verdicts, so a single driver (:func:`run_scenario`, which asks each row
+through :func:`repro.api.verify`; the ``scenario`` CLI, the differential
+tests and the benchmarks call it) checks every instance the same way.
+Each builder's signature carries its scenario's default size.
 
 Hand-built scenarios (:data:`HAND_BUILT`)
 -----------------------------------------
@@ -51,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.api import Verdict, verify
 from repro.core.predicates import Predicate
 from repro.core.program import Program
 from repro.core.properties import LeadsTo
@@ -377,27 +378,29 @@ def build_scenario(family: str, **params) -> Scenario:
     return spec.build(**params)
 
 
-def run_scenario(scenario: Scenario) -> list[tuple[ExpectedCheck, object]]:
-    """Run every manifest check through the tier-routed engine.
+def run_scenario(
+    scenario: Scenario, *, budget=None, checkpoint=None, prove: bool = False
+) -> list[tuple[ExpectedCheck, Verdict]]:
+    """Ask every manifest check through :func:`repro.api.verify`.
 
-    Returns ``[(check, result), …]`` where ``result`` is the engine's
-    :class:`~repro.semantics.checker.CheckResult`.  Callers compare
-    ``result.holds`` against ``check.expected``; the scenario CLI and
-    the family tests both drive this single entry point.
+    Returns ``[(check, verdict), …]``; callers compare ``verdict.holds``
+    against ``check.expected``.  ``budget``, ``checkpoint`` and ``prove``
+    go to each ``verify`` call.  The rows share one program, so the first
+    row's exploration serves them all; after a partial verdict the list
+    ends, because a later row could only resume that exploration under a
+    fresh budget window.
     """
-    from repro.semantics import check_leadsto, check_reachable_invariant
-    from repro.semantics.strong_fairness import check_leadsto_strong
-
     out = []
     for check in scenario.checks:
-        if check.kind == "invariant":
-            result = check_reachable_invariant(scenario.program, check.pred)
-        else:
-            checker = (
-                check_leadsto_strong
-                if check.fairness == "strong"
-                else check_leadsto
-            )
-            result = checker(scenario.program, check.prop.p, check.prop.q)
-        out.append((check, result))
+        verdict = verify(
+            scenario.program,
+            check.pred if check.kind == "invariant" else check.prop,
+            fairness=check.fairness,
+            budget=budget,
+            checkpoint=checkpoint,
+            prove=prove,
+        )
+        out.append((check, verdict))
+        if verdict.partial is not None:
+            break
     return out

@@ -386,10 +386,11 @@ class TestFallbackChaining:
 
 
 def verdict_lines(text: str) -> list[str]:
+    """The decided verdict rows, as ``Verdict.explain`` prints them."""
     return [
         line
         for line in text.splitlines()
-        if line.startswith(("[HOLDS]", "[FAILS]"))
+        if line.startswith(("HOLDS [", "FAILS ["))
     ]
 
 
@@ -412,6 +413,7 @@ class TestCliDifferential:
         code = main(self.PRODUCT)
         reference = capsys.readouterr().out
         assert code == 0
+        assert verdict_lines(reference)
         # 3. Resumed run: same verdicts and witnesses, same exit code.
         code = main(self.PRODUCT + ["--resume", path])
         resumed = capsys.readouterr().out
@@ -432,6 +434,53 @@ class TestCliDifferential:
         err = capsys.readouterr().err
         assert code == 2
         assert "different program" in err
+
+    def test_checkpoint_and_resume_exclude_each_other(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(self.PRODUCT + [
+                "--resume", str(tmp_path / "a.ckpt"),
+                "--checkpoint", str(tmp_path / "b.ckpt"),
+            ])
+        assert info.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_exhausted_run_names_the_first_manifest_question(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The CLI's UNKNOWN names the question ``verify`` names, not the
+        exploration behind it."""
+        from repro.gen.families import build_scenario
+
+        scenario = build_scenario("product", stages=8, clients=2)
+        want = verify(
+            scenario.program, scenario.checks[0].pred,
+            budget=Budget(deadline=0),
+        ).partial
+        monkeypatch.chdir(tmp_path)
+        out_path = tmp_path / "m.json"
+        code = main(self.PRODUCT + [
+            "--deadline", "0", "--metrics-out", str(out_path),
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert want.kind == "reachable-invariant"
+        assert f"[UNKNOWN] {want.kind}: {want.subject} — " in out
+        assert "[UNKNOWN] exploration" not in out
+        manifest = json.loads(out_path.read_text())
+        unknown = [r for r in manifest["verdicts"] if r.get("status") == "unknown"]
+        assert [r["kind"] for r in unknown] == [want.kind]
+
+    def test_run_scenario_stops_at_the_first_partial_verdict(self):
+        from repro.api import Verdict
+        from repro.gen.families import build_scenario, run_scenario
+
+        scenario = build_scenario("product", stages=8, clients=2)
+        rows = run_scenario(scenario, budget=Budget(deadline=0))
+        assert len(rows) == 1
+        check, verdict = rows[0]
+        assert check is scenario.checks[0]
+        assert isinstance(verdict, Verdict)
+        assert verdict.holds is None and verdict.partial is not None
 
     def test_default_checkpoint_path_under_budget(
         self, tmp_path, capsys, monkeypatch

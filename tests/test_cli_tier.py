@@ -31,8 +31,10 @@ end
 @pytest.fixture()
 def explorations(monkeypatch):
     """Route every space to the sparse tier and fail its exploration;
-    returns the list of programs an exploration was attempted on."""
-    import repro.semantics.domain as domain_mod
+    returns the list of programs a BFS was attempted on.  The patch sits
+    below the subspace cache, so a failure cached once is not counted
+    again."""
+    import repro.semantics.sparse.explorer as explorer_mod
 
     calls = []
 
@@ -41,7 +43,7 @@ def explorations(monkeypatch):
         raise ExplorationError("reachable set exceeds node_limit")
 
     monkeypatch.setattr("repro.semantics.sparse.SPARSE_THRESHOLD", 0)
-    monkeypatch.setattr(domain_mod, "reachable_subspace", failing)
+    monkeypatch.setattr(explorer_mod, "explore", failing)
     return calls
 
 
@@ -80,7 +82,7 @@ def test_failing_prove_names_the_dense_tier_in_both_places(
         "--quiet", "--metrics-out", str(out),
     ])
     assert code == 1
-    assert "on the dense tier" in capsys.readouterr().out
+    assert "FAILS [dense]" in capsys.readouterr().out
     assert _manifest(out)["tier"] == "dense"
     assert explorations == ["Ladder"]
 
@@ -101,6 +103,21 @@ def test_sparse_run_still_records_sparse(ladder_file, tmp_path, monkeypatch):
     ])
     assert code == 0
     assert _manifest(out)["tier"] == "sparse"
+
+
+def test_exhausted_prove_names_the_leadsto_question(
+    ladder_file, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr("repro.semantics.sparse.SPARSE_THRESHOLD", 0)
+    monkeypatch.chdir(tmp_path)
+    code = main([
+        "prove", str(ladder_file), "--from", "x = 0", "--to", "x = 3",
+        "--max-levels", "1",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "[UNKNOWN] leadsto: x = 0 ~> x = 3 — " in out
+    assert "status=unknown checkpoint=ladder.ckpt" in out
 
 
 def test_check_records_the_tier_of_its_verdicts(tmp_path):
