@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.core.expressions import Expr
 from repro.core.predicates import Predicate
+from repro.core.properties import Stable
 from repro.errors import ProofError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -117,6 +118,15 @@ class ProofCheckResult:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def absorb(self, sub: "ProofCheckResult", prefix: str = "") -> None:
+        """Count a sub-check's rule applications and obligations into this
+        result, and take its failures, their paths under ``prefix``."""
+        self.nodes_checked += sub.nodes_checked
+        self.obligations_checked += sub.obligations_checked
+        self.failures.extend(
+            ProofFailure(prefix + f.path, f.message) for f in sub.failures
+        )
 
     def __bool__(self) -> bool:
         return self.ok
@@ -258,7 +268,7 @@ def _expect_form(
 
 
 class StableLeaf(SafetyProof):
-    """Leaf: ``stable p``, discharged by the semantic checker."""
+    """Leaf: ``stable p``, the property's own statement on the domain."""
 
     rule_name = "stable-leaf"
 
@@ -269,13 +279,11 @@ class StableLeaf(SafetyProof):
         return ("stable", self.p)
 
     def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
-        from repro.semantics.checker import stable_on
-
-        discharge(result, path, stable_on(d, self.p))
+        discharge(result, path, Stable(self.p).check_on(d))
 
 
 class InitLeaf(SafetyProof):
-    """Leaf: ``init p``, discharged by the semantic checker."""
+    """Leaf: ``init p``, the domain's ``init`` judgment."""
 
     rule_name = "init-leaf"
 
@@ -286,9 +294,7 @@ class InitLeaf(SafetyProof):
         return ("init", self.p)
 
     def _local_check(self, d, result: ProofCheckResult, path: str) -> None:
-        from repro.semantics.checker import init_on
-
-        discharge(result, path, init_on(d, self.p))
+        discharge(result, path, d.init(self.p))
 
 
 class StableConjunction(SafetyProof):
@@ -418,8 +424,8 @@ class UniversalLift(SafetyProof):
       (use :func:`repro.core.composition.lifted` to lift components);
     - every system command body appears among the components' commands
       (the system really is the union of these components);
-    - all sub-proof conclusions agree with the lifted predicate (mask
-      equality).
+    - all sub-proof conclusions agree with the lifted predicate (the
+      domain's equivalence, not counted as an obligation).
 
     Sub-proofs are checked against their own component programs.
     """
@@ -462,7 +468,7 @@ class UniversalLift(SafetyProof):
             pred = _expect_form(sub, "stable", result, sub_path, "component proof")
             if pred is None:
                 continue
-            if not np.array_equal(d.pred_mask(pred), d.pred_mask(target)):
+            if not d.equivalent(pred, target):
                 result.failures.append(
                     ProofFailure(
                         sub_path,
@@ -471,13 +477,7 @@ class UniversalLift(SafetyProof):
                     )
                 )
                 continue
-            sub_result = sub.check(comp)
-            result.nodes_checked += sub_result.nodes_checked
-            result.obligations_checked += sub_result.obligations_checked
-            result.failures.extend(
-                ProofFailure(f"{sub_path}.{f.path}", f.message)
-                for f in sub_result.failures
-            )
+            result.absorb(sub.check(comp), f"{sub_path}.")
             covered |= {c.body_key() for c in comp.commands}
         missing = [c.name for c in program.commands if c.body_key() not in covered]
         if missing:
@@ -505,9 +505,10 @@ class InitLift(SafetyProof):
     ``init p`` is a system property, because the system's ``initially`` is
     the conjunction of the components' and so entails the component's.
 
-    Side condition (checked semantically): the system's ``initially``
-    entails the component's ``initially``.  Every domain holds all
-    initial states, so the check is exact on the reachable subspace too.
+    Side condition (one obligation): ``init`` of the component's
+    ``initially`` on the system's domain — the system's ``initially``
+    entails it.  Every domain holds all initial states, so the check is
+    exact on the reachable subspace too.
     """
 
     rule_name = "init-lift"
@@ -529,22 +530,17 @@ class InitLift(SafetyProof):
         pred = _expect_form(self.sub, "init", result, path, "component proof")
         if pred is None:
             return
-        result.obligations_checked += 1
-        if not d.pred_mask(self.component.init)[d.init_local].all():
-            result.failures.append(
-                ProofFailure(
-                    path,
-                    f"system initially does not entail {self.component.name}'s "
-                    "initially (is the component part of this system?)",
-                )
-            )
-            return
-        sub_result = self.sub.check(self.component)
-        result.nodes_checked += sub_result.nodes_checked
-        result.obligations_checked += sub_result.obligations_checked
-        result.failures.extend(
-            ProofFailure(f"{path}.{f.path}", f.message) for f in sub_result.failures
+        entailed = d.init(self.component.init)
+        discharge(
+            result,
+            path,
+            entailed,
+            lambda: f"system initially does not entail {self.component.name}'s "
+            "initially (is the component part of this system?)",
         )
+        if not entailed:
+            return
+        result.absorb(self.sub.check(self.component), f"{path}.")
 
     def count_nodes(self) -> int:
         return 1 + self.sub.count_nodes()

@@ -16,6 +16,11 @@ concrete finite program via :meth:`Property.check` (delegating to
 ``next``-family properties quantify over *all* states of the space, not just
 reachable ones (the paper deliberately avoids the substitution axiom).
 
+The five safety properties state their definition once, as
+``check_on(d)`` over the rule judgments of any evaluation domain ``d``
+(:mod:`repro.semantics.domain`): ``d.init(p)``, ``d.next(p, q)``,
+``d.transient(p)``.
+
 ``leads-to`` is checked under weak fairness of ``D`` by the fair-SCC model
 checker (:mod:`repro.semantics.leadsto`); the checker is proven equivalent
 to the proof system on finite instances by the synthesis engine
@@ -119,6 +124,10 @@ class Init(Property):
 
         return check_init(program, self.p)
 
+    def check_on(self, d):
+        """``init p`` decided on the domain ``d``."""
+        return d.init(self.p)
+
     def describe(self) -> str:
         return f"init {self.p.describe()}"
 
@@ -137,6 +146,10 @@ class Transient(Property):
         from repro.semantics.checker import check_transient
 
         return check_transient(program, self.p)
+
+    def check_on(self, d):
+        """``transient p`` decided on the domain ``d``."""
+        return d.transient(self.p)
 
     def describe(self) -> str:
         return f"transient {self.p.describe()}"
@@ -158,6 +171,10 @@ class Next(Property):
 
         return check_next(program, self.p, self.q)
 
+    def check_on(self, d):
+        """``p next q`` decided on the domain ``d``."""
+        return d.next(self.p, self.q)
+
     def describe(self) -> str:
         return f"{self.p.describe()} next {self.q.describe()}"
 
@@ -175,6 +192,10 @@ class Stable(Property):
         from repro.semantics.checker import check_stable
 
         return check_stable(program, self.p)
+
+    def check_on(self, d):
+        """``stable p ≡ p next p`` decided on the domain ``d``."""
+        return d.next(self.p, self.p).relabel("stable", self.describe())
 
     def describe(self) -> str:
         return f"stable {self.p.describe()}"
@@ -198,6 +219,23 @@ class Invariant(Property):
         from repro.semantics.checker import check_invariant
 
         return check_invariant(program, self.p)
+
+    def check_on(self, d):
+        """``invariant p ≡ (init p) ∧ (stable p)``, both parts decided on
+        the domain ``d``."""
+        subject = self.describe()
+        init = d.init(self.p)
+        if not init:
+            return init.relabel(
+                "invariant", subject, f"init part fails: {init.message}"
+            )
+        stable = Stable(self.p).check_on(d)
+        if not stable:
+            return stable.relabel(
+                "invariant", subject, f"stable part fails: {stable.message}"
+            )
+        # Both parts ran on one domain; the stable part's witness names it.
+        return stable.relabel("invariant", subject, "")
 
     def describe(self) -> str:
         return f"invariant {self.p.describe()}"
@@ -314,12 +352,10 @@ class PropertyFamily(Property):
         for member in self.members:
             result = member.check(program)
             if not result.holds:
-                return CheckResult(
-                    holds=False,
-                    kind="family",
-                    subject=self._description,
-                    message=f"member fails: {member.describe()} — {result.message}",
-                    witness=result.witness,
+                return result.relabel(
+                    "family",
+                    self._description,
+                    f"member fails: {member.describe()} — {result.message}",
                 )
         return CheckResult(
             holds=True,

@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.compositional import CompositionalCertificate
+from repro.core.predicates import FALSE
 from repro.core.proofs import ProofCheckResult, ProofFailure, discharge
 from repro.semantics.obligations import (
     FootprintKernel,
@@ -100,11 +101,13 @@ class FootprintSpace:
 
     It has the rule judgments only (no masks, ids or graph), each decided
     by the :class:`~repro.semantics.obligations.FootprintKernel` on the
-    footprint of its obligation.  ``transient_strong`` is the weak
-    criterion, a sound strengthening, and ``ensures`` checks ``p∧¬q next
-    p∨q`` and ``transient (p∧¬q)``.  What the kernel cannot decide is a
-    failure saying "refused", never an exception.  Each judgment starts
-    a fresh kernel scope (:meth:`FootprintKernel.release`).
+    footprint of its obligation.  ``init p`` is ``initially ⇒ p``,
+    ``transient_strong`` the weak criterion (a sound strengthening), and
+    ``ensures`` checks ``p∧¬q next p∨q`` and ``transient (p∧¬q)``.  What
+    the kernel cannot decide is a refusal — a plain failing
+    ``FootprintResult`` saying "refused", never an exception — and a
+    decided failure is a ``_LazyFailure``.  Each judgment starts a fresh
+    kernel scope (:meth:`FootprintKernel.release`).
     """
 
     def __init__(self, system: "Program", kernel: FootprintKernel) -> None:
@@ -130,6 +133,9 @@ class FootprintSpace:
     def valid(self, p, q) -> FootprintResult:
         return self._judge((p, q), lambda: self.kernel.entails(p, q))
 
+    def init(self, p) -> FootprintResult:
+        return self.valid(self.program.init, p)
+
     def equivalent(self, a, b) -> FootprintResult:
         return self._judge((a, b), lambda: self.kernel.equal(a, b))
 
@@ -137,16 +143,17 @@ class FootprintSpace:
         return self._judge((pre, post), lambda: self.kernel.check_wp(pre, cmd, post))
 
     def next(self, p, q) -> FootprintResult:
-        """Linear stability when ``p`` and ``q`` are one linear equality;
-        else one obligation per command.  A command writing none of
-        ``vars(p) ∪ vars(q)`` keeps both values, so it may be skipped (the
-        frame rule) once ``p ⇒ q`` holds, decided on the first one."""
+        """Linear stability when ``p`` and ``q`` are one linear equality
+        and it holds (it is not necessary); else one obligation per
+        command.  A command writing none of ``vars(p) ∪ vars(q)`` keeps
+        both values, so it may be skipped (the frame rule) once ``p ⇒
+        q`` holds, decided on the first one."""
         return self._judge((p, q), lambda: self._next(p, q))
 
     def _next(self, p, q) -> FootprintResult:
         if p is q or p.describe() == q.describe():
             stable = self.kernel.check_linear_stable(p, self.program.commands)
-            if stable is not None:
+            if stable is not None and stable.ok:
                 return stable
         relevant = p.variables() | q.variables()
         framed = None
@@ -159,9 +166,8 @@ class FootprintSpace:
                     continue
             res = self.kernel.check_wp(p, cmd, q)
             if not res.ok:
-                return _LazyFailure(
-                    lambda: f"{p.describe()} next {q.describe()}: {res.message}",
-                    dropped=res.dropped,
+                return res.reworded(
+                    lambda: f"{p.describe()} next {q.describe()}: ",
                     obligations=len(self._commands),
                 )
         return FootprintResult(True, obligations=len(self._commands))
@@ -174,8 +180,16 @@ class FootprintSpace:
     transient_strong = transient
 
     def _transient(self, p) -> FootprintResult:
+        if not self._fair:
+            # With D empty nothing is forced to execute, so only the
+            # unsatisfiable predicate is transient.
+            empty = self.kernel.entails(p, FALSE)
+            return empty if empty.ok else empty.reworded(lambda: "D = ∅: ")
+        # One refused candidate refuses the judgment, and a candidate's
+        # dropped conjuncts make the failure inexact.
         region_vars = p.variables()
-        last = None
+        refused = None
+        dropped = ()
         exit_pred = ~p
         for cmd, _ in sorted(
             self._fair, key=lambda cw: (cw[1].isdisjoint(region_vars), cw[0].name)
@@ -183,10 +197,17 @@ class FootprintSpace:
             last = self.kernel.check_wp(p, cmd, exit_pred)
             if last.ok:
                 return last
-        why = "the program has no fair commands (D = ∅)"
+            if not isinstance(last, _LazyFailure):
+                refused = last
+            dropped += last.dropped
+        if refused is not None:
+            return refused.reworded(
+                lambda: f"no fair command is shown to exit {p.describe()}: "
+            )
         return _LazyFailure(
             lambda: f"no fair command exits {p.describe()} from every region "
-            f"state (last candidate: {why if last is None else last.message})"
+            f"state (last candidate: {last.message})",
+            dropped=dropped,
         )
 
     def ensures(self, node, result, path: str) -> tuple:
@@ -260,16 +281,13 @@ def _check_init_consistency(
     with no expression form, or oversized conjuncts the kernel had to
     drop, leave the sat-finding inconclusive and we refuse.
     """
-    from repro.core.expressions import BoolConst
-    from repro.core.predicates import ExprPredicate
-
     init = None
     for comp in cert.components:
         init = comp.init if init is None else init & comp.init
     if init is None:
         return
     result.obligations_checked += 1
-    res = space.valid(init, ExprPredicate(BoolConst(False)))
+    res = space.valid(init, FALSE)
     if res.ok:
         result.failures.append(
             ProofFailure(
@@ -355,10 +373,7 @@ def check_compositional(
     _check_init_consistency(cert, space, result)
     if check_components:
         _check_components(cert, result)
-    tree = cert.proof.check_on(space)
-    result.nodes_checked += tree.nodes_checked
-    result.obligations_checked += tree.obligations_checked
-    result.failures.extend(tree.failures)
+    result.absorb(cert.proof.check_on(space))
     result.frame_skips = space.frame_skips
     # The tree must conclude what the certificate claims.
     for got, want, side in (

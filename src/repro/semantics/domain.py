@@ -38,13 +38,13 @@ The protocol both classes provide:
 - ``annotate(witness, *, reachable=False, metrics=False)`` — the
   domain's witness extras (``tier``, ``reachable``, ``metrics``).
 
-Proof rules see a narrower protocol, the **rule judgments** ``valid(p,
-q)``, ``equivalent(a, b)``, ``next(p, q)``, ``transient(p)``,
-``transient_strong(p)``, ``valid_wp(pre, cmd, post)`` and ``ensures(node,
-result, path)``, each returning a verdict with ``holds``,
-``obligations`` and ``message``/``explain()``
-(:func:`repro.core.proofs.discharge`).  The two mask domains share one
-implementation of them,
+Properties and proof rules see a narrower protocol, the **rule
+judgments** ``valid(p, q)``, ``init(p)``, ``equivalent(a, b)``,
+``next(p, q)``, ``transient(p)``, ``transient_strong(p)``,
+``valid_wp(pre, cmd, post)`` and ``ensures(node, result, path)``, each
+returning a verdict with ``holds``, ``obligations`` and
+``message``/``explain()`` (:func:`repro.core.proofs.discharge`).  The
+two mask domains share one implementation of them,
 :class:`~repro.semantics.judgments.MaskJudgments`.  A third domain
 provides only these:
 :class:`~repro.semantics.compositional.FootprintSpace`, a composed

@@ -427,9 +427,10 @@ def _strong_transient_fail(
 #   projection artifact, never an unsound acceptance.
 #
 # Linear invariants dodge the global footprint altogether:
-# ``stable (Σ aᵥ·v = k)`` holds iff every command's weighted write-delta
+# ``stable (Σ aᵥ·v = k)`` holds if every command's weighted write-delta
 # is zero under its guard — an obligation over vars(command) only
-# (check_linear_stable).
+# (check_linear_stable).  The converse fails: a command may change the
+# sum only from states where it is not ``k``.
 #
 # Composed systems are copies of a few component shapes glued along shared
 # variables, so most obligations repeat up to a renaming of variables; the
@@ -452,6 +453,17 @@ class FootprintResult:
 
     def explain(self) -> str:
         return self.message
+
+    def relabel(self, kind: str, subject: str, message: str | None = None):
+        """A footprint verdict names no property, so it answers any
+        property as it is, a lazy message still unbuilt."""
+        return self
+
+    def reworded(self, prefix, obligations: int = 1) -> "FootprintResult":
+        """This failure, its message after ``prefix()``; a refusal stays
+        a refusal."""
+        message = prefix() + self.message
+        return FootprintResult(False, message, self.dropped, obligations)
 
 
 class _LazyFailure(FootprintResult):
@@ -479,6 +491,9 @@ class _LazyFailure(FootprintResult):
         if self._message is None:
             self._message = self._explain()
         return self._message
+
+    def reworded(self, prefix, obligations: int = 1) -> "FootprintResult":
+        return _LazyFailure(lambda: prefix() + self.message, self.dropped, obligations)
 
 
 #: Largest footprint space the kernel will enumerate (per obligation).
@@ -529,8 +544,8 @@ class FootprintKernel:
         self.max_states = int(max_states)
         self._spaces: dict[tuple, object] = {}
         self.evaluations = 0
-        # shape → (ok, footprint evaluations the decision took)
-        self._memo: dict[tuple, tuple[bool, int]] = {}
+        # shape → (ok, footprint evaluations the decision took, refused)
+        self._memo: dict[tuple, tuple[bool, int, bool]] = {}
         self._templates: dict[tuple, tuple | None] = {}
         # ordered variables → (them, their domain ids, enum labels),
         # shared by every template over those variables
@@ -852,22 +867,27 @@ class FootprintKernel:
         A hit adds the evaluations the original decision took, so the
         counters equal an unmemoized run's.  A failing hit is returned
         with its message unbuilt; reading it re-decides the real
-        obligation, leaving the counters untouched.  Results that dropped
-        hypothesis conjuncts are never stored.
+        obligation, leaving the counters untouched.  A refusal stays a
+        refusal: a plain failing :class:`FootprintResult`, never a
+        decided :class:`_LazyFailure`.  Results that dropped hypothesis
+        conjuncts are never stored.
         """
         hit = self._memo.get(key) if key is not None else None
         if hit is not None:
-            ok, evaluations = hit
+            ok, evaluations, refused = hit
             self.by_shape[kind] += 1
             self.evaluations += evaluations
             if ok:
                 return FootprintResult(True)
+            if refused:
+                return FootprintResult(False, self._replay(decide))
             return _LazyFailure(lambda: self._replay(decide))
         before = self.evaluations
         res = decide()
         self.decided[kind] += 1
         if key is not None and not res.dropped:
-            self._memo[key] = (res.ok, self.evaluations - before)
+            refused = not res.ok and not isinstance(res, _LazyFailure)
+            self._memo[key] = (res.ok, self.evaluations - before, refused)
         return res
 
     def _replay(self, decide) -> str:
@@ -1034,22 +1054,20 @@ class FootprintKernel:
                 f"refused: wp of {cmd.name} is not expressible ({exc})",
             )
         res = self._entails(pre, wpred)
-        if res.ok:
-            return res
-        return _LazyFailure(
-            lambda: f"command {cmd.name}: {res.message}", dropped=res.dropped
-        )
+        return res if res.ok else res.reworded(lambda: f"command {cmd.name}: ")
 
     def check_linear_stable(self, pred, commands) -> FootprintResult | None:
         """``stable (Σ aᵥ·v = k)`` via per-command write deltas, or
         ``None`` when ``pred`` is not (syntactically) such a linear
         equality.
 
-        Each command preserves a linear equality iff, under its guard,
-        the weighted sum of its assignment deltas is zero — an exact
-        check over vars(command) alone, so conservation-style invariants
-        spanning *every* variable of the composition never force a
-        global footprint.
+        A command whose guard implies that the weighted sum of its
+        assignment deltas is zero preserves the sum for *every* ``k`` —
+        a check over vars(command) alone, so conservation-style
+        invariants spanning *every* variable of the composition never
+        force a global footprint.  It is sufficient, not necessary, so a
+        failure is not decided: ``FootprintSpace.next`` falls back to
+        the exact per-command ``wp``.
         """
         from repro.core.compositional import linear_terms
         from repro.core.expressions import EqE, esum

@@ -33,13 +33,11 @@ paper's solution that the ablation makes visible.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.predicates import Predicate
 from repro.core.program import Program
 from repro.semantics.checker import CheckResult
 from repro.semantics.domain import domain_for
-from repro.semantics.leadsto import _fair_flags, leadsto_judgment
+from repro.semantics.leadsto import leadsto_judgment
 
 __all__ = [
     "check_leadsto_strong",
@@ -65,55 +63,7 @@ def check_transient_strong(program: Program, p: Predicate) -> CheckResult:
     Decided over the domain :func:`~repro.semantics.domain.domain_for`
     resolves (reachable-restricted above the sparse threshold).
     """
-    return transient_strong_on(domain_for(program, "check_transient_strong"), p)
-
-
-def transient_strong_on(d, p: Predicate) -> CheckResult:
-    """:func:`check_transient_strong` over the domain ``d``."""
-    subject = f"transient[strong] {p.describe()}"
-    pm = d.pred_mask(p)
-    if not pm.any():
-        return CheckResult(
-            True,
-            "transient-strong",
-            subject,
-            message=(
-                f"p is unsatisfiable on every {d.where}state "
-                f"(vacuously transient, {d.label})"
-            ),
-            witness=d.annotate({}),
-        )
-    fair_cmds = d.program.fair_commands
-    cond = d.graph().condensation(pm)
-    # Enabledness rows stream lazily, as in the leads-to analysis.
-    flags = _fair_flags(
-        cond,
-        [d.succ_local(cmd) for cmd in fair_cmds],
-        enabled=[(lambda ids, c=cmd: d.enabled_at(c, ids)) for cmd in fair_cmds],
-    )
-    hit = np.flatnonzero(flags)
-    if hit.size == 0:
-        return CheckResult(
-            True,
-            "transient-strong",
-            subject,
-            message=(
-                f"every SCC of the {d.where}p-subgraph ({cond.count} "
-                f"component(s)) has an enabled exiting fair command ({d.label})"
-            ),
-            witness=d.annotate({"components": cond.count}),
-        )
-    state = d.state_at_local(int(cond.members_of(hit[0])[0]))
-    return CheckResult(
-        False,
-        "transient-strong",
-        subject,
-        message=(
-            "a strongly-fair execution can stay inside p forever "
-            f"(e.g. in the component of {state!r})"
-        ),
-        witness=d.annotate({"state": state, "fair_components": int(hit.size)}),
-    )
+    return domain_for(program, "check_transient_strong").transient_strong(p)
 
 
 def check_leadsto_strong(

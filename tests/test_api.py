@@ -417,3 +417,44 @@ class TestCLI:
         )
         assert main(["check", str(f), "-p", "x = 0 ~> x = 3"]) == 0
         assert "HOLDS [dense]" in capsys.readouterr().out
+
+
+class TestCheckerEntryPoints:
+    """``verify()`` reaches each question's public checker through its
+    module attribute at call time, once, with the program first: the
+    entry points ``perfbench/workload.py`` wraps to attribute time to the
+    checker and analysis layers."""
+
+    @pytest.mark.parametrize(
+        "module, name, text, fairness",
+        [
+            ("checker", "check_invariant", "invariant x <= 2", "weak"),
+            ("checker", "check_reachable_invariant", None, "weak"),
+            ("leadsto", "check_leadsto", "true ~> x = 2", "weak"),
+            ("strong_fairness", "check_leadsto_strong", "true ~> x = 2", "strong"),
+        ],
+    )
+    def test_verify_calls_the_public_checker_once(
+        self, monkeypatch, module, name, text, fairness
+    ):
+        import importlib
+
+        from repro.dsl import parse_program, parse_property
+
+        program = parse_program(UNREACHABLE_STUCK)
+        if text is None:  # a bare predicate: the reachable invariant
+            prop = parse_property("invariant x <= 2", program).p
+        else:
+            prop = parse_property(text, program)
+        owner = importlib.import_module(f"repro.semantics.{module}")
+        original = getattr(owner, name)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        verdict = verify(program, prop, fairness=fairness)
+        assert calls == [program]
+        assert verdict.holds is not None
