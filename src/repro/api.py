@@ -180,18 +180,25 @@ def _verdict_from_partial(partial) -> Verdict:
 
 def _question(prop, fairness: str) -> tuple[str, str]:
     """``(kind, subject)`` of the question ``prop`` asks, as its result
-    names it."""
+    names it; a question no checker decides is refused here."""
     from repro.core.predicates import Predicate
-    from repro.core.properties import LeadsTo, Property, PropertyFamily
+    from repro.core.properties import LeadsTo, Property, PropertyFamily, Transient
 
     if isinstance(prop, LeadsTo):
         if fairness == "strong":
             subject = f"{prop.p.describe()} ~>[strong] {prop.q.describe()}"
             return "leadsto-strong", subject
         return "leadsto", prop.describe()
+    if isinstance(prop, Transient) and fairness == "strong":
+        return "transient-strong", f"transient[strong] {prop.p.describe()}"
     if isinstance(prop, Predicate):
         return "reachable-invariant", f"reachable-invariant {prop.describe()}"
     if isinstance(prop, PropertyFamily):
+        if fairness == "strong":
+            raise PropertyError(
+                "fairness='strong' is not supported for property families; "
+                "verify each member"
+            )
         return "family", prop.describe()
     if isinstance(prop, Property):
         return type(prop).__name__.lower(), prop.describe()
@@ -240,7 +247,6 @@ def verify(
     fairness: str = "weak",
     budget=None,
     prove: bool = False,
-    subspace=None,
     checkpoint=None,
 ) -> Verdict:
     """Verify ``prop`` of ``program`` and return a :class:`Verdict`.
@@ -251,17 +257,18 @@ def verify(
     :class:`~repro.core.compositional.CompositionalCertificate`.
 
     ``fairness`` (``"weak"`` / ``"strong"``) selects the scheduler
-    assumption for leads-to; ``prove=True`` additionally synthesizes and
-    kernel-checks a certificate for a holding leads-to (attached as
-    ``verdict.certificate``), and the batched kernel check's facts join
-    ``verdict.metrics``: its ``mode`` (``"batched"`` or ``"per-level"``),
-    ``obligations`` and ``rule_applications``, the keys a compositional
-    verdict uses.  ``subspace`` decides over an explicit
-    reachable subspace.  The question's domain is resolved once, through
+    assumption for leads-to and ``transient`` (a property family is
+    refused under strong fairness); ``prove=True`` additionally
+    synthesizes and kernel-checks a certificate for a holding leads-to
+    (attached as ``verdict.certificate``), and the batched kernel check's
+    facts join ``verdict.metrics``: its ``mode`` (``"batched"`` or
+    ``"per-level"``), ``obligations`` and ``rule_applications``, the keys
+    a compositional verdict uses.  The question's domain is resolved once, through
     :func:`~repro.semantics.domain.domain_for`, under ``budget`` and the
     ``checkpoint`` policy (which writes the exploration's snapshot and
     reads it back); a budget that runs out first is a partial verdict
-    naming the question.
+    naming the question.  This is the only entry point that takes a
+    budget, and so the only one that answers UNKNOWN.
     """
     from repro.core.compositional import CompositionalCertificate
 
@@ -281,11 +288,9 @@ def verify(
     from repro.semantics.domain import FullSpace, domain_for
 
     kind, subject = _question(prop, fairness)
-    if not isinstance(prop, (LeadsTo, Predicate)) and (
-        tier == "sparse" or subspace is not None
-    ):
+    if tier == "sparse" and not isinstance(prop, (LeadsTo, Predicate)):
         raise PropertyError(
-            f"subspace= is not supported for {type(prop).__name__} "
+            f"tier='sparse' is not supported for {type(prop).__name__} "
             "properties (they quantify over all states)"
         )
     try:
@@ -294,7 +299,6 @@ def verify(
             "check_" + kind.replace("-", "_"),
             tier=tier,
             budget=budget,
-            subspace=subspace,
             checkpoint=checkpoint,
         )
     except BudgetExhausted as exc:
@@ -313,6 +317,8 @@ def verify(
 
         result = check_reachable_invariant(program, prop, subspace=sub)
         return _verdict_from_check(result)
+    if kind == "transient-strong":
+        return _verdict_from_check(domain.transient_strong(prop.p))
     return _verdict_from_check(prop.check(program))
 
 

@@ -93,10 +93,10 @@ class BudgetExhausted(ReproError):
     fallback sites catch ``ExplorationError`` to mean "the sparse tier
     cannot decide this instance", and a budget running out is neither a
     tier failure nor grounds for silently restarting the same work on the
-    dense tier.  Budget-aware callers (the routed checkers, the proof
-    synthesizer, the CLI) catch this class explicitly and degrade to a
-    structured ``status="unknown"`` :class:`~repro.semantics.budget.
-    PartialResult`; everyone else fails loudly.
+    dense tier.  :func:`repro.api.verify`, the one entry point that takes
+    a budget, catches this class and degrades to a structured
+    ``status="unknown"`` :class:`~repro.semantics.budget.PartialResult`;
+    everyone else fails loudly.
 
     Attributes
     ----------
@@ -159,8 +159,7 @@ class CheckpointError(ReproError):
         refused rather than re-parsing the message: ``"bad-magic"``,
         ``"truncated"``, ``"corrupt-header"``, ``"payload-digest"``,
         ``"inconsistent"``, ``"trailing-bytes"``, ``"program-digest"``,
-        ``"command-set"``, ``"io"``, ``"missing"``; ``None`` for legacy
-        raise sites.
+        ``"command-set"``, ``"io"``; ``None`` for legacy raise sites.
     """
 
     def __init__(self, message: str, *, reason: "str | None" = None) -> None:

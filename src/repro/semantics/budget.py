@@ -6,10 +6,11 @@ BFS.  A :class:`Budget` bounds one exploration run by wall-clock
 deadline, a **soft** node budget, and/or a BFS-level cap; when a budget
 runs out the explorer emits a checkpoint (see
 :mod:`repro.semantics.sparse.checkpoint`) and raises
-:class:`~repro.errors.BudgetExhausted`, which budget-aware callers — the
-routed checkers, the proof synthesizer, the CLI — convert into a
-structured :class:`PartialResult` with ``status="unknown"`` instead of
-letting an exception unwind through the tier router.
+:class:`~repro.errors.BudgetExhausted`, which :func:`repro.api.verify` —
+the one entry point that takes a budget, and through which the CLI and
+the service ask — converts into a structured :class:`PartialResult`
+with ``status="unknown"`` instead of letting an exception unwind
+through the tier router.
 
 Soft vs hard limits.  ``Budget.node_budget`` is a *policy*: hitting it is
 a resumable UNKNOWN, not an error.  The explorer's ``node_limit``
@@ -114,9 +115,9 @@ class BudgetClock:
 class PartialResult:
     """A sound, resumable non-verdict: the run budget ran out.
 
-    Returned (never raised) by budget-aware checkers and the proof
-    synthesizer in place of a :class:`~repro.semantics.checker.
-    CheckResult` / proof object.  Deliberately carries **no** ``holds``
+    Built only by :func:`repro.api.verify`, which returns it as the
+    ``partial`` of an undecided :class:`~repro.api.Verdict` in place of
+    a decided one.  Deliberately carries **no** ``holds``
     attribute: code that treats it as a boolean verdict fails loudly
     (``AttributeError`` on ``.holds``, ``TypeError`` on ``bool(...)``)
     instead of silently reading UNKNOWN as FAILS.

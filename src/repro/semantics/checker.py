@@ -39,8 +39,6 @@ import numpy as np
 from repro.core.predicates import Predicate
 from repro.core.program import Program
 from repro.core.properties import Init, Invariant, Next, Stable, Transient
-from repro.errors import BudgetExhausted
-from repro.semantics.budget import PartialResult
 from repro.semantics.domain import domain_for
 from repro.semantics.judgments import CheckResult
 
@@ -96,7 +94,6 @@ def check_reachable_invariant(
     program: Program,
     p: Predicate,
     *,
-    budget=None,
     subspace=None,
 ) -> CheckResult:
     """The weaker, *non-inductive* notion: ``p`` holds on every reachable
@@ -106,24 +103,13 @@ def check_reachable_invariant(
     here; the reachable subspace adds a shortest command path to the
     counterexample (``witness["path"]`` / ``witness["path_commands"]``).
 
-    ``budget`` / ``subspace`` form the normalized keyword set shared by
-    every public checker (see ``docs/composition.md``); a checkpoint
-    policy is :func:`repro.api.verify`'s.  With a
-    ``budget``, exhaustion of the reachable exploration degrades to a
-    resumable ``status="unknown"`` :class:`~repro.semantics.budget.
-    PartialResult` instead of raising (see ``docs/robustness.md``).
+    ``subspace`` is the keyword every public checker shares (see
+    ``docs/composition.md``); a budget and a checkpoint policy are
+    :func:`repro.api.verify`'s.
     """
     kind = "reachable-invariant"
     subject = f"{kind} {p.describe()}"
-    try:
-        d = domain_for(
-            program,
-            "check_reachable_invariant",
-            budget=budget,
-            subspace=subspace,
-        )
-    except BudgetExhausted as exc:
-        return PartialResult.from_exhaustion(exc, kind=kind, subject=subject)
+    d = domain_for(program, "check_reachable_invariant", subspace=subspace)
     reach = d.reachable_mask()
     idx = np.flatnonzero(reach & ~d.pred_mask(p))
     if idx.size == 0:

@@ -174,9 +174,9 @@ def domain_for(
     :class:`~repro.errors.CapacityError` chaining the failure beyond
     ``DENSE_MAX``; ``"sparse"`` re-raises it.
     :class:`~repro.errors.BudgetExhausted` propagates: running out of
-    budget is resumable, never grounds for a dense restart, and callers
-    holding a budget turn it into a
-    :class:`~repro.semantics.budget.PartialResult`.
+    budget is resumable, never grounds for a dense restart, and
+    :func:`repro.api.verify`, the only caller holding a budget, turns it
+    into a :class:`~repro.semantics.budget.PartialResult`.
     """
     if subspace is not None:
         if tier == "dense":

@@ -59,8 +59,6 @@ import numpy as np
 
 from repro.core.predicates import Predicate
 from repro.core.program import Program
-from repro.errors import BudgetExhausted
-from repro.semantics.budget import PartialResult
 from repro.semantics.checker import CheckResult
 from repro.semantics.domain import domain_for
 from repro.semantics.scc import Condensation
@@ -271,9 +269,8 @@ def leadsto_judgment(
     q: Predicate,
     *,
     strong: bool,
-    budget=None,
     subspace=None,
-) -> CheckResult | PartialResult:
+) -> CheckResult:
     """``p ↝ q`` under weak or strong fairness, over the resolved domain.
 
     The shared body of :func:`check_leadsto` and
@@ -283,18 +280,11 @@ def leadsto_judgment(
     kind = "leadsto-strong" if strong else "leadsto"
     arrow = "~>[strong]" if strong else "~>"
     subject = f"{p.describe()} {arrow} {q.describe()}"
-    try:
-        d = domain_for(
-            program,
-            "check_leadsto_strong" if strong else "check_leadsto",
-            budget=budget,
-            subspace=subspace,
-        )
-    except BudgetExhausted as exc:
-        # The budget ran out before the reachable closure was complete,
-        # so no verdict is sound: return the structured UNKNOWN (with the
-        # resume path) instead of letting the exception unwind.
-        return PartialResult.from_exhaustion(exc, kind=kind, subject=subject)
+    d = domain_for(
+        program,
+        "check_leadsto_strong" if strong else "check_leadsto",
+        subspace=subspace,
+    )
     if d.size == 0:
         return CheckResult(
             True,
@@ -353,15 +343,14 @@ def check_leadsto(
     p: Predicate,
     q: Predicate,
     *,
-    budget=None,
     subspace=None,
 ) -> CheckResult:
     """Check ``p ↝ q`` under weak fairness of ``D``.
 
-    ``budget`` / ``subspace`` form the normalized keyword set shared by
-    every public checker (see ``docs/composition.md``): ``subspace``
-    forces the judgment onto an explicit reachable subspace.  A
-    checkpoint policy is :func:`repro.api.verify`'s.
+    ``subspace`` is the keyword every public checker shares (see
+    ``docs/composition.md``): it forces the judgment onto an explicit
+    reachable subspace.  A budget and a checkpoint policy are
+    :func:`repro.api.verify`'s.
 
     The witness of a failure contains a ``p``-state from which the
     scheduler can confine the execution to ``¬q`` forever, a state of the
@@ -380,16 +369,5 @@ def check_leadsto(
     ``DENSE_MAX`` the fallback refuses with a
     :class:`~repro.errors.CapacityError` whose ``__cause__`` is the
     exploration failure.
-
-    With a ``budget``, exhaustion of the exploration degrades to a
-    resumable ``status="unknown"`` :class:`~repro.semantics.budget.
-    PartialResult` instead of raising (see ``docs/robustness.md``).
     """
-    return leadsto_judgment(
-        program,
-        p,
-        q,
-        strong=False,
-        budget=budget,
-        subspace=subspace,
-    )
+    return leadsto_judgment(program, p, q, strong=False, subspace=subspace)

@@ -1016,7 +1016,7 @@ class FootprintKernel:
         )
 
         def explain() -> str:
-            example = self._example(variables, live_bindings, row)
+            example = self._example(variables, bindings, row)
             return (
                 f"{hyp.describe()} ⇒ {concl.describe()} fails on the "
                 f"footprint at {example}{note}"

@@ -61,6 +61,7 @@ from repro.core.program import Program
 from repro.errors import CheckpointError
 from repro.semantics.budget import Budget
 from repro.semantics.sparse.explorer import (
+    DEFAULT_NODE_LIMIT,
     ReachableSubspace,
     _assemble,
     _BfsState,
@@ -395,16 +396,8 @@ def resume_exploration(
     *,
     budget: Budget | None = None,
     checkpoint: CheckpointPolicy | None = None,
-    node_limit: int | None = None,
 ) -> ReachableSubspace:
-    """Resume a checkpointed exploration of ``program`` to closure.
-
-    ``path`` may be a checkpoint file, or a **directory** holding
-    digest-addressed checkpoints — in which case the file is resolved by
-    :func:`cache_path_for` and a missing entry is refused with a
-    structured ``reason="missing"`` :class:`~repro.errors.CheckpointError`
-    (so cache-directory callers can distinguish "never built" from
-    "corrupt").
+    """Resume the checkpointed exploration of ``program`` at ``path`` to closure.
 
     Validates the checkpoint against the program digest (fail-closed)
     and rebuilds the BFS state from the stored levels.  A complete
@@ -416,16 +409,6 @@ def resume_exploration(
     distances, parents, successor columns), and is published to the
     per-program cache so subsequently routed checks reuse it.
     """
-    from repro.semantics.sparse.explorer import DEFAULT_NODE_LIMIT
-
-    if os.path.isdir(path):
-        path = cache_path_for(path, program)
-        if not os.path.exists(path):
-            raise CheckpointError(
-                f"{path}: no checkpoint for {program.name} "
-                f"(digest {program_digest(program)}) in the cache directory",
-                reason="missing",
-            )
     loaded = load_checkpoint(path, program)
     header = loaded["header"]
     state = _split_levels(loaded["arrays"])
@@ -444,7 +427,7 @@ def resume_exploration(
         sub = _run_bfs(
             program,
             state,
-            node_limit=node_limit if node_limit is not None else DEFAULT_NODE_LIMIT,
+            node_limit=DEFAULT_NODE_LIMIT,
             budget=budget,
             checkpoint=checkpoint or CheckpointPolicy(path=os.fspath(path)),
         )

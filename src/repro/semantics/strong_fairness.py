@@ -71,26 +71,18 @@ def check_leadsto_strong(
     p: Predicate,
     q: Predicate,
     *,
-    budget=None,
     subspace=None,
 ) -> CheckResult:
     """Check ``p ↝ q`` assuming **strong** fairness of ``D``.
 
-    ``budget`` / ``subspace`` form the normalized keyword set shared by
-    every public checker (see ``docs/composition.md``); a checkpoint
-    policy is :func:`repro.api.verify`'s.
+    ``subspace`` is the keyword every public checker shares (see
+    ``docs/composition.md``); a budget and a checkpoint policy are
+    :func:`repro.api.verify`'s.
     The same judgment as :func:`repro.semantics.leadsto.check_leadsto`
-    (domain routing, exhaustion, witnesses), with the strong-fairness
-    SCC criterion of :func:`repro.semantics.leadsto.fair_analysis`.
+    (domain routing, witnesses), with the strong-fairness SCC criterion
+    of :func:`repro.semantics.leadsto.fair_analysis`.
     """
-    return leadsto_judgment(
-        program,
-        p,
-        q,
-        strong=True,
-        budget=budget,
-        subspace=subspace,
-    )
+    return leadsto_judgment(program, p, q, strong=True, subspace=subspace)
 
 
 def fairness_gap(program: Program, p: Predicate, q: Predicate) -> dict[str, bool]:

@@ -83,8 +83,7 @@ from repro.core.predicates import (
 )
 from repro.core.program import Program
 from repro.core.rules import Ensures, Implication, LeadsToProof, MetricInduction
-from repro.errors import BudgetExhausted, ProofError
-from repro.semantics.budget import PartialResult
+from repro.errors import ProofError
 from repro.semantics.domain import domain_for
 from repro.semantics.leadsto import fair_analysis
 
@@ -97,14 +96,13 @@ def synthesize_leadsto_proof(
     q: Predicate,
     *,
     fairness: str = "weak",
-    budget=None,
     subspace=None,
 ) -> LeadsToProof:
     """Build a kernel-checkable certificate for ``p ↝ q``.
 
-    ``budget`` / ``subspace`` form the normalized keyword set shared by
-    every public checker (see ``docs/composition.md``); a checkpoint
-    policy is :func:`repro.api.verify`'s.
+    ``subspace`` is the keyword every public checker shares (see
+    ``docs/composition.md``); a budget and a checkpoint policy are
+    :func:`repro.api.verify`'s.
 
     Raises :class:`ProofError` if the property does not hold (no proof
     exists), quoting the model checker's counterexample.
@@ -119,31 +117,12 @@ def synthesize_leadsto_proof(
     :class:`~repro.semantics.sparse.explorer.ReachableSubspace`; by
     default spaces above the sparse threshold use the cached reachable
     subspace and smaller spaces synthesize over the full space.
-
-    ``budget`` bounds the sparse exploration feeding the synthesis; on
-    exhaustion this returns a resumable ``status="unknown"``
-    :class:`~repro.semantics.budget.PartialResult` instead of a proof
-    (callers must check for it — it is not a :class:`LeadsToProof` and
-    refuses ``bool()``).
     """
     if fairness not in ("weak", "strong"):
         raise ProofError(f"unknown fairness notion {fairness!r}")
     rec = obs.get_recorder()
     with rec.span("synthesis.leadsto", program=program.name, fairness=fairness):
-        try:
-            domain = domain_for(
-                program,
-                "proof synthesis",
-                budget=budget,
-                subspace=subspace,
-            )
-        except BudgetExhausted as exc:
-            arrow = "~>[strong]" if fairness == "strong" else "~>"
-            return PartialResult.from_exhaustion(
-                exc,
-                kind="proof-synthesis",
-                subject=f"{p.describe()} {arrow} {q.describe()}",
-            )
+        domain = domain_for(program, "proof synthesis", subspace=subspace)
         return _synthesize(domain, p, q, fairness)
 
 

@@ -14,7 +14,7 @@ file explored afresh and replaced) is the one pinned by
 
 Verdict entries get the same treatment at JSON scale.  Each file is::
 
-    {"schema": "repro.service-cache/1",
+    {"schema": "repro.service-cache/2",
      "key": <request_key>,
      "payload_sha256": <sha256 of canonical payload JSON>,
      "payload": {...}}
@@ -52,7 +52,7 @@ from repro.util.faultinject import fault_point
 
 __all__ = ["SCHEMA", "CacheCorrupt", "ServiceCache"]
 
-SCHEMA = "repro.service-cache/1"
+SCHEMA = "repro.service-cache/2"
 
 
 class CacheCorrupt(Exception):

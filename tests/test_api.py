@@ -1,10 +1,11 @@
 """The unified ``verify()`` facade and the :class:`Verdict` contract.
 
 Covers tier routing (auto/dense/sparse/compositional), the three-valued
-``holds``, budget degradation to ``partial``, the :class:`Verdict`
-contract, and the normalized keyword set (``budget= / subspace=``) shared by
-the public checkers, which report to the recorder ``obs.use_recorder``
-installs.
+``holds``, budget degradation to ``partial`` (``verify`` is the only entry
+point that takes a ``budget``, so the only one that answers UNKNOWN), the
+fairness each question is asked under, the :class:`Verdict` contract, and
+the ``subspace=`` keyword shared by the public checkers, which report to
+the recorder ``obs.use_recorder`` installs.
 """
 
 from __future__ import annotations
@@ -172,16 +173,15 @@ class TestProveAndBudget:
         with pytest.raises(TypeError, match="no truth value"):
             bool(v)
 
-    def test_recorder_and_subspace_keywords(self, alloc):
+    def test_recorder_keyword(self, alloc):
         from repro import obs
-        from repro.semantics.sparse.explorer import reachable_subspace
 
-        sub = reachable_subspace(alloc.system)
         rec = obs.MetricsRecorder()
         with obs.use_recorder(rec):
-            v = verify(alloc.system, alloc.token_available(), subspace=sub)
+            v = verify(alloc.system, alloc.token_available())
         assert v.holds is True
-        assert v.tier == "sparse"
+        manifest = obs.build_manifest(rec)
+        assert manifest["phases"] or manifest["counters"]
 
 
 class TestCompositionalTier:
@@ -249,27 +249,30 @@ class TestVerdictShims:
 
 
 class TestSignatureNormalization:
-    """The public checkers share (budget=, subspace=); telemetry goes to
-    the recorder installed with ``obs.use_recorder``."""
+    """The public checkers share ``subspace=``; only ``verify`` takes a
+    ``budget``; telemetry goes to the recorder installed with
+    ``obs.use_recorder``."""
 
-    def test_all_four_accept_the_keyword_set(self, alloc):
+    def test_only_verify_takes_a_budget(self):
         import inspect
 
         from repro.semantics.checker import check_reachable_invariant
-        from repro.semantics.leadsto import check_leadsto
+        from repro.semantics.leadsto import check_leadsto, leadsto_judgment
         from repro.semantics.strong_fairness import check_leadsto_strong
         from repro.semantics.synthesis import synthesize_leadsto_proof
 
-        for fn in (
+        normalized = (
             check_leadsto,
             check_leadsto_strong,
             check_reachable_invariant,
             synthesize_leadsto_proof,
-        ):
-            params = list(inspect.signature(fn).parameters)
-            assert params.index("budget") < params.index("subspace"), (
-                f"{fn.__name__} orders {params}"
-            )
+        )
+        for fn in (verify, leadsto_judgment, *normalized):
+            params = inspect.signature(fn).parameters
+            assert ("budget" in params) is (fn is verify), fn.__name__
+        for fn in normalized:
+            assert "subspace" in inspect.signature(fn).parameters, fn.__name__
+        assert "subspace" not in inspect.signature(verify).parameters
 
     def test_recorder_keyword_routes_through_obs(self, alloc):
         from repro import obs
@@ -366,6 +369,66 @@ class TestBudgetHoldsForEveryQuestion:
         assert payload["tier"] == v.tier == "sparse"
 
 
+#: Weak fairness can starve ``inc`` by scheduling it only while ``b`` is
+#: false; strong fairness cannot, so ``transient x = 0`` and
+#: ``true ~> x = 3`` hold only under strong fairness.
+TOGGLE_INC = """program Gap
+declare
+  shared x : int[0..3];
+  shared b : bool
+initially x = 0
+assign
+  fair toggle: b := ~b;
+  fair inc: b /\\ x < 3 -> x := x + 1
+end
+"""
+
+
+class TestStrongFairnessQuestions:
+    """``fairness="strong"`` asks the strong question or refuses: it
+    never answers the weak one."""
+
+    def test_transient_is_decided_under_strong_fairness(self):
+        from repro.dsl import parse_program, parse_property
+        from repro.semantics.strong_fairness import check_transient_strong
+
+        program = parse_program(TOGGLE_INC)
+        prop = parse_property("transient x = 0", program)
+        strong = verify(program, prop, fairness="strong")
+        direct = check_transient_strong(program, prop.p)
+        assert strong.holds is direct.holds is True
+        assert strong.metrics["kind"] == direct.kind == "transient-strong"
+        assert strong.metrics["subject"] == direct.subject
+        assert strong.metrics["subject"] == "transient[strong] x = 0"
+        assert verify(program, prop).holds is False
+
+    def test_budget_names_the_strong_transient_question(self):
+        from repro.dsl import parse_program, parse_property
+
+        program = parse_program(_repro_a(7))
+        prop = parse_property("transient x0 = 1", program)
+        v = verify(program, prop, fairness="strong", budget=Budget(max_levels=1))
+        assert v.holds is None
+        assert v.partial.kind == "transient-strong"
+        assert v.partial.subject == "transient[strong] x0 = 1"
+
+    def test_family_is_refused_before_any_domain(self, monkeypatch):
+        import repro.semantics.domain as domain_mod
+        from repro.core.properties import PropertyFamily
+        from repro.dsl import parse_program, parse_property
+
+        program = parse_program(TOGGLE_INC)
+        family = PropertyFamily("fam", [parse_property("true ~> x = 3", program)])
+        assert verify(program, family.members[0], fairness="strong").holds is True
+
+        def no_domain(*args, **kwargs):
+            raise AssertionError("a domain was resolved")
+
+        monkeypatch.setattr(domain_mod, "domain_for", no_domain)
+        with pytest.raises(PropertyError, match="property families"):
+            verify(program, family, fairness="strong")
+
+
 class TestRefusalTexts:
     def test_dense_refusal(self):
         from repro.dsl import parse_program, parse_property
@@ -386,7 +449,7 @@ class TestRefusalTexts:
                 alloc.system, Transient(alloc.conservation_predicate()), tier="sparse"
             )
         assert str(info.value) == (
-            "subspace= is not supported for Transient properties (they "
+            "tier='sparse' is not supported for Transient properties (they "
             "quantify over all states)"
         )
 

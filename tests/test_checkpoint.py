@@ -12,8 +12,9 @@ Pins the fault-tolerance contracts of ``docs/robustness.md``:
   :class:`~repro.errors.CheckpointError` reason) as absent;
 - budgets degrade gracefully: exhaustion surfaces as a structured
   ``status="unknown"`` :class:`~repro.semantics.budget.PartialResult`
-  from every budget-aware entry point (checkers, synthesis, CLI), while
-  the hard ``node_limit`` keeps its fail-closed meaning;
+  from ``verify()``, the one entry point that takes a budget (and so
+  from the CLI and the service, which ask through it), while the hard
+  ``node_limit`` keeps its fail-closed meaning;
 - ``BudgetExhausted`` is transient — never negatively cached — while
   genuine sparse-tier failures are cached as structured
   :class:`~repro.semantics.sparse.explorer.ExplorationFailure` records
@@ -64,7 +65,6 @@ from repro.semantics.sparse.explorer import (
 from repro.semantics.strong_fairness import check_leadsto_strong
 from repro.semantics.synthesis import synthesize_leadsto_proof
 from repro.systems.pipeline import build_pipeline_system
-from repro.systems.product import build_pipeline_allocator
 from repro.util.faultinject import flip_byte, truncate_file
 
 
@@ -254,24 +254,15 @@ class TestGracefulDegradation:
         monkeypatch.setattr(sparse_pkg, "SPARSE_THRESHOLD", 1)
         pl = build_pipeline_system(5, total=2)
         prop = pl.delivery()
-        for checker in (check_leadsto, check_leadsto_strong):
-            result = checker(
-                pl.system, prop.p, prop.q, budget=Budget(max_levels=1)
+        for fairness, kind in (("weak", "leadsto"), ("strong", "leadsto-strong")):
+            verdict = verify(
+                pl.system, prop, fairness=fairness, budget=Budget(max_levels=1)
             )
+            assert verdict.holds is None
+            result = verdict.partial
             assert isinstance(result, PartialResult)
             assert result.status == "unknown"
-
-    def test_synthesis_returns_partial_result(self, monkeypatch):
-        import repro.semantics.sparse as sparse_pkg
-
-        monkeypatch.setattr(sparse_pkg, "SPARSE_THRESHOLD", 1)
-        pl = build_pipeline_system(5, total=2)
-        prop = pl.delivery()
-        result = synthesize_leadsto_proof(
-            pl.system, prop.p, prop.q, budget=Budget(max_levels=1)
-        )
-        assert isinstance(result, PartialResult)
-        assert result.kind == "proof-synthesis"
+            assert result.kind == kind
 
     def test_exhaustion_is_not_cached(self):
         """A budget failure is transient: the next (unbudgeted) call on
@@ -499,31 +490,15 @@ class TestCliDifferential:
 
 
 class TestCacheDirectory:
-    """``resume_exploration`` over a directory of digest-keyed entries.
+    """Digest-addressed checkpoint files and structured refusal reasons.
 
     The certification service keeps one checkpoint per program identity
-    under ``<dir>/<program_digest>.ckpt``; resolving through the digest
-    makes stale resumes structurally impossible (an edited program
-    hashes to a path that does not exist) and every refusal carries a
-    machine-readable ``reason`` so cache layers can tell "never built"
-    from "corrupt".
+    at ``cache_path_for(dir, program)`` (``<dir>/<program_digest>.ckpt``);
+    addressing by digest makes stale resumes structurally impossible (an
+    edited program hashes to a path that does not exist), and every
+    refusal carries a machine-readable ``reason`` so cache layers can
+    tell one defect from another.
     """
-
-    def test_directory_resolves_by_digest(self, tmp_path):
-        from repro.semantics.sparse import cache_path_for
-
-        program = fresh_program()
-        path = cache_path_for(tmp_path, program)
-        assert path == str(tmp_path / f"{program_digest(program)}.ckpt")
-        sub = explore(program, checkpoint=CheckpointPolicy(path))
-        resumed = resume_exploration(tmp_path, program)
-        assert resumed.size == sub.size
-        assert np.array_equal(resumed.global_ids, sub.global_ids)
-
-    def test_missing_entry_refused_with_structured_reason(self, tmp_path):
-        with pytest.raises(CheckpointError) as exc_info:
-            resume_exploration(tmp_path, fresh_program())
-        assert exc_info.value.reason == "missing"
 
     def test_wrong_program_digest_reason(self, tmp_path):
         from repro.semantics.sparse import cache_path_for
@@ -547,7 +522,7 @@ class TestCacheDirectory:
         explore(program, checkpoint=CheckpointPolicy(path))
         flip_byte(path, -1)
         with pytest.raises(CheckpointError) as exc_info:
-            resume_exploration(tmp_path, program)
+            resume_exploration(path, program)
         assert exc_info.value.reason == "payload-digest"
 
     def test_reason_codes_cover_the_failure_modes(self, tmp_path):
@@ -622,9 +597,7 @@ def _append_byte(path):
         f.write(b"x")
 
 
-#: One way to leave a file at the policy path per refusal reason
-#: (``"missing"`` belongs to cache directories, not to a policy's file:
-#: see TestCacheDirectory).
+#: One way to leave a file at the policy path per refusal reason.
 DAMAGE = {
     "bad-magic": lambda path: flip_byte(path, 0),
     "truncated": lambda path: truncate_file(path, os.path.getsize(path) - 16),

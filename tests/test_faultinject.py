@@ -12,8 +12,9 @@ Three claims are pinned here, by breaking the engine on purpose through
    rename) leaves either no checkpoint or the previous *valid* one;
    never a torn file, and no stray temp files.
 3. **No partial subspace ever yields a verdict** — budget exhaustion
-   returns a :class:`~repro.semantics.budget.PartialResult` that refuses
-   to be a boolean, an injected ``MemoryError`` propagates out of the
+   makes ``verify()`` return an undecided verdict whose
+   :class:`~repro.semantics.budget.PartialResult` refuses to be a
+   boolean, an injected ``MemoryError`` propagates out of the
    routed checkers instead of being converted into HOLDS/FAILS, and a
    ``KeyboardInterrupt`` at a BFS-level boundary leaves a checkpoint
    whose resume is bit-identical to an uninterrupted run.
@@ -27,6 +28,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.api import verify
 from repro.errors import CheckpointError, ExplorationError
 from repro.semantics.budget import Budget, PartialResult
 from repro.semantics.sparse import (
@@ -35,7 +37,6 @@ from repro.semantics.sparse import (
     resume_exploration,
 )
 from repro.semantics.checker import check_reachable_invariant
-from repro.semantics.leadsto import check_leadsto
 from repro.semantics.sparse.explorer import explore
 from repro.systems.pipeline import build_pipeline_system
 from repro.util.faultinject import (
@@ -308,10 +309,11 @@ class TestNoPartialVerdict:
         monkeypatch.setattr("repro.semantics.sparse.SPARSE_THRESHOLD", 0)
 
     def test_budget_exhaustion_returns_unknown_not_verdict(self, pipeline):
-        prop = pipeline.delivery()
-        result = check_leadsto(
-            pipeline.system, prop.p, prop.q, budget=Budget(max_levels=1)
+        verdict = verify(
+            pipeline.system, pipeline.delivery(), budget=Budget(max_levels=1)
         )
+        assert verdict.holds is None
+        result = verdict.partial
         assert isinstance(result, PartialResult)
         assert result.status == "unknown"
         assert not hasattr(result, "holds")

@@ -110,6 +110,21 @@ def test_transient_without_fair_commands_holds_only_when_unsatisfiable():
         assert prop.check_on(_footprint(program)).ok is holds
 
 
+def test_footprint_counterexample_names_the_pinned_variables():
+    """A variable the hypothesis pins to a constant is part of the
+    failing state the footprint names."""
+    program = parse_program(
+        "program U\ndeclare shared x : int[0..3]\ninitially x = 0\nassign\n"
+        "  up: x < 3 -> x := x + 1\n"
+        "end\n"
+    )
+    verdict = parse_property("transient x = 1", program).check_on(
+        _footprint(program)
+    )
+    assert _decided_failure(verdict)
+    assert verdict.message == "D = ∅: x = 1 ⇒ false fails on the footprint at {x=1}"
+
+
 def _repro_a(n: int):
     """``n`` ten-valued variables; ``b`` jumps ``x0`` to 9 from ``x1 = 5``,
     an unreachable state, so ``x0 <= 3`` is a reachable invariant but not

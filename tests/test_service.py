@@ -71,6 +71,20 @@ assign
 end
 """
 
+#: ``transient x = 0`` holds under strong fairness only.
+TOGGLE_INC = """
+program Gap
+declare
+  shared x : int[0..3];
+  shared b : bool
+initially
+  x = 0
+assign
+  fair toggle: b := ~b;
+  fair inc: b /\\ x < 3 -> x := x + 1
+end
+"""
+
 REQ = {"program": COUNTER, "property": "true ~> c = 3"}
 
 #: A program that parses and elaborates to a 600-term ``Add`` chain,
@@ -232,6 +246,20 @@ class TestServiceCache:
         with open(path, "w") as f:
             json.dump({"schema": SCHEMA + "-not", "payload": {}}, f)
         assert cache.get_verdict("f" * 64) is None
+
+    def test_schema_one_entries_are_not_served(self, tmp_path):
+        """Schema 1 stored the weak verdict of strong ``transient``
+        requests, so its entries read as never written."""
+        cache = ServiceCache(tmp_path)
+        key = "9" * 64
+        cache.put_verdict(key, {"status": "ok", "holds": False, "tier": "dense"})
+        path = cache._verdict_path(key)
+        with open(path) as f:
+            doc = json.load(f)
+        doc["schema"] = "repro.service-cache/1"
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        assert cache.get_verdict(key) is None
 
     def test_subspace_roundtrip_and_corruption(self, tmp_path):
         """The cache's snapshot policy reads back what it writes; a
@@ -585,6 +613,18 @@ class TestHandleRequest:
         import os
 
         assert os.path.exists(cache.checkpoint_policy(parse_program(COUNTER)).path)
+
+    def test_strong_transient_is_answered_strong(self):
+        from repro.service.worker import handle_request
+
+        doc = {"program": TOGGLE_INC, "property": "transient x = 0"}
+        weak = handle_request(normalize_request(dict(doc)), None)
+        strong = handle_request(
+            normalize_request({**doc, "fairness": "strong"}), None
+        )
+        assert weak["status"] == "ok" and weak["holds"] is False
+        assert strong["status"] == "ok" and strong["holds"] is True
+        assert strong["subject"] == "transient[strong] x = 0"
 
     def test_dense_refusal_is_engine_error(self):
         from repro.semantics import sparse as sparse_mod

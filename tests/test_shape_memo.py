@@ -221,7 +221,7 @@ class TestStatePerCheck:
             ExprPredicate(y.ref() < 2),
         )
         assert res.message == (
-            "z = 1 /\\ x >= 2 ⇒ y < 2 fails on the footprint at {x=2, y=2}"
+            "z = 1 /\\ x >= 2 ⇒ y < 2 fails on the footprint at {x=2, y=2, z=1}"
         )
         assert kernel.evaluations == 11
 
