@@ -383,7 +383,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=None,
                         help="output JSON path (default: stdout)")
     parser.add_argument("--quick", action="store_true",
-                        help="only the leads-to engine benchmarks")
+                        help="only the leads-to engine, certificate-check "
+                             "and cold-start benchmarks")
     parser.add_argument("--smoke", action="store_true",
                         help="run the sparse scenario benchmarks with timing "
                              "disabled; fail on crash, not on regression")
@@ -430,6 +431,7 @@ def main(argv: list[str] | None = None) -> int:
         [
             str(BENCH_DIR / "bench_leadsto_engine.py"),
             str(BENCH_DIR / "bench_proof_check.py"),
+            str(BENCH_DIR / "bench_cold_start.py"),
         ]
         if args.quick
         else [str(BENCH_DIR)]

@@ -25,49 +25,23 @@ See ``examples/`` for runnable walkthroughs and ``DESIGN.md`` /
 ``EXPERIMENTS.md`` for the reproduction inventory.
 """
 
-from repro import core, dsl, graph, semantics, systems, util
-from repro._version import __version__
-from repro.api import Verdict, Witness, verify
-from repro.core import (
-    AltCommand,
-    BoolDomain,
-    EnumDomain,
-    Expr,
-    ExprPredicate,
-    FnPredicate,
-    Guarantees,
-    GuardedCommand,
-    Init,
-    IntRange,
-    Invariant,
-    LeadsTo,
-    Locality,
-    MaskPredicate,
-    Next,
-    Predicate,
-    Program,
-    PropertyFamily,
-    Skip,
-    Stable,
-    State,
-    StateSpace,
-    Transient,
-    Var,
-    can_compose,
-    compose,
-    compose_all,
-)
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "__version__",
-    "core", "semantics", "graph", "systems", "dsl", "util",
-    # the unified verification facade
-    "verify", "Verdict", "Witness",
-    # re-exported core API
-    "Var", "Locality", "BoolDomain", "IntRange", "EnumDomain",
-    "Expr", "Predicate", "ExprPredicate", "FnPredicate", "MaskPredicate",
-    "State", "StateSpace", "Program", "GuardedCommand", "AltCommand", "Skip",
-    "compose", "compose_all", "can_compose",
-    "Init", "Transient", "Next", "Stable", "Invariant", "LeadsTo",
-    "Guarantees", "PropertyFamily",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        "_version": ("__version__",),
+        # the unified verification facade
+        "api": ("verify", "Verdict", "Witness"),
+        # re-exported core API
+        "core": (
+            "Var", "Locality", "BoolDomain", "IntRange", "EnumDomain",
+            "Expr", "Predicate", "ExprPredicate", "FnPredicate", "MaskPredicate",
+            "State", "StateSpace", "Program", "GuardedCommand", "AltCommand", "Skip",
+            "compose", "compose_all", "can_compose",
+            "Init", "Transient", "Next", "Stable", "Invariant", "LeadsTo",
+            "Guarantees", "PropertyFamily",
+        ),
+    },
+    subpackages=("core", "semantics", "graph", "systems", "dsl", "util"),
+)

@@ -51,7 +51,7 @@ Commands
     the first disagreeing case, writes the corpus entry, and exits
     non-zero only if no disagreement was found (an insensitive harness).
 
-Fault tolerance (``scenario`` and ``prove``; see ``docs/robustness.md``)
+Fault tolerance (``check``, ``scenario`` and ``prove``; see ``docs/robustness.md``)
     Every question these commands ask goes through
     :func:`repro.api.verify`, under the budget and checkpoint policy the
     flags give; the CLI does no routing of its own.  ``--deadline S`` /
@@ -188,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
             "left) to stderr while the engine runs",
         )
 
+    add_budget_args(p_check)
     add_obs_args(p_check)
 
     p_prove = sub.add_parser("prove", help="synthesize a leads-to certificate")
@@ -538,21 +539,22 @@ def _limits_of(args, program, stem: str):
     ``program`` (fail-closed: another program's snapshot is refused);
     the policy then continues or loads it.
     """
-    from repro.semantics.sparse import CheckpointPolicy, load_checkpoint
-
     budget = _budget_of(args)
     path = args.checkpoint or args.resume
     if path is None and budget is not None:
         path = f"{stem}.ckpt"
-    policy = None if path is None else CheckpointPolicy(str(path), every_levels=8)
     _note_run(
         program=program,
         budget=_budget_doc(budget),
-        checkpoint_path=None if policy is None else policy.path,
+        checkpoint_path=None if path is None else str(path),
     )
+    if path is None:
+        return budget, None
+    from repro.semantics.sparse import CheckpointPolicy, load_checkpoint
+
     if args.resume is not None:
         load_checkpoint(args.resume, program)
-    return budget, policy
+    return budget, CheckpointPolicy(str(path), every_levels=8)
 
 
 def _report_unknown(partial) -> int:
@@ -628,14 +630,19 @@ def _cmd_check(args) -> int:
     from repro.dsl import parse_property
 
     program = _load_program(args.file, args.program)
-    _note_run(program=program)
+    budget, policy = _limits_of(args, program, args.file.stem)
+    if args.resume is not None:
+        print(f"resumed: {args.resume}")
     failures = 0
     verdicts = []
     for text in args.properties:
         prop = parse_property(text, program)
-        verdict = verify(program, prop)
-        _note_verdict(verdict)
+        verdict = verify(program, prop, budget=budget, checkpoint=policy)
         verdicts.append(verdict)
+        if verdict.partial is not None:
+            _report_unknown(verdict.partial)
+            break
+        _note_verdict(verdict)
         print(verdict.explain())
         if not verdict.holds:
             failures += 1

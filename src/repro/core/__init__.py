@@ -24,68 +24,37 @@ paper's §2 introduces:
   :mod:`repro.core.proofs`).
 """
 
-from repro.core.commands import AltCommand, Assignment, GuardedCommand, Skip, skip
-from repro.core.composition import can_compose, compatibility_report, compose, compose_all
-from repro.core.domains import BoolDomain, EnumDomain, FiniteDomain, IntRange
-from repro.core.expressions import (
-    BoolConst,
-    Const,
-    Expr,
-    IntConst,
-    VarRef,
-    const,
-    esum,
-    iff,
-    implies,
-    ite,
-    land,
-    lnot,
-    lor,
-    maximum,
-    minimum,
-    var_ref,
-)
-from repro.core.predicates import (
-    FALSE,
-    TRUE,
-    ExprPredicate,
-    FnPredicate,
-    MaskPredicate,
-    Predicate,
-    forall_range,
-    exists_range,
-)
-from repro.core.program import Program
-from repro.core.properties import (
-    Guarantees,
-    Init,
-    Invariant,
-    LeadsTo,
-    Next,
-    Property,
-    PropertyFamily,
-    Stable,
-    Transient,
-    forall_values,
-)
-from repro.core.state import State, StateSpace
-from repro.core.variables import Locality, Var
+from repro._lazy import lazy_surface
 
-__all__ = [
-    # domains / variables
-    "FiniteDomain", "BoolDomain", "IntRange", "EnumDomain", "Var", "Locality",
-    # expressions
-    "Expr", "Const", "IntConst", "BoolConst", "VarRef", "const", "var_ref",
-    "esum", "land", "lor", "lnot", "implies", "iff", "ite", "minimum", "maximum",
-    # predicates
-    "Predicate", "ExprPredicate", "FnPredicate", "MaskPredicate",
-    "TRUE", "FALSE", "forall_range", "exists_range",
-    # states
-    "State", "StateSpace",
-    # commands / programs / composition
-    "Assignment", "GuardedCommand", "AltCommand", "Skip", "skip", "Program",
-    "can_compose", "compatibility_report", "compose", "compose_all",
-    # properties
-    "Property", "Init", "Transient", "Next", "Stable", "Invariant",
-    "LeadsTo", "Guarantees", "PropertyFamily", "forall_values",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        # domains / variables
+        "domains": ("FiniteDomain", "BoolDomain", "IntRange", "EnumDomain"),
+        "variables": ("Var", "Locality"),
+        # expressions
+        "expressions": (
+            "Expr", "Const", "IntConst", "BoolConst", "VarRef", "const", "var_ref",
+            "esum", "land", "lor", "lnot", "implies", "iff", "ite",
+            "minimum", "maximum",
+        ),
+        # predicates
+        "predicates": (
+            "Predicate", "ExprPredicate", "FnPredicate", "MaskPredicate",
+            "TRUE", "FALSE", "forall_range", "exists_range",
+        ),
+        # states
+        "state": ("State", "StateSpace"),
+        # commands / programs / composition
+        "commands": ("Assignment", "GuardedCommand", "AltCommand", "Skip", "skip"),
+        "program": ("Program",),
+        "composition": (
+            "can_compose", "compatibility_report", "compose", "compose_all",
+        ),
+        # properties
+        "properties": (
+            "Property", "Init", "Transient", "Next", "Stable", "Invariant",
+            "LeadsTo", "Guarantees", "PropertyFamily", "forall_values",
+        ),
+    },
+)

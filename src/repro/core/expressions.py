@@ -723,7 +723,13 @@ class _EqBase(Expr):
         return (self.left, self.right)
 
     def _substitute(self, mapping: Mapping[Var, Expr]) -> Expr:
-        return type(self)(self.left.substitute(mapping), self.right.substitute(mapping))
+        left, right = self.left.substitute(mapping), self.right.substitute(mapping)
+        if left.typ is None and right.typ is None:
+            # ``m := busy`` into ``m = idle``: both labels were checked
+            # against m's enum (the comparison's and the assignment's),
+            # so they compare by value.
+            return BoolConst((left.value == right.value) != self._negate)
+        return type(self)(left, right)
 
     def _key(self) -> tuple:
         return (type(self), self.left._key(), self.right._key())

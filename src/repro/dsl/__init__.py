@@ -26,6 +26,7 @@ Property syntax (``invariant …``, ``p ~> q``, ``transient …``, …) is
 parsed by :func:`repro.dsl.parse_property`.
 """
 
+from repro._lazy import lazy_surface
 from repro.dsl.elaborate import (
     elaborate_module,
     elaborate_program,
@@ -38,9 +39,9 @@ from repro.dsl.parser import (
     parse_program_text,
     parse_property_text,
 )
-from repro.dsl.pretty import pretty_program
 
-__all__ = [
+__all__, __getattr__, __dir__ = lazy_surface(__name__, {"pretty": ("pretty_program",)})
+__all__ += [
     "parse_program",
     "parse_module",
     "parse_property",
@@ -51,7 +52,6 @@ __all__ = [
     "elaborate_program",
     "elaborate_module",
     "elaborate_property",
-    "pretty_program",
 ]
 
 

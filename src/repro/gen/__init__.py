@@ -10,6 +10,9 @@
   replay.
 """
 
-from repro.gen.families import FAMILIES, Scenario, build_scenario, run_scenario
+from repro._lazy import lazy_surface
 
-__all__ = ["FAMILIES", "Scenario", "build_scenario", "run_scenario"]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {"families": ("FAMILIES", "Scenario", "build_scenario", "run_scenario")},
+)

@@ -17,47 +17,21 @@
   path, star, clique, grid, tree, random).
 """
 
-from repro.graph.acyclicity import (
-    is_acyclic,
-    maximal_nodes_above,
-    topological_order,
-)
-from repro.graph.derivation import (
-    apply_reversal,
-    derivations_from,
-    is_derivation,
-    lemma1_bound_holds,
-)
-from repro.graph.generators import (
-    clique_graph,
-    grid_graph,
-    path_graph,
-    random_graph,
-    ring_graph,
-    star_graph,
-    tree_graph,
-)
-from repro.graph.neighborhood import NeighborhoodGraph
-from repro.graph.orientation import Orientation
-from repro.graph.reachability import above_star, reach_star
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "NeighborhoodGraph",
-    "Orientation",
-    "reach_star",
-    "above_star",
-    "is_acyclic",
-    "topological_order",
-    "maximal_nodes_above",
-    "is_derivation",
-    "apply_reversal",
-    "derivations_from",
-    "lemma1_bound_holds",
-    "ring_graph",
-    "path_graph",
-    "star_graph",
-    "clique_graph",
-    "grid_graph",
-    "tree_graph",
-    "random_graph",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        "neighborhood": ("NeighborhoodGraph",),
+        "orientation": ("Orientation",),
+        "reachability": ("reach_star", "above_star"),
+        "acyclicity": ("is_acyclic", "topological_order", "maximal_nodes_above"),
+        "derivation": (
+            "is_derivation", "apply_reversal", "derivations_from", "lemma1_bound_holds",
+        ),
+        "generators": (
+            "ring_graph", "path_graph", "star_graph", "clique_graph",
+            "grid_graph", "tree_graph", "random_graph",
+        ),
+    },
+)

@@ -36,96 +36,39 @@ routing rule:
   checkpoints); see ``docs/robustness.md``.
 """
 
-from repro.semantics.budget import Budget, PartialResult
-from repro.semantics.checker import (
-    CheckResult,
-    check_init,
-    check_invariant,
-    check_next,
-    check_reachable_invariant,
-    check_stable,
-    check_transient,
-    check_validity,
-)
-from repro.semantics.domain import FullSpace, domain_for
-from repro.semantics.explorer import reachable_mask, reachable_states
-from repro.semantics.graph_backend import GraphBackend
-from repro.semantics.invariants import (
-    auto_invariant,
-    inductive_strengthening,
-    strongest_invariant,
-)
-from repro.semantics.leadsto import FairAnalysis, check_leadsto, fair_analysis
-from repro.semantics.scc import condensation, tarjan_condensation
-from repro.semantics.scheduler import (
-    RandomFairScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-    SequenceScheduler,
-)
-from repro.semantics.simulate import Trace, simulate
-from repro.semantics.strong_fairness import (
-    check_leadsto_strong,
-    check_transient_strong,
-    fairness_gap,
-)
-from repro.semantics.sparse import (
-    CheckpointPolicy,
-    ReachableSubspace,
-    explore,
-    reachable_subspace,
-    resume_exploration,
-    sparse_enabled,
-)
-from repro.semantics.synthesis import (
-    check_certificate_batched,
-    synthesize_leadsto_proof,
-)
-from repro.semantics.transition import TransitionSystem
-from repro.semantics.wp import semantic_wp, wp_agreement
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "CheckResult",
-    "check_init",
-    "check_invariant",
-    "check_next",
-    "check_reachable_invariant",
-    "check_stable",
-    "check_transient",
-    "check_validity",
-    "check_leadsto",
-    "FairAnalysis",
-    "fair_analysis",
-    "FullSpace",
-    "domain_for",
-    "condensation",
-    "tarjan_condensation",
-    "GraphBackend",
-    "reachable_mask",
-    "reachable_states",
-    "ReachableSubspace",
-    "explore",
-    "reachable_subspace",
-    "sparse_enabled",
-    "Budget",
-    "PartialResult",
-    "CheckpointPolicy",
-    "resume_exploration",
-    "auto_invariant",
-    "inductive_strengthening",
-    "strongest_invariant",
-    "TransitionSystem",
-    "Scheduler",
-    "RoundRobinScheduler",
-    "RandomFairScheduler",
-    "SequenceScheduler",
-    "Trace",
-    "simulate",
-    "synthesize_leadsto_proof",
-    "check_certificate_batched",
-    "check_leadsto_strong",
-    "check_transient_strong",
-    "fairness_gap",
-    "semantic_wp",
-    "wp_agreement",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        "checker": (
+            "CheckResult", "check_init", "check_invariant", "check_next",
+            "check_reachable_invariant", "check_stable", "check_transient",
+            "check_validity",
+        ),
+        "leadsto": ("check_leadsto", "FairAnalysis", "fair_analysis"),
+        "domain": ("FullSpace", "domain_for"),
+        "scc": ("condensation", "tarjan_condensation"),
+        "graph_backend": ("GraphBackend",),
+        "explorer": ("reachable_mask", "reachable_states"),
+        "sparse": (
+            "ReachableSubspace", "explore", "reachable_subspace", "sparse_enabled",
+            "CheckpointPolicy", "resume_exploration",
+        ),
+        "budget": ("Budget", "PartialResult"),
+        "invariants": (
+            "auto_invariant", "inductive_strengthening", "strongest_invariant",
+        ),
+        "transition": ("TransitionSystem",),
+        "scheduler": (
+            "Scheduler", "RoundRobinScheduler", "RandomFairScheduler",
+            "SequenceScheduler",
+        ),
+        "simulate": ("Trace", "simulate"),
+        "synthesis": ("synthesize_leadsto_proof", "check_certificate_batched"),
+        "strong_fairness": (
+            "check_leadsto_strong", "check_transient_strong", "fairness_gap",
+        ),
+        "wp": ("semantic_wp", "wp_agreement"),
+    },
+)

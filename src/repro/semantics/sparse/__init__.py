@@ -73,39 +73,34 @@ ids preserve the global order and every canonical tie-break) — see
 
 from __future__ import annotations
 
-from repro.core.state import StateSpace
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_surface
 from repro.errors import CapacityError
 
-from repro.semantics.sparse.explorer import (
-    ReachableSubspace,
-    adopt_subspace,
-    explore,
-    initial_indices,
-    reachable_subspace,
-)
-from repro.semantics.sparse.checkpoint import (
-    CheckpointPolicy,
-    cache_path_for,
-    load_checkpoint,
-    program_digest,
-    resume_exploration,
-)
+if TYPE_CHECKING:
+    from repro.core.state import StateSpace
 
-__all__ = [
-    "SPARSE_THRESHOLD",
-    "sparse_enabled",
-    "dense_fallback",
-    "ReachableSubspace",
-    "explore",
-    "initial_indices",
-    "reachable_subspace",
-    "adopt_subspace",
-    "CheckpointPolicy",
-    "cache_path_for",
-    "load_checkpoint",
-    "program_digest",
-    "resume_exploration",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        "explorer": (
+            "ReachableSubspace",
+            "explore",
+            "initial_indices",
+            "reachable_subspace",
+            "adopt_subspace",
+        ),
+        "checkpoint": (
+            "CheckpointPolicy",
+            "cache_path_for",
+            "load_checkpoint",
+            "program_digest",
+            "resume_exploration",
+        ),
+    },
+)
+__all__ += ["SPARSE_THRESHOLD", "sparse_enabled", "dense_fallback"]
 
 #: Spaces larger than this are routed to the sparse tier by
 #: :func:`repro.semantics.domain.domain_for` (dense masks/tables above it

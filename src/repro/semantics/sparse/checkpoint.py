@@ -70,6 +70,7 @@ from repro.semantics.sparse.explorer import (
     adopt_subspace,
 )
 from repro.util.csr import in_sorted
+from repro.util.durable import fsync_dir
 from repro.util.faultinject import fault_point
 
 __all__ = [
@@ -203,7 +204,7 @@ def write_checkpoint(
                 os.fsync(f.fileno())
             fault_point("checkpoint.write.rename", path=path)
             os.replace(tmp, path)
-            _fsync_dir(os.path.dirname(path) or ".")
+            fsync_dir(os.path.dirname(path) or ".")
             if rec.enabled:
                 rec.add("checkpoint.writes")
                 payload = sum(entry["nbytes"] for entry in header["arrays"])
@@ -226,17 +227,6 @@ def _concat(parts: list[np.ndarray]) -> np.ndarray:
     if not parts:
         return np.empty(0, dtype=np.int64)
     return np.concatenate([np.asarray(p, dtype=np.int64) for p in parts])
-
-
-def _fsync_dir(dirname: str) -> None:
-    try:
-        fd = os.open(dirname, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def load_checkpoint(

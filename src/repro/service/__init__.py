@@ -51,19 +51,15 @@ See ``docs/service.md`` for the API, the cache format, and the chaos
 coverage contract.
 """
 
-from repro.service.cache import CacheCorrupt, ServiceCache
-from repro.service.client import ServiceClient
-from repro.service.core import CertificationService, ServiceConfig
-from repro.service.protocol import request_key
-from repro.service.server import serve, start_server
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "CertificationService",
-    "ServiceConfig",
-    "ServiceCache",
-    "CacheCorrupt",
-    "ServiceClient",
-    "request_key",
-    "serve",
-    "start_server",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        "core": ("CertificationService", "ServiceConfig"),
+        "cache": ("ServiceCache", "CacheCorrupt"),
+        "client": ("ServiceClient",),
+        "protocol": ("request_key",),
+        "server": ("serve", "start_server"),
+    },
+)

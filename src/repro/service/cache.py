@@ -40,15 +40,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from typing import TYPE_CHECKING
 
 from repro import obs
-from repro.core.program import Program
-from repro.semantics.sparse.checkpoint import (
-    CheckpointPolicy,
-    _fsync_dir,
-    cache_path_for,
-)
+from repro.util.durable import fsync_dir
 from repro.util.faultinject import fault_point
+
+if TYPE_CHECKING:
+    from repro.core.program import Program
+    from repro.semantics.sparse.checkpoint import CheckpointPolicy
 
 __all__ = ["SCHEMA", "CacheCorrupt", "ServiceCache"]
 
@@ -155,7 +155,7 @@ class ServiceCache:
                 os.fsync(f.fileno())
             fault_point("service.cache.write.rename", path=path)
             os.replace(tmp, path)
-            _fsync_dir(self.verdict_dir)
+            fsync_dir(self.verdict_dir)
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -172,6 +172,8 @@ class ServiceCache:
     def checkpoint_policy(self, program: Program) -> CheckpointPolicy:
         """The policy that writes ``program``'s snapshot into this cache
         and reads it back, under its digest-addressed path."""
+        from repro.semantics.sparse.checkpoint import CheckpointPolicy, cache_path_for
+
         return CheckpointPolicy(path=cache_path_for(self.subspace_dir, program))
 
     # -- shared ----------------------------------------------------------

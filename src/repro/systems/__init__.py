@@ -24,30 +24,18 @@ generated conflict graphs, fan-out profiles, mesh wirings — each with an
 expected-property manifest) live in :mod:`repro.gen.families`.
 """
 
-from repro.systems.counter import CounterSystem, build_counter_component, build_counter_system
-from repro.systems.fanout import FanoutSystem, build_fanout_system
-from repro.systems.mesh import MeshSystem, build_mesh_system
-from repro.systems.philosophers import (
-    PhilosopherSystem,
-    build_philosopher_ring,
-    build_philosopher_system,
-)
-from repro.systems.pipeline import PipelineSystem, build_pipeline_system
-from repro.systems.priority import PrioritySystem, build_priority_system
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "CounterSystem",
-    "build_counter_component",
-    "build_counter_system",
-    "PrioritySystem",
-    "build_priority_system",
-    "PhilosopherSystem",
-    "build_philosopher_system",
-    "build_philosopher_ring",
-    "PipelineSystem",
-    "build_pipeline_system",
-    "FanoutSystem",
-    "build_fanout_system",
-    "MeshSystem",
-    "build_mesh_system",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        "counter": ("CounterSystem", "build_counter_component", "build_counter_system"),
+        "priority": ("PrioritySystem", "build_priority_system"),
+        "philosophers": (
+            "PhilosopherSystem", "build_philosopher_system", "build_philosopher_ring",
+        ),
+        "pipeline": ("PipelineSystem", "build_pipeline_system"),
+        "fanout": ("FanoutSystem", "build_fanout_system"),
+        "mesh": ("MeshSystem", "build_mesh_system"),
+    },
+)

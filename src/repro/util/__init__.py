@@ -1,22 +1,16 @@
-"""Small shared utilities: bitsets, ASCII tables, seeded RNG helpers."""
+"""Small shared utilities: bitsets, ASCII tables, seeded RNG helpers, and
+directory fsync."""
 
-from repro.util.bitset import (
-    bit,
-    bitset_from_iterable,
-    bitset_to_list,
-    iter_bits,
-    popcount,
+from repro._lazy import lazy_surface
+
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        "durable": ("fsync_dir",),
+        "bitset": (
+            "bit", "bitset_from_iterable", "bitset_to_list", "iter_bits", "popcount",
+        ),
+        "rng": ("make_rng", "spawn_rngs"),
+        "tables": ("format_table",),
+    },
 )
-from repro.util.rng import make_rng, spawn_rngs
-from repro.util.tables import format_table
-
-__all__ = [
-    "bit",
-    "bitset_from_iterable",
-    "bitset_to_list",
-    "iter_bits",
-    "popcount",
-    "make_rng",
-    "spawn_rngs",
-    "format_table",
-]

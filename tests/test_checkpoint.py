@@ -412,6 +412,30 @@ class TestCliDifferential:
         assert verdict_lines(resumed) == verdict_lines(reference)
         assert "resumed" in resumed
 
+    def test_check_asks_under_the_budget_flags(self, tmp_path, capsys, monkeypatch):
+        """``check --deadline 0`` on a sparse-routed program reports an
+        UNKNOWN that names the property; ``--resume`` then decides it."""
+        source = tmp_path / "big.unity"
+        source.write_text(
+            "program Big\n"
+            "declare shared a : int[0..99]; shared b : int[0..99]; "
+            "shared c : int[0..199]\n"
+            "initially a = 0 /\\ b = 0 /\\ c = 0\n"
+            "assign\n  fair up: a < 3 -> a := a + 1\nend\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        ask = ["check", str(source), "-p", "true ~> a = 3"]
+        code = main(ask + ["--deadline", "0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "[UNKNOWN] leadsto: true ~> a = 3 — deadline exhausted" in out
+        assert "status=unknown checkpoint=big.ckpt" in out
+        assert not verdict_lines(out)
+        code = main(ask + ["--resume", "big.ckpt"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert verdict_lines(out)[0].startswith("HOLDS [sparse] true ~> a = 3")
+
     def test_resume_wrong_scenario_refused(self, tmp_path, capsys):
         path = str(tmp_path / "wrong.ckpt")
         code = main(self.PRODUCT + ["--deadline", "0", "--checkpoint", path])

@@ -61,9 +61,8 @@ def _sha(text: str) -> str:
 
 def _wp_text(cmd, pred) -> str:
     # Symbolic wp refuses predicates without an expression form (the
-    # philosophers' acyclicity) and some enum updates (two bare labels
-    # compared); refusal messages print expressions too, so they are
-    # pinned as well.
+    # philosophers' acyclicity); refusal messages print expressions too,
+    # so they are pinned as well.
     try:
         return cmd.wp(pred).describe()
     except (ExpressionError, PropertyError) as exc:
